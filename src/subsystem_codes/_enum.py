@@ -1,154 +1,22 @@
-"""Exhaustive span enumeration kernels.
+"""Exhaustive span enumeration kernel.
 
 Given k generator rows over F_p whose columns are grouped into ``n_groups``
-blocks of ``group_size`` prime-field digits, these kernels scan counters in
-[lo, hi) of the mixed-radix odometer over F_p^k and report the minimum
-block weight (number of nonzero digit groups) together with the counter of
-a minimizing element.
+blocks of ``group_size`` prime-field digits, the kernel scans counters in
+[lo, hi) of the mixed-radix odometer over F_p^k (digit j of a counter is
+the coefficient of row j) and reports the minimum block weight (number of
+nonzero digit groups) or the histogram of block weights.
 
-Two interchangeable backends exist:
-
-* ``numba`` -- an @njit odometer loop (default when numba imports).
-* ``numpy`` -- blockwise vectorized evaluation, used as fallback.
-
-Selection: the ``SUBSYS_ENUM_BACKEND`` environment variable (``numba`` or
-``numpy``) wins; otherwise numba is used when available.  Results are
-bit-identical across backends and across any partitioning of the counter
-range (``benchmarks/bench_enum.py`` compares the two).
+Counters are evaluated in vectorized numpy blocks.  Results do not depend
+on how the counter range is partitioned between worker threads.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["min_weight_range", "weight_distribution", "available_backends",
-           "resolve_backend"]
-
-_ENV_VAR = "SUBSYS_ENUM_BACKEND"
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency
-    _HAVE_NUMBA = False
-
-
-def available_backends() -> Tuple[str, ...]:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    if backend is None:
-        backend = os.environ.get(_ENV_VAR)
-    if backend is None:
-        return "numba" if _HAVE_NUMBA else "numpy"
-    backend = backend.lower()
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown enumeration backend {backend!r}")
-    if backend == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-    return backend
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _min_weight_range_numba(gens, p, n_groups, group_size, lo, hi, stop_at):
-        k, ncols = gens.shape
-        # seed vector for counter lo
-        v = np.zeros(ncols, dtype=np.int64)
-        digits = np.zeros(k, dtype=np.int64)
-        t = lo
-        for j in range(k):
-            d = t % p
-            digits[j] = d
-            t //= p
-            if d:
-                for c in range(ncols):
-                    v[c] = (v[c] + d * gens[j, c]) % p
-        best = n_groups + 1
-        best_t = np.int64(-1)
-        cur = lo
-        while cur < hi:
-            # block weight of v
-            w = 0
-            for g in range(n_groups):
-                base = g * group_size
-                for c in range(group_size):
-                    if v[base + c] != 0:
-                        w += 1
-                        break
-            if w < best:
-                best = w
-                best_t = cur
-                if best <= stop_at:
-                    break
-            # odometer increment: add generator j once per changed digit
-            cur += 1
-            if cur >= hi:
-                break
-            j = 0
-            while True:
-                digits[j] += 1
-                for c in range(ncols):
-                    v[c] = (v[c] + gens[j, c]) % p
-                if digits[j] < p:
-                    break
-                digits[j] = 0
-                j += 1
-        return best, best_t
-
-    @njit(cache=True, nogil=True)
-    def _weight_distribution_numba(gens, p, n_groups, group_size, lo, hi):
-        k, ncols = gens.shape
-        v = np.zeros(ncols, dtype=np.int64)
-        digits = np.zeros(k, dtype=np.int64)
-        t = lo
-        for j in range(k):
-            d = t % p
-            digits[j] = d
-            t //= p
-            if d:
-                for c in range(ncols):
-                    v[c] = (v[c] + d * gens[j, c]) % p
-        dist = np.zeros(n_groups + 1, dtype=np.int64)
-        cur = lo
-        while cur < hi:
-            w = 0
-            for g in range(n_groups):
-                base = g * group_size
-                for c in range(group_size):
-                    if v[base + c] != 0:
-                        w += 1
-                        break
-            dist[w] += 1
-            cur += 1
-            if cur >= hi:
-                break
-            j = 0
-            while True:
-                digits[j] += 1
-                for c in range(ncols):
-                    v[c] = (v[c] + gens[j, c]) % p
-                if digits[j] < p:
-                    break
-                digits[j] = 0
-                j += 1
-        return dist
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
+__all__ = ["min_weight_range", "weight_distribution"]
 
 _NUMPY_BLOCK = 1 << 15
 
@@ -162,35 +30,16 @@ def _numpy_block_weights(gens, p, n_groups, group_size, ts):
     return nz.sum(axis=1)
 
 
-def _min_weight_range_numpy(gens, p, n_groups, group_size, lo, hi, stop_at):
+def _min_weight(gens, p, n_groups, group_size, lo, hi):
     best = n_groups + 1
-    best_t = -1
     for start in range(lo, hi, _NUMPY_BLOCK):
         ts = np.arange(start, min(hi, start + _NUMPY_BLOCK), dtype=np.int64)
         wts = _numpy_block_weights(gens, p, n_groups, group_size, ts)
-        i = int(np.argmin(wts))
-        if wts[i] < best:
-            best = int(wts[i])
-            # earliest counter achieving the block minimum, for determinism
-            first = int(np.nonzero(wts == wts[i])[0][0])
-            best_t = int(ts[first])
-            if best <= stop_at:
-                break
-    return best, best_t
+        best = min(best, int(wts.min()))
+        if best <= 1:
+            break
+    return best
 
-
-def _weight_distribution_numpy(gens, p, n_groups, group_size, lo, hi):
-    dist = np.zeros(n_groups + 1, dtype=np.int64)
-    for start in range(lo, hi, _NUMPY_BLOCK):
-        ts = np.arange(start, min(hi, start + _NUMPY_BLOCK), dtype=np.int64)
-        wts = _numpy_block_weights(gens, p, n_groups, group_size, ts)
-        dist += np.bincount(wts, minlength=n_groups + 1)
-    return dist
-
-
-# ---------------------------------------------------------------------------
-# public entry points
-# ---------------------------------------------------------------------------
 
 def _chunk_ranges(lo: int, hi: int, parts: int):
     span = hi - lo
@@ -200,44 +49,31 @@ def _chunk_ranges(lo: int, hi: int, parts: int):
 
 
 def min_weight_range(gens: np.ndarray, p: int, n_groups: int, group_size: int,
-                     lo: int, hi: int, stop_at: int = 0, workers: int = 1,
-                     backend: Optional[str] = None) -> Tuple[int, int]:
+                     lo: int, hi: int, workers: int = 1) -> int:
     """Minimum block weight over span counters in [lo, hi).
 
-    Returns ``(weight, counter)`` where ``counter`` identifies a minimizing
-    span element (the earliest one unless an early stop at ``stop_at``
-    triggers).  The result weight does not depend on partitioning.
+    The scan stops at the first element of weight 1, which is exact when
+    no counter in the range gives the zero vector: the rows are linearly
+    independent and ``lo >= 1``.  ``workers`` threads split the range.
     """
     if lo >= hi:
         raise ValueError("empty enumeration range")
     gens = np.ascontiguousarray(gens, dtype=np.int64)
-    backend = resolve_backend(backend)
-    kern = (_min_weight_range_numba if backend == "numba"
-            else _min_weight_range_numpy)
     if workers <= 1 or hi - lo < 4 * _NUMPY_BLOCK:
-        return tuple(int(x) for x in
-                     kern(gens, p, n_groups, group_size, lo, hi, stop_at))
-    ranges = _chunk_ranges(lo, hi, workers)
+        return _min_weight(gens, p, n_groups, group_size, lo, hi)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(
-            lambda r: kern(gens, p, n_groups, group_size, r[0], r[1], stop_at),
-            ranges))
-    best, best_t = n_groups + 1, -1
-    for w, t in results:
-        if w < best:
-            best, best_t = int(w), int(t)
-    return best, best_t
+        return min(pool.map(
+            lambda r: _min_weight(gens, p, n_groups, group_size, *r),
+            _chunk_ranges(lo, hi, workers)))
 
 
 def weight_distribution(gens: np.ndarray, p: int, n_groups: int,
-                        group_size: int, lo: int, hi: int,
-                        backend: Optional[str] = None) -> np.ndarray:
+                        group_size: int, lo: int, hi: int) -> np.ndarray:
     """Histogram of block weights over span counters in [lo, hi)."""
-    if lo >= hi:
-        return np.zeros(n_groups + 1, dtype=np.int64)
+    dist = np.zeros(n_groups + 1, dtype=np.int64)
     gens = np.ascontiguousarray(gens, dtype=np.int64)
-    backend = resolve_backend(backend)
-    if backend == "numba":
-        return np.asarray(
-            _weight_distribution_numba(gens, p, n_groups, group_size, lo, hi))
-    return _weight_distribution_numpy(gens, p, n_groups, group_size, lo, hi)
+    for start in range(lo, hi, _NUMPY_BLOCK):
+        ts = np.arange(start, min(hi, start + _NUMPY_BLOCK), dtype=np.int64)
+        wts = _numpy_block_weights(gens, p, n_groups, group_size, ts)
+        dist += np.bincount(wts, minlength=n_groups + 1)
+    return dist

@@ -37,7 +37,6 @@ class RunConfig:
     strict: bool = False
     emit: Optional[str] = None
     distance: str = "exact"
-    backend: Optional[str] = None
 
     @property
     def distance_mode(self) -> str:
@@ -65,17 +64,14 @@ pass_config = click.make_pass_decorator(RunConfig)
 @click.option("--distance", type=click.Choice(["exact", "witness", "skip"]),
               default="exact", show_default=True,
               help="Distance verification level.")
-@click.option("--backend", type=click.Choice(["numba", "numpy"]),
-              default=None, help="Enumeration backend override.")
 @click.version_option(package_name="artifact")
 @click.pass_context
-def main(ctx, threshold, workers, seed, fmt, strict, emit, distance, backend):
+def main(ctx, threshold, workers, seed, fmt, strict, emit, distance):
     """Construct and transform subsystem codes from classical codes."""
     if threshold < 1:
         raise click.BadParameter("threshold must be >= 1")
     ctx.obj = RunConfig(threshold=threshold, workers=workers, seed=seed,
-                        fmt=fmt, strict=strict, emit=emit, distance=distance,
-                        backend=backend)
+                        fmt=fmt, strict=strict, emit=emit, distance=distance)
 
 
 def _dump(cfg: RunConfig, payload, text_lines=None) -> None:
@@ -96,13 +92,13 @@ def _dump(cfg: RunConfig, payload, text_lines=None) -> None:
 def _load_code(path: str) -> AdditiveCode:
     try:
         return AdditiveCode.load(path)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise click.ClickException(f"cannot load code file {path}: {exc}")
 
 
 def _derive(cfg: RunConfig, C: AdditiveCode) -> SubsystemCode:
     return derive(C, distance_mode=cfg.distance_mode, threshold=cfg.threshold,
-                  workers=cfg.workers, seed=cfg.seed, backend=cfg.backend)
+                  workers=cfg.workers, seed=cfg.seed)
 
 
 def _check_strict(cfg: RunConfig, downgraded: bool) -> None:
@@ -193,7 +189,7 @@ def transform(cfg: RunConfig, file, rule, params_list, target_r,
               subset_assumed):
     """Apply a propagation rule to a code file or parameter tuple."""
     opts = dict(distance_mode=cfg.distance_mode, threshold=cfg.threshold,
-                workers=cfg.workers, seed=cfg.seed, backend=cfg.backend)
+                workers=cfg.workers, seed=cfg.seed)
     try:
         if rule in _CONSTRUCTIVE_RULES:
             if file is None:
@@ -261,8 +257,7 @@ def table1_cmd(cfg: RunConfig, q):
     """Regenerate and verify the optimal pure MDS subsystem code catalog."""
     try:
         rows = table1_mod.generate_table(
-            q, threshold=cfg.threshold, workers=cfg.workers, seed=cfg.seed,
-            backend=cfg.backend)
+            q, threshold=cfg.threshold, workers=cfg.workers, seed=cfg.seed)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     if cfg.fmt == "csv":
@@ -297,7 +292,7 @@ def family(cfg: RunConfig, family, q, delta, r, n, d):
                                    n=n, d=d)
         res = rules.mds_family(spec, distance_mode=cfg.distance_mode,
                                threshold=cfg.threshold, workers=cfg.workers,
-                               seed=cfg.seed, backend=cfg.backend)
+                               seed=cfg.seed)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     out = res.output

@@ -8,14 +8,19 @@ field columns; the fixed column order is x-block then y-block,
 coordinate-major, basis-coefficient-minor.  Two codes are equal iff their
 canonical matrices are equal, which makes equality and hashing cheap.
 
-Minimum symplectic weights are computed by exhaustive span enumeration
-(:mod:`subsystem_codes._enum`), with a randomized witness search as the
-upper-bound fallback beyond the enumeration threshold.
+Minimum weights and weight distributions of both code kinds go through
+one path: :func:`_layout` writes a code as prime-field generator rows with
+each coordinate's digits contiguous, :func:`_split` orders the rows of a
+code A as a subcode B's rows followed by A's rows outside their span, and
+one minimum scan and one distribution scan hand the result to the
+:mod:`subsystem_codes._enum` kernel.  Beyond the enumeration threshold a
+randomized witness search gives an upper bound instead.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -114,13 +119,34 @@ def trace_symp(u: SympVector, v: SympVector) -> int:
 # additive codes
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _prime_field(p: int) -> FieldSpec:
+    return FieldSpec(p, 1)
+
+
 def _coeff_field(field: FieldSpec, t: int) -> FieldSpec:
+    """F_{p^t} for t = m or t = 1; the prime field is built once per p."""
     if t == field.m:
         return field
     if t == 1:
-        return FieldSpec(field.p, 1)
+        return _prime_field(field.p)
     raise NotImplementedError(
         f"coefficient degree t={t} unsupported (only t=1 and t=m={field.m})")
+
+
+def _field_row(row, field: FieldSpec, size: int) -> np.ndarray:
+    """``row`` as ``size`` integer-encoded elements of GF(q), or ValueError."""
+    arr = np.asarray(row)
+    if arr.shape != (size,):
+        raise ValueError(f"generator must have {size} entries")
+    if arr.dtype.kind not in "iu" or (size and (arr.min() < 0
+                                               or arr.max() >= field.q)):
+        for x in (arr.tolist() if isinstance(row, np.ndarray) else list(row)):
+            if not isinstance(x, (int, np.integer)) or not 0 <= x < field.q:
+                raise ValueError(
+                    f"generator entry {x!r} is not an element of "
+                    f"GF({field.q}) (an integer 0..{field.q - 1})")
+    return arr.astype(np.int64, copy=False)
 
 
 class AdditiveCode:
@@ -159,9 +185,7 @@ class AdditiveCode:
             if row.field != self.field or row.n != self.n:
                 raise ValueError("generator has wrong length or field")
             row = row.values
-        row = np.asarray(row, dtype=np.int64)
-        if row.size != 2 * self.n:
-            raise ValueError(f"generator must have {2 * self.n} entries")
+        row = _field_row(row, self.field, 2 * self.n)
         if self.t == self.field.m:
             return row
         # expand each F_q entry into its m prime-field digits
@@ -347,55 +371,79 @@ def intersect(c1: AdditiveCode, c2: AdditiveCode) -> AdditiveCode:
 # minimum weights by enumeration
 # ---------------------------------------------------------------------------
 
-def _enum_layout(code: AdditiveCode) -> np.ndarray:
-    """Prime-field generator rows with per-coordinate contiguous columns."""
-    add = code.as_additive()
-    m, n = code.field.m, code.n
-    perm = np.empty(2 * n * m, dtype=np.int64)
-    for i in range(n):
-        perm[i * 2 * m: i * 2 * m + m] = np.arange(i * m, (i + 1) * m)
-        perm[i * 2 * m + m: (i + 1) * 2 * m] = np.arange((n + i) * m, (n + i + 1) * m)
-    return add.mat[:, perm], add.rank
+def _layout(code: Union[AdditiveCode, "ClassicalCode"]) -> np.ndarray:
+    """Prime-field generator rows with each coordinate's digits contiguous.
+
+    A coordinate group is the 2m digits of (x_i, y_i) for an additive code
+    and the m digits of x_i for a classical one.
+    """
+    if isinstance(code, AdditiveCode):
+        m, n = code.field.m, code.n
+        perm = np.arange(2 * n * m).reshape(2, n, m).transpose(1, 0, 2)
+        return code.as_additive().mat[:, perm.reshape(-1)]
+    f = code.field
+    gens = [f._dig[f.mul_arr(row, f.p**j)].reshape(-1)
+            for row in code.mat for j in range(f.m)]
+    return (np.stack(gens) if gens
+            else np.zeros((0, code.n * f.m), dtype=np.int64))
 
 
-def min_swt(code: AdditiveCode, threshold: int = DEFAULT_THRESHOLD,
-            workers: int = 1, backend: Optional[str] = None) -> int:
-    """Exact minimum symplectic weight by full span enumeration."""
-    if code.rank == 0:
-        raise ValueError("minimum weight of the zero code is undefined")
-    gens, k = _enum_layout(code)
-    p = code.field.p
+def _split(a_rows: np.ndarray, b_rows: np.ndarray, p: int) -> np.ndarray:
+    """B's rows as given, then the rows of A outside their span, in A's order.
+
+    Both row sets must be linearly independent, with span(B) inside span(A).
+    """
+    if not len(b_rows):
+        return a_rows
+    fp = _prime_field(p)
+    cur, _ = linalg.rref(b_rows, fp)
+    ext = []
+    for row in a_rows:
+        red, _ = linalg.rref(np.vstack([cur, row]), fp)
+        if red.shape[0] > cur.shape[0]:
+            ext.append(row)
+            cur = red
+    return np.vstack([b_rows] + ext)
+
+
+def _check_span(p: int, k: int, threshold: int) -> None:
     if p**k > threshold:
         raise EnumerationLimitError(
             f"span size {p}^{k} exceeds threshold {threshold}")
-    w, _ = _enum.min_weight_range(gens, p, code.n, 2 * code.field.m,
-                                  1, p**k, stop_at=1, workers=workers,
-                                  backend=backend)
-    return w
 
 
-def _split_basis(a: AdditiveCode, b: AdditiveCode):
-    """Prime-field generators of A ordered as [B basis, extension rows]."""
-    a_add, b_add = a.as_additive(), b.as_additive()
-    fp = a_add.coeff_field
-    cur = b_add.mat.copy()
-    cur_rank = b_add.rank
-    ext = []
-    for row in a_add.mat:
-        trial = np.concatenate([cur, row.reshape(1, -1)], axis=0)
-        r = linalg.rank(trial, fp)
-        if r > cur_rank:
-            ext.append(row)
-            cur, cur_rank = linalg.rref(trial, fp)[0], r
-    assert cur_rank == a_add.rank, "B is not contained in A"
-    return b_add, np.array(ext, dtype=np.int64).reshape(len(ext), a_add.ncols)
+def _min_scan(a, b, threshold: int, workers: int = 1) -> int:
+    """Minimum group weight over span(A) minus span(B); B None is {0}."""
+    a_rows, p = _layout(a), a.field.p
+    _check_span(p, len(a_rows), threshold)
+    b_rows = a_rows[:0] if b is None else _layout(b)
+    gens = _split(a_rows, b_rows, p)
+    return _enum.min_weight_range(gens, p, a.n, gens.shape[1] // a.n,
+                                  p**len(b_rows), p**len(gens),
+                                  workers=workers)
+
+
+def _distribution_scan(code, threshold: int) -> np.ndarray:
+    """Histogram of group weights over the whole code (index = weight)."""
+    gens = _layout(code)
+    p, k = code.field.p, len(gens)
+    _check_span(p, k, threshold)
+    return _enum.weight_distribution(gens, p, code.n, gens.shape[1] // code.n,
+                                     0, p**k)
+
+
+def min_swt(code: AdditiveCode, threshold: int = DEFAULT_THRESHOLD,
+            workers: int = 1) -> int:
+    """Exact minimum symplectic weight by full span enumeration."""
+    if code.rank == 0:
+        raise ValueError("minimum weight of the zero code is undefined")
+    return _min_scan(code, None, threshold, workers)
 
 
 def min_swt_coset(a: AdditiveCode, b: AdditiveCode, mode: str = "exact",
                   bound: Optional[int] = None,
                   threshold: int = DEFAULT_THRESHOLD, workers: int = 1,
-                  seed: int = 0,
-                  backend: Optional[str] = None) -> Tuple[int, str]:
+                  seed: int = 0) -> Tuple[int, str]:
     """Minimum symplectic weight over A \\ B (with B a subcode of A).
 
     ``exact`` enumerates the coset space fully and returns the tag
@@ -408,28 +456,14 @@ def min_swt_coset(a: AdditiveCode, b: AdditiveCode, mode: str = "exact",
         raise ValueError("B is not a subcode of A")
     if a.rank_p == b.rank_p:
         raise ValueError("A equals B: the difference set is empty")
-    b_add, ext = _split_basis(a, b)
-    p = a.field.p
-    kb, ke = b_add.rank, ext.shape[0]
-    gens = np.concatenate([b_add.mat, ext], axis=0)
-    # permute columns into per-coordinate groups
-    m, n = a.field.m, a.n
-    perm = np.empty(2 * n * m, dtype=np.int64)
-    for i in range(n):
-        perm[i * 2 * m: i * 2 * m + m] = np.arange(i * m, (i + 1) * m)
-        perm[i * 2 * m + m: (i + 1) * 2 * m] = np.arange((n + i) * m, (n + i + 1) * m)
-    gens = gens[:, perm]
     if mode == "exact":
-        if p**(kb + ke) > threshold:
-            raise EnumerationLimitError(
-                f"span size {p}^{kb + ke} exceeds threshold {threshold}")
-        w, _ = _enum.min_weight_range(gens, p, n, 2 * m, p**kb, p**(kb + ke),
-                                      stop_at=1, workers=workers,
-                                      backend=backend)
-        return w, "exhaustive"
+        return _min_scan(a, b, threshold, workers), "exhaustive"
     if mode != "witness":
         raise ValueError(f"unknown mode {mode!r}")
-    w = _witness_search(gens, p, n, 2 * m, kb, ke, bound, seed)
+    gens = _split(_layout(a), _layout(b), a.field.p)
+    kb = b.rank_p
+    w = _witness_search(gens, a.field.p, a.n, 2 * a.field.m, kb,
+                        len(gens) - kb, bound, seed)
     return w, "witness"
 
 
@@ -449,7 +483,6 @@ def _witness_search(gens, p, n_groups, group_size, kb, ke, bound, seed) -> int:
 
     # combinations of up to 3 generators with nonzero extension support
     combo_count = 0
-    idx_ext = range(kb, k)
     done = False
     for size in (1, 2, 3):
         if done:
@@ -470,7 +503,6 @@ def _witness_search(gens, p, n_groups, group_size, kb, ke, bound, seed) -> int:
                     break
             if done:
                 break
-    del idx_ext
 
     rng = np.random.default_rng(seed)
     block = 1 << 12
@@ -495,16 +527,10 @@ def _witness_search(gens, p, n_groups, group_size, kb, ke, bound, seed) -> int:
     return best
 
 
-def swt_distribution(code: AdditiveCode, threshold: int = DEFAULT_THRESHOLD,
-                     backend: Optional[str] = None) -> np.ndarray:
+def swt_distribution(code: AdditiveCode,
+                     threshold: int = DEFAULT_THRESHOLD) -> np.ndarray:
     """Histogram of symplectic weights over the whole code (index = weight)."""
-    gens, k = _enum_layout(code)
-    p = code.field.p
-    if p**k > threshold:
-        raise EnumerationLimitError(
-            f"span size {p}^{k} exceeds threshold {threshold}")
-    return _enum.weight_distribution(gens, p, code.n, 2 * code.field.m,
-                                     0, p**k, backend=backend)
+    return _distribution_scan(code, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +548,7 @@ class ClassicalCode:
         self.rank = self.mat.shape[0]
 
     def _as_rows(self, generators) -> np.ndarray:
-        rows = [np.asarray(g, dtype=np.int64) for g in generators]
-        for r in rows:
-            if r.size != self.n:
-                raise ValueError(f"generator must have {self.n} entries")
+        rows = [_field_row(g, self.field, self.n) for g in generators]
         if not rows:
             return np.zeros((0, self.n), dtype=np.int64)
         return np.stack(rows)
@@ -602,76 +625,30 @@ class ClassicalCode:
 
     # -- weights -------------------------------------------------------------
 
-    def _prime_generators(self) -> np.ndarray:
-        """Prime-field generator rows, columns coordinate-major digit-minor."""
-        f = self.field
-        gens = []
-        for row in self.mat:
-            for j in range(f.m):
-                scaled = f.mul_arr(row, f.p**j)
-                gens.append(f._dig[scaled].reshape(-1))
-        if not gens:
-            return np.zeros((0, self.n * f.m), dtype=np.int64)
-        return np.stack(gens)
-
     def size_log_p(self) -> int:
         return self.rank * self.field.m
 
     def min_wt(self, threshold: int = DEFAULT_THRESHOLD,
-               workers: int = 1, backend: Optional[str] = None) -> int:
+               workers: int = 1) -> int:
         """Exact minimum Hamming weight by enumeration."""
         if self.rank == 0:
             raise ValueError("minimum weight of the zero code is undefined")
-        gens = self._prime_generators()
-        p, k = self.field.p, gens.shape[0]
-        if p**k > threshold:
-            raise EnumerationLimitError(
-                f"span size {p}^{k} exceeds threshold {threshold}")
-        w, _ = _enum.min_weight_range(gens, p, self.n, self.field.m, 1, p**k,
-                                      stop_at=1, workers=workers,
-                                      backend=backend)
-        return w
+        return _min_scan(self, None, threshold, workers)
 
-    def weight_distribution(self, threshold: int = DEFAULT_THRESHOLD,
-                            backend: Optional[str] = None) -> np.ndarray:
-        gens = self._prime_generators()
-        p, k = self.field.p, gens.shape[0]
-        if p**k > threshold:
-            raise EnumerationLimitError(
-                f"span size {p}^{k} exceeds threshold {threshold}")
-        return _enum.weight_distribution(gens, p, self.n, self.field.m,
-                                         0, p**k, backend=backend)
+    def weight_distribution(self,
+                            threshold: int = DEFAULT_THRESHOLD) -> np.ndarray:
+        return _distribution_scan(self, threshold)
 
     def min_wt_coset(self, sub: "ClassicalCode", mode: str = "exact",
-                     threshold: int = DEFAULT_THRESHOLD,
-                     backend: Optional[str] = None) -> Tuple[int, str]:
+                     threshold: int = DEFAULT_THRESHOLD) -> Tuple[int, str]:
         """Minimum Hamming weight over self \\ sub."""
         if not self.contains_code(sub):
             raise ValueError("sub is not a subcode")
         if self.rank == sub.rank:
             raise ValueError("difference set is empty")
-        gens_b = sub._prime_generators()
-        fp = FieldSpec(self.field.p, 1)
-        cur, cur_rank = linalg.rref(gens_b, fp)
-        ext = []
-        for row in self._prime_generators():
-            trial = np.concatenate([cur, row.reshape(1, -1)], axis=0)
-            red, piv = linalg.rref(trial, fp)
-            if red.shape[0] > cur.shape[0]:
-                ext.append(row)
-                cur = red
-        kb = gens_b.shape[0]
-        gens = np.concatenate(
-            [gens_b, np.array(ext, dtype=np.int64).reshape(len(ext), -1)], axis=0)
-        p, k = self.field.p, gens.shape[0]
         if mode != "exact":
             raise ValueError("only exact mode is supported for classical cosets")
-        if p**k > threshold:
-            raise EnumerationLimitError(
-                f"span size {p}^{k} exceeds threshold {threshold}")
-        w, _ = _enum.min_weight_range(gens, p, self.n, self.field.m,
-                                      p**kb, p**k, stop_at=1, backend=backend)
-        return w, "exhaustive"
+        return _min_scan(self, sub, threshold), "exhaustive"
 
     # -- classical modifications --------------------------------------------
 

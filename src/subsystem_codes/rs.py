@@ -14,7 +14,7 @@ extensions of the corresponding punctured codes).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -85,35 +85,27 @@ def hermitian_self_orthogonal_rs(tower: TowerSpec, length: int,
     return code
 
 
-def mds_min_weight_codeword(code: ClassicalCode,
-                            avoid: Optional[ClassicalCode] = None,
-                            max_windows: Optional[int] = None) -> np.ndarray:
-    """A codeword of weight n - k + 1 in an MDS code, avoiding a subcode.
+def mds_min_weight_codeword(
+        code: ClassicalCode,
+        accept: Optional[Callable[[np.ndarray], bool]] = None) -> np.ndarray:
+    """The first codeword of weight n - k + 1 that ``accept`` takes.
 
-    Solves for a codeword vanishing on k-1 chosen coordinates; for an MDS
-    code the solution space is one-dimensional and the resulting codeword
-    has weight exactly n - k + 1.  Coordinate windows are slid until the
-    codeword also avoids ``avoid`` (membership-checked), if given.
+    Solves for codewords vanishing on k-1 cyclically consecutive
+    coordinates; for an MDS code the solution space is one-dimensional
+    and its nonzero codewords have weight exactly n - k + 1.  Every kernel
+    vector of each window is tried in turn.  Raises RuntimeError when no
+    window yields an accepted codeword of that weight.
     """
     n, k = code.n, code.rank
     if k == 0:
         raise ValueError("zero code has no nonzero codeword")
     target = n - k + 1
-    windows = max_windows if max_windows is not None else n
-    for start in range(windows):
+    for start in range(n):
         coords = [(start + i) % n for i in range(k - 1)]
-        sub = code.mat[:, coords]
-        ker = linalg.nullspace(sub.T, code.field)
-        found = None
+        ker = linalg.nullspace(code.mat[:, coords].T, code.field)
         for x in ker:
             cw = linalg.matmul(x.reshape(1, -1), code.mat, code.field)[0]
-            w = int((cw != 0).sum())
-            if w == target:
-                found = cw
-                break
-        if found is None:
-            continue
-        if avoid is not None and avoid.contains_vector(found):
-            continue
-        return found
+            if int((cw != 0).sum()) == target and (accept is None
+                                                    or accept(cw)):
+                return cw
     raise RuntimeError("no minimum-weight codeword found; code may not be MDS")

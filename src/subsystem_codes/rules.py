@@ -28,7 +28,7 @@ import numpy as np
 
 from . import rs
 from .codes import (DEFAULT_THRESHOLD, AdditiveCode, ClassicalCode,
-                    EnumerationLimitError, dual_symp, swt)
+                    EnumerationLimitError, dual_symp)
 from .gf import FieldSpec, TowerSpec
 from .subsystem import ParamRecord, PurityError, SubsystemCode, derive
 from .symplectic import extend_to_full_symplectic_basis, hyperbolic_decompose
@@ -134,8 +134,7 @@ def _purity_level(code: SubsystemCode) -> Optional[int]:
 
 def shrink_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
              distance_mode: str = "auto", threshold: int = DEFAULT_THRESHOLD,
-             workers: int = 1, seed: int = 0,
-             backend: Optional[str] = None) -> RuleResult:
+             workers: int = 1, seed: int = 0) -> RuleResult:
     """Trade one unit of subsystem dimension for co-subsystem dimension.
 
     From ((n,K,R,d))_q pure to d', build ((n, K/p^t, p^t R, >= d))_q pure
@@ -155,7 +154,7 @@ def shrink_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
 
     C_m = _adjoin_fresh_pair(C)
     out = derive(C_m, distance_mode=distance_mode, threshold=threshold,
-                 workers=workers, seed=seed, backend=backend)
+                 workers=workers, seed=seed)
 
     res = RuleResult("shrink_k", out)
     if out.k_exp != code.k_exp - t or out.r_exp != code.r_exp + t:
@@ -176,8 +175,7 @@ def shrink_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
 
 def grow_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
            distance_mode: str = "auto", threshold: int = DEFAULT_THRESHOLD,
-           workers: int = 1, seed: int = 0,
-           backend: Optional[str] = None) -> RuleResult:
+           workers: int = 1, seed: int = 0) -> RuleResult:
     """Trade one unit of co-subsystem dimension back into the subsystem.
 
     From a pure ((n,K,R,d))_q code with R > 1, build a pure
@@ -202,7 +200,7 @@ def grow_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
 
     C_new = _drop_last_pair(C)
     out = derive(C_new, distance_mode=distance_mode, threshold=threshold,
-                 workers=workers, seed=seed, backend=backend)
+                 workers=workers, seed=seed)
 
     res = RuleResult("grow_k", out)
     if out.k_exp != code.k_exp + t or out.r_exp != code.r_exp - t:
@@ -226,8 +224,7 @@ def grow_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
 def stabilizer_to_subsystem(code: SubsystemCode, r: int,
                             distance_mode: str = "auto",
                             threshold: int = DEFAULT_THRESHOLD,
-                            workers: int = 1, seed: int = 0,
-                            backend: Optional[str] = None) -> RuleResult:
+                            workers: int = 1, seed: int = 0) -> RuleResult:
     """Turn a stabilizer code into an [[n, k-r, r, >= d]]_q subsystem code.
 
     Adjoins r fresh hyperbolic pairs (r counted in log_q units) to the
@@ -251,7 +248,7 @@ def stabilizer_to_subsystem(code: SubsystemCode, r: int,
     for _ in range(steps_p // t):
         C = _adjoin_fresh_pair(C)
     out = derive(C, distance_mode=distance_mode, threshold=threshold,
-                 workers=workers, seed=seed, backend=backend)
+                 workers=workers, seed=seed)
     res = RuleResult("stabilizer_to_subsystem", out)
     if out.k_exp != code.k_exp - steps_p or out.r_exp != steps_p:
         raise AssertionError("dimension bookkeeping failed")
@@ -271,8 +268,7 @@ def stabilizer_to_subsystem(code: SubsystemCode, r: int,
 def subsystem_to_stabilizer(code: SubsystemCode,
                             distance_mode: str = "auto",
                             threshold: int = DEFAULT_THRESHOLD,
-                            workers: int = 1, seed: int = 0,
-                            backend: Optional[str] = None) -> RuleResult:
+                            workers: int = 1, seed: int = 0) -> RuleResult:
     """Collapse a pure subsystem code to its [[n, k+r, d]]_q stabilizer code.
 
     Dropping every hyperbolic pair of the gauge code leaves exactly its
@@ -285,7 +281,7 @@ def subsystem_to_stabilizer(code: SubsystemCode,
         raise ValueError("the radical is trivial; the associated stabilizer "
                          "code is the full space")
     out = derive(code.D, distance_mode=distance_mode, threshold=threshold,
-                 workers=workers, seed=seed, backend=backend)
+                 workers=workers, seed=seed)
     res = RuleResult("subsystem_to_stabilizer", out)
     if out.k_exp != code.k_exp + code.r_exp or out.r_exp != 0:
         raise AssertionError("dimension bookkeeping failed")
@@ -331,8 +327,7 @@ def _extend_code(X: AdditiveCode) -> AdditiveCode:
 
 def extend_length(code: SubsystemCode, distance_mode: str = "auto",
                   threshold: int = DEFAULT_THRESHOLD, workers: int = 1,
-                  seed: int = 0,
-                  backend: Optional[str] = None) -> RuleResult:
+                  seed: int = 0) -> RuleResult:
     """Append a coordinate: ((n,K,R,d))_q -> ((n+1,K,R,>=d))_q pure to 1.
 
     The new x-coordinate ranges over the whole field and the new
@@ -343,7 +338,7 @@ def extend_length(code: SubsystemCode, distance_mode: str = "auto",
         raise ValueError("extension requires K > 1")
     C_ext = _extend_code(code.C)
     out = derive(C_ext, distance_mode=distance_mode, threshold=threshold,
-                 workers=workers, seed=seed, backend=backend)
+                 workers=workers, seed=seed)
     res = RuleResult("extend_length", out)
     if out.k_exp != code.k_exp or out.r_exp != code.r_exp:
         raise AssertionError("dimension bookkeeping failed")
@@ -604,32 +599,9 @@ def _field_for_q(q: int) -> FieldSpec:
     raise ValueError(f"{q} is not a prime power")
 
 
-def _mds_distance_witness(tower: TowerSpec, X: ClassicalCode,
-                          C: AdditiveCode, target: int) -> bool:
-    """Find w in the expansion of X^perp_h, outside C, with swt == target.
-
-    The expanded dual is exactly the symplectic dual of the radical, so a
-    hit certifies that the subsystem distance is at most ``target``.
-    """
-    Xd = X.dual("hermitian")
-    n, k = Xd.n, Xd.rank
-    for start in range(n):
-        coords = [(start + i) % n for i in range(k - 1)]
-        from . import linalg
-        ker = linalg.nullspace(Xd.mat[:, coords].T, Xd.field)
-        for x in ker:
-            cw = linalg.matmul(x.reshape(1, -1), Xd.mat, Xd.field)[0]
-            if int((cw != 0).sum()) != target:
-                continue
-            w = _expand_vector(tower, cw)
-            if swt(w) == target and not C.contains_vector(w):
-                return True
-    return False
-
-
 def mds_family(spec: MdsFamilySpec, distance_mode: str = "auto",
                threshold: int = DEFAULT_THRESHOLD, workers: int = 1,
-               seed: int = 0, backend: Optional[str] = None) -> RuleResult:
+               seed: int = 0) -> RuleResult:
     """Instantiate a member of the MDS subsystem code families.
 
     Families iii-vi: build the Hermitian self-orthogonal evaluation code
@@ -671,13 +643,13 @@ def mds_family(spec: MdsFamilySpec, distance_mode: str = "auto",
 
     try:
         out = derive(C, distance_mode="exact", threshold=threshold,
-                     workers=workers, seed=seed, backend=backend)
+                     workers=workers, seed=seed)
         exact = True
     except EnumerationLimitError:
         if distance_mode == "exact":
             raise
         out = derive(C, distance_mode="skip", threshold=threshold,
-                     workers=workers, seed=seed, backend=backend)
+                     workers=workers, seed=seed)
         exact = False
 
     res = RuleResult("mds_family", out)
@@ -696,8 +668,18 @@ def mds_family(spec: MdsFamilySpec, distance_mode: str = "auto",
     else:
         out.d = d
         out.d_method = "analytic"
-        witness_ok = (spec.delta > 0
-                      and _mds_distance_witness(tower, X, C, d))
+        # X^perp_h is MDS of minimum weight d, and its expansion is the
+        # symplectic dual of the radical: a minimum-weight codeword whose
+        # expansion lies outside C certifies a distance of at most d
+        witness_ok = spec.delta > 0
+        if witness_ok:
+            try:
+                rs.mds_min_weight_codeword(
+                    X.dual("hermitian"),
+                    accept=lambda cw: not C.contains_vector(
+                        _expand_vector(tower, cw)))
+            except RuntimeError:
+                witness_ok = False
         res.add(f"d = {d}", WITNESS if witness_ok else ASSERTED)
         out.swt_c = d
         out.swt_c_method = "analytic"

@@ -144,7 +144,7 @@ class ParamRecord:
 
 def derive(C: AdditiveCode, distance_mode: str = "auto",
            threshold: int = DEFAULT_THRESHOLD, workers: int = 1,
-           seed: int = 0, backend: Optional[str] = None) -> SubsystemCode:
+           seed: int = 0) -> SubsystemCode:
     """Build the subsystem code of an additive code C != {0}.
 
     distance_mode: "exact" (raise beyond the enumeration threshold),
@@ -174,12 +174,10 @@ def derive(C: AdditiveCode, distance_mode: str = "auto",
             if not want_exact:
                 raise EnumerationLimitError("witness mode requested")
             if case == "b":
-                d = min_swt(Dperp, threshold=threshold, workers=workers,
-                            backend=backend)
+                d = min_swt(Dperp, threshold=threshold, workers=workers)
             else:
                 d, _ = min_swt_coset(Dperp, C, mode="exact",
-                                     threshold=threshold, workers=workers,
-                                     backend=backend)
+                                     threshold=threshold, workers=workers)
             d_method = "exhaustive"
         except EnumerationLimitError:
             if distance_mode == "exact":
@@ -187,25 +185,23 @@ def derive(C: AdditiveCode, distance_mode: str = "auto",
             if case == "b":
                 d, _ = min_swt_coset(Dperp, AdditiveCode.zero(C.n, C.field, C.t),
                                      mode="witness", threshold=threshold,
-                                     seed=seed, backend=backend)
+                                     seed=seed)
             else:
                 d, _ = min_swt_coset(Dperp, C, mode="witness",
-                                     threshold=threshold, seed=seed,
-                                     backend=backend)
+                                     threshold=threshold, seed=seed)
             d_method = "witness"
 
     swt_c = None
     swt_c_method = None
     if distance_mode != "skip":
         try:
-            swt_c = min_swt(C, threshold=threshold, workers=workers,
-                            backend=backend)
+            swt_c = min_swt(C, threshold=threshold, workers=workers)
             swt_c_method = "exhaustive"
         except EnumerationLimitError:
             if C.rank_p < 2 * nm:
                 swt_c, _ = min_swt_coset(
                     C, AdditiveCode.zero(C.n, C.field, C.t), mode="witness",
-                    threshold=threshold, seed=seed, backend=backend)
+                    threshold=threshold, seed=seed)
                 swt_c_method = "witness"
 
     code = SubsystemCode(C=C, D=D, k_exp=k_exp, r_exp=r_exp, d=d,

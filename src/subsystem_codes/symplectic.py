@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import linalg
-from .codes import AdditiveCode, _symplectic_gram
+from .codes import AdditiveCode, _coeff_field, _symplectic_gram
 from .gf import FieldSpec
 
 __all__ = ["HyperbolicDecomposition", "hyperbolic_decompose",
@@ -44,8 +44,7 @@ class HyperbolicDecomposition:
         return len(self.pairs)
 
     def coeff_field(self) -> FieldSpec:
-        return (self.field if self.coeff_degree == self.field.m
-                else FieldSpec(self.field.p, 1))
+        return _coeff_field(self.field, self.coeff_degree)
 
     def gram(self) -> np.ndarray:
         return _symplectic_gram(self.n, self.field, self.coeff_degree)

@@ -27,12 +27,9 @@ import io
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from . import linalg, rs
+from . import rs
 from .bounds import singleton_check
-from .codes import (DEFAULT_THRESHOLD, AdditiveCode, ClassicalCode,
-                    EnumerationLimitError, swt)
+from .codes import DEFAULT_THRESHOLD, ClassicalCode, EnumerationLimitError
 from .gf import TowerSpec
 from .rules import (ASSERTED, VERIFIED, WITNESS, _expand_vector,
                     _field_for_q, hermitian_to_symplectic)
@@ -130,16 +127,14 @@ def _find_offset(tower: TowerSpec, parent: Tuple[int, int, int], mark: str,
 
 
 def _verify_parent(Y: ClassicalCode, parent: Tuple[int, int, int],
-                   threshold: int, workers: int,
-                   backend: Optional[str]) -> str:
+                   threshold: int, workers: int) -> str:
     n, kappa, dist = parent
     if (Y.n, Y.rank) != (n, kappa):
         raise AssertionError("parent dimensions do not match the row")
     if dist != n - kappa + 1:
         raise AssertionError("parent is not MDS in the recorded row")
     try:
-        if Y.min_wt(threshold=threshold, workers=workers,
-                    backend=backend) != dist:
+        if Y.min_wt(threshold=threshold, workers=workers) != dist:
             raise AssertionError("parent distance mismatch")
         return VERIFIED
     except EnumerationLimitError:
@@ -149,27 +144,8 @@ def _verify_parent(Y: ClassicalCode, parent: Tuple[int, int, int],
         return WITNESS
 
 
-def _coset_witness(tower: TowerSpec, Ys: ClassicalCode, C: AdditiveCode,
-                   target: int) -> bool:
-    """A weight-``target`` vector in the expanded dual of Ys, outside C."""
-    Yd = Ys.dual("hermitian")
-    n, k = Yd.n, Yd.rank
-    for start in range(n):
-        coords = [(start + i) % n for i in range(k - 1)]
-        ker = linalg.nullspace(Yd.mat[:, coords].T, Yd.field)
-        for x in ker:
-            cw = linalg.matmul(x.reshape(1, -1), Yd.mat, Yd.field)[0]
-            if int((cw != 0).sum()) != target:
-                continue
-            w = _expand_vector(tower, cw)
-            if swt(w) == target and not C.contains_vector(w):
-                return True
-    return False
-
-
 def generate_table(q: int, threshold: int = DEFAULT_THRESHOLD,
-                   workers: int = 1, seed: int = 0,
-                   backend: Optional[str] = None) -> List[Table1Row]:
+                   workers: int = 1, seed: int = 0) -> List[Table1Row]:
     """Rebuild and verify all catalog rows for one field size."""
     if q not in _ROWS:
         raise ValueError(f"no catalog rows for q = {q}; "
@@ -186,7 +162,7 @@ def generate_table(q: int, threshold: int = DEFAULT_THRESHOLD,
         row = Table1Row(q, subsystem, parent, mark, offset)
 
         row.verification["parent_distance"] = _verify_parent(
-            Y, parent, threshold, workers, backend)
+            Y, parent, threshold, workers)
 
         Ys = Y.intersect(Y.dual("hermitian"))
         if not Ys.is_hermitian_self_orthogonal():
@@ -196,7 +172,7 @@ def generate_table(q: int, threshold: int = DEFAULT_THRESHOLD,
         C = hermitian_to_symplectic(Y, require_self_orthogonal=False)
         try:
             code = derive(C, distance_mode="exact", threshold=threshold,
-                          workers=workers, seed=seed, backend=backend)
+                          workers=workers, seed=seed)
             exact = True
         except EnumerationLimitError:
             code = derive(C, distance_mode="skip")
@@ -215,7 +191,15 @@ def generate_table(q: int, threshold: int = DEFAULT_THRESHOLD,
         else:
             code.d, code.d_method = d, "analytic"
             code.swt_c, code.swt_c_method = d, "analytic"
-            if not _coset_witness(tower, Ys, C, d):
+            # Ys^perp_h is MDS of minimum weight iota + 1 = d, and its
+            # expansion is D^perp_s with weights kept: a minimum-weight
+            # codeword whose expansion lies outside C witnesses d
+            try:
+                rs.mds_min_weight_codeword(
+                    Ys.dual("hermitian"),
+                    accept=lambda cw: not C.contains_vector(
+                        _expand_vector(tower, cw)))
+            except RuntimeError:
                 raise AssertionError("no weight-d coset witness found")
             row.verification["distance"] = WITNESS
             row.verification["pure"] = ASSERTED

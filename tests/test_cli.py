@@ -54,6 +54,24 @@ def test_analyze_malformed_file(runner, tmp_path):
     assert "cannot load code file" in res.output
 
 
+@pytest.mark.parametrize("fields", [
+    {"coeff_degree": 1, "generators": [[7, 0, 0, 1]]},
+    {"coeff_degree": 2, "generators": [[7, 0, 0, 1]]},
+    {"coeff_degree": 2, "generators": [[-1, 0, 0, 1]]},
+    {"coeff_degree": 1, "generators": [[1.5, 0, 0, 1]]},
+    {"coeff_degree": 1, "generators": [[1, 0, 0]]},
+    {"coeff_degree": 1, "generators": 5},
+])
+def test_analyze_rejects_bad_entries(runner, tmp_path, fields):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"p": 2, "m": 2, "n": 2, **fields}))
+    res = runner.invoke(main, ["analyze", str(bad)])
+    assert res.exit_code != 0
+    assert "cannot load code file" in res.output
+    # a clean click error, not an exception escaping with a traceback
+    assert isinstance(res.exception, SystemExit)
+
+
 def test_transform_shrink_emits_code(runner, five_path, tmp_path):
     out_path = tmp_path / "shrunk.json"
     res = runner.invoke(main, ["--emit", str(out_path), "transform",

@@ -136,6 +136,28 @@ def test_witness_mode_upper_bounds():
         assert wit == exact
 
 
+@pytest.mark.parametrize("t,gen,entry", [
+    (1, [7, 0, 0, 1], "7"), (2, [7, 0, 0, 1], "7"),
+    (1, [-1, 0, 0, 1], "-1"), (2, [-1, 0, 0, 1], "-1"),
+    (1, [1.5, 0, 0, 1], "1.5"), (2, [0, 1.5, 0, 1], "1.5"),
+])
+def test_additive_rejects_bad_entries(t, gen, entry):
+    with pytest.raises(ValueError, match=f"entry {entry} is not an element"):
+        AdditiveCode(2, FieldSpec(2, 2), [gen], coeff_degree=t)
+
+
+def test_rejects_bad_shapes_and_classical_entries():
+    f = FieldSpec(2, 2)
+    for t in (1, 2):
+        with pytest.raises(ValueError, match="must have 4 entries"):
+            AdditiveCode(2, f, [[1, 0, 0]], coeff_degree=t)
+    for gen, entry in (([9, 1], "9"), ([-1, 1], "-1"), ([1.5, 1], "1.5")):
+        with pytest.raises(ValueError, match=f"entry {entry} is not"):
+            ClassicalCode(2, f, [gen])
+    with pytest.raises(ValueError, match="must have 2 entries"):
+        ClassicalCode(2, f, [[1, 1, 1]])
+
+
 def test_threshold_enforced():
     f = FieldSpec(2)
     code = AdditiveCode(3, f, np.eye(6, dtype=np.int64))
