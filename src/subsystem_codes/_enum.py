@@ -6,8 +6,18 @@ blocks of ``group_size`` prime-field digits, the kernel scans counters in
 the coefficient of row j) and reports the minimum block weight (number of
 nonzero digit groups) or the histogram of block weights.
 
-Counters are evaluated in vectorized numpy blocks.  Results do not depend
-on how the counter range is partitioned between worker threads.
+The scan meets in the middle.  The low ``kl = ceil(k/2)`` rows and the
+high ``k - kl`` rows each get a table of their span, in the same counter
+order (row 0 least significant), so counter ``h * p^kl + l`` is the sum
+of low entry ``l`` and high entry ``h``.  A group of that sum is zero
+exactly when the low entry's digits equal the negated high entry's.  So
+each table stores one integer key per group, its digits read in base p,
+in the smallest unsigned dtype that holds p^group_size values (exact for
+every prime p, up to 2^63 values), and a group adds to the weight
+through one key comparison.  High rows are scanned in batches against
+the whole low table; the first and last batch are clipped to [lo, hi).
+Results do not depend on how the high rows are split between worker
+threads.
 """
 
 from __future__ import annotations
@@ -18,34 +28,70 @@ import numpy as np
 
 __all__ = ["min_weight_range", "weight_distribution"]
 
-_NUMPY_BLOCK = 1 << 15
+# counters per batch: the comparison and weight arrays stay near 256 kB
+_BATCH = 1 << 18
+# ranges shorter than this are not split between threads
+_THREAD_MIN = 1 << 16
 
 
-def _numpy_block_weights(gens, p, n_groups, group_size, ts):
-    k = gens.shape[0]
-    powers = p ** np.arange(k, dtype=np.int64)
-    digits = (ts[:, None] // powers) % p
-    vecs = (digits @ gens) % p
-    nz = vecs.reshape(len(ts), n_groups, group_size).any(axis=2)
-    return nz.sum(axis=1)
+def _low_rows(k: int) -> int:
+    """Rows in the low half of a k-row span: ceil(k / 2)."""
+    return (k + 1) // 2
 
 
-def _min_weight(gens, p, n_groups, group_size, lo, hi):
-    best = n_groups + 1
-    for start in range(lo, hi, _NUMPY_BLOCK):
-        ts = np.arange(start, min(hi, start + _NUMPY_BLOCK), dtype=np.int64)
-        wts = _numpy_block_weights(gens, p, n_groups, group_size, ts)
-        best = min(best, int(wts.min()))
-        if best <= 1:
-            break
-    return best
+def _keys(gens, p, group_size, counters):
+    """Keys of the span elements at ``counters``: (groups, counters) array.
+
+    Row i of ``gens`` has coefficient digit i of the counter.
+    """
+    digits = counters[:, None] // p ** np.arange(len(gens)) % p
+    vecs = (digits @ gens % p).reshape(len(counters), -1, group_size)
+    keys = vecs @ p ** np.arange(group_size)
+    return np.ascontiguousarray(
+        keys.T, dtype=np.min_scalar_type(p**group_size - 1))
 
 
-def _chunk_ranges(lo: int, hi: int, parts: int):
-    span = hi - lo
-    step = (span + parts - 1) // parts
-    return [(lo + i * step, min(hi, lo + (i + 1) * step))
-            for i in range(parts) if lo + i * step < hi]
+class _Span:
+    """Half-span key tables for counters in [lo, hi)."""
+
+    def __init__(self, gens, p, n_groups, group_size, lo, hi):
+        if p**group_size > 1 << 63:
+            raise ValueError(f"a group of {group_size} digits over F_{p} "
+                             "does not fit a 63-bit key")
+        gens = np.asarray(gens, dtype=np.int64)
+        kl = _low_rows(len(gens))
+        self.low_size = p**kl
+        self.lo, self.hi = lo, hi
+        self.h_first = lo // self.low_size
+        self.h_last = (hi - 1) // self.low_size + 1
+        self.low = _keys(gens[:kl], p, group_size, np.arange(self.low_size))
+        # negated high rows: a group of a sum is zero iff the keys agree
+        self.high = _keys(-gens[kl:] % p, p, group_size,
+                          np.arange(self.h_first, self.h_last))
+        self.wdtype = np.min_scalar_type(n_groups)
+
+    def row_ranges(self, parts: int):
+        """Split the high rows into ``parts`` contiguous (first, last) runs."""
+        rows = self.h_last - self.h_first
+        step = -(-rows // parts)
+        return [(self.h_first + a, min(self.h_last, self.h_first + a + step))
+                for a in range(0, rows, step)]
+
+    def batches(self, first: int, last: int):
+        """Weights of the counters of high rows [first, last), clipped."""
+        rows = max(1, _BATCH // self.low_size)
+        cmp = np.empty((min(rows, last - first), self.low_size), dtype=bool)
+        wts = np.empty(cmp.shape, dtype=self.wdtype)
+        for a in range(first, last, rows):
+            b = min(last, a + rows)
+            c, w = cmp[:b - a], wts[:b - a]
+            high = self.high[:, a - self.h_first:b - self.h_first, None]
+            w.fill(0)
+            for low, neg_high in zip(self.low, high):
+                np.not_equal(low, neg_high, out=c)
+                w += c
+            base = a * self.low_size
+            yield w.reshape(-1)[max(0, self.lo - base):self.hi - base]
 
 
 def min_weight_range(gens: np.ndarray, p: int, n_groups: int, group_size: int,
@@ -54,26 +100,34 @@ def min_weight_range(gens: np.ndarray, p: int, n_groups: int, group_size: int,
 
     The scan stops at the first element of weight 1, which is exact when
     no counter in the range gives the zero vector: the rows are linearly
-    independent and ``lo >= 1``.  ``workers`` threads split the range.
+    independent and ``lo >= 1``.  ``workers`` threads split the high rows.
     """
     if lo >= hi:
         raise ValueError("empty enumeration range")
-    gens = np.ascontiguousarray(gens, dtype=np.int64)
-    if workers <= 1 or hi - lo < 4 * _NUMPY_BLOCK:
-        return _min_weight(gens, p, n_groups, group_size, lo, hi)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return min(pool.map(
-            lambda r: _min_weight(gens, p, n_groups, group_size, *r),
-            _chunk_ranges(lo, hi, workers)))
+    span = _Span(gens, p, n_groups, group_size, lo, hi)
+
+    def scan(rows):
+        best = n_groups + 1
+        for w in span.batches(*rows):
+            best = min(best, int(w.min()))
+            if best <= 1:
+                break
+        return best
+
+    parts = span.row_ranges(workers if hi - lo >= _THREAD_MIN else 1)
+    if len(parts) == 1:
+        return scan(parts[0])
+    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+        return min(pool.map(scan, parts))
 
 
 def weight_distribution(gens: np.ndarray, p: int, n_groups: int,
                         group_size: int, lo: int, hi: int) -> np.ndarray:
     """Histogram of block weights over span counters in [lo, hi)."""
     dist = np.zeros(n_groups + 1, dtype=np.int64)
-    gens = np.ascontiguousarray(gens, dtype=np.int64)
-    for start in range(lo, hi, _NUMPY_BLOCK):
-        ts = np.arange(start, min(hi, start + _NUMPY_BLOCK), dtype=np.int64)
-        wts = _numpy_block_weights(gens, p, n_groups, group_size, ts)
-        dist += np.bincount(wts, minlength=n_groups + 1)
+    if lo >= hi:
+        return dist
+    span = _Span(gens, p, n_groups, group_size, lo, hi)
+    for w in span.batches(span.h_first, span.h_last):
+        dist += np.bincount(w, minlength=n_groups + 1)
     return dist

@@ -16,7 +16,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import List, Optional
 
 import click
 
@@ -101,17 +101,32 @@ def _derive(cfg: RunConfig, C: AdditiveCode) -> SubsystemCode:
                   workers=cfg.workers, seed=cfg.seed)
 
 
-def _check_strict(cfg: RunConfig, downgraded: bool) -> None:
-    if downgraded:
-        click.echo("warning: some results rest on witness or asserted "
-                   "verification only", err=True)
-        if cfg.strict:
-            raise click.exceptions.Exit(3)
+def _check_strict(cfg: RunConfig, downgraded: List[str]) -> None:
+    """Warn about downgraded claims; under --strict name them and exit 3."""
+    if not downgraded:
+        return
+    warning = ("warning: some results rest on witness or asserted "
+               "verification only")
+    if not cfg.strict:
+        click.echo(warning, err=True)
+        return
+    click.echo(f"{warning}: {', '.join(downgraded)}", err=True)
+    raise click.exceptions.Exit(3)
 
 
-def _code_downgraded(code: SubsystemCode) -> bool:
-    return (code.d_method in _DOWNGRADED
-            or (code.swt_c is not None and code.swt_c_method in _DOWNGRADED))
+def _code_downgrades(code: SubsystemCode) -> List[str]:
+    """The code's values that rest on a witness or an unproved argument."""
+    out = []
+    if code.d_method in _DOWNGRADED:
+        out.append(f"distance ({code.d_method})")
+    if code.swt_c is not None and code.swt_c_method in _DOWNGRADED:
+        out.append(f"purity ({code.swt_c_method})")
+    return out
+
+
+def _claims_with(verification: dict, tags) -> List[str]:
+    return [f"{claim} ({tag})" for claim, tag in verification.items()
+            if tag in tags]
 
 
 @main.command()
@@ -142,7 +157,7 @@ def analyze(cfg: RunConfig, file):
         lines.append(f"{name}: slack {rep['slack']}"
                      + (" (attained)" if rep["attained"] else ""))
     _dump(cfg, report, lines)
-    _check_strict(cfg, _code_downgraded(code))
+    _check_strict(cfg, _code_downgrades(code))
 
 
 _PARAM_RE = re.compile(
@@ -229,13 +244,13 @@ def transform(cfg: RunConfig, file, rule, params_list, target_r,
         bracket = bracket_params(out).bracket()
         if cfg.emit:
             out.C.save(cfg.emit)
-        downgraded = (_code_downgraded(out)
-                      or "asserted" in res.verification.values())
+        downgraded = (_code_downgrades(out)
+                      + _claims_with(res.verification, (rules.ASSERTED,)))
     else:
         payload = {"rule": res.rule, "output": out.to_json(),
                    "claims": res.claims, "verification": res.verification}
         bracket = out.bracket()
-        downgraded = False   # parameter-level rules are asserted by nature
+        downgraded = []   # parameter-level rules are asserted by nature
     lines = [f"rule: {res.rule}", f"output: {bracket}"]
     lines += [f"  {c}: {res.verification[c]}" for c in res.claims]
     if cfg.emit and isinstance(out, SubsystemCode):
@@ -271,8 +286,9 @@ def table1_cmd(cfg: RunConfig, q):
                  f"{r.mark or '-':9}  d:{r.verification['distance']}"
                  for r in rows]
         _dump(cfg, table1_mod.rows_to_json(rows), lines)
-    downgraded = any(v != table1_mod.VERIFIED
-                     for r in rows for v in r.verification.values())
+    downgraded = [f"{r.subsystem_bracket()} {claim}"
+                  for r in rows for claim in _claims_with(
+                      r.verification, (rules.WITNESS, rules.ASSERTED))]
     _check_strict(cfg, downgraded)
 
 
@@ -300,13 +316,12 @@ def family(cfg: RunConfig, family, q, delta, r, n, d):
         payload = {"rule": res.rule, "output": analysis_report(out),
                    "claims": res.claims, "verification": res.verification}
         bracket = bracket_params(out).bracket()
-        downgraded = _code_downgraded(out)
+        downgraded = _code_downgrades(out)
     else:
         payload = {"rule": res.rule, "output": out.to_json(),
                    "claims": res.claims, "verification": res.verification}
         bracket = out.bracket()
-        downgraded = any(v == rules.ASSERTED
-                         for v in res.verification.values())
+        downgraded = _claims_with(res.verification, (rules.ASSERTED,))
     lines = [f"family {family} over GF({q}): {bracket}"]
     lines += [f"  {c}: {res.verification[c]}" for c in res.claims]
     _dump(cfg, payload, lines)

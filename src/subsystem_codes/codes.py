@@ -13,8 +13,12 @@ one path: :func:`_layout` writes a code as prime-field generator rows with
 each coordinate's digits contiguous, :func:`_split` orders the rows of a
 code A as a subcode B's rows followed by A's rows outside their span, and
 one minimum scan and one distribution scan hand the result to the
-:mod:`subsystem_codes._enum` kernel.  Beyond the enumeration threshold a
-randomized witness search gives an upper bound instead.
+:mod:`subsystem_codes._enum` kernel.  The minimum scan visits one vector
+per F_p scalar class of A minus B: with B's kb rows first, the counter
+ranges [p^i, 2 p^i) for i = kb .. k-1 (:func:`_class_min`).  Beyond the
+enumeration threshold a randomized witness search gives an upper bound
+instead; witness mode scans a span of at most ``WITNESS_RANDOM_SAMPLES``
+elements outright.
 """
 
 from __future__ import annotations
@@ -417,10 +421,31 @@ def _min_scan(a, b, threshold: int, workers: int = 1) -> int:
     a_rows, p = _layout(a), a.field.p
     _check_span(p, len(a_rows), threshold)
     b_rows = a_rows[:0] if b is None else _layout(b)
-    gens = _split(a_rows, b_rows, p)
-    return _enum.min_weight_range(gens, p, a.n, gens.shape[1] // a.n,
-                                  p**len(b_rows), p**len(gens),
-                                  workers=workers)
+    return _class_min(_split(a_rows, b_rows, p), p, a.n, len(b_rows),
+                      workers)
+
+
+def _class_min(gens: np.ndarray, p: int, n: int, kb: int,
+               workers: int = 1) -> int:
+    """Minimum group weight over span(gens) minus the span of its first kb.
+
+    Each vector outside span(gens[:kb]) has a top nonzero coefficient on
+    some row i >= kb; scaled so that it is 1, it keeps its weight and stays
+    outside.  So one vector per F_p scalar class suffices: counters
+    [p^i, 2 p^i) of gens[:i+1] for each i.  For p = 2 these ranges join
+    into the one range [2^kb, 2^k).
+    """
+    k, size = len(gens), gens.shape[1] // n
+    if p == 2:
+        return _enum.min_weight_range(gens, p, n, size, 1 << kb, 1 << k,
+                                      workers=workers)
+    best = n + 1
+    for i in range(kb, k):
+        best = min(best, _enum.min_weight_range(
+            gens[:i + 1], p, n, size, p**i, 2 * p**i, workers=workers))
+        if best <= 1:
+            break
+    return best
 
 
 def _distribution_scan(code, threshold: int) -> np.ndarray:
@@ -447,9 +472,10 @@ def min_swt_coset(a: AdditiveCode, b: AdditiveCode, mode: str = "exact",
     """Minimum symplectic weight over A \\ B (with B a subcode of A).
 
     ``exact`` enumerates the coset space fully and returns the tag
-    ``"exhaustive"``; ``witness`` runs a bounded search (generator
-    combinations plus seeded random sampling) and returns an upper bound
-    with tag ``"witness"``.
+    ``"exhaustive"``; ``witness`` returns an upper bound with tag
+    ``"witness"``: the exact minimum when span(A) has at most
+    ``WITNESS_RANDOM_SAMPLES`` elements, else the result of a bounded
+    search (generator combinations plus seeded random sampling).
     """
     a._check_compatible(b)
     if not a.contains_code(b):
@@ -460,10 +486,14 @@ def min_swt_coset(a: AdditiveCode, b: AdditiveCode, mode: str = "exact",
         return _min_scan(a, b, threshold, workers), "exhaustive"
     if mode != "witness":
         raise ValueError(f"unknown mode {mode!r}")
-    gens = _split(_layout(a), _layout(b), a.field.p)
-    kb = b.rank_p
-    w = _witness_search(gens, a.field.p, a.n, 2 * a.field.m, kb,
-                        len(gens) - kb, bound, seed)
+    p, kb = a.field.p, b.rank_p
+    gens = _split(_layout(a), _layout(b), p)
+    if p**len(gens) <= WITNESS_RANDOM_SAMPLES:
+        # no more vectors than the random search would draw: the exact
+        # minimum is the tightest upper bound
+        return _class_min(gens, p, a.n, kb, workers), "witness"
+    w = _witness_search(gens, p, a.n, 2 * a.field.m, kb, len(gens) - kb,
+                        bound, seed)
     return w, "witness"
 
 

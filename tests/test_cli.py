@@ -133,6 +133,22 @@ def test_table1_strict_downgrade_exits_3(runner):
     assert res.exit_code == 3
 
 
+def test_strict_names_downgraded_claims(runner, shor_path):
+    res = runner.invoke(main, ["--strict", "--distance", "witness",
+                               "analyze", shor_path])
+    assert res.exit_code == 3
+    assert res.stderr.endswith("verification only: distance (witness)\n")
+    res = runner.invoke(main, ["--strict", "table1", "--q", "4"])
+    assert res.exit_code == 3
+    assert "[[15,1,10,3]]_4 distance (witness_consistent)" in res.stderr
+    assert "[[16,1,9,4]]_4 pure (asserted)" in res.stderr
+    # without --strict the warning stays as it was and names nothing
+    res = runner.invoke(main, ["table1", "--q", "4"])
+    assert res.exit_code == 0
+    assert res.stderr == ("warning: some results rest on witness or "
+                          "asserted verification only\n")
+
+
 def test_family_command(runner):
     res = runner.invoke(main, ["family", "--family", "vi", "--q", "3",
                                "--delta", "1", "-r", "4"])

@@ -12,6 +12,7 @@ from subsystem_codes.codes import (AdditiveCode, ClassicalCode,
                                    min_swt_coset, swt, swt_distribution,
                                    trace_symp)
 from subsystem_codes.gf import FieldSpec
+from subsystem_codes.subsystem import derive
 
 
 def _elements(code):
@@ -134,6 +135,27 @@ def test_witness_mode_upper_bounds():
         assert wit >= exact  # witness can only overestimate
         # small spaces are fully covered by the combination stage
         assert wit == exact
+
+
+def test_witness_on_small_span_is_exhaustive_value(monkeypatch):
+    # D^perp_s of Bacon-Shor has 2^14 elements, fewer than the random
+    # search would draw: witness mode scans it and gets the exact minimum
+    from subsystem_codes import codes
+    from subsystem_codes.known import bacon_shor_code
+    C = bacon_shor_code()
+    D = derive(C, distance_mode="skip").D
+    exact, _ = min_swt_coset(dual_symp(D), C)
+
+    def no_search(*args):
+        raise AssertionError("random witness search on a small span")
+
+    monkeypatch.setattr(codes, "_witness_search", no_search)
+    assert min_swt_coset(dual_symp(D), C, mode="witness") == (exact,
+                                                              "witness")
+    # beyond the sample count the random search still runs
+    monkeypatch.setattr(codes, "WITNESS_RANDOM_SAMPLES", 2**13)
+    with pytest.raises(AssertionError, match="random witness search"):
+        min_swt_coset(dual_symp(D), C, mode="witness")
 
 
 @pytest.mark.parametrize("t,gen,entry", [

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from subsystem_codes import _enum, linalg
+from subsystem_codes import _enum, codes, linalg
 from subsystem_codes.gf import FieldSpec
 
 
@@ -63,18 +63,101 @@ def test_empty_ranges():
 
 
 def test_workers_agree():
-    # 3^11 counters are more than four kernel blocks, so two threads split
-    # the range; the weight-1 early stop cannot fire on this span
+    # the weight-1 early stop cannot fire on this span; both ranges cover
+    # enough counters and high-half rows that two threads split them
     rng = np.random.default_rng(46)
     p, k, groups, gsize = 3, 11, 8, 2
-    assert p**k > 4 * _enum._NUMPY_BLOCK
     while True:
         gens = _independent_gens(rng, p, k, groups, gsize)
         weights = _naive_weights(gens, p, groups, gsize)
         if weights[1:].min() > 1:
             break
     for lo in (1, p**3):
+        assert p**k - lo >= _enum._THREAD_MIN
+        span = _enum._Span(gens, p, groups, gsize, lo, p**k)
+        assert len(span.row_ranges(2)) == 2
         single = _enum.min_weight_range(gens, p, groups, gsize, lo, p**k)
         multi = _enum.min_weight_range(gens, p, groups, gsize, lo, p**k,
                                        workers=2)
         assert single == multi == weights[lo:].min()
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 3), (3, 5), (2, 7), (5, 1)])
+def test_uneven_halves(p, k):
+    # odd k: the low half has one row more than the high half; k = 1
+    # leaves the high half empty
+    rng = np.random.default_rng(47 + p + k)
+    groups, gsize = 4, 2
+    gens = _independent_gens(rng, p, k, groups, gsize)
+    weights = _naive_weights(gens, p, groups, gsize)
+    assert _enum.min_weight_range(gens, p, groups, gsize,
+                                  1, p**k) == weights[1:].min()
+    dist = _enum.weight_distribution(gens, p, groups, gsize, 0, p**k)
+    assert np.array_equal(dist, np.bincount(weights, minlength=groups + 1))
+
+
+@pytest.mark.parametrize("batch", [None, 2])
+def test_bounds_inside_rows_and_batches(monkeypatch, batch):
+    # lo and hi fall inside a high-half row (3^3 counters wide here) and,
+    # with batches of two rows, inside a batch
+    rng = np.random.default_rng(48)
+    p, k, groups, gsize = 3, 6, 4, 2
+    if batch:
+        monkeypatch.setattr(_enum, "_BATCH", batch * p**_enum._low_rows(k))
+    gens = _independent_gens(rng, p, k, groups, gsize)
+    weights = _naive_weights(gens, p, groups, gsize)
+    bounds = [(1, 2), (5, 9), (26, 28), (40, 200), (100, 101), (1, 700),
+              (13, p**k), (p**k - 4, p**k)]
+    bounds += [tuple(sorted(rng.choice(np.arange(1, p**k + 1), 2,
+                                       replace=False))) for _ in range(20)]
+    for lo, hi in bounds:
+        lo, hi = int(lo), int(hi)
+        assert _enum.min_weight_range(gens, p, groups, gsize,
+                                      lo, hi) == weights[lo:hi].min()
+        dist = _enum.weight_distribution(gens, p, groups, gsize, lo, hi)
+        assert np.array_equal(dist, np.bincount(weights[lo:hi],
+                                                minlength=groups + 1))
+
+
+@pytest.mark.parametrize("p,k,gsize", [(3, 4, 3), (3, 4, 6), (5, 3, 3),
+                                       (131, 2, 2), (131, 2, 4),
+                                       (131, 2, 8)])
+def test_group_keys_exact(p, k, gsize):
+    # group sizes that fill no machine word, and a prime above 128 (digit
+    # sums would overflow a byte) with 16-, 32- and 64-bit keys
+    rng = np.random.default_rng(49 + p + gsize)
+    groups = 3
+    gens = _independent_gens(rng, p, k, groups, gsize)
+    weights = _naive_weights(gens, p, groups, gsize)
+    assert _enum.min_weight_range(gens, p, groups, gsize,
+                                  1, p**k) == weights[1:].min()
+    dist = _enum.weight_distribution(gens, p, groups, gsize, 0, p**k)
+    assert np.array_equal(dist, np.bincount(weights, minlength=groups + 1))
+
+
+def test_group_beyond_key_rejected():
+    # 131^10 > 2^63: such a group would not fit one int64 key
+    gens = np.eye(2, 20, dtype=np.int64)
+    with pytest.raises(ValueError, match="63-bit key"):
+        _enum.min_weight_range(gens, 131, 2, 10, 1, 131**2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_scalar_classes_match_full_scan(p):
+    # one vector per F_p scalar class gives the minimum over the whole
+    # coset space span(A) minus span(B), on random codes and subcodes
+    rng = np.random.default_rng(50 + p)
+    field = FieldSpec(p)
+    n = 4
+    ka = {2: 7, 3: 5, 5: 4, 7: 3}[p]
+    for _ in range(4):
+        a = codes.AdditiveCode(n, field, rng.integers(0, p, size=(ka, 2 * n)))
+        for kb in range(a.rank):
+            sub = a.mat[rng.permutation(a.rank)[:kb]]
+            b = codes.AdditiveCode(n, field, sub if kb else [])
+            gens = codes._split(codes._layout(a), codes._layout(b), p)
+            weights = _naive_weights(gens, p, n, 2)
+            full = weights[p**kb:].min()
+            assert codes._min_scan(a, b if kb else None,
+                                   codes.DEFAULT_THRESHOLD) == full
+            assert codes._class_min(gens, p, n, kb) == full

@@ -3,8 +3,12 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+
+from subsystem_codes.cli import main
 
 from subsystem_codes.table1 import (Table1Row, _ROWS, generate_table,
                                     rows_to_csv, rows_to_json)
@@ -82,3 +86,13 @@ def test_json_shape(rows_q3):
 def test_rows_deterministic(rows_q3):
     again = generate_table(3)
     assert rows_to_json(again) == rows_to_json(rows_q3)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_report_matches_golden(q):
+    # tests/golden holds the reports of `subsys table1 --q <q>`; any kernel
+    # or verification change must leave them byte for byte as they are
+    golden = Path(__file__).parent / "golden" / f"table1_q{q}.json"
+    res = CliRunner().invoke(main, ["table1", "--q", str(q)])
+    assert res.exit_code == 0, res.output
+    assert res.stdout_bytes == golden.read_bytes()
