@@ -19,8 +19,9 @@ from .rules import (MdsFamilySpec, RuleResult, classical_modify,
                     hermitian_to_symplectic, mds_family, shorten_length,
                     shrink_k, stabilizer_to_subsystem,
                     subsystem_to_stabilizer)
-from .subsystem import (ParamRecord, PurityError, SubsystemCode,
-                        analysis_report, bracket_params, derive, is_pure_to)
+from .subsystem import (DEFAULT_POLICY, ParamRecord, Policy, PurityError,
+                        SubsystemCode, analysis_report, bracket_params, derive,
+                        is_pure_to)
 from .symplectic import (HyperbolicDecomposition, SymplecticBasis,
                          extend_to_full_symplectic_basis,
                          hyperbolic_decompose)
@@ -34,7 +35,7 @@ __all__ = [
     "SubsystemCode", "ParamRecord", "PurityError", "RuleResult",
     "MdsFamilySpec", "BoundReport", "HyperbolicDecomposition",
     "SymplecticBasis", "Table1Row", "EnumerationLimitError",
-    "DEFAULT_THRESHOLD",
+    "DEFAULT_THRESHOLD", "Policy", "DEFAULT_POLICY",
     "derive", "bracket_params", "analysis_report", "is_pure_to",
     "swt", "trace_symp", "dual_symp", "dual_classical", "intersect",
     "min_swt", "min_swt_coset", "swt_distribution",

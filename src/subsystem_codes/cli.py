@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
@@ -22,27 +21,16 @@ import click
 
 from . import bounds, rules, table1 as table1_mod
 from .codes import DEFAULT_THRESHOLD, AdditiveCode
-from .subsystem import (ParamRecord, SubsystemCode, analysis_report,
-                        bracket_params, derive)
-
-_DOWNGRADED = ("witness", "analytic")
+from .subsystem import (DEFAULT_POLICY, ParamRecord, Policy, SubsystemCode,
+                        analysis_report, bracket_params, derive, is_exact)
 
 
 @dataclass
 class RunConfig:
-    threshold: int = DEFAULT_THRESHOLD
-    workers: int = 1
-    seed: int = 0
+    policy: Policy = DEFAULT_POLICY
     fmt: str = "json"
     strict: bool = False
     emit: Optional[str] = None
-    distance: str = "exact"
-
-    @property
-    def distance_mode(self) -> str:
-        # "exact" downgrades automatically beyond the threshold; the
-        # downgrade is reported (and fatal under --strict)
-        return "auto" if self.distance == "exact" else self.distance
 
 
 pass_config = click.make_pass_decorator(RunConfig)
@@ -68,21 +56,27 @@ pass_config = click.make_pass_decorator(RunConfig)
 @click.pass_context
 def main(ctx, threshold, workers, seed, fmt, strict, emit, distance):
     """Construct and transform subsystem codes from classical codes."""
-    if threshold < 1:
-        raise click.BadParameter("threshold must be >= 1")
-    ctx.obj = RunConfig(threshold=threshold, workers=workers, seed=seed,
-                        fmt=fmt, strict=strict, emit=emit, distance=distance)
+    # --distance exact downgrades automatically beyond the threshold; the
+    # downgrade is reported (and fatal under --strict)
+    try:
+        policy = Policy("auto" if distance == "exact" else distance,
+                        threshold=threshold, workers=workers, seed=seed)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
+    ctx.obj = RunConfig(policy=policy, fmt=fmt, strict=strict, emit=emit)
 
 
 def _dump(cfg: RunConfig, payload, text_lines=None) -> None:
-    if cfg.fmt == "json":
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif cfg.fmt == "text" and text_lines is not None:
-        out = "\n".join(text_lines) + "\n"
-    elif cfg.fmt == "csv":
+    if cfg.fmt == "csv":
         raise click.UsageError("CSV output is only available for table1")
+    if cfg.fmt == "text" and text_lines is not None:
+        _echo(cfg, "\n".join(text_lines) + "\n")
     else:
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _echo(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _echo(cfg: RunConfig, out: str) -> None:
+    """Print a report and write it to the --emit path as well."""
     click.echo(out, nl=False)
     if cfg.emit:
         with open(cfg.emit, "w") as fh:
@@ -94,11 +88,6 @@ def _load_code(path: str) -> AdditiveCode:
         return AdditiveCode.load(path)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise click.ClickException(f"cannot load code file {path}: {exc}")
-
-
-def _derive(cfg: RunConfig, C: AdditiveCode) -> SubsystemCode:
-    return derive(C, distance_mode=cfg.distance_mode, threshold=cfg.threshold,
-                  workers=cfg.workers, seed=cfg.seed)
 
 
 def _check_strict(cfg: RunConfig, downgraded: List[str]) -> None:
@@ -116,12 +105,22 @@ def _check_strict(cfg: RunConfig, downgraded: List[str]) -> None:
 
 def _code_downgrades(code: SubsystemCode) -> List[str]:
     """The code's values that rest on a witness or an unproved argument."""
-    out = []
-    if code.d_method in _DOWNGRADED:
-        out.append(f"distance ({code.d_method})")
-    if code.swt_c is not None and code.swt_c_method in _DOWNGRADED:
-        out.append(f"purity ({code.swt_c_method})")
-    return out
+    return [f"{value} ({method})" for value, method in
+            (("distance", code.d_method), ("purity", code.swt_c_method))
+            if method is not None and not is_exact(method)]
+
+
+def _rule_report(res: rules.RuleResult):
+    """JSON payload, output bracket and claim lines of a rule's result."""
+    out = res.output
+    if isinstance(out, SubsystemCode):
+        output, bracket = analysis_report(out), bracket_params(out).bracket()
+    else:
+        output, bracket = out.to_json(), out.bracket()
+    payload = {"rule": res.rule, "output": output, "claims": res.claims,
+               "verification": res.verification}
+    return payload, bracket, [f"  {c}: {res.verification[c]}"
+                              for c in res.claims]
 
 
 def _claims_with(verification: dict, tags) -> List[str]:
@@ -136,7 +135,7 @@ def analyze(cfg: RunConfig, file):
     """Derive and analyze the subsystem code of a classical code file."""
     C = _load_code(file)
     try:
-        code = _derive(cfg, C)
+        code = derive(C, cfg.policy)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     report = analysis_report(code)
@@ -203,23 +202,22 @@ _PARAM_RULES = ("shorten-n", "combine-disjoint", "combine-nested")
 def transform(cfg: RunConfig, file, rule, params_list, target_r,
               subset_assumed):
     """Apply a propagation rule to a code file or parameter tuple."""
-    opts = dict(distance_mode=cfg.distance_mode, threshold=cfg.threshold,
-                workers=cfg.workers, seed=cfg.seed)
+    policy = cfg.policy
     try:
         if rule in _CONSTRUCTIVE_RULES:
             if file is None:
                 raise click.UsageError(f"rule {rule} needs a code file")
-            code = _derive(cfg, _load_code(file))
+            code = derive(_load_code(file), policy)
             if rule == "shrink-k":
-                res = rules.shrink_k(code, **opts)
+                res = rules.shrink_k(code, policy=policy)
             elif rule == "grow-k":
-                res = rules.grow_k(code, **opts)
+                res = rules.grow_k(code, policy=policy)
             elif rule == "extend-n":
-                res = rules.extend_length(code, **opts)
+                res = rules.extend_length(code, policy)
             elif rule == "to-stabilizer":
-                res = rules.subsystem_to_stabilizer(code, **opts)
+                res = rules.subsystem_to_stabilizer(code, policy)
             else:
-                res = rules.stabilizer_to_subsystem(code, target_r, **opts)
+                res = rules.stabilizer_to_subsystem(code, target_r, policy)
         else:
             recs = [parse_params(t) for t in params_list]
             if rule == "shorten-n":
@@ -238,26 +236,16 @@ def transform(cfg: RunConfig, file, rule, params_list, target_r,
         raise click.ClickException(str(exc))
 
     out = res.output
-    if isinstance(out, SubsystemCode):
-        payload = {"rule": res.rule, "output": analysis_report(out),
-                   "claims": res.claims, "verification": res.verification}
-        bracket = bracket_params(out).bracket()
-        if cfg.emit:
-            out.C.save(cfg.emit)
-        downgraded = (_code_downgrades(out)
-                      + _claims_with(res.verification, (rules.ASSERTED,)))
-    else:
-        payload = {"rule": res.rule, "output": out.to_json(),
-                   "claims": res.claims, "verification": res.verification}
-        bracket = out.bracket()
-        downgraded = []   # parameter-level rules are asserted by nature
-    lines = [f"rule: {res.rule}", f"output: {bracket}"]
-    lines += [f"  {c}: {res.verification[c]}" for c in res.claims]
+    payload, bracket, claim_lines = _rule_report(res)
+    # parameter-level rules are asserted by nature
+    downgraded = (_code_downgrades(out)
+                  + _claims_with(res.verification, (rules.ASSERTED,))
+                  if isinstance(out, SubsystemCode) else [])
+    lines = [f"rule: {res.rule}", f"output: {bracket}"] + claim_lines
     if cfg.emit and isinstance(out, SubsystemCode):
-        if cfg.fmt == "json":
-            click.echo(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            click.echo("\n".join(lines))
+        out.C.save(cfg.emit)
+        click.echo(json.dumps(payload, indent=2, sort_keys=True)
+                   if cfg.fmt == "json" else "\n".join(lines))
         click.echo(f"wrote {cfg.emit}", err=True)
     else:
         _dump(cfg, payload, lines)
@@ -271,16 +259,11 @@ def transform(cfg: RunConfig, file, rule, params_list, target_r,
 def table1_cmd(cfg: RunConfig, q):
     """Regenerate and verify the optimal pure MDS subsystem code catalog."""
     try:
-        rows = table1_mod.generate_table(
-            q, threshold=cfg.threshold, workers=cfg.workers, seed=cfg.seed)
+        rows = table1_mod.generate_table(q, cfg.policy)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     if cfg.fmt == "csv":
-        out = table1_mod.rows_to_csv(rows)
-        click.echo(out, nl=False)
-        if cfg.emit:
-            with open(cfg.emit, "w") as fh:
-                fh.write(out)
+        _echo(cfg, table1_mod.rows_to_csv(rows))
     else:
         lines = [f"{r.subsystem_bracket():>18}  {r.parent_bracket():>15}  "
                  f"{r.mark or '-':9}  d:{r.verification['distance']}"
@@ -306,25 +289,15 @@ def family(cfg: RunConfig, family, q, delta, r, n, d):
     try:
         spec = rules.MdsFamilySpec(q=q, family=family, delta=delta, r=r,
                                    n=n, d=d)
-        res = rules.mds_family(spec, distance_mode=cfg.distance_mode,
-                               threshold=cfg.threshold, workers=cfg.workers,
-                               seed=cfg.seed)
+        res = rules.mds_family(spec, cfg.policy)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    out = res.output
-    if isinstance(out, SubsystemCode):
-        payload = {"rule": res.rule, "output": analysis_report(out),
-                   "claims": res.claims, "verification": res.verification}
-        bracket = bracket_params(out).bracket()
-        downgraded = _code_downgrades(out)
-    else:
-        payload = {"rule": res.rule, "output": out.to_json(),
-                   "claims": res.claims, "verification": res.verification}
-        bracket = out.bracket()
-        downgraded = _claims_with(res.verification, (rules.ASSERTED,))
-    lines = [f"family {family} over GF({q}): {bracket}"]
-    lines += [f"  {c}: {res.verification[c]}" for c in res.claims]
-    _dump(cfg, payload, lines)
+    payload, bracket, claim_lines = _rule_report(res)
+    downgraded = (_code_downgrades(res.output)
+                  if isinstance(res.output, SubsystemCode)
+                  else _claims_with(res.verification, (rules.ASSERTED,)))
+    _dump(cfg, payload,
+          [f"family {family} over GF({q}): {bracket}"] + claim_lines)
     _check_strict(cfg, downgraded)
 
 

@@ -583,10 +583,6 @@ class ClassicalCode:
             return np.zeros((0, self.n), dtype=np.int64)
         return np.stack(rows)
 
-    @classmethod
-    def _from_matrix(cls, length, field, mat) -> "ClassicalCode":
-        return cls(length, field, mat)
-
     def contains_vector(self, v) -> bool:
         row = np.asarray(v, dtype=np.int64)
         return linalg.row_space_contains(self.mat, self.pivots, row,
@@ -655,9 +651,6 @@ class ClassicalCode:
 
     # -- weights -------------------------------------------------------------
 
-    def size_log_p(self) -> int:
-        return self.rank * self.field.m
-
     def min_wt(self, threshold: int = DEFAULT_THRESHOLD,
                workers: int = 1) -> int:
         """Exact minimum Hamming weight by enumeration."""
@@ -669,15 +662,13 @@ class ClassicalCode:
                             threshold: int = DEFAULT_THRESHOLD) -> np.ndarray:
         return _distribution_scan(self, threshold)
 
-    def min_wt_coset(self, sub: "ClassicalCode", mode: str = "exact",
+    def min_wt_coset(self, sub: "ClassicalCode",
                      threshold: int = DEFAULT_THRESHOLD) -> Tuple[int, str]:
-        """Minimum Hamming weight over self \\ sub."""
+        """Minimum Hamming weight over self \\ sub, by enumeration."""
         if not self.contains_code(sub):
             raise ValueError("sub is not a subcode")
         if self.rank == sub.rank:
             raise ValueError("difference set is empty")
-        if mode != "exact":
-            raise ValueError("only exact mode is supported for classical cosets")
         return _min_scan(self, sub, threshold), "exhaustive"
 
     # -- classical modifications --------------------------------------------

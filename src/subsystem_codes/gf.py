@@ -452,9 +452,6 @@ class FieldSpec:
         out[nz] = self._exp[(self._log[a[nz]] + self._log[b[nz]]) % (self.q - 1)]
         return out
 
-    def scale_row(self, row: np.ndarray, c: int) -> np.ndarray:
-        return self.mul_arr(row, np.full(row.shape, c, dtype=np.int64))
-
     # -- misc ---------------------------------------------------------------
 
     def element(self, value: int) -> "FieldElement":
@@ -610,10 +607,6 @@ class TowerSpec:
     def combine(self, u: int, v: int) -> int:
         """Inverse of expand."""
         return self.top.add(self.embed(u), self.top.mul(self.beta, self.embed(v)))
-
-    def trace_to_base(self, x: int) -> int:
-        """Relative trace tr_{q^2/q}(x) = x + x^q, as an element of F_q."""
-        return self.section(self.top.add(x, self.top.pow(x, self.base.q)))
 
     def conj(self, x: int) -> int:
         """Frobenius conjugation x -> x^q."""

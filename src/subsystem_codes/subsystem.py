@@ -6,6 +6,10 @@ R = sqrt(|C| / |D|), both integral powers of the characteristic p and kept
 as exact base-p exponents.  The minimum distance is the minimum symplectic
 weight over D^perp_s minus C (or over D^perp_s itself when the two agree,
 which happens exactly when K = 1).
+
+One frozen :class:`Policy` says how distances are measured.  A measured
+value carries the method backing it: ``exhaustive`` (proved, see
+:func:`is_exact`), ``witness`` (an upper bound) or ``asserted``.
 """
 
 from __future__ import annotations
@@ -17,8 +21,41 @@ from typing import List, Optional, Tuple
 from .codes import (DEFAULT_THRESHOLD, AdditiveCode, EnumerationLimitError,
                     dual_symp, intersect, min_swt, min_swt_coset)
 
-__all__ = ["PurityError", "SubsystemCode", "ParamRecord", "derive",
+__all__ = ["PurityError", "Policy", "DEFAULT_POLICY", "SubsystemCode",
+           "ParamRecord", "derive", "measure_distance", "is_exact",
            "is_pure_to", "bracket_params", "analysis_report"]
+
+_DISTANCE_MODES = ("exact", "auto", "witness", "skip")
+
+
+@dataclass(frozen=True)
+class Policy:
+    """How derived codes get their distances measured.
+
+    distance_mode: "exact" (raise beyond the enumeration threshold),
+    "auto" (downgrade to a witness bound, recorded in the method tag),
+    "witness", or "skip".  threshold: the largest span enumerated
+    exactly; workers: enumeration threads; seed: witness-search seed.
+    """
+
+    distance_mode: str = "auto"
+    threshold: int = DEFAULT_THRESHOLD
+    workers: int = 1
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.distance_mode not in _DISTANCE_MODES:
+            raise ValueError(f"unknown distance mode {self.distance_mode!r}")
+        if self.threshold < 1:
+            raise ValueError("threshold must be >= 1")
+
+
+DEFAULT_POLICY = Policy()
+
+
+def is_exact(method: Optional[str]) -> bool:
+    """True iff a value with this method tag was proved."""
+    return method == "exhaustive"
 
 
 class PurityError(ValueError):
@@ -34,7 +71,7 @@ class SubsystemCode:
     k_exp: int                 # log_p K
     r_exp: int                 # log_p R
     d: Optional[int] = None
-    d_method: Optional[str] = None   # exhaustive | witness | analytic
+    d_method: Optional[str] = None   # exhaustive | witness | asserted
     case: str = "a"                  # (a): D^perp_s != C, (b): equal
     swt_c: Optional[int] = None
     swt_c_method: Optional[str] = None
@@ -68,14 +105,10 @@ class SubsystemCode:
         """One of ("pure", None), ("pure_to", d'), ("impure", swt_C)."""
         if self.swt_c is None or self.d is None:
             return ("pure_to", 1)
-        if self.swt_c_method in ("exhaustive", "analytic"):
-            if self.swt_c >= self.d:
-                return ("pure", None)
-            return ("impure", self.swt_c)
-        # a witness bound certifies impurity only when it undercuts d
+        # a witness bound on swt(C) certifies impurity, never purity
         if self.swt_c < self.d:
             return ("impure", self.swt_c)
-        return ("pure_to", 1)
+        return ("pure", None) if is_exact(self.swt_c_method) else ("pure_to", 1)
 
     @property
     def is_pure(self) -> bool:
@@ -142,75 +175,64 @@ class ParamRecord:
         }
 
 
-def derive(C: AdditiveCode, distance_mode: str = "auto",
-           threshold: int = DEFAULT_THRESHOLD, workers: int = 1,
-           seed: int = 0) -> SubsystemCode:
+def derive(C: AdditiveCode, policy: Policy = DEFAULT_POLICY) -> SubsystemCode:
     """Build the subsystem code of an additive code C != {0}.
 
-    distance_mode: "exact" (raise beyond the enumeration threshold),
-    "auto" (downgrade to a witness bound, recorded in the method tag),
-    "witness", or "skip".
+    Its distance and swt(C) are measured as ``policy.distance_mode``
+    says (see :func:`measure_distance`); "skip" leaves them unset.
     """
     if C.rank == 0:
         raise ValueError("C must be nonzero")
-    if distance_mode not in ("exact", "auto", "witness", "skip"):
-        raise ValueError(f"unknown distance mode {distance_mode!r}")
-    Cperp = dual_symp(C)
-    D = intersect(C, Cperp)
+    D = intersect(C, dual_symp(C))
     nm = C.n * C.field.m
     rc, rd = C.rank_p, D.rank_p
     if (rc + rd) % 2 != 0:
         raise AssertionError("|C| |D| is not an even power of p")
     k_exp = nm - (rc + rd) // 2
-    r_exp = (rc - rd) // 2
-    Dperp = dual_symp(D)
+    code = SubsystemCode(C=C, D=D, k_exp=k_exp, r_exp=(rc - rd) // 2,
+                         case="b" if k_exp == 0 else "a")
+    if policy.distance_mode != "skip":
+        measure_distance(code, policy)
+    return code
 
-    case = "b" if k_exp == 0 else "a"
-    d = None
-    d_method = None
-    if distance_mode != "skip":
-        want_exact = distance_mode in ("exact", "auto")
-        try:
-            if not want_exact:
-                raise EnumerationLimitError("witness mode requested")
-            if case == "b":
-                d = min_swt(Dperp, threshold=threshold, workers=workers)
-            else:
-                d, _ = min_swt_coset(Dperp, C, mode="exact",
-                                     threshold=threshold, workers=workers)
-            d_method = "exhaustive"
-        except EnumerationLimitError:
-            if distance_mode == "exact":
-                raise
-            if case == "b":
-                d, _ = min_swt_coset(Dperp, AdditiveCode.zero(C.n, C.field, C.t),
-                                     mode="witness", threshold=threshold,
-                                     seed=seed)
-            else:
-                d, _ = min_swt_coset(Dperp, C, mode="witness",
-                                     threshold=threshold, seed=seed)
-            d_method = "witness"
 
-    swt_c = None
-    swt_c_method = None
-    if distance_mode != "skip":
-        try:
-            swt_c = min_swt(C, threshold=threshold, workers=workers)
-            swt_c_method = "exhaustive"
-        except EnumerationLimitError:
-            if C.rank_p < 2 * nm:
-                swt_c, _ = min_swt_coset(
-                    C, AdditiveCode.zero(C.n, C.field, C.t), mode="witness",
-                    threshold=threshold, seed=seed)
-                swt_c_method = "witness"
+def measure_distance(code: SubsystemCode, policy: Policy) -> None:
+    """Set d and swt(C) of a derived code, with the methods that back them.
 
-    code = SubsystemCode(C=C, D=D, k_exp=k_exp, r_exp=r_exp, d=d,
-                         d_method=d_method, case=case, swt_c=swt_c,
-                         swt_c_method=swt_c_method)
+    "exact" enumerates d and raises :class:`EnumerationLimitError` beyond
+    the threshold; "auto" falls back to a witness bound there; "witness"
+    searches for one outright.  swt(C) is enumerated when it fits under
+    the threshold and is otherwise a witness bound in every mode.
+    """
+    C, mode = code.C, policy.distance_mode
+    Dperp = dual_symp(code.D)
+    # case (b): D^perp_s = C, and d is the minimum over all of it
+    sub = AdditiveCode.zero(code.n, C.field, C.t) if code.case == "b" else C
+    opts = dict(threshold=policy.threshold, seed=policy.seed)
+    try:
+        code.d, code.d_method = min_swt_coset(
+            Dperp, sub, mode="witness" if mode == "witness" else "exact",
+            workers=policy.workers, **opts)
+    except EnumerationLimitError:
+        if mode == "exact":
+            raise
+        code.d, code.d_method = min_swt_coset(Dperp, sub, mode="witness",
+                                              **opts)
+
+    try:
+        code.swt_c = min_swt(C, threshold=policy.threshold,
+                             workers=policy.workers)
+        code.swt_c_method = "exhaustive"
+    except EnumerationLimitError:
+        if C.rank_p < 2 * code.n * C.field.m:
+            code.swt_c, code.swt_c_method = min_swt_coset(
+                C, AdditiveCode.zero(code.n, C.field, C.t), mode="witness",
+                **opts)
+
     if code.K == 1 and code.purity[0] == "impure":
         raise PurityError(
-            f"an ((n,1,R,d))_q subsystem code must be pure; swt(C) = {swt_c} < d = {d}")
-    return code
+            f"an ((n,1,R,d))_q subsystem code must be pure; "
+            f"swt(C) = {code.swt_c} < d = {code.d}")
 
 
 def is_pure_to(code: SubsystemCode, d_prime: int) -> bool:
@@ -219,7 +241,7 @@ def is_pure_to(code: SubsystemCode, d_prime: int) -> bool:
         return True
     if code.swt_c is None:
         raise ValueError("swt(C) unknown; purity level cannot be decided")
-    if code.swt_c_method in ("exhaustive", "analytic"):
+    if is_exact(code.swt_c_method):
         return code.swt_c >= d_prime
     if code.swt_c < d_prime:
         return False

@@ -11,13 +11,14 @@ parameters are k = n - kappa - iota and r = kappa - iota, d = iota + 1.
 The monomial run offset is searched so that iota matches the row; the
 chosen instantiation is recorded, since several offsets can work.
 
-Verification levels per row:
+Verification levels per row (by :func:`subsystem_codes.rules.certify_mds`):
 * q = 3: distances of parent and subsystem code by exhaustive
   enumeration (the coset space has 3^14 elements).
 * q in {4, 5, 7}: exact parameter bookkeeping, Hermitian
   self-orthogonality of the radical's preimage, classical MDS dimension
   checks, a weight-d witness in the distance coset, and zero Singleton
-  slack; exhaustive enumeration is out of reach (e.g. 4^26 elements).
+  slack; exhaustive enumeration is out of reach (e.g. 4^26 elements),
+  so d is the design value (method ``witness``) and purity is asserted.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from typing import Dict, List, Optional, Tuple
 
 from . import rs
 from .bounds import singleton_check
-from .codes import DEFAULT_THRESHOLD, ClassicalCode, EnumerationLimitError
+from .codes import ClassicalCode, EnumerationLimitError
 from .gf import TowerSpec
-from .rules import (ASSERTED, VERIFIED, WITNESS, _expand_vector,
-                    _field_for_q, hermitian_to_symplectic)
-from .subsystem import SubsystemCode, bracket_params, derive
+from .rules import (VERIFIED, WITNESS, _tower_for_q, certify_mds,
+                    hermitian_to_symplectic)
+from .subsystem import DEFAULT_POLICY, Policy, SubsystemCode, bracket_params
 
 __all__ = ["Table1Row", "TABLE_FIELDS", "generate_table", "rows_to_csv",
            "rows_to_json"]
@@ -113,13 +114,9 @@ def _parent_code(tower: TowerSpec, parent: Tuple[int, int, int], mark: str,
 def _find_offset(tower: TowerSpec, parent: Tuple[int, int, int], mark: str,
                  iota: int) -> Tuple[int, ClassicalCode]:
     """Smallest monomial-run offset giving the required radical dimension."""
-    if mark == "extended":
-        Y = _parent_code(tower, parent, mark, 0)
-        if Y.intersect(Y.dual("hermitian")).rank == iota:
-            return 0, Y
-        raise RuntimeError("extended parent does not match the row")
-    top = tower.base.q ** 2
-    for offset in range(top - 1):
+    # extended rows evaluate the fixed run x^0 .. x^(kappa-1)
+    offsets = [0] if mark == "extended" else range(tower.base.q**2 - 1)
+    for offset in offsets:
         Y = _parent_code(tower, parent, mark, offset)
         if Y.intersect(Y.dual("hermitian")).rank == iota:
             return offset, Y
@@ -127,14 +124,15 @@ def _find_offset(tower: TowerSpec, parent: Tuple[int, int, int], mark: str,
 
 
 def _verify_parent(Y: ClassicalCode, parent: Tuple[int, int, int],
-                   threshold: int, workers: int) -> str:
+                   policy: Policy) -> str:
     n, kappa, dist = parent
     if (Y.n, Y.rank) != (n, kappa):
         raise AssertionError("parent dimensions do not match the row")
     if dist != n - kappa + 1:
         raise AssertionError("parent is not MDS in the recorded row")
     try:
-        if Y.min_wt(threshold=threshold, workers=workers) != dist:
+        if Y.min_wt(threshold=policy.threshold,
+                    workers=policy.workers) != dist:
             raise AssertionError("parent distance mismatch")
         return VERIFIED
     except EnumerationLimitError:
@@ -144,14 +142,13 @@ def _verify_parent(Y: ClassicalCode, parent: Tuple[int, int, int],
         return WITNESS
 
 
-def generate_table(q: int, threshold: int = DEFAULT_THRESHOLD,
-                   workers: int = 1, seed: int = 0) -> List[Table1Row]:
+def generate_table(q: int,
+                   policy: Policy = DEFAULT_POLICY) -> List[Table1Row]:
     """Rebuild and verify all catalog rows for one field size."""
     if q not in _ROWS:
         raise ValueError(f"no catalog rows for q = {q}; "
                          f"available: {sorted(_ROWS)}")
-    base = _field_for_q(q)
-    tower = TowerSpec(base)
+    tower = _tower_for_q(q)
     out = []
     for subsystem, parent, mark in _ROWS[q]:
         n, k, r, d = subsystem
@@ -161,8 +158,7 @@ def generate_table(q: int, threshold: int = DEFAULT_THRESHOLD,
         offset, Y = _find_offset(tower, parent, mark, iota)
         row = Table1Row(q, subsystem, parent, mark, offset)
 
-        row.verification["parent_distance"] = _verify_parent(
-            Y, parent, threshold, workers)
+        row.verification["parent_distance"] = _verify_parent(Y, parent, policy)
 
         Ys = Y.intersect(Y.dual("hermitian"))
         if not Ys.is_hermitian_self_orthogonal():
@@ -170,39 +166,15 @@ def generate_table(q: int, threshold: int = DEFAULT_THRESHOLD,
         row.verification["radical_self_orthogonal"] = VERIFIED
 
         C = hermitian_to_symplectic(Y, require_self_orthogonal=False)
-        try:
-            code = derive(C, distance_mode="exact", threshold=threshold,
-                          workers=workers, seed=seed)
-            exact = True
-        except EnumerationLimitError:
-            code = derive(C, distance_mode="skip")
-            exact = False
-        m = base.m
+        code, d_tag, pure_tag = certify_mds(C, Ys, d, policy)
+        m = tower.base.m
         if (code.k_exp, code.r_exp) != (k * m, r * m):
             raise AssertionError("subsystem dimensions do not match the row")
         row.verification["dimensions"] = VERIFIED
-        if exact:
-            if code.d != d:
-                raise AssertionError(f"distance {code.d} != recorded {d}")
-            row.verification["distance"] = VERIFIED
-            if not code.is_pure:
-                raise AssertionError("row code is not pure")
-            row.verification["pure"] = VERIFIED
-        else:
-            code.d, code.d_method = d, "analytic"
-            code.swt_c, code.swt_c_method = d, "analytic"
-            # Ys^perp_h is MDS of minimum weight iota + 1 = d, and its
-            # expansion is D^perp_s with weights kept: a minimum-weight
-            # codeword whose expansion lies outside C witnesses d
-            try:
-                rs.mds_min_weight_codeword(
-                    Ys.dual("hermitian"),
-                    accept=lambda cw: not C.contains_vector(
-                        _expand_vector(tower, cw)))
-            except RuntimeError:
-                raise AssertionError("no weight-d coset witness found")
-            row.verification["distance"] = WITNESS
-            row.verification["pure"] = ASSERTED
+        if d_tag not in (VERIFIED, WITNESS):
+            raise AssertionError("no weight-d coset witness found")
+        row.verification["distance"] = d_tag
+        row.verification["pure"] = pure_tag
         if singleton_check(bracket_params(code)).slack != 0:
             raise AssertionError("row is not MDS")
         row.verification["mds_slack_zero"] = VERIFIED

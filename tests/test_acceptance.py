@@ -18,7 +18,7 @@ from subsystem_codes.known import bacon_shor_code, five_qubit_code
 from subsystem_codes.rules import (MdsFamilySpec, _extend_code, extend_length,
                                    grow_k, hermitian_to_symplectic,
                                    mds_family, shrink_k)
-from subsystem_codes.subsystem import (PurityError, SubsystemCode,
+from subsystem_codes.subsystem import (Policy, PurityError, SubsystemCode,
                                        bracket_params, derive)
 from subsystem_codes.table1 import generate_table
 
@@ -182,7 +182,7 @@ def test_criterion_7_algebraic_invariants(verdict):
             ok &= dual_symp(dual_symp(C)) == C
             ok &= C.rank_p + dual_symp(C).rank_p == 2 * n
             ok &= dual_symp(D).contains_code(D)        # radical is isotropic
-            code = derive(C, distance_mode="skip")
+            code = derive(C, Policy(distance_mode="skip"))
             ok &= code.k_exp + code.r_exp == n - D.rank_p
             ok &= code.k_exp - code.r_exp == n - C.rank_p
             ok &= code.case == ("b" if code.k_exp == 0 else "a")

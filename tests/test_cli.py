@@ -149,6 +149,16 @@ def test_strict_names_downgraded_claims(runner, shor_path):
                           "asserted verification only\n")
 
 
+def test_threshold_env_and_bad_value(runner, shor_path):
+    res = runner.invoke(main, ["analyze", shor_path],
+                        env={"SUBSYS_THRESHOLD": "8"})
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["distance"]["method"] == "witness"
+    res = runner.invoke(main, ["--threshold", "0", "table1", "--q", "3"])
+    assert res.exit_code == 2
+    assert "Invalid value: threshold must be >= 1" in res.output
+
+
 def test_family_command(runner):
     res = runner.invoke(main, ["family", "--family", "vi", "--q", "3",
                                "--delta", "1", "-r", "4"])

@@ -12,7 +12,7 @@ from subsystem_codes.codes import (AdditiveCode, ClassicalCode,
                                    min_swt_coset, swt, swt_distribution,
                                    trace_symp)
 from subsystem_codes.gf import FieldSpec
-from subsystem_codes.subsystem import derive
+from subsystem_codes.subsystem import Policy, derive
 
 
 def _elements(code):
@@ -143,7 +143,7 @@ def test_witness_on_small_span_is_exhaustive_value(monkeypatch):
     from subsystem_codes import codes
     from subsystem_codes.known import bacon_shor_code
     C = bacon_shor_code()
-    D = derive(C, distance_mode="skip").D
+    D = derive(C, Policy(distance_mode="skip")).D
     exact, _ = min_swt_coset(dual_symp(D), C)
 
     def no_search(*args):

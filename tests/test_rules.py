@@ -16,7 +16,8 @@ from subsystem_codes.rules import (MdsFamilySpec, _extend_code, combine_disjoint
                                    subsystem_to_stabilizer)
 from subsystem_codes.rs import (evaluation_code, hermitian_self_orthogonal_rs,
                                 mds_min_weight_codeword)
-from subsystem_codes.subsystem import (PurityError, bracket_params, derive)
+from subsystem_codes.subsystem import (Policy, PurityError, bracket_params,
+                                       derive)
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,15 @@ def test_shrink_grow_roundtrip(five):
     grown = grow_k(shrunk.output)
     assert grown.output.params() == (5, 2, 1, 3)
     assert grown.output.is_pure
+
+
+def test_pure_to_claim_keeps_input_method(five):
+    # the target min(d, d') is only as exact as the input values it comes
+    # from: a witness distance cannot give a verified "pure to d" claim
+    assert shrink_k(five).verification["pure to 3"] == "verified_exhaustive"
+    wit = derive(five_qubit_code(), Policy(distance_mode="witness"))
+    assert wit.d_method == "witness" and wit.is_pure
+    assert shrink_k(wit).verification["pure to 3"] == "witness_consistent"
 
 
 def test_shrink_preconditions(five, shor):

@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from subsystem_codes.codes import AdditiveCode, dual_symp, intersect
+from subsystem_codes.codes import (DEFAULT_THRESHOLD, AdditiveCode, dual_symp,
+                                   intersect)
 from subsystem_codes.gf import FieldSpec
 from subsystem_codes.known import bacon_shor_code, five_qubit_code
-from subsystem_codes.subsystem import (ParamRecord, PurityError, analysis_report,
-                                       bracket_params, derive, is_pure_to)
+from subsystem_codes.subsystem import (ParamRecord, Policy, PurityError,
+                                       analysis_report, bracket_params, derive,
+                                       is_pure_to)
 
 
 def test_five_qubit():
@@ -41,7 +43,7 @@ def test_dimension_formula_random():
             C = AdditiveCode(n, field, gens)
             if C.rank == 0:
                 continue
-            code = derive(C, distance_mode="skip")
+            code = derive(C, Policy(distance_mode="skip"))
             D = intersect(C, dual_symp(C))
             # K * R = q^n / |D|, K / R = q^n / |C|
             assert code.k_exp + code.r_exp == n * m - D.rank_p
@@ -78,24 +80,32 @@ def test_k1_codes_are_pure():
 
 def test_distance_modes():
     C = five_qubit_code()
-    exact = derive(C, distance_mode="exact")
-    wit = derive(C, distance_mode="witness")
-    skip = derive(C, distance_mode="skip")
+    exact = derive(C, Policy(distance_mode="exact"))
+    wit = derive(C, Policy(distance_mode="witness"))
+    skip = derive(C, Policy(distance_mode="skip"))
     assert exact.d == 3 and exact.d_method == "exhaustive"
     assert wit.d_method == "witness" and wit.d >= 3
     assert skip.d is None
     with pytest.raises(ValueError):
-        derive(C, distance_mode="bogus")
+        derive(C, Policy(distance_mode="bogus"))
+
+
+def test_policy_validation():
+    assert Policy() == Policy("auto", DEFAULT_THRESHOLD, 1, 0)
+    with pytest.raises(ValueError, match="unknown distance mode"):
+        Policy(distance_mode="bogus")
+    with pytest.raises(ValueError, match="threshold must be >= 1"):
+        Policy(threshold=0)
 
 
 def test_auto_downgrade(monkeypatch):
     C = bacon_shor_code()
-    code = derive(C, threshold=8)       # force witness fallback
+    code = derive(C, Policy(threshold=8))       # force witness fallback
     assert code.d_method == "witness"
     assert code.d >= 3                  # upper bound can only overestimate
     from subsystem_codes.codes import EnumerationLimitError
     with pytest.raises(EnumerationLimitError):
-        derive(C, distance_mode="exact", threshold=8)
+        derive(C, Policy(distance_mode="exact", threshold=8))
 
 
 def test_param_record_validation():

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from subsystem_codes import rules, subsystem
 from subsystem_codes.cli import main
-
+from subsystem_codes.rules import MdsFamilySpec, grow_k, mds_family
+from subsystem_codes.subsystem import PurityError, analysis_report
 from subsystem_codes.table1 import (Table1Row, _ROWS, generate_table,
                                     rows_to_csv, rows_to_json)
 
@@ -96,3 +98,34 @@ def test_report_matches_golden(q):
     res = CliRunner().invoke(main, ["table1", "--q", str(q)])
     assert res.exit_code == 0, res.output
     assert res.stdout_bytes == golden.read_bytes()
+
+
+def test_rows_and_members_derived_once(monkeypatch):
+    # derive computes C^perp_s and D^perp_s; certification beyond the
+    # threshold must not redo that linear algebra
+    calls = []
+    real = subsystem.dual_symp
+
+    def counted(code):
+        calls.append(code)
+        return real(code)
+
+    monkeypatch.setattr(subsystem, "dual_symp", counted)
+    monkeypatch.setattr(rules, "dual_symp", counted)
+    rows = generate_table(4)
+    assert len(calls) == 2 * len(rows)
+    calls.clear()
+    res = mds_family(MdsFamilySpec(q=4, family="v", delta=2, r=1))
+    assert res.output.d_method == "witness"
+    assert len(calls) == 2
+
+
+def test_asserted_purity_is_not_certified():
+    # beyond the threshold purity is only asserted: nothing may treat the
+    # row code as certified pure
+    code = generate_table(4)[0].code
+    assert (code.d, code.d_method) == (3, "witness")
+    assert code.swt_c is None and code.swt_c_method is None
+    assert analysis_report(code)["purity"]["kind"] != "pure"
+    with pytest.raises(PurityError):
+        grow_k(code)
