@@ -56,6 +56,10 @@ pass_config = click.make_pass_decorator(RunConfig)
 @click.pass_context
 def main(ctx, threshold, workers, seed, fmt, strict, emit, distance):
     """Construct and transform subsystem codes from classical codes."""
+    if distance != "exact" and ctx.invoked_subcommand in ("table1", "family"):
+        raise click.UsageError(f"--distance has no effect on "
+                               f"{ctx.invoked_subcommand}; it applies to "
+                               "analyze and transform only")
     # --distance exact downgrades automatically beyond the threshold; the
     # downgrade is reported (and fatal under --strict)
     try:
@@ -108,6 +112,13 @@ def _code_downgrades(code: SubsystemCode) -> List[str]:
     return [f"{value} ({method})" for value, method in
             (("distance", code.d_method), ("purity", code.swt_c_method))
             if method is not None and not is_exact(method)]
+
+
+def _rule_downgrades(res: rules.RuleResult) -> List[str]:
+    """The output code's downgraded values and the rule's asserted claims."""
+    out = res.output
+    return ((_code_downgrades(out) if isinstance(out, SubsystemCode) else [])
+            + _claims_with(res.verification, (rules.ASSERTED,)))
 
 
 def _rule_report(res: rules.RuleResult):
@@ -173,12 +184,18 @@ def parse_params(text: str) -> ParamRecord:
             "'[[n,k,r,d]]_q [pure] [linear]'")
     n, k, r, ge, d, q, words = m.groups()
     flags = set(words.split())
-    return ParamRecord(
-        n=int(n), q=int(q), k=Fraction(k), r=Fraction(r), d=int(d),
-        d_is_bound=ge is not None,
-        pure=True if "pure" in flags else (False if "impure" in flags else None),
-        linear=True if "linear" in flags else None,
-        provenance=["cli"])
+    try:
+        return ParamRecord(
+            n=int(n), q=int(q), k=Fraction(k), r=Fraction(r), d=int(d),
+            d_is_bound=ge is not None,
+            pure=True if "pure" in flags else (
+                False if "impure" in flags else None),
+            linear=True if "linear" in flags else None,
+            provenance=["cli"])
+    except ZeroDivisionError:
+        raise click.BadParameter(f"{text!r} has a zero denominator")
+    except ValueError as exc:
+        raise click.BadParameter(f"bad parameters {text!r}: {exc}")
 
 
 _CONSTRUCTIVE_RULES = ("shrink-k", "grow-k", "extend-n", "to-stabilizer",
@@ -238,9 +255,7 @@ def transform(cfg: RunConfig, file, rule, params_list, target_r,
     out = res.output
     payload, bracket, claim_lines = _rule_report(res)
     # parameter-level rules are asserted by nature
-    downgraded = (_code_downgrades(out)
-                  + _claims_with(res.verification, (rules.ASSERTED,))
-                  if isinstance(out, SubsystemCode) else [])
+    downgraded = _rule_downgrades(res) if rule in _CONSTRUCTIVE_RULES else []
     lines = [f"rule: {res.rule}", f"output: {bracket}"] + claim_lines
     if cfg.emit and isinstance(out, SubsystemCode):
         out.C.save(cfg.emit)
@@ -293,12 +308,9 @@ def family(cfg: RunConfig, family, q, delta, r, n, d):
     except ValueError as exc:
         raise click.ClickException(str(exc))
     payload, bracket, claim_lines = _rule_report(res)
-    downgraded = (_code_downgrades(res.output)
-                  if isinstance(res.output, SubsystemCode)
-                  else _claims_with(res.verification, (rules.ASSERTED,)))
     _dump(cfg, payload,
           [f"family {family} over GF({q}): {bracket}"] + claim_lines)
-    _check_strict(cfg, downgraded)
+    _check_strict(cfg, _rule_downgrades(res))
 
 
 if __name__ == "__main__":

@@ -112,11 +112,7 @@ def trace_symp(u: SympVector, v: SympVector) -> int:
     if u.field != v.field or u.n != v.n:
         raise ValueError("length or field mismatch")
     f = u.field
-    acc = 0
-    for i in range(u.n):
-        acc = f.add(acc, f.mul(int(v.values[i]), int(u.values[u.n + i])))
-        acc = f.sub(acc, f.mul(int(u.values[i]), int(v.values[v.n + i])))
-    return f.trace(acc)
+    return f.trace(int(_pairings(u.values, v.values, u.n, f, f.m)[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +139,15 @@ def _field_row(row, field: FieldSpec, size: int) -> np.ndarray:
     arr = np.asarray(row)
     if arr.shape != (size,):
         raise ValueError(f"generator must have {size} entries")
-    if arr.dtype.kind not in "iu" or (size and (arr.min() < 0
-                                               or arr.max() >= field.q)):
-        for x in (arr.tolist() if isinstance(row, np.ndarray) else list(row)):
-            if not isinstance(x, (int, np.integer)) or not 0 <= x < field.q:
+    # numpy reads a list entry True as the integer 1
+    listed = not isinstance(row, np.ndarray)
+    if (arr.dtype.kind not in "iu"
+            or (size and (arr.min() < 0 or arr.max() >= field.q))
+            or (listed and not {bool, np.bool_}.isdisjoint(map(type, row)))):
+        for x in (row if listed else arr.tolist()):
+            if (isinstance(x, (bool, np.bool_))
+                    or not isinstance(x, (int, np.integer))
+                    or not 0 <= x < field.q):
                 raise ValueError(
                     f"generator entry {x!r} is not an element of "
                     f"GF({field.q}) (an integer 0..{field.q - 1})")
@@ -214,12 +215,6 @@ class AdditiveCode:
         return cls(n, field, [], coeff_degree)
 
     @classmethod
-    def full(cls, n: int, field: FieldSpec, coeff_degree: int = 1) -> "AdditiveCode":
-        code = cls.zero(n, field, coeff_degree)
-        gens = np.eye(code.ncols, dtype=np.int64)
-        return cls._from_coeff_matrix(n, field, coeff_degree, gens)
-
-    @classmethod
     def _from_coeff_matrix(cls, n, field, coeff_degree, mat) -> "AdditiveCode":
         code = cls.zero(n, field, coeff_degree)
         code.mat, code.pivots = linalg.rref(mat, code.coeff_field)
@@ -275,15 +270,9 @@ class AdditiveCode:
 
     # -- the trace-symplectic form ------------------------------------------
 
-    def _gram(self) -> np.ndarray:
-        return _symplectic_gram(self.n, self.field, self.t)
-
     def form(self, u: np.ndarray, v: np.ndarray) -> int:
         """Evaluate the (trace-)symplectic form on two coefficient rows."""
-        M = self._gram()
-        w = linalg.matmul(u.reshape(1, -1), M, self.coeff_field)
-        out = linalg.matmul(w, v.reshape(-1, 1), self.coeff_field)
-        return int(out[0, 0])
+        return int(_pairings(u, v, self.n, self.field, self.t)[0, 0])
 
     # -- serialization -------------------------------------------------------
 
@@ -316,31 +305,38 @@ class AdditiveCode:
             return cls.from_json(json.load(fh))
 
 
+@lru_cache(maxsize=None)
 def _symplectic_gram(n: int, field: FieldSpec, t: int) -> np.ndarray:
-    """Gram matrix of the form on coefficient coordinates.
+    """Gram matrix of the form on coefficient coordinates (read-only).
 
-    t = m: the untraced symplectic form over F_q on 2n coordinates.
-    t = 1: the trace-symplectic form as an F_p-bilinear form on 2nm
-    coordinates, with per-coordinate blocks T_ab = tr(alpha_a alpha_b).
+    Each coordinate i contributes blocks -T at (x_i, y_i) and T at
+    (y_i, x_i).  t = m: the untraced symplectic form over F_q, T = (1).
+    t = 1: the trace-symplectic form as an F_p-bilinear form on m digits
+    per x_i and y_i, T_ab = tr(alpha_a alpha_b).
     """
-    if t == field.m:
-        M = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        one, neg1 = 1, field.neg(1)
-        for i in range(n):
-            M[i, n + i] = neg1
-            M[n + i, i] = one
-        return M
-    p, m = field.p, field.m
-    T = np.zeros((m, m), dtype=np.int64)
-    for a in range(m):
-        for b in range(m):
-            T[a, b] = field.trace(field.mul(p**a, p**b))
-    M = np.zeros((2 * n * m, 2 * n * m), dtype=np.int64)
+    p, u = field.p, field.m // t
+    T = np.ones((1, 1), dtype=np.int64)
+    if u > 1:
+        T = np.array([[field.trace(field.mul(p**a, p**b)) for b in range(u)]
+                      for a in range(u)], dtype=np.int64)
+    M = np.zeros((2 * n * u, 2 * n * u), dtype=np.int64)
     for i in range(n):
-        x0, y0 = i * m, (n + i) * m
-        M[x0:x0 + m, y0:y0 + m] = (-T) % p
-        M[y0:y0 + m, x0:x0 + m] = T
+        x0, y0 = i * u, (n + i) * u
+        M[x0:x0 + u, y0:y0 + u] = (-T) % p
+        M[y0:y0 + u, x0:x0 + u] = T
+    M.flags.writeable = False
     return M
+
+
+def _pairings(U, V, n: int, field: FieldSpec, t: int) -> np.ndarray:
+    """Form values <u_i|v_j> = U M V^T over the coefficient field F_{p^t}.
+
+    U and V are coefficient rows (one vector may be given as a 1-D row).
+    With V the identity, row i holds the coefficients of x -> <u_i|x>.
+    """
+    cf = _coeff_field(field, t)
+    M = _symplectic_gram(n, field, t)
+    return linalg.matmul(linalg.matmul(U, M, cf), np.atleast_2d(V).T, cf)
 
 
 def dual_symp(code: AdditiveCode) -> AdditiveCode:
@@ -350,10 +346,8 @@ def dual_symp(code: AdditiveCode) -> AdditiveCode:
     under the untraced symplectic form and is again F_q-linear, so the
     computation stays over F_q.
     """
-    M = code._gram()
-    if code.rank == 0:
-        return AdditiveCode.full(code.n, code.field, code.t)
-    a = linalg.matmul(code.mat, M, code.coeff_field)
+    a = _pairings(code.mat, np.eye(code.ncols, dtype=np.int64), code.n,
+                  code.field, code.t)
     basis = linalg.nullspace(a, code.coeff_field)
     return AdditiveCode._from_coeff_matrix(code.n, code.field, code.t, basis)
 
@@ -396,18 +390,13 @@ def _split(a_rows: np.ndarray, b_rows: np.ndarray, p: int) -> np.ndarray:
     """B's rows as given, then the rows of A outside their span, in A's order.
 
     Both row sets must be linearly independent, with span(B) inside span(A).
+    One elimination: the pivot columns of the stacked rows' transpose are
+    the rows outside the span of the rows before them.
     """
     if not len(b_rows):
         return a_rows
-    fp = _prime_field(p)
-    cur, _ = linalg.rref(b_rows, fp)
-    ext = []
-    for row in a_rows:
-        red, _ = linalg.rref(np.vstack([cur, row]), fp)
-        if red.shape[0] > cur.shape[0]:
-            ext.append(row)
-            cur = red
-    return np.vstack([b_rows] + ext)
+    rows = np.vstack([b_rows, a_rows])
+    return rows[linalg.rref(rows.T, _prime_field(p))[1]]
 
 
 def _check_span(p: int, k: int, threshold: int) -> None:

@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "conway_polynomial",
+    "prime_power",
     "FieldSpec",
     "FieldElement",
     "TowerSpec",
@@ -229,6 +230,21 @@ def conway_polynomial(p: int, m: int) -> Tuple[int, ...]:
 
 _MUL_TABLE_CAP = 1 << 9      # build dense q x q multiplication table below this
 _MAX_Q = 1 << 16             # practical cap on field size
+
+
+def prime_power(q: int) -> Tuple[int, int]:
+    """(p, m) with q = p^m, p prime and q within the field-size cap; else
+    ValueError.  The cap also bounds the trial division."""
+    if q > _MAX_Q:
+        raise ValueError(f"q = {q} exceeds the field size cap {_MAX_Q}")
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    p, m = primes[0], 0
+    while q > 1:
+        q //= p
+        m += 1
+    return p, m
 
 
 class FieldSpec:
@@ -445,8 +461,7 @@ class FieldSpec:
             return (a * b) % self.p
         if self._mul_table is not None:
             return self._mul_table[a, b]
-        a = np.asarray(a)
-        b = np.broadcast_to(np.asarray(b), a.shape)
+        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
         out = np.zeros(a.shape, dtype=np.int64)
         nz = (a != 0) & (b != 0)
         out[nz] = self._exp[(self._log[a[nz]] + self._log[b[nz]]) % (self.q - 1)]

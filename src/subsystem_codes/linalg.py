@@ -118,9 +118,7 @@ def matmul(a, b, field: FieldSpec) -> np.ndarray:
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for k in range(a.shape[1]):
         col = a[:, k]
-        nz = col != 0
-        if not np.any(nz):
+        if not col.any():
             continue
-        contrib = field.mul_arr(np.repeat(col.reshape(-1, 1), b.shape[1], axis=1), b[k])
-        out = field.add_arr(out, contrib)
+        out = field.add_arr(out, field.mul_arr(col.reshape(-1, 1), b[k]))
     return out

@@ -33,11 +33,12 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from . import rs
-from .codes import AdditiveCode, ClassicalCode, EnumerationLimitError, dual_symp
-from .gf import FieldSpec, TowerSpec
+from .codes import (AdditiveCode, ClassicalCode, EnumerationLimitError,
+                    _pairings, dual_symp)
+from .gf import FieldSpec, TowerSpec, prime_power
 from .subsystem import (DEFAULT_POLICY, ParamRecord, Policy, PurityError,
                         SubsystemCode, derive, is_exact, measure_distance)
-from .symplectic import extend_to_full_symplectic_basis, hyperbolic_decompose
+from .symplectic import fresh_pair, hyperbolic_decompose
 
 __all__ = [
     "RuleResult", "MdsFamilySpec",
@@ -79,12 +80,7 @@ class RuleResult:
 def _adjoin_fresh_pair(C: AdditiveCode) -> AdditiveCode:
     """C + span{x, z} for the first fresh hyperbolic pair commuting with C."""
     dec = hyperbolic_decompose(C)
-    basis = extend_to_full_symplectic_basis(dec)
-    if basis.fresh_from >= len(basis.pairs):
-        raise ValueError("no room left for a fresh hyperbolic pair")
-    x, z = basis.pairs[basis.fresh_from]
-    rows = dec.all_vectors() + [x, z]
-    return AdditiveCode._from_coeff_matrix(C.n, C.field, C.t, np.stack(rows))
+    return replace(dec, pairs=dec.pairs + [fresh_pair(dec)]).span()
 
 
 def _drop_last_pair(C: AdditiveCode) -> AdditiveCode:
@@ -92,12 +88,7 @@ def _drop_last_pair(C: AdditiveCode) -> AdditiveCode:
     dec = hyperbolic_decompose(C)
     if not dec.pairs:
         raise ValueError("the code has no hyperbolic pair to drop")
-    rows = list(dec.isotropic)
-    for x, z in dec.pairs[:-1]:
-        rows.extend((x, z))
-    if not rows:
-        return AdditiveCode.zero(C.n, C.field, C.t)
-    return AdditiveCode._from_coeff_matrix(C.n, C.field, C.t, np.stack(rows))
+    return replace(dec, pairs=dec.pairs[:-1]).span()
 
 
 def _working_code(code: SubsystemCode, t: Optional[int]) -> AdditiveCode:
@@ -482,13 +473,9 @@ def hermitian_to_symplectic(X: ClassicalCode,
     C = AdditiveCode(X.n, tower.base, gens, coeff_degree=tower.base.m)
     if C.rank != 2 * X.rank:
         raise AssertionError("expansion lost dimensions")
-    if require_self_orthogonal and C.rank:
-        M = C._gram()
-        from . import linalg
-        G = linalg.matmul(linalg.matmul(C.mat, M, C.coeff_field), C.mat.T,
-                          C.coeff_field)
-        if G.any():
-            raise AssertionError("image is not symplectic self-orthogonal")
+    if require_self_orthogonal and _pairings(C.mat, C.mat, C.n, C.field,
+                                             C.t).any():
+        raise AssertionError("image is not symplectic self-orthogonal")
     return C
 
 
@@ -573,17 +560,7 @@ class MdsFamilySpec:
 
 @lru_cache(maxsize=None)
 def _field_for_q(q: int) -> FieldSpec:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            x = q
-            while x % p == 0:
-                x //= p
-                m += 1
-            if x != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return FieldSpec(p, m)
-    raise ValueError(f"{q} is not a prime power")
+    return FieldSpec(*prime_power(q))
 
 
 @lru_cache(maxsize=None)

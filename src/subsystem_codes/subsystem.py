@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 
 from .codes import (DEFAULT_THRESHOLD, AdditiveCode, EnumerationLimitError,
                     dual_symp, intersect, min_swt, min_swt_coset)
+from .gf import prime_power
 
 __all__ = ["PurityError", "Policy", "DEFAULT_POLICY", "SubsystemCode",
            "ParamRecord", "derive", "measure_distance", "is_exact",
@@ -141,6 +142,7 @@ class ParamRecord:
     def __post_init__(self):
         self.k = Fraction(self.k)
         self.r = Fraction(self.r)
+        prime_power(self.q)
         if self.n < 1:
             raise ValueError("length must be >= 1")
         if self.d is not None and self.d < 1:

@@ -1,24 +1,35 @@
-"""Hyperbolic decomposition and symplectic basis completion.
+"""Hyperbolic decomposition, symplectic partners and fresh pairs.
 
-Works over the coefficient field of the input code: the trace-symplectic
-form on prime-field coordinates for t = 1, the untraced symplectic form
-over F_q for t = m.  All vectors below are coefficient rows in the fixed
+Works over the coefficient field of the input code (the trace-symplectic
+form for t = 1, the untraced one over F_q for t = m), with every form
+value from ``codes._pairings``.  Vectors are coefficient rows in the
 canonical column order of :mod:`subsystem_codes.codes`.
+
+Completion has two steps.  The partner step gives each isotropic vector
+a partner by one linear solve.  The complement step takes the canonical
+(reduced echelon) complement of the span so far: its first row v and the
+first later row pairing non-trivially with v, scaled to <v|w> = 1, are
+the next fresh pair.  :func:`fresh_pair` runs each step once, which is
+all that adjoining one pair to a gauge code needs;
+:func:`extend_to_full_symplectic_basis` repeats the complement step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 import numpy as np
 
 from . import linalg
-from .codes import AdditiveCode, _coeff_field, _symplectic_gram
+from .codes import AdditiveCode, _coeff_field, _pairings
 from .gf import FieldSpec
 
 __all__ = ["HyperbolicDecomposition", "hyperbolic_decompose",
-           "extend_to_full_symplectic_basis", "SymplecticBasis"]
+           "extend_to_full_symplectic_basis", "fresh_pair",
+           "SymplecticBasis"]
+
+Pair = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -33,7 +44,7 @@ class HyperbolicDecomposition:
     field: FieldSpec
     coeff_degree: int
     isotropic: List[np.ndarray]
-    pairs: List[Tuple[np.ndarray, np.ndarray]]
+    pairs: List[Pair]
 
     @property
     def s(self) -> int:
@@ -43,17 +54,20 @@ class HyperbolicDecomposition:
     def r(self) -> int:
         return len(self.pairs)
 
+    @property
+    def dim(self) -> int:
+        """Dimension of F_q^{2n} over the coefficient field."""
+        return 2 * self.n * self.field.m // self.coeff_degree
+
     def coeff_field(self) -> FieldSpec:
         return _coeff_field(self.field, self.coeff_degree)
 
-    def gram(self) -> np.ndarray:
-        return _symplectic_gram(self.n, self.field, self.coeff_degree)
+    def pairings(self, U, V) -> np.ndarray:
+        """Form values <u_i|v_j> for the rows of U and V."""
+        return _pairings(U, V, self.n, self.field, self.coeff_degree)
 
     def form(self, u: np.ndarray, v: np.ndarray) -> int:
-        M = self.gram()
-        cf = self.coeff_field()
-        w = linalg.matmul(u.reshape(1, -1), M, cf)
-        return int(linalg.matmul(w, v.reshape(-1, 1), cf)[0, 0])
+        return int(self.pairings(u, v)[0, 0])
 
     def all_vectors(self) -> List[np.ndarray]:
         out = list(self.isotropic)
@@ -61,27 +75,25 @@ class HyperbolicDecomposition:
             out.extend((x, z))
         return out
 
-    def span(self) -> AdditiveCode:
+    def matrix(self) -> np.ndarray:
+        """The rows of :meth:`all_vectors` as one (possibly empty) matrix."""
         vecs = self.all_vectors()
-        if not vecs:
-            return AdditiveCode.zero(self.n, self.field, self.coeff_degree)
+        return np.array(vecs, dtype=np.int64).reshape(len(vecs), self.dim)
+
+    def span(self) -> AdditiveCode:
         return AdditiveCode._from_coeff_matrix(
-            self.n, self.field, self.coeff_degree, np.stack(vecs))
+            self.n, self.field, self.coeff_degree, self.matrix())
 
     def validate(self) -> None:
         """Check all pairing relations; raises AssertionError on failure."""
-        cf = self.coeff_field()
-        vecs = self.all_vectors()
-        if not vecs:
-            return
-        V = np.stack(vecs)
-        G = linalg.matmul(linalg.matmul(V, self.gram(), cf), V.T, cf)
-        s = self.s
+        V = self.matrix()
+        G = self.pairings(V, V)
+        s, neg1 = self.s, self.coeff_field().neg(1)
         expect = np.zeros_like(G)
         for j in range(self.r):
             xi, zi = s + 2 * j, s + 2 * j + 1
             expect[xi, zi] = 1
-            expect[zi, xi] = cf.neg(1)
+            expect[zi, xi] = neg1
         if not np.array_equal(G, expect):
             raise AssertionError("pairing relations violated")
 
@@ -98,23 +110,15 @@ class SymplecticBasis:
     n: int
     field: FieldSpec
     coeff_degree: int
-    pairs: List[Tuple[np.ndarray, np.ndarray]]
+    pairs: List[Pair]
     fresh_from: int
 
     def validate(self) -> None:
         dec = HyperbolicDecomposition(self.n, self.field, self.coeff_degree,
                                       [], self.pairs)
         dec.validate()
-        dim = 2 * self.n * self.field.m // self.coeff_degree
-        if 2 * len(self.pairs) != dim:
+        if 2 * len(self.pairs) != dec.dim:
             raise AssertionError("basis does not span the full space")
-
-
-def _form_all(M: np.ndarray, cf: FieldSpec, u: np.ndarray,
-              vs: np.ndarray) -> np.ndarray:
-    """Row of form values <u|v_i> for the rows v_i of vs."""
-    w = linalg.matmul(u.reshape(1, -1), M, cf)
-    return linalg.matmul(w, vs.T, cf)[0]
 
 
 def hyperbolic_decompose(code: AdditiveCode) -> HyperbolicDecomposition:
@@ -125,37 +129,80 @@ def hyperbolic_decompose(code: AdditiveCode) -> HyperbolicDecomposition:
     current pivot is selected as its partner.
     """
     cf = code.coeff_field
-    M = _symplectic_gram(code.n, code.field, code.t)
-    gens = [row.copy() for row in code.mat]
-    pairs: List[Tuple[np.ndarray, np.ndarray]] = []
-    iso: List[np.ndarray] = []
-    while gens:
-        v = gens.pop(0)
-        partner_idx = None
-        for i, g in enumerate(gens):
-            if _form_all(M, cf, v, g.reshape(1, -1))[0] != 0:
-                partner_idx = i
-                break
-        if partner_idx is None:
-            iso.append(v)
+    dec = HyperbolicDecomposition(code.n, code.field, code.t, [], [])
+    gens = code.mat.copy()
+    while len(gens):
+        v, gens = gens[0], gens[1:]
+        vg = dec.pairings(v, gens)[0]              # <v|g> for every g left
+        hit = np.flatnonzero(vg)
+        if not hit.size:
+            dec.isotropic.append(v)
             continue
-        w = gens.pop(partner_idx)
-        c = _form_all(M, cf, v, w.reshape(1, -1))[0]
-        w = cf.mul_arr(w, cf.inv(int(c)))  # now <v|w> = 1
-        for i, g in enumerate(gens):
-            a = int(_form_all(M, cf, w, g.reshape(1, -1))[0])   # <w|g>
-            b = int(_form_all(M, cf, v, g.reshape(1, -1))[0])   # <v|g>
-            # g <- g + <w|g> v - <v|g> w  kills both pairings
-            g = cf.add_arr(g, cf.mul_arr(v, a))
-            g = cf.add_arr(g, cf.mul_arr(w, cf.neg(b)))
-            gens[i] = g
-        pairs.append((v, w))
-    dec = HyperbolicDecomposition(code.n, code.field, code.t, iso, pairs)
+        i = hit[0]
+        w = cf.mul_arr(gens[i], cf.inv(int(vg[i])))  # now <v|w> = 1
+        gens, b = np.delete(gens, i, axis=0), np.delete(vg, i)
+        a = dec.pairings(w, gens)[0]                 # <w|g>
+        # g <- g + <w|g> v - <v|g> w  kills both pairings
+        gens = cf.add_arr(gens, cf.add_arr(
+            cf.mul_arr(a[:, None], v), cf.mul_arr(cf.neg_arr(b)[:, None], w)))
+        dec.pairs.append((v, w))
     # isotropic candidates are revisited against the final vector set
     dec.validate()
     if dec.span() != code:
         raise AssertionError("decomposition does not span the input code")
     return dec
+
+
+def _partner_pairs(dec: HyperbolicDecomposition) -> List[Pair]:
+    """(x_i, z_i) for every isotropic z_i of a valid decomposition.
+
+    x_i pairs to 1 with z_i and to 0 with every other vector of ``dec``
+    and with the earlier partners.  Free variables of each solve are zero.
+    """
+    dec.validate()
+    cf = dec.coeff_field()
+    unit = np.eye(dec.dim, dtype=np.int64)
+    taken = dec.all_vectors()
+    pairs: List[Pair] = []
+    for i, z in enumerate(dec.isotropic):
+        # row j holds the coefficients of x -> <x|taken_j>
+        rhs = np.zeros(len(taken), dtype=np.int64)
+        rhs[i] = 1
+        x = linalg.solve(dec.pairings(unit, taken).T, rhs, cf)
+        if x is None:
+            raise AssertionError("no symplectic partner exists; invalid input")
+        pairs.append((x, z))
+        taken.append(x)
+    return pairs
+
+
+def _complement_pair(dec: HyperbolicDecomposition, pairs: List[Pair]) -> Pair:
+    """First hyperbolic pair of the canonical complement of ``pairs``."""
+    cf = dec.coeff_field()
+    V = replace(dec, isotropic=[], pairs=pairs).matrix()
+    comp, _ = linalg.rref(linalg.nullspace(
+        dec.pairings(V, np.eye(dec.dim, dtype=np.int64)), cf), cf)
+    vals = dec.pairings(comp[0], comp[1:])[0]
+    hit = np.flatnonzero(vals)
+    if not hit.size:
+        raise AssertionError("restricted form is degenerate; invalid input")
+    return comp[0], cf.mul_arr(comp[1 + hit[0]], cf.inv(int(vals[hit[0]])))
+
+
+def fresh_pair(dec: HyperbolicDecomposition) -> Pair:
+    """The first fresh hyperbolic pair completing a valid decomposition.
+
+    Equal to ``extend_to_full_symplectic_basis(dec).pairs[fresh_from]``,
+    without completing the rest of the basis.  The pair is validated with
+    the partners and ``dec``'s own pairs.  Raises ValueError when the code
+    and the partners of its isotropic vectors already fill the space.
+    """
+    if 2 * (dec.s + dec.r) >= dec.dim:
+        raise ValueError("no room left for a fresh hyperbolic pair")
+    pairs = _partner_pairs(dec) + list(dec.pairs)
+    pairs.append(_complement_pair(dec, pairs))
+    replace(dec, isotropic=[], pairs=pairs).validate()
+    return pairs[-1]
 
 
 def extend_to_full_symplectic_basis(dec: HyperbolicDecomposition) -> SymplecticBasis:
@@ -166,58 +213,11 @@ def extend_to_full_symplectic_basis(dec: HyperbolicDecomposition) -> SymplecticB
     fix free variables to zero and fresh pivots are taken in canonical
     (lexicographic reduced-basis) order.
     """
-    dec.validate()
-    cf = dec.coeff_field()
-    M = dec.gram()
-    dim = 2 * dec.n * dec.field.m // dec.coeff_degree
-
-    taken: List[np.ndarray] = dec.all_vectors()
-    partner_pairs: List[Tuple[np.ndarray, np.ndarray]] = []
-    for i, z in enumerate(dec.isotropic):
-        # constraints: <x|z> = 1, zero pairing with every other basis vector
-        others = [v for v in taken if v is not z]
-        rows = [_row_constraint(M, z, cf)]
-        rhs = [1]
-        for v in others:
-            rows.append(_row_constraint(M, v, cf))
-            rhs.append(0)
-        for x_prev, _ in partner_pairs:
-            rows.append(_row_constraint(M, x_prev, cf))
-            rhs.append(0)
-        sol = linalg.solve(np.stack(rows), np.array(rhs, dtype=np.int64), cf)
-        if sol is None:
-            raise AssertionError("no symplectic partner exists; invalid input")
-        partner_pairs.append((sol, z))
-        taken.append(sol)
-
-    pairs = partner_pairs + list(dec.pairs)
+    pairs = _partner_pairs(dec) + list(dec.pairs)
     fresh_from = len(pairs)
-
-    while 2 * len(pairs) < dim:
-        V = np.stack([v for p in pairs for v in p]) if pairs else \
-            np.zeros((0, dim), dtype=np.int64)
-        constraints = linalg.matmul(V, M, cf) if V.shape[0] else V
-        comp = linalg.nullspace(constraints, cf) if V.shape[0] else \
-            np.eye(dim, dtype=np.int64)
-        comp, _ = linalg.rref(comp, cf)
-        v = comp[0]
-        w = None
-        for cand in comp[1:]:
-            c = int(_form_all(M, cf, v, cand.reshape(1, -1))[0])
-            if c != 0:
-                w = cf.mul_arr(cand, cf.inv(c))
-                break
-        if w is None:
-            raise AssertionError("restricted form is degenerate; invalid input")
-        pairs.append((v, w))
-
+    while 2 * len(pairs) < dec.dim:
+        pairs.append(_complement_pair(dec, pairs))
     basis = SymplecticBasis(dec.n, dec.field, dec.coeff_degree, pairs,
                             fresh_from)
     basis.validate()
     return basis
-
-
-def _row_constraint(M: np.ndarray, v: np.ndarray, cf: FieldSpec) -> np.ndarray:
-    """Coefficient row a with a . x = <x|v> for unknown x."""
-    # <x|v> = x M v^T, so the row is (M v^T)^T
-    return linalg.matmul(M, v.reshape(-1, 1), cf)[:, 0]

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior via click's test runner."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
-from subsystem_codes.cli import main, parse_params
+from subsystem_codes.cli import _PARAM_RE, main, parse_params
 from subsystem_codes.codes import AdditiveCode
 from subsystem_codes.known import bacon_shor_code, five_qubit_code
 
@@ -147,6 +149,23 @@ def test_strict_names_downgraded_claims(runner, shor_path):
     assert res.exit_code == 0
     assert res.stderr == ("warning: some results rest on witness or "
                           "asserted verification only\n")
+    # family names asserted claims as well as downgraded values, as
+    # transform does
+    res = runner.invoke(main, ["--strict", "family", "--family", "v",
+                               "--q", "4", "--delta", "2", "-r", "1"])
+    assert res.exit_code == 3
+    assert res.stderr.endswith(
+        "verification only: distance (witness), pure (asserted)\n")
+    # --distance changes nothing for table1 and family, so it is refused
+    for mode in ("witness", "skip"):
+        for args in (["table1", "--q", "3"],
+                     ["family", "--family", "vi", "--q", "3", "--delta", "1",
+                      "-r", "4"]):
+            res = runner.invoke(main, ["--distance", mode] + args)
+            assert res.exit_code == 2
+            assert "--distance has no effect" in res.stderr
+    res = runner.invoke(main, ["--distance", "exact", "table1", "--q", "3"])
+    assert res.exit_code == 0
 
 
 def test_threshold_env_and_bad_value(runner, shor_path):
@@ -198,3 +217,72 @@ def test_parse_params():
     assert rec.d_is_bound and rec.pure is False and rec.linear is True
     with pytest.raises(Exception):
         parse_params("[[9,1,4]]_2")
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+_DATA = Path(__file__).parents[1] / "data"
+
+
+@pytest.mark.parametrize("args,name", [
+    (["family", "--family", "v", "--q", "4", "--delta", "2", "-r", "1"],
+     "family_v_q4_d2_r1"),
+    (["family", "--family", "vi", "--q", "4", "--delta", "2", "-r", "4"],
+     "family_vi_q4_d2_r4"),
+    (["family", "--family", "vi", "--q", "5", "--delta", "3", "-r", "4"],
+     "family_vi_q5_d3_r4"),
+    (["family", "--family", "vi", "--q", "3", "--delta", "1", "-r", "4"],
+     "family_vi_q3_d1_r4"),
+    (["transform", str(_DATA / "five_qubit.json"), "--rule", "shrink-k"],
+     "transform_five_qubit_shrink_k"),
+])
+def test_rule_report_matches_golden(args, name):
+    # reports that adjoin hyperbolic pairs must not move, byte for byte
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert res.stdout_bytes == (_GOLDEN / f"{name}.json").read_bytes()
+
+
+_PRIMES = [2, 3, 5, 7, 11, 13]
+_NUM = st.integers(0, 40).map(str)
+_FRACTION = st.one_of(_NUM, st.tuples(_NUM, _NUM).map("/".join))
+_NOT_PRIME_POWER = st.one_of(
+    st.sampled_from([0, 1]),
+    st.tuples(st.sampled_from(_PRIMES), st.sampled_from(_PRIMES),
+              st.integers(1, 10**6)).filter(lambda t: t[0] != t[1])
+    .map(lambda t: t[0] * t[1] * t[2]),
+    st.integers(65537, 10**40))
+
+
+def _params(n, k, r, d, q, words):
+    return f"[[{n},{k},{r},{d}]]_{q}{words}"
+
+
+_WORDS = st.sampled_from(["", " pure", " impure linear"])
+_BAD_PARAMS = st.one_of(
+    # not of the form [[n,k,r,d]]_q
+    st.text(max_size=30).filter(lambda s: _PARAM_RE.match(s.strip()) is None),
+    # q not a prime power
+    st.builds(_params, _NUM, _FRACTION, _FRACTION, _NUM, _NOT_PRIME_POWER,
+              _WORDS),
+    # a zero denominator in k or r
+    st.builds(_params, _NUM, _NUM.map(lambda a: a + "/0"), _FRACTION, _NUM,
+              st.sampled_from(_PRIMES), _WORDS),
+    st.builds(_params, _NUM, _FRACTION, _NUM.map(lambda a: a + "/0"), _NUM,
+              st.sampled_from(_PRIMES), _WORDS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad=_BAD_PARAMS, rule=st.sampled_from(["shorten-n", "combine-nested"]))
+@example(bad="[[5,1/0,0,3]]_2 pure", rule="shorten-n")
+@example(bad="[[5,1,0,3]]_6 pure", rule="shorten-n")
+@example(bad="[[5,1,0,3]]_1 pure", rule="shorten-n")
+def test_malformed_params_fail_cleanly(bad, rule):
+    args = ["transform", "--rule", rule, "--params", bad]
+    if rule == "combine-nested":
+        args += ["--params", "[[5,1,0,3]]_2 pure", "--subset-assumed"]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code != 0
+    # an uncaught exception would have been a traceback
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output

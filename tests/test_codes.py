@@ -6,11 +6,12 @@ from itertools import product
 import numpy as np
 import pytest
 
+from subsystem_codes import linalg
 from subsystem_codes.codes import (AdditiveCode, ClassicalCode,
                                    EnumerationLimitError, SympVector,
                                    dual_symp, intersect, min_swt,
                                    min_swt_coset, swt, swt_distribution,
-                                   trace_symp)
+                                   trace_symp, _split)
 from subsystem_codes.gf import FieldSpec
 from subsystem_codes.subsystem import Policy, derive
 
@@ -162,6 +163,7 @@ def test_witness_on_small_span_is_exhaustive_value(monkeypatch):
     (1, [7, 0, 0, 1], "7"), (2, [7, 0, 0, 1], "7"),
     (1, [-1, 0, 0, 1], "-1"), (2, [-1, 0, 0, 1], "-1"),
     (1, [1.5, 0, 0, 1], "1.5"), (2, [0, 1.5, 0, 1], "1.5"),
+    (1, [True, 0, 0, 1], "True"), (2, [0, 1, 0, True], "True"),
 ])
 def test_additive_rejects_bad_entries(t, gen, entry):
     with pytest.raises(ValueError, match=f"entry {entry} is not an element"):
@@ -246,3 +248,25 @@ def test_classical_json_roundtrip():
     again = ClassicalCode.from_json(code.to_json())
     assert again == code
     assert code.to_json()["length"] == 4
+
+
+def test_split_matches_row_by_row():
+    """B's rows, then each row of A outside the span of the rows before it."""
+    rng = np.random.default_rng(9)
+    for p in (2, 3, 5, 7):
+        fp = FieldSpec(p)
+        for _ in range(40):
+            ncols = int(rng.integers(1, 8))
+            a = rng.integers(0, p, size=(int(rng.integers(0, ncols + 1)),
+                                         ncols))
+            if linalg.rank(a, fp) < len(a):
+                continue
+            mix = rng.integers(0, p, size=(int(rng.integers(0, len(a) + 1)),
+                                           len(a)))
+            b = linalg.rref(linalg.matmul(mix, a, fp), fp)[0]
+            kept = list(b)
+            for row in a:
+                if linalg.rank(np.array(kept + [row]), fp) > len(kept):
+                    kept.append(row)
+            expect = np.array(kept, dtype=np.int64).reshape(-1, ncols)
+            assert np.array_equal(_split(a, b, p), expect)

@@ -108,19 +108,27 @@ def test_tower_embedding(p, m):
 
 
 def test_vectorized_ops_match_scalar():
-    f = FieldSpec(3, 2)
     rng = np.random.default_rng(1)
-    a = rng.integers(0, 9, size=40)
-    b = rng.integers(0, 9, size=40)
-    add = f.add_arr(a, b)
-    neg = f.neg_arr(a)
-    for i in range(40):
-        assert add[i] == f.add(int(a[i]), int(b[i]))
-        assert neg[i] == f.neg(int(a[i]))
-    for c in range(9):
-        mul = f.mul_arr(a, c)
+    # prime field, multiplication table, and log tables (q > 512)
+    for f in (FieldSpec(5), FieldSpec(3, 2), FieldSpec(2, 10)):
+        a = rng.integers(0, f.q, size=40)
+        b = rng.integers(0, f.q, size=40)
+        add = f.add_arr(a, b)
+        neg = f.neg_arr(a)
         for i in range(40):
-            assert mul[i] == f.mul(int(a[i]), c)
+            assert add[i] == f.add(int(a[i]), int(b[i]))
+            assert neg[i] == f.neg(int(a[i]))
+        for c in [0, 1] + rng.integers(2, f.q, size=7).tolist():
+            mul = f.mul_arr(a, c)
+            for i in range(40):
+                assert mul[i] == f.mul(int(a[i]), c)
+        # a column against a row broadcasts to a matrix
+        col, row = a[:6].reshape(-1, 1), b[:5]
+        mul = f.mul_arr(col, row)
+        assert mul.shape == (6, 5)
+        for i in range(6):
+            for j in range(5):
+                assert mul[i, j] == f.mul(int(col[i, 0]), int(row[j]))
 
 
 def test_invalid_field_parameters():

@@ -6,7 +6,7 @@ import pytest
 from subsystem_codes.codes import AdditiveCode, dual_symp, intersect
 from subsystem_codes.gf import FieldSpec
 from subsystem_codes.symplectic import (extend_to_full_symplectic_basis,
-                                        hyperbolic_decompose)
+                                        fresh_pair, hyperbolic_decompose)
 
 
 def _random_code(rng, field, n, t, max_gens=4):
@@ -56,6 +56,14 @@ def test_basis_completion(p, m, t):
             for g in code.mat:
                 assert dec.form(x, g) == 0
                 assert dec.form(z, g) == 0
+        # the one-pair step gives exactly the first fresh pair
+        if basis.fresh_from < len(basis.pairs):
+            x, z = fresh_pair(dec)
+            fx, fz = basis.pairs[basis.fresh_from]
+            assert np.array_equal(x, fx) and np.array_equal(z, fz)
+        else:
+            with pytest.raises(ValueError, match="no room left"):
+                fresh_pair(dec)
 
 
 def test_determinism():
