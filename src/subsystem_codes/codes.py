@@ -139,11 +139,11 @@ def _field_row(row, field: FieldSpec, size: int) -> np.ndarray:
     arr = np.asarray(row)
     if arr.shape != (size,):
         raise ValueError(f"generator must have {size} entries")
-    # numpy reads a list entry True as the integer 1
+    # numpy reads a list entry True as the integer 1, so lists are checked
+    # entry by entry
     listed = not isinstance(row, np.ndarray)
-    if (arr.dtype.kind not in "iu"
-            or (size and (arr.min() < 0 or arr.max() >= field.q))
-            or (listed and not {bool, np.bool_}.isdisjoint(map(type, row)))):
+    if (listed or arr.dtype.kind not in "iu"
+            or (size and (arr.min() < 0 or arr.max() >= field.q))):
         for x in (row if listed else arr.tolist()):
             if (isinstance(x, (bool, np.bool_))
                     or not isinstance(x, (int, np.integer))
@@ -332,11 +332,12 @@ def _pairings(U, V, n: int, field: FieldSpec, t: int) -> np.ndarray:
     """Form values <u_i|v_j> = U M V^T over the coefficient field F_{p^t}.
 
     U and V are coefficient rows (one vector may be given as a 1-D row).
-    With V the identity, row i holds the coefficients of x -> <u_i|x>.
+    With V None the result is U M: row i holds the coefficients of
+    x -> <u_i|x>.
     """
     cf = _coeff_field(field, t)
-    M = _symplectic_gram(n, field, t)
-    return linalg.matmul(linalg.matmul(U, M, cf), np.atleast_2d(V).T, cf)
+    UM = linalg.matmul(U, _symplectic_gram(n, field, t), cf)
+    return UM if V is None else linalg.matmul(UM, np.atleast_2d(V).T, cf)
 
 
 def dual_symp(code: AdditiveCode) -> AdditiveCode:
@@ -346,8 +347,7 @@ def dual_symp(code: AdditiveCode) -> AdditiveCode:
     under the untraced symplectic form and is again F_q-linear, so the
     computation stays over F_q.
     """
-    a = _pairings(code.mat, np.eye(code.ncols, dtype=np.int64), code.n,
-                  code.field, code.t)
+    a = _pairings(code.mat, None, code.n, code.field, code.t)
     basis = linalg.nullspace(a, code.coeff_field)
     return AdditiveCode._from_coeff_matrix(code.n, code.field, code.t, basis)
 

@@ -63,7 +63,7 @@ class HyperbolicDecomposition:
         return _coeff_field(self.field, self.coeff_degree)
 
     def pairings(self, U, V) -> np.ndarray:
-        """Form values <u_i|v_j> for the rows of U and V."""
+        """Form values <u_i|v_j> for the rows of U and V (U M for V None)."""
         return _pairings(U, V, self.n, self.field, self.coeff_degree)
 
     def form(self, u: np.ndarray, v: np.ndarray) -> int:
@@ -161,18 +161,17 @@ def _partner_pairs(dec: HyperbolicDecomposition) -> List[Pair]:
     """
     dec.validate()
     cf = dec.coeff_field()
-    unit = np.eye(dec.dim, dtype=np.int64)
-    taken = dec.all_vectors()
+    # row j holds the coefficients of x -> <taken_j|x> = -<x|taken_j>
+    rows = dec.pairings(dec.matrix(), None)
     pairs: List[Pair] = []
     for i, z in enumerate(dec.isotropic):
-        # row j holds the coefficients of x -> <x|taken_j>
-        rhs = np.zeros(len(taken), dtype=np.int64)
-        rhs[i] = 1
-        x = linalg.solve(dec.pairings(unit, taken).T, rhs, cf)
+        rhs = np.zeros(len(rows), dtype=np.int64)
+        rhs[i] = cf.neg(1)
+        x = linalg.solve(rows, rhs, cf)
         if x is None:
             raise AssertionError("no symplectic partner exists; invalid input")
         pairs.append((x, z))
-        taken.append(x)
+        rows = np.vstack([rows, dec.pairings(x, None)])
     return pairs
 
 
@@ -180,8 +179,7 @@ def _complement_pair(dec: HyperbolicDecomposition, pairs: List[Pair]) -> Pair:
     """First hyperbolic pair of the canonical complement of ``pairs``."""
     cf = dec.coeff_field()
     V = replace(dec, isotropic=[], pairs=pairs).matrix()
-    comp, _ = linalg.rref(linalg.nullspace(
-        dec.pairings(V, np.eye(dec.dim, dtype=np.int64)), cf), cf)
+    comp, _ = linalg.rref(linalg.nullspace(dec.pairings(V, None), cf), cf)
     vals = dec.pairings(comp[0], comp[1:])[0]
     hit = np.flatnonzero(vals)
     if not hit.size:
