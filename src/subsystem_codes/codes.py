@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -152,6 +152,23 @@ def _field_row(row, field: FieldSpec, size: int) -> np.ndarray:
                     f"generator entry {x!r} is not an element of "
                     f"GF({field.q}) (an integer 0..{field.q - 1})")
     return arr.astype(np.int64, copy=False)
+
+
+def _plain_int(value, name: str) -> int:
+    """An integer field of a code file; int() would read 5.7, "5" or true
+    as another code, so anything else is a ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _json_field(data: dict) -> FieldSpec:
+    """The field of a code file: integers p and m, optional modulus."""
+    modulus = data.get("modulus")
+    if modulus is not None:
+        modulus = [_plain_int(c, "modulus") for c in modulus]
+    return FieldSpec(_plain_int(data["p"], "p"),
+                     _plain_int(data.get("m", 1), "m"), modulus)
 
 
 class AdditiveCode:
@@ -289,10 +306,9 @@ class AdditiveCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "AdditiveCode":
-        field = FieldSpec(int(data["p"]), int(data.get("m", 1)),
-                          data.get("modulus"))
-        return cls(int(data["n"]), field, data["generators"],
-                   int(data.get("coeff_degree", 1)))
+        return cls(_plain_int(data["n"], "n"), _json_field(data),
+                   data["generators"],
+                   _plain_int(data.get("coeff_degree", 1), "coeff_degree"))
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -455,7 +471,6 @@ def min_swt(code: AdditiveCode, threshold: int = DEFAULT_THRESHOLD,
 
 
 def min_swt_coset(a: AdditiveCode, b: AdditiveCode, mode: str = "exact",
-                  bound: Optional[int] = None,
                   threshold: int = DEFAULT_THRESHOLD, workers: int = 1,
                   seed: int = 0) -> Tuple[int, str]:
     """Minimum symplectic weight over A \\ B (with B a subcode of A).
@@ -482,11 +497,11 @@ def min_swt_coset(a: AdditiveCode, b: AdditiveCode, mode: str = "exact",
         # minimum is the tightest upper bound
         return _class_min(gens, p, a.n, kb, workers), "witness"
     w = _witness_search(gens, p, a.n, 2 * a.field.m, kb, len(gens) - kb,
-                        bound, seed)
+                        seed)
     return w, "witness"
 
 
-def _witness_search(gens, p, n_groups, group_size, kb, ke, bound, seed) -> int:
+def _witness_search(gens, p, n_groups, group_size, kb, ke, seed) -> int:
     """Upper bound on the coset minimum weight.
 
     Tries all small combinations of extension generators (joined with small
@@ -539,8 +554,6 @@ def _witness_search(gens, p, n_groups, group_size, kb, ke, bound, seed) -> int:
         if w < best:
             best = w
         remaining -= bsz
-        if bound is not None and best <= bound:
-            break
         if best == 1:
             break
     return best
@@ -693,9 +706,8 @@ class ClassicalCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "ClassicalCode":
-        field = FieldSpec(int(data["p"]), int(data.get("m", 1)),
-                          data.get("modulus"))
-        return cls(int(data["length"]), field, data["generators"])
+        return cls(_plain_int(data["length"], "length"), _json_field(data),
+                   data["generators"])
 
 
 def dual_classical(code: ClassicalCode, kind: str) -> ClassicalCode:

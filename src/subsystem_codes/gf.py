@@ -260,13 +260,15 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
+        # checked first: p^m for a huge m, or trial division of a huge p,
+        # would not finish
+        if p > _MAX_Q or m >= _MAX_Q.bit_length() or p**m > _MAX_Q:
+            raise ValueError(f"field size {p}^{m} exceeds supported cap {_MAX_Q}")
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         q = p**m
-        if q > _MAX_Q:
-            raise ValueError(f"field size {q} exceeds supported cap {_MAX_Q}")
         self.p = p
         self.m = m
         self.q = q
@@ -310,12 +312,8 @@ class FieldSpec:
         self._pw = p ** np.arange(m)
 
         # log/exp tables when x is primitive (always true for Conway moduli)
-        self._primitive = _x_is_primitive(self.modulus, p) if m > 1 else True
-        if m == 1:
-            # prime field: use a generator for exp/log only if needed
-            self._exp = None
-            self._log = None
-        elif self._primitive:
+        self._exp = self._log = None
+        if m > 1 and _x_is_primitive(self.modulus, p):
             exp = np.zeros(q - 1, dtype=np.int64)
             log = np.full(q, -1, dtype=np.int64)
             cur = [1]
@@ -326,21 +324,27 @@ class FieldSpec:
                 cur = _poly_mulmod(cur, [0, 1], self.modulus, p)
             self._exp = exp
             self._log = log
-        else:
-            self._exp = None
-            self._log = None
 
-        # dense multiplication table for small fields
-        if q <= _MUL_TABLE_CAP:
-            mt = np.zeros((q, q), dtype=np.int64)
-            for a in range(q):
-                for b in range(a, q):
-                    v = self._mul_slow(a, b)
-                    mt[a, b] = v
-                    mt[b, a] = v
-            self._mul_table = mt
-        else:
-            self._mul_table = None
+        # Frobenius x -> x^p (identity on a prime field), and a dense
+        # multiplication table for small extension fields
+        frob = np.arange(q)
+        self._mul_table = None
+        small = q <= _MUL_TABLE_CAP
+        if self._exp is not None:
+            # one lookup in the log tables per entry
+            lg = self._log[1:]
+            frob[1:] = self._exp[lg * p % (q - 1)]
+            if small:
+                self._mul_table = np.zeros((q, q), dtype=np.int64)
+                self._mul_table[1:, 1:] = self._exp[(lg[:, None] + lg)
+                                                    % (q - 1)]
+        elif m > 1:
+            # no log tables (x is not primitive): polynomial products
+            frob = np.array([self._pow_int(a, p) for a in range(q)])
+            if small:
+                self._mul_table = np.array(
+                    [[self._mul_slow(a, b) for b in range(q)]
+                     for a in range(q)], dtype=np.int64)
 
         # inverses
         self._inv_table = np.zeros(q, dtype=np.int64)
@@ -350,14 +354,11 @@ class FieldSpec:
             for a in range(1, q):
                 self._inv_table[a] = self._pow_int(a, q - 2)
 
-        # trace to F_p
-        tr = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            acc, x = 0, a
-            for _ in range(m):
-                acc = self.add(acc, x)
-                x = self._pow_int(x, p)
-            tr[a] = acc  # element of the prime subfield, encoded as itself
+        # trace to F_p: the sum of x^(p^i) for i < m, an element of the
+        # prime subfield encoded as itself
+        tr, x = np.zeros(q, dtype=np.int64), np.arange(q)
+        for _ in range(m):
+            tr, x = self.add_arr(tr, x), frob[x]
         if np.any(tr >= p):
             raise AssertionError("trace left the prime subfield")
         self._trace_table = tr

@@ -6,8 +6,9 @@ together with how far each claim could actually be checked:
 
 * ``verified_exhaustive`` -- the claim was confirmed by exact computation
   (integer dimension arithmetic or exhaustive weight enumeration);
-* ``witness_consistent`` -- only randomized/witness bounds were available
-  and they do not contradict the claim;
+* ``witness_consistent`` -- only an upper bound was available (a witness
+  search, or the Singleton bound for F_q-linear MDS constructions) and it
+  does not contradict the claim;
 * ``asserted`` -- the claim rests on the general argument alone (all
   parameter-level rules).
 
@@ -33,11 +34,13 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from . import rs
+from .bounds import singleton_check
 from .codes import (AdditiveCode, ClassicalCode, EnumerationLimitError,
                     _pairings, dual_symp)
 from .gf import FieldSpec, TowerSpec, prime_power
 from .subsystem import (DEFAULT_POLICY, ParamRecord, Policy, PurityError,
-                        SubsystemCode, derive, is_exact, measure_distance)
+                        SubsystemCode, bracket_params, derive, is_exact,
+                        measure_distance)
 from .symplectic import fresh_pair, hyperbolic_decompose
 
 __all__ = [
@@ -52,8 +55,6 @@ __all__ = [
 VERIFIED = "verified_exhaustive"
 WITNESS = "witness_consistent"
 ASSERTED = "asserted"
-# the claim tag of a value measured with each method
-_TAG = {"exhaustive": VERIFIED, "witness": WITNESS, "asserted": ASSERTED}
 
 
 @dataclass
@@ -335,7 +336,6 @@ def extend_length(code: SubsystemCode,
 def _as_params(code: Union[SubsystemCode, ParamRecord]) -> ParamRecord:
     if isinstance(code, ParamRecord):
         return code
-    from .subsystem import bracket_params
     return bracket_params(code)
 
 
@@ -569,18 +569,16 @@ def _tower_for_q(q: int) -> TowerSpec:
     return TowerSpec(_field_for_q(q))
 
 
-def certify_mds(C: AdditiveCode, radical: Optional[ClassicalCode],
-                d: int, policy: Policy = DEFAULT_POLICY
+def certify_mds(C: AdditiveCode, d: int, policy: Policy = DEFAULT_POLICY
                 ) -> Tuple[SubsystemCode, str, str]:
     """Derive the gauge code C of an MDS construction once and certify it.
 
-    The Hermitian dual of ``radical`` (over F_{q^2}) is MDS of minimum
-    weight d and expands to D^perp_s with weights kept.  Within the
-    threshold, d and purity are enumerated and checked.  Beyond it, d is
-    the design value: ``witness`` if a minimum-weight codeword of that
-    dual expands outside C (not searched when ``radical`` is None), else
-    ``asserted``, and swt(C) stays unset; "exact" mode raises instead.
-    Returns the code and the tags of its distance and purity claims.
+    Within the threshold, d and purity are enumerated and checked.  Beyond
+    it, d is the design value with method ``witness``: C must be F_q-linear
+    with zero slack at d, so the Singleton bound k + r <= n - 2d + 2 of
+    such codes bounds d by it.  swt(C) stays unset and purity asserted;
+    "exact" mode raises instead.  Returns the code and the tags of its
+    distance and purity claims.
     """
     code = derive(C, replace(policy, distance_mode="skip"))
     try:
@@ -588,18 +586,10 @@ def certify_mds(C: AdditiveCode, radical: Optional[ClassicalCode],
     except EnumerationLimitError:
         if policy.distance_mode == "exact":
             raise
-        code.d, code.d_method = d, "asserted"
-        if radical is not None:
-            tower = _tower_for(radical.field)
-            try:
-                rs.mds_min_weight_codeword(
-                    radical.dual("hermitian"),
-                    accept=lambda cw: not C.contains_vector(
-                        _expand_vector(tower, cw)))
-                code.d_method = "witness"
-            except RuntimeError:
-                pass
-        return code, _TAG[code.d_method], ASSERTED
+        code.d, code.d_method = d, "witness"
+        if not (code.is_linear and singleton_check(code).attained):
+            raise AssertionError(f"the Singleton bound does not give d <= {d}")
+        return code, WITNESS, ASSERTED
     if code.d != d:
         raise AssertionError(f"distance {code.d} != design value {d}")
     if not code.is_pure:
@@ -629,10 +619,7 @@ def mds_family(spec: MdsFamilySpec,
         return res
 
     X = rs.hermitian_self_orthogonal_rs(_tower_for_q(spec.q), n, spec.delta)
-    if X.rank == 0:
-        C = AdditiveCode.zero(n, base, base.m)
-    else:
-        C = hermitian_to_symplectic(X)
+    C = hermitian_to_symplectic(X)
     for _ in range(r):
         C = _adjoin_fresh_pair(C)
 
@@ -645,8 +632,7 @@ def mds_family(spec: MdsFamilySpec,
         res.add(f"[[{n},{n},0,1]]_{spec.q} (trivial code)", VERIFIED)
         return res
 
-    out, d_tag, pure_tag = certify_mds(C, X if spec.delta > 0 else None, d,
-                                       policy)
+    out, d_tag, pure_tag = certify_mds(C, d, policy)
     res = RuleResult("mds_family", out)
     m = base.m
     if (out.k_exp, out.r_exp) != (k * m, r * m):

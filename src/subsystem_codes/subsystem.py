@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .codes import (DEFAULT_THRESHOLD, AdditiveCode, EnumerationLimitError,
-                    dual_symp, intersect, min_swt, min_swt_coset)
+                    _check_span, dual_symp, intersect, min_swt,
+                    min_swt_coset)
 from .gf import prime_power
 
 __all__ = ["PurityError", "Policy", "DEFAULT_POLICY", "SubsystemCode",
@@ -207,19 +208,17 @@ def measure_distance(code: SubsystemCode, policy: Policy) -> None:
     the threshold and is otherwise a witness bound in every mode.
     """
     C, mode = code.C, policy.distance_mode
-    Dperp = dual_symp(code.D)
+    # |D^perp_s| = p^(2nm) / |D| picks the method before D^perp_s is built
+    k = 2 * code.n * C.field.m - code.D.rank_p
+    if mode == "exact":
+        _check_span(code.p, k, policy.threshold)
+    elif mode == "auto":
+        mode = "exact" if code.p**k <= policy.threshold else "witness"
     # case (b): D^perp_s = C, and d is the minimum over all of it
     sub = AdditiveCode.zero(code.n, C.field, C.t) if code.case == "b" else C
     opts = dict(threshold=policy.threshold, seed=policy.seed)
-    try:
-        code.d, code.d_method = min_swt_coset(
-            Dperp, sub, mode="witness" if mode == "witness" else "exact",
-            workers=policy.workers, **opts)
-    except EnumerationLimitError:
-        if mode == "exact":
-            raise
-        code.d, code.d_method = min_swt_coset(Dperp, sub, mode="witness",
-                                              **opts)
+    code.d, code.d_method = min_swt_coset(dual_symp(code.D), sub, mode=mode,
+                                          workers=policy.workers, **opts)
 
     try:
         code.swt_c = min_swt(C, threshold=policy.threshold,

@@ -74,6 +74,48 @@ def test_analyze_rejects_bad_entries(runner, tmp_path, fields):
     assert isinstance(res.exception, SystemExit)
 
 
+_DATA = Path(__file__).parents[1] / "data"
+_FIVE = json.loads((_DATA / "five_qubit.json").read_text())
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n", 5.7), ("p", 2.9), ("m", 1.5), ("coeff_degree", True), ("n", "5"),
+    ("m", 1.0), ("p", None), ("modulus", [1, 1.0]), ("modulus", [1, True]),
+])
+def test_analyze_rejects_non_integer_fields(runner, tmp_path, key, value):
+    # int() read each of these edits as the five-qubit code
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**_FIVE, key: value}))
+    res = runner.invoke(main, ["analyze", str(bad)])
+    assert res.exit_code == 1
+    assert f"cannot load code file {bad}: field {key!r}" in res.output
+
+
+_NOT_AN_INTEGER = st.one_of(
+    st.floats(), st.booleans(), st.none(), st.text(max_size=4),
+    st.integers(-2, 20).map(str), st.lists(st.integers(0, 5), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 5), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(["n", "p", "m", "coeff_degree", "modulus"]),
+       value=_NOT_AN_INTEGER)
+def test_malformed_code_files_fail_cleanly(tmp_path_factory, key, value):
+    data = dict(_FIVE)
+    if key == "modulus":
+        data[key] = [value, 1]
+    else:
+        data[key] = value
+    path = tmp_path_factory.mktemp("code") / "bad.json"
+    path.write_text(json.dumps(data))
+    res = CliRunner().invoke(main, ["analyze", str(path)])
+    assert res.exit_code == 1
+    assert "cannot load code file" in res.output
+    # an uncaught exception would have been a traceback
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
 def test_transform_shrink_emits_code(runner, five_path, tmp_path):
     out_path = tmp_path / "shrunk.json"
     res = runner.invoke(main, ["--emit", str(out_path), "transform",
@@ -186,6 +228,16 @@ def test_family_command(runner):
     assert payload["output"]["bracket"] == "[[9,1,4,3]]_3"
 
 
+def test_family_delta0_member_has_singleton_witness(runner):
+    # d = 1 is an upper bound from the Singleton bound, as for delta > 0
+    res = runner.invoke(main, ["family", "--family", "v", "--q", "4",
+                               "--delta", "0", "-r", "1"])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.stdout)
+    assert payload["output"]["distance"]["method"] == "witness"
+    assert payload["verification"]["d = 1"] == "witness_consistent"
+
+
 def test_family_parameter_level(runner):
     res = runner.invoke(main, ["family", "--family", "i", "--q", "7",
                                "--n", "6", "--d", "3", "-r", "1"])
@@ -220,7 +272,6 @@ def test_parse_params():
 
 
 _GOLDEN = Path(__file__).parent / "golden"
-_DATA = Path(__file__).parents[1] / "data"
 
 
 @pytest.mark.parametrize("args,name", [

@@ -248,6 +248,11 @@ def test_classical_json_roundtrip():
     again = ClassicalCode.from_json(code.to_json())
     assert again == code
     assert code.to_json()["length"] == 4
+    # int() would read each of these as the same code
+    for key, value in [("length", 4.5), ("length", "4"), ("p", 5.0),
+                       ("m", True), ("modulus", [3, 1.5])]:
+        with pytest.raises(ValueError, match=f"field '{key}'"):
+            ClassicalCode.from_json({**code.to_json(), key: value})
 
 
 def test_split_matches_row_by_row():

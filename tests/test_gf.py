@@ -133,8 +133,38 @@ def test_vectorized_ops_match_scalar():
                 assert mul[i, j] == f.mul(int(col[i, 0]), int(row[j]))
 
 
+@pytest.mark.parametrize("p,m,modulus", [
+    (2, 2, None), (3, 2, None), (5, 2, None), (7, 2, None),
+    (3, 2, (1, 0, 1)),        # x^2 + 1: x is not primitive, no log tables
+    (2, 9, None),
+])
+def test_tables_match_polynomial_products(p, m, modulus):
+    f = FieldSpec(p, m, modulus)
+    assert (f._log is None) == (modulus is not None)
+    if f.q <= 49:
+        pairs = [(a, b) for a in range(f.q) for b in range(f.q)]
+        elems = range(f.q)
+    else:
+        rng = np.random.default_rng(3)
+        pairs = rng.integers(0, f.q, size=(400, 2)).tolist()
+        elems = rng.integers(0, f.q, size=100).tolist()
+    for a, b in pairs:
+        assert f._mul_table[a, b] == f._mul_slow(a, b)
+    for a in elems:
+        # tr(a) = a + a^p + ... + a^(p^(m-1)) by polynomial products
+        acc, x = 0, a
+        for _ in range(m):
+            acc = f.add(acc, x)
+            x = f._pow_int(x, p)
+        assert f.trace(a) == acc
+
+
 def test_invalid_field_parameters():
     with pytest.raises(ValueError):
         FieldSpec(4)          # not prime
     with pytest.raises(ValueError):
         FieldSpec(2, 0)
+    # the cap is checked first, so a large p is never trial-divided (for
+    # the prime 2^61 - 1 that takes minutes) and a large m never gives p^m
+    with pytest.raises(ValueError, match="exceeds supported cap"):
+        FieldSpec(2**64)

@@ -7,7 +7,9 @@ from subsystem_codes.codes import (AdditiveCode, ClassicalCode, dual_symp,
                                    min_swt, swt_distribution)
 from subsystem_codes.gf import FieldSpec, TowerSpec
 from subsystem_codes.known import bacon_shor_code, five_qubit_code
-from subsystem_codes.rules import (MdsFamilySpec, _extend_code, combine_disjoint,
+from subsystem_codes.codes import EnumerationLimitError
+from subsystem_codes.rules import (MdsFamilySpec, _extend_code, _tower_for_q,
+                                   certify_mds, combine_disjoint,
                                    combine_nested, classical_modify,
                                    extend_length, grow_k,
                                    hermitian_to_symplectic, mds_family,
@@ -248,6 +250,24 @@ def test_family_out_of_range():
         MdsFamilySpec(q=3, family="bogus", delta=1)
     with pytest.raises(ValueError):
         MdsFamilySpec(q=7, family="i", n=8, d=3)         # n > q
+
+
+def test_certify_mds_needs_the_singleton_bound():
+    # [[3,1,0,2]]_4 of family iii; threshold 1 takes every code beyond it
+    X = hermitian_self_orthogonal_rs(_tower_for_q(4), 3, 1)
+    C = hermitian_to_symplectic(X)
+    beyond = Policy(threshold=1)
+    code, d_tag, pure_tag = certify_mds(C, 2, beyond)
+    assert (code.d, code.d_method) == (2, "witness")
+    assert (d_tag, pure_tag) == ("witness_consistent", "asserted")
+    with pytest.raises(AssertionError):
+        certify_mds(C, 3, beyond)                  # a planted design d + 1
+    with pytest.raises(AssertionError):
+        certify_mds(C.as_additive(), 2, beyond)    # t = 1: not F_q-linear
+    with pytest.raises(EnumerationLimitError):
+        certify_mds(C, 2, Policy("exact", threshold=1))
+    assert certify_mds(C, 2)[1:] == ("verified_exhaustive",
+                                     "verified_exhaustive")
 
 
 def test_family_k0_boundary():

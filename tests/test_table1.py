@@ -10,10 +10,14 @@ from click.testing import CliRunner
 
 from subsystem_codes import rules, subsystem
 from subsystem_codes.cli import main
-from subsystem_codes.rules import MdsFamilySpec, grow_k, mds_family
+from subsystem_codes.rs import (hermitian_self_orthogonal_rs,
+                                mds_min_weight_codeword)
+from subsystem_codes.rules import (MdsFamilySpec, _expand_vector,
+                                   _tower_for_q, grow_k, mds_family)
 from subsystem_codes.subsystem import PurityError, analysis_report
-from subsystem_codes.table1 import (Table1Row, _ROWS, generate_table,
-                                    rows_to_csv, rows_to_json)
+from subsystem_codes.table1 import (Table1Row, _ROWS, _find_offset,
+                                    generate_table, rows_to_csv,
+                                    rows_to_json)
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +105,8 @@ def test_report_matches_golden(q):
 
 
 def test_rows_and_members_derived_once(monkeypatch):
-    # derive computes C^perp_s and D^perp_s; certification beyond the
-    # threshold must not redo that linear algebra
+    # derive computes C^perp_s; beyond the threshold D^perp_s is never
+    # scanned, so certification must not build it
     calls = []
     real = subsystem.dual_symp
 
@@ -113,11 +117,11 @@ def test_rows_and_members_derived_once(monkeypatch):
     monkeypatch.setattr(subsystem, "dual_symp", counted)
     monkeypatch.setattr(rules, "dual_symp", counted)
     rows = generate_table(4)
-    assert len(calls) == 2 * len(rows)
+    assert len(calls) == len(rows)
     calls.clear()
     res = mds_family(MdsFamilySpec(q=4, family="v", delta=2, r=1))
     assert res.output.d_method == "witness"
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_asserted_purity_is_not_certified():
@@ -129,3 +133,38 @@ def test_asserted_purity_is_not_certified():
     assert analysis_report(code)["purity"]["kind"] != "pure"
     with pytest.raises(PurityError):
         grow_k(code)
+
+
+def _coset_witness(tower, radical, C):
+    """A minimum-weight word of radical^perp_h whose expansion is not in C.
+
+    The expansion keeps weights and spans D^perp_s, so its weight is an
+    upper bound on d found by search, independent of the Singleton bound.
+    """
+    cw = mds_min_weight_codeword(
+        radical.dual("hermitian"),
+        accept=lambda cw: not C.contains_vector(_expand_vector(tower, cw)))
+    return int((cw != 0).sum())
+
+
+@pytest.mark.parametrize("q,member", [
+    (4, ("v", 2, 1)), (5, ("vi", 3, 4)), (7, ("iii", 1, 2)),
+])
+def test_singleton_bound_agrees_with_witness_search(q, member):
+    # beyond the threshold the certified d and parent distance come from
+    # the Singleton bounds; a search must find codewords of those weights
+    tower = _tower_for_q(q)
+    for row in generate_table(q):
+        assert row.verification["distance"] == "witness_consistent"
+        n, kappa, dist = row.parent
+        iota = kappa - row.subsystem[2]
+        _, Y, Ys = _find_offset(tower, row.parent, row.mark, iota)
+        assert int((mds_min_weight_codeword(Y) != 0).sum()) == dist
+        assert _coset_witness(tower, Ys, row.code.C) == row.subsystem[3]
+    family, delta, r = member
+    spec = MdsFamilySpec(q=q, family=family, delta=delta, r=r)
+    res = mds_family(spec)
+    d = spec.target_params()[3]
+    assert res.verification[f"d = {d}"] == "witness_consistent"
+    X = hermitian_self_orthogonal_rs(tower, res.output.n, delta)
+    assert _coset_witness(tower, X, res.output.C) == d
