@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from subsystem_codes.codes import (AdditiveCode, ClassicalCode, dual_symp,
+from subsystem_codes.codes import (AdditiveCode, ClassicalCode,
+                                   EnumerationLimitError, dual_symp,
                                    min_swt, swt_distribution)
 from subsystem_codes.gf import FieldSpec, TowerSpec
 from subsystem_codes.known import bacon_shor_code, five_qubit_code
-from subsystem_codes.codes import EnumerationLimitError
 from subsystem_codes.rules import (MdsFamilySpec, _extend_code, _tower_for_q,
                                    certify_mds, combine_disjoint,
                                    combine_nested, classical_modify,

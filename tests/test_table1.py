@@ -136,10 +136,10 @@ def test_asserted_purity_is_not_certified():
 
 
 def _coset_witness(tower, radical, C):
-    """A minimum-weight word of radical^perp_h whose expansion is not in C.
+    """Weight of a minimum-weight word of radical^perp_h outside C.
 
-    The expansion keeps weights and spans D^perp_s, so its weight is an
-    upper bound on d found by search, independent of the Singleton bound.
+    The expansion keeps weights and spans D^perp_s, so this is an upper
+    bound on d found by search, independent of the Singleton bound.
     """
     cw = mds_min_weight_codeword(
         radical.dual("hermitian"),
