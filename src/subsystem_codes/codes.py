@@ -136,22 +136,27 @@ def _coeff_field(field: FieldSpec, t: int) -> FieldSpec:
 
 def _field_row(row, field: FieldSpec, size: int) -> np.ndarray:
     """``row`` as ``size`` integer-encoded elements of GF(q), or ValueError."""
-    arr = np.asarray(row)
+    # numpy reads an entry True as 1 and fails on a nested entry with a
+    # message about array shapes, so a list is checked entry by entry first
+    if isinstance(row, np.ndarray):
+        bad = (row.dtype.kind not in "iu"
+               or (row.size and (row.min() < 0 or row.max() >= field.q)))
+        entries = row.tolist() if bad else []
+    elif isinstance(row, (list, tuple)):
+        entries = row
+    else:
+        raise ValueError(f"generator {row!r} is not a list of {size} entries")
+    for x in entries:
+        if (isinstance(x, (bool, np.bool_))
+                or not isinstance(x, (int, np.integer))
+                or not 0 <= x < field.q):
+            raise ValueError(
+                f"generator entry {x!r} is not an element of "
+                f"GF({field.q}) (an integer 0..{field.q - 1})")
+    arr = np.asarray(row, dtype=np.int64)
     if arr.shape != (size,):
-        raise ValueError(f"generator must have {size} entries")
-    # numpy reads a list entry True as the integer 1, so lists are checked
-    # entry by entry
-    listed = not isinstance(row, np.ndarray)
-    if (listed or arr.dtype.kind not in "iu"
-            or (size and (arr.min() < 0 or arr.max() >= field.q))):
-        for x in (row if listed else arr.tolist()):
-            if (isinstance(x, (bool, np.bool_))
-                    or not isinstance(x, (int, np.integer))
-                    or not 0 <= x < field.q):
-                raise ValueError(
-                    f"generator entry {x!r} is not an element of "
-                    f"GF({field.q}) (an integer 0..{field.q - 1})")
-    return arr.astype(np.int64, copy=False)
+        raise ValueError(f"generator must have {size} entries, got {arr.size}")
+    return arr
 
 
 def _plain_int(value, name: str) -> int:
@@ -160,6 +165,16 @@ def _plain_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"field {name!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def _json_rows(data: dict, key: str) -> Tuple[int, list]:
+    """The length (field ``key``) and the generator list of a code file."""
+    n, gens = _plain_int(data[key], key), data["generators"]
+    if n < 1:
+        raise ValueError(f"field {key!r} must be at least 1, got {n}")
+    if not isinstance(gens, list):
+        raise ValueError(f"field 'generators' must be a list, got {gens!r}")
+    return n, gens
 
 
 def _json_field(data: dict) -> FieldSpec:
@@ -242,16 +257,8 @@ class AdditiveCode:
         """The same set of vectors as a t=1 (prime-field) code."""
         if self.t == 1:
             return self
-        # an F_q-basis row expands into m prime-field generators
-        gens = []
-        for row in self.mat:
-            for j in range(self.field.m):
-                scale = self.field.p**j  # encoded basis element alpha^j
-                gens.append(self.field.mul_arr(row, scale))
-        out = AdditiveCode(self.n, self.field, [], 1)
-        rows = (np.stack([self.field._dig[g].reshape(-1) for g in gens])
-                if gens else np.zeros((0, out.ncols), dtype=np.int64))
-        return AdditiveCode._from_coeff_matrix(self.n, self.field, 1, rows)
+        return AdditiveCode._from_coeff_matrix(
+            self.n, self.field, 1, _digit_rows(self.mat, self.field))
 
     # -- membership, comparison --------------------------------------------
 
@@ -306,8 +313,8 @@ class AdditiveCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "AdditiveCode":
-        return cls(_plain_int(data["n"], "n"), _json_field(data),
-                   data["generators"],
+        n, gens = _json_rows(data, "n")
+        return cls(n, _json_field(data), gens,
                    _plain_int(data.get("coeff_degree", 1), "coeff_degree"))
 
     def save(self, path):
@@ -371,12 +378,8 @@ def dual_symp(code: AdditiveCode) -> AdditiveCode:
 def intersect(c1: AdditiveCode, c2: AdditiveCode) -> AdditiveCode:
     """Intersection of two codes over the same space, in canonical form."""
     c1._check_compatible(c2)
-    if c1.rank == 0 or c2.rank == 0:
-        return AdditiveCode.zero(c1.n, c1.field, c1.t)
     stacked = np.concatenate([c1.mat, c2.mat], axis=0)
     ker = linalg.nullspace(stacked.T, c1.coeff_field)
-    if ker.shape[0] == 0:
-        return AdditiveCode.zero(c1.n, c1.field, c1.t)
     vecs = linalg.matmul(ker[:, : c1.rank], c1.mat, c1.coeff_field)
     return AdditiveCode._from_coeff_matrix(c1.n, c1.field, c1.t, vecs)
 
@@ -395,11 +398,14 @@ def _layout(code: Union[AdditiveCode, "ClassicalCode"]) -> np.ndarray:
         m, n = code.field.m, code.n
         perm = np.arange(2 * n * m).reshape(2, n, m).transpose(1, 0, 2)
         return code.as_additive().mat[:, perm.reshape(-1)]
-    f = code.field
-    gens = [f._dig[f.mul_arr(row, f.p**j)].reshape(-1)
-            for row in code.mat for j in range(f.m)]
-    return (np.stack(gens) if gens
-            else np.zeros((0, code.n * f.m), dtype=np.int64))
+    return _digit_rows(code.mat, code.field)
+
+
+def _digit_rows(mat: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Rows alpha^j g (j < m) of each row g over F_q, in F_p digits."""
+    (k, n), m = mat.shape, field.m
+    scaled = field.mul_arr(mat[:, None, :], field._pw[:, None])
+    return field._dig[scaled].reshape(k * m, n * m)
 
 
 def _split(a_rows: np.ndarray, b_rows: np.ndarray, p: int) -> np.ndarray:
@@ -423,8 +429,9 @@ def _check_span(p: int, k: int, threshold: int) -> None:
 
 def _min_scan(a, b, threshold: int, workers: int = 1) -> int:
     """Minimum group weight over span(A) minus span(B); B None is {0}."""
-    a_rows, p = _layout(a), a.field.p
-    _check_span(p, len(a_rows), threshold)
+    p = a.field.p
+    _check_span(p, a.rank_p, threshold)
+    a_rows = _layout(a)
     b_rows = a_rows[:0] if b is None else _layout(b)
     return _class_min(_split(a_rows, b_rows, p), p, a.n, len(b_rows),
                       workers)
@@ -455,9 +462,9 @@ def _class_min(gens: np.ndarray, p: int, n: int, kb: int,
 
 def _distribution_scan(code, threshold: int) -> np.ndarray:
     """Histogram of group weights over the whole code (index = weight)."""
-    gens = _layout(code)
-    p, k = code.field.p, len(gens)
+    p, k = code.field.p, code.rank_p
     _check_span(p, k, threshold)
+    gens = _layout(code)
     return _enum.weight_distribution(gens, p, code.n, gens.shape[1] // code.n,
                                      0, p**k)
 
@@ -585,9 +592,13 @@ class ClassicalCode:
             return np.zeros((0, self.n), dtype=np.int64)
         return np.stack(rows)
 
+    @property
+    def rank_p(self) -> int:
+        """log_p of the code cardinality."""
+        return self.rank * self.field.m
+
     def contains_vector(self, v) -> bool:
-        row = np.asarray(v, dtype=np.int64)
-        return linalg.row_space_contains(self.mat, self.pivots, row,
+        return linalg.row_space_contains(self.mat, self.pivots, v,
                                          self.field) is not None
 
     def contains_code(self, other: "ClassicalCode") -> bool:
@@ -618,14 +629,16 @@ class ClassicalCode:
         elif kind == "hermitian":
             if self.field.m % 2 != 0:
                 raise ValueError("Hermitian dual requested over a non-square field")
-            conj = np.vectorize(self.conj_entry, otypes=[np.int64])
-            mat = conj(self.mat) if self.mat.size else self.mat
+            mat = self._conj_mat()
         else:
             raise ValueError(f"unknown dual kind {kind!r}")
-        if self.rank == 0:
-            return ClassicalCode(self.n, self.field, np.eye(self.n, dtype=np.int64))
         basis = linalg.nullspace(mat, self.field)
         return ClassicalCode(self.n, self.field, basis)
+
+    def _conj_mat(self) -> np.ndarray:
+        """The generator matrix with conj_entry applied to every entry."""
+        conj = np.vectorize(self.conj_entry, otypes=[np.int64])
+        return conj(self.mat) if self.mat.size else self.mat
 
     def hermitian_product(self, x, y) -> int:
         """<x|y>_h = sum x_i^q y_i."""
@@ -636,18 +649,15 @@ class ClassicalCode:
         return acc
 
     def is_hermitian_self_orthogonal(self) -> bool:
-        return all(self.hermitian_product(gi, gj) == 0
-                   for gi in self.mat for gj in self.mat)
+        """All hermitian_products of generators vanish: conj(G) G^T = 0."""
+        return not linalg.matmul(self._conj_mat(), self.mat.T,
+                                 self.field).any()
 
     def intersect(self, other: "ClassicalCode") -> "ClassicalCode":
         if (self.n, self.field) != (other.n, other.field):
             raise ValueError("codes live in different spaces")
-        if self.rank == 0 or other.rank == 0:
-            return ClassicalCode(self.n, self.field, [])
         stacked = np.concatenate([self.mat, other.mat], axis=0)
         ker = linalg.nullspace(stacked.T, self.field)
-        if ker.shape[0] == 0:
-            return ClassicalCode(self.n, self.field, [])
         vecs = linalg.matmul(ker[:, : self.rank], self.mat, self.field)
         return ClassicalCode(self.n, self.field, vecs)
 
@@ -683,14 +693,9 @@ class ClassicalCode:
 
     def extend_parity(self) -> "ClassicalCode":
         """Append an overall-parity coordinate (negated coordinate sum)."""
-        f = self.field
-        extra = np.zeros((self.mat.shape[0], 1), dtype=np.int64)
-        for i, row in enumerate(self.mat):
-            acc = 0
-            for v in row:
-                acc = f.add(acc, int(v))
-            extra[i, 0] = f.neg(acc)
-        mat = np.concatenate([self.mat, extra], axis=1)
+        sums = linalg.matmul(self.mat, np.ones((self.n, 1), dtype=np.int64),
+                             self.field)
+        mat = np.concatenate([self.mat, self.field.neg_arr(sums)], axis=1)
         return ClassicalCode(self.n + 1, self.field, mat)
 
     # -- serialization -------------------------------------------------------
@@ -706,8 +711,8 @@ class ClassicalCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "ClassicalCode":
-        return cls(_plain_int(data["length"], "length"), _json_field(data),
-                   data["generators"])
+        n, gens = _json_rows(data, "length")
+        return cls(n, _json_field(data), gens)
 
 
 def dual_classical(code: ClassicalCode, kind: str) -> ClassicalCode:

@@ -1,8 +1,9 @@
 """Row reduction, rank, null spaces and linear solves over a FieldSpec.
 
 Matrices are 2-D ``numpy.int64`` arrays of integer-encoded field elements.
-Sizes here are small (at most a few hundred rows/columns), so clarity wins
-over asymptotics; the hot enumeration loops live in ``_enum``.
+Every function works on whole arrays: ``rref`` clears a pivot column in all
+rows with one array step, and ``matmul`` over GF(p^m) is one integer product
+mod p on the F_p digits.  The hot enumeration loops live in ``_enum``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from .gf import FieldSpec
 __all__ = ["rref", "rank", "nullspace", "row_space_contains", "solve", "matmul"]
 
 
-def _as_matrix(mat, ncols: Optional[int] = None) -> np.ndarray:
+def _as_matrix(mat) -> np.ndarray:
     a = np.asarray(mat, dtype=np.int64)
     if a.ndim == 1:
-        a = a.reshape(1, -1) if a.size else a.reshape(0, ncols or 0)
+        a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
     if a.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     return a
@@ -35,25 +36,30 @@ def rref(mat, field: FieldSpec) -> Tuple[np.ndarray, List[int]]:
     pivots: List[int] = []
     r = 0
     for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        if a[r, c] != 1:
-            a[r] = field.mul_arr(a[r], field.inv(int(a[r, c])))
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                factor = field.neg(int(a[i, c]))
-                a[i] = field.add_arr(a[i], field.mul_arr(a[r], factor))
-        pivots.append(c)
-        r += 1
         if r == rows:
             break
+        # entries are >= 0, so the largest is nonzero if any is; the RREF
+        # is unique, so which nonzero row becomes the pivot does not matter
+        piv = r + int(a[r:, c].argmax())
+        if a[piv, c] == 0:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv].copy(), a[r].copy()
+        # row r is zero left of c, so only the columns from c on change
+        tail = a[:, c:]
+        if tail[r, 0] != 1:
+            tail[r] = field.mul_arr(tail[r], field.inv(int(tail[r, 0])))
+        f = tail[:, 0].copy()
+        f[r] = 0
+        if np.count_nonzero(f):
+            if field.m == 1:
+                tail -= f[:, None] * tail[r]
+                tail %= field.p
+            else:
+                tail[:] = field.add_arr(
+                    tail, field.mul_arr(field.neg_arr(f)[:, None], tail[r]))
+        pivots.append(c)
+        r += 1
     return a[:r], pivots
 
 
@@ -64,14 +70,12 @@ def rank(mat, field: FieldSpec) -> int:
 def nullspace(mat, field: FieldSpec) -> np.ndarray:
     """Canonical basis of {v : mat @ v = 0}, one vector per row."""
     a = _as_matrix(mat)
-    rows, cols = a.shape
+    cols = a.shape[1]
     r, pivots = rref(a, field)
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for j, pc in enumerate(pivots):
-            basis[i, pc] = field.neg(int(r[j, fc]))
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = field.neg_arr(r[:, free].T)
     return basis
 
 
@@ -79,16 +83,12 @@ def row_space_contains(rref_mat: np.ndarray, pivots: List[int], v,
                        field: FieldSpec) -> Optional[np.ndarray]:
     """Coefficients x with x @ rref_mat == v, or None if v is outside.
 
-    ``rref_mat``/``pivots`` must come from :func:`rref`.
+    ``rref_mat``/``pivots`` must come from :func:`rref`: the only candidate
+    is x = v[pivots], since the pivot columns hold an identity.
     """
-    v = np.asarray(v, dtype=np.int64).copy()
-    coeffs = np.zeros(rref_mat.shape[0], dtype=np.int64)
-    for j, pc in enumerate(pivots):
-        c = int(v[pc])
-        if c != 0:
-            coeffs[j] = c
-            v = field.add_arr(v, field.mul_arr(rref_mat[j], field.neg(c)))
-    if np.any(v != 0):
+    v = np.asarray(v, dtype=np.int64)
+    coeffs = v[pivots]
+    if not np.array_equal(matmul(coeffs[None, :], rref_mat, field)[0], v):
         return None
     return coeffs
 
@@ -101,24 +101,27 @@ def solve(a, b, field: FieldSpec) -> Optional[np.ndarray]:
         raise ValueError("dimension mismatch")
     aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
     r, pivots = rref(aug, field)
+    if pivots and pivots[-1] == a.shape[1]:
+        return None  # inconsistent system
     x = np.zeros(a.shape[1], dtype=np.int64)
-    for j, pc in enumerate(pivots):
-        if pc == a.shape[1]:
-            return None  # inconsistent system
-        x[pc] = r[j, a.shape[1]]
+    x[pivots] = r[:, -1]
     return x
 
 
 def matmul(a, b, field: FieldSpec) -> np.ndarray:
-    """Matrix product over the field."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if field.m == 1:
-        return (a @ b) % field.p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(a.shape[1]):
-        col = a[:, k]
-        if not col.any():
-            continue
-        out = field.add_arr(out, field.mul_arr(col.reshape(-1, 1), b[k]))
-    return out
+    """Matrix product over the field.
+
+    Over GF(p^m) an entry x of ``a`` acts on the digits of an entry of ``b``
+    as the m x m matrix over F_p whose column l is the digits of x alpha^l,
+    so the product is one integer product mod p on the digits.
+    """
+    a, b = _as_matrix(a), _as_matrix(b)
+    p, m = field.p, field.m
+    if m == 1:
+        return (a @ b) % p
+    (r, k), c = a.shape, b.shape[1]
+    acts = field._dig[field.mul_arr(a[:, :, None], field._pw)]
+    lhs = acts.transpose(0, 3, 1, 2).reshape(r * m, k * m)
+    rhs = field._dig[b].transpose(0, 2, 1).reshape(k * m, c)
+    digits = ((lhs @ rhs) % p).reshape(r, m, c)
+    return digits.transpose(0, 2, 1) @ field._pw

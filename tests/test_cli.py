@@ -1,6 +1,7 @@
 """End-to-end command-line behavior via click's test runner."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,60 @@ def test_malformed_code_files_fail_cleanly(tmp_path_factory, key, value):
     assert res.exit_code == 1
     assert "cannot load code file" in res.output
     # an uncaught exception would have been a traceback
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
+_NOT_A_LIST = st.one_of(
+    st.integers(-3, 3), st.floats(), st.booleans(), st.none(),
+    st.text(max_size=12), st.dictionaries(st.text(max_size=2),
+                                          st.integers(0, 1), max_size=2))
+
+
+@st.composite
+def _generator_edits(draw):
+    """The five-qubit code file with one malformed generator list or n."""
+    data = json.loads(json.dumps(_FIVE))
+    gens = data["generators"]
+    i = draw(st.integers(0, len(gens) - 1))
+    j = draw(st.integers(0, len(gens[i]) - 1))
+    edit = draw(st.sampled_from(
+        ["ragged", "nested", "row", "generators", "huge n", "n <= 0"]))
+    if edit == "ragged":
+        if draw(st.booleans()):
+            del gens[i][j]
+        else:
+            gens[i].insert(j, draw(st.integers(0, 1)))
+    elif edit == "nested":
+        gens[i][j] = draw(st.lists(st.integers(0, 1), max_size=3))
+    elif edit == "row":
+        gens[i] = draw(_NOT_A_LIST)
+    elif edit == "generators":
+        data["generators"] = draw(_NOT_A_LIST)
+    elif edit == "huge n":
+        data["n"] = draw(st.integers(6, 10**40))
+    else:
+        data["n"] = draw(st.integers(-10**40, 0))
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_generator_edits())
+@example(data={**_FIVE, "n": -5})
+@example(data={**_FIVE, "generators": [[[1, 0]] + _FIVE["generators"][0][1:]]
+               + _FIVE["generators"][1:]})
+def test_malformed_generator_lists_fail_cleanly(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("code") / "bad.json"
+    path.write_text(json.dumps(data))
+    res = CliRunner().invoke(main, ["analyze", str(path)])
+    assert res.exit_code == 1
+    assert "cannot load code file" in res.output
+    # the message names the field, the entry or the generator at fault,
+    # not numpy's array shapes or a negative entry count
+    assert re.search(r"field '(n|generators)'|generator (entry|must have)"
+                     r"|is not a list", res.output)
+    assert "inhomogeneous" not in res.output
+    assert "must have -" not in res.output
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
 

@@ -6,13 +6,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from subsystem_codes import linalg
+from subsystem_codes import codes, linalg
 from subsystem_codes.codes import (AdditiveCode, ClassicalCode,
                                    EnumerationLimitError, SympVector,
                                    dual_symp, intersect, min_swt,
                                    min_swt_coset, swt, swt_distribution,
                                    trace_symp, _split)
 from subsystem_codes.gf import FieldSpec
+from subsystem_codes.known import bacon_shor_code
+from subsystem_codes.rs import evaluation_code
 from subsystem_codes.subsystem import Policy, derive
 
 
@@ -187,6 +189,48 @@ def test_threshold_enforced():
     code = AdditiveCode(3, f, np.eye(6, dtype=np.int64))
     with pytest.raises(EnumerationLimitError):
         min_swt(code, threshold=4)
+
+
+def test_refused_scan_builds_no_layout(monkeypatch):
+    # the span size comes from the rank, so a scan beyond the threshold is
+    # refused before any prime-field layout is built
+    laid_out = []
+    real_layout = codes._layout
+    monkeypatch.setattr(codes, "_layout",
+                        lambda code: laid_out.append(code) or real_layout(code))
+    shor = bacon_shor_code()
+    classical = ClassicalCode(4, FieldSpec(2, 2), np.eye(4, dtype=np.int64))
+    for scan in (lambda: min_swt(shor, threshold=8),
+                 lambda: swt_distribution(shor, threshold=8),
+                 lambda: min_swt_coset(shor, AdditiveCode.zero(9, shor.field),
+                                       threshold=8),
+                 lambda: classical.min_wt(threshold=4**3),
+                 lambda: classical.weight_distribution(threshold=4**3)):
+        with pytest.raises(EnumerationLimitError):
+            scan()
+    assert laid_out == []
+    assert min_swt(shor, threshold=2**shor.rank_p) == 2
+    assert classical.min_wt(threshold=4**4) == 1
+    assert len(laid_out) == 2
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 4), (5, 2), (7, 2)])
+def test_hermitian_self_orthogonal_matches_pairwise_products(p, m):
+    f = FieldSpec(p, m)
+    points = [f.pow(f.generator, i) for i in range(f.q - 1)]
+    rng = np.random.default_rng(p * m)
+    candidates = [ClassicalCode(f.q - 1, f, []),
+                  ClassicalCode(4, f, rng.integers(0, f.q, (2, 4)))]
+    candidates += [evaluation_code(f, points, range(1, delta + 1))
+                   for delta in range(1, min(2 * p + 1, f.q - 1) + 1)]
+    seen = set()
+    for code in candidates:
+        pairwise = all(code.hermitian_product(g, h) == 0
+                       for g in code.mat for h in code.mat)
+        assert code.is_hermitian_self_orthogonal() == pairwise, code
+        assert code.dual("hermitian").contains_code(code) == pairwise, code
+        seen.add(pairwise)
+    assert seen == {True, False}
 
 
 def test_swt_distribution_counts():

@@ -73,3 +73,126 @@ def test_matmul_matches_naive():
             for k in range(4):
                 acc = f.add(acc, f.mul(int(a[i, k]), int(b[k, j])))
             assert got[i, j] == acc
+
+
+# -- an independent scalar oracle -------------------------------------------
+#
+# Gauss-Jordan elimination one entry at a time with the scalar field.add,
+# field.mul and field.inv; -x is (-1)*x, and -1 is the element p - 1.
+
+def _naive_rref(mat, f):
+    a = [[int(x) for x in row] for row in mat]
+    minus_one = f.p - 1
+    pivots, r = [], 0
+    for c in range(np.shape(mat)[1]):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        s = f.inv(a[r][c])
+        a[r] = [f.mul(s, x) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                g = f.mul(minus_one, a[i][c])
+                a[i] = [f.add(x, f.mul(g, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def _naive_matmul(a, b, f):
+    rows, inner = np.shape(a)
+    cols = np.shape(b)[1]
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            for k in range(inner):
+                out[i][j] = f.add(out[i][j], f.mul(int(a[i][k]), int(b[k][j])))
+    return out
+
+
+def _naive_nullspace(mat, f):
+    """The basis with one free column set to 1 and the other free ones 0."""
+    cols = np.shape(mat)[1]
+    red, pivots = _naive_rref(mat, f)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[fc] = 1
+        for j, pc in enumerate(pivots):
+            v[pc] = f.mul(f.p - 1, red[j][fc])
+        basis.append(v)
+    return basis
+
+
+# GF(3^6) has 729 elements: no multiplication table, products by log tables
+_ORACLE_FIELDS = [(2, 1), (7, 1), (2, 2), (2, 4), (5, 2), (7, 2), (3, 6)]
+
+
+def _shapes(f, rng):
+    """Matrices of every shape class the oracle test covers."""
+    q = f.q
+    low = _naive_matmul(rng.integers(0, q, (5, 2)), rng.integers(0, q, (2, 6)), f)
+    yield "no rows", np.zeros((0, 5), dtype=np.int64)
+    yield "no columns", np.zeros((4, 0), dtype=np.int64)
+    yield "empty", np.zeros((0, 0), dtype=np.int64)
+    yield "all zeros", np.zeros((3, 5), dtype=np.int64)
+    yield "identity", np.eye(4, dtype=np.int64)
+    yield "rank deficient", np.array(low, dtype=np.int64)
+    yield "repeated row", np.repeat(rng.integers(0, q, (1, 6)), 3, axis=0)
+    yield "tall", rng.integers(0, q, (7, 3))
+    yield "wide", rng.integers(0, q, (3, 8))
+    while True:
+        square = rng.integers(0, q, (4, 4))
+        if len(_naive_rref(square, f)[1]) == 4:
+            yield "full rank", square
+            return
+
+
+@pytest.mark.parametrize("pm", _ORACLE_FIELDS, ids=lambda pm: f"GF({pm[0]}^{pm[1]})")
+def test_linalg_matches_scalar_oracle(pm):
+    f = FieldSpec(*pm)
+    rng = np.random.default_rng(sum(pm))
+    for label, mat in _shapes(f, rng):
+        rows, cols = mat.shape
+        red, piv = linalg.rref(mat, f)
+        want, want_piv = _naive_rref(mat, f)
+        assert red.tolist() == want and piv == want_piv, label
+        assert red.shape == (len(piv), cols), label
+        assert linalg.rank(mat, f) == len(want_piv), label
+        ker = linalg.nullspace(mat, f)
+        assert ker.tolist() == _naive_nullspace(mat, f), label
+        assert ker.shape == (cols - len(piv), cols), label
+
+        # membership: a combination of the rows is inside, and a vector is
+        # inside exactly when appending it keeps the rank
+        for v in (_naive_matmul(rng.integers(0, f.q, (1, rows)), mat, f)[0],
+                  rng.integers(0, f.q, cols).tolist()):
+            coeffs = linalg.row_space_contains(red, piv, v, f)
+            inside = len(_naive_rref(want + [v], f)[1]) == len(want_piv)
+            assert (coeffs is not None) == inside, label
+            if inside:
+                assert _naive_matmul([coeffs], red, f)[0] == list(v), label
+
+        # solve: consistent right-hand sides give a solution, and the
+        # solution with free variables zero is the oracle's
+        for b in (_naive_matmul(mat, rng.integers(0, f.q, (cols, 1)), f),
+                  rng.integers(0, f.q, (rows, 1)).tolist()):
+            b = [row[0] for row in b]
+            aug, aug_piv = _naive_rref(
+                [list(r) + [x] for r, x in zip(mat.tolist(), b)]
+                if rows else np.zeros((0, cols + 1), dtype=np.int64), f)
+            x = linalg.solve(mat, np.array(b, dtype=np.int64), f)
+            if cols in aug_piv:
+                assert x is None, label
+                continue
+            want_x = [0] * cols
+            for j, pc in enumerate(aug_piv):
+                want_x[pc] = aug[j][cols]
+            assert x is not None and x.tolist() == want_x, label
+
+        for inner_cols in (0, 1, 5):
+            other = rng.integers(0, f.q, (cols, inner_cols))
+            got = linalg.matmul(mat, other, f)
+            assert got.shape == (rows, inner_cols), label
+            assert got.tolist() == _naive_matmul(mat, other, f), label
