@@ -186,6 +186,17 @@ def _json_field(data: dict) -> FieldSpec:
                      _plain_int(data.get("m", 1), "m"), modulus)
 
 
+def _spans_rows(mat: np.ndarray, pivots: List[int], rows: np.ndarray,
+                field: FieldSpec) -> bool:
+    """True iff every row of ``rows`` lies in the row space of ``mat``.
+
+    ``mat``/``pivots`` come from ``linalg.rref``: the pivot columns hold an
+    identity, so the only candidate coefficients are the pivot entries and
+    one product answers for all rows at once.
+    """
+    return np.array_equal(linalg.matmul(rows[:, pivots], mat, field), rows)
+
+
 class AdditiveCode:
     """An F_{p^t}-linear subspace of F_q^{2n} in canonical generator form."""
 
@@ -272,9 +283,7 @@ class AdditiveCode:
 
     def contains_code(self, other: "AdditiveCode") -> bool:
         self._check_compatible(other)
-        return all(
-            linalg.row_space_contains(self.mat, self.pivots, r, self.coeff_field)
-            is not None for r in other.mat)
+        return _spans_rows(self.mat, self.pivots, other.mat, self.coeff_field)
 
     def _check_compatible(self, other: "AdditiveCode"):
         if (self.n, self.field, self.t) != (other.n, other.field, other.t):
@@ -314,6 +323,10 @@ class AdditiveCode:
     @classmethod
     def from_json(cls, data: dict) -> "AdditiveCode":
         n, gens = _json_rows(data, "n")
+        # every report derives the code, and the zero code has no derivation
+        if not gens:
+            raise ValueError(
+                "field 'generators' must list at least one generator")
         return cls(n, _json_field(data), gens,
                    _plain_int(data.get("coeff_degree", 1), "coeff_degree"))
 
@@ -602,7 +615,12 @@ class ClassicalCode:
                                          self.field) is not None
 
     def contains_code(self, other: "ClassicalCode") -> bool:
-        return all(self.contains_vector(r) for r in other.mat)
+        self._check_compatible(other)
+        return _spans_rows(self.mat, self.pivots, other.mat, self.field)
+
+    def _check_compatible(self, other: "ClassicalCode"):
+        if (self.n, self.field) != (other.n, other.field):
+            raise ValueError("codes live in different spaces")
 
     def __eq__(self, other):
         return (isinstance(other, ClassicalCode)
@@ -654,8 +672,7 @@ class ClassicalCode:
                                  self.field).any()
 
     def intersect(self, other: "ClassicalCode") -> "ClassicalCode":
-        if (self.n, self.field) != (other.n, other.field):
-            raise ValueError("codes live in different spaces")
+        self._check_compatible(other)
         stacked = np.concatenate([self.mat, other.mat], axis=0)
         ker = linalg.nullspace(stacked.T, self.field)
         vecs = linalg.matmul(ker[:, : self.rank], self.mat, self.field)

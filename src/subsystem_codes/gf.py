@@ -5,6 +5,13 @@ are the coefficients of the polynomial-basis representation (least
 significant digit = constant term).  The default modulus for GF(p^m) is the
 Conway polynomial, computed on first use and cached, so that serialized
 codes are reproducible across implementations.
+
+Every field multiplies, inverts and raises to powers through one pair of
+log/exp tables built from its generator: the first primitive element in
+encoding order (x for a Conway modulus, the smallest primitive root mod p
+for a prime field).  log(0) is a sentinel that lands every sum of logs with
+a zero operand in the zero tail of the exp table, so a product is one
+lookup with no zero test.
 """
 
 from __future__ import annotations
@@ -89,21 +96,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _x_is_primitive(f: Sequence[int], p: int) -> bool:
-    """True iff x generates the multiplicative group of F_p[x]/(f).
+def _is_primitive(g: Sequence[int], f: Sequence[int], p: int) -> bool:
+    """True iff g generates the multiplicative group of F_p[x]/(f).
 
-    Implies irreducibility of f provided f(0) != 0 and deg f >= 1.
+    For g = x this implies irreducibility of f provided f(0) != 0 and
+    deg f >= 1.
     """
-    m = len(f) - 1
-    order = p**m - 1
-    # x^order must be 1 ...
-    if not _is_one(_poly_powmod([0, 1], order, f, p)):
+    order = p**(len(f) - 1) - 1
+    # g^order must be 1 ...
+    if not _is_one(_poly_powmod(g, order, f, p)):
         return False
     # ... and no proper divisor of the order may already give 1.
-    for ell in _prime_factors(order):
-        if _is_one(_poly_powmod([0, 1], order // ell, f, p)):
-            return False
-    return True
+    return not any(_is_one(_poly_powmod(g, order // ell, f, p))
+                   for ell in _prime_factors(order))
 
 
 def _poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list:
@@ -200,26 +205,19 @@ def conway_polynomial(p: int, m: int) -> Tuple[int, ...]:
         if coeffs[0] == 0:
             continue
         f = tuple(coeffs)
-        if not _x_is_primitive(f, p):
+        if not _is_primitive([0, 1], f, p):
             continue
-        ok = True
         for d in divisors:
-            e = order // (p**d - 1)
-            # the image of the degree-d generator must be a root of C(p, d)
-            y = _poly_powmod([0, 1], e, f, p)
+            # the image of the degree-d generator must be a root of C(p, d),
+            # evaluated by Horner's rule
+            y = _poly_powmod([0, 1], order // (p**d - 1), f, p)
             acc = [0]
-            ypow = [1]
-            for c in sub[d]:
-                if c:
-                    term = [v * c % p for v in ypow]
-                    acc = [(u + v) % p for u, v in
-                           zip(acc + [0] * (len(term) - len(acc)),
-                               term + [0] * (len(acc) - len(term)))]
-                ypow = _poly_mulmod(ypow, y, f, p)
+            for c in reversed(sub[d]):
+                acc = _poly_mulmod(acc, y, f, p)
+                acc[0] = (acc[0] + c) % p
             if any(acc):
-                ok = False
                 break
-        if ok:
+        else:
             return f
     raise RuntimeError(f"no Conway polynomial found for p={p}, m={m}")
 
@@ -228,7 +226,6 @@ def conway_polynomial(p: int, m: int) -> Tuple[int, ...]:
 # FieldSpec
 # ---------------------------------------------------------------------------
 
-_MUL_TABLE_CAP = 1 << 9      # build dense q x q multiplication table below this
 _MAX_Q = 1 << 16             # practical cap on field size
 
 
@@ -257,6 +254,9 @@ class FieldSpec:
     modulus : optional monic irreducible polynomial over F_p given as a
         sequence of m+1 coefficients, low degree first.  Defaults to the
         Conway polynomial.
+
+    ``generator`` is the first primitive element in encoding order: x for a
+    Conway modulus, the smallest primitive root for a prime field.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -289,70 +289,49 @@ class FieldSpec:
 
     def digits(self, a: int) -> Tuple[int, ...]:
         """Base-p digit vector (polynomial coefficients) of an element."""
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return tuple(int(d) for d in self._dig[a])
 
     def from_digits(self, ds: Iterable[int]) -> int:
-        v = 0
-        for i, d in enumerate(ds):
-            v += (int(d) % self.p) * self.p**i
-        return v
+        return sum((int(d) % self.p) * self.p**i for i, d in enumerate(ds))
 
     def _build_tables(self):
         p, m, q = self.p, self.m, self.q
         # digit decomposition, used for vectorized addition
-        self._dig = np.zeros((q, m), dtype=np.int64)
-        t = np.arange(q)
-        for i in range(m):
-            self._dig[:, i] = t % p
-            t //= p
         self._pw = p ** np.arange(m)
+        self._dig = np.arange(q)[:, None] // self._pw % p
 
-        # log/exp tables when x is primitive (always true for Conway moduli)
-        self._exp = self._log = None
-        if m > 1 and _x_is_primitive(self.modulus, p):
-            exp = np.zeros(q - 1, dtype=np.int64)
-            log = np.full(q, -1, dtype=np.int64)
-            cur = [1]
-            for i in range(q - 1):
-                v = self.from_digits(cur + [0] * (m - len(cur)))
-                exp[i] = v
-                log[v] = i
-                cur = _poly_mulmod(cur, [0, 1], self.modulus, p)
-            self._exp = exp
-            self._log = log
+        # the first primitive element in encoding order, its digits without
+        # trailing zeros so that the power loop multiplies short polynomials
+        for g in range(1, q):
+            gd = list(self.digits(g))
+            while gd[-1] == 0:
+                gd.pop()
+            if _is_primitive(gd, self.modulus, p):
+                break
+        self.generator = g
 
-        # Frobenius x -> x^p (identity on a prime field), and a dense
-        # multiplication table for small extension fields
-        frob = np.arange(q)
-        self._mul_table = None
-        small = q <= _MUL_TABLE_CAP
-        if self._exp is not None:
-            # one lookup in the log tables per entry
-            lg = self._log[1:]
-            frob[1:] = self._exp[lg * p % (q - 1)]
-            if small:
-                self._mul_table = np.zeros((q, q), dtype=np.int64)
-                self._mul_table[1:, 1:] = self._exp[(lg[:, None] + lg)
-                                                    % (q - 1)]
-        elif m > 1:
-            # no log tables (x is not primitive): polynomial products
-            frob = np.array([self._pow_int(a, p) for a in range(q)])
-            if small:
-                self._mul_table = np.array(
-                    [[self._mul_slow(a, b) for b in range(q)]
-                     for a in range(q)], dtype=np.int64)
+        # exp is cyclic up to index 2(q-1)-2 and 0 from 2(q-1)-1 on, and
+        # log(0) = 2(q-1)-1: a sum of two logs with a zero operand lands in
+        # the zero tail
+        pw = self._pw.tolist()
+        powers, cur = [], [1]
+        for _ in range(q - 1):
+            powers.append(sum(c * w for c, w in zip(cur, pw)))
+            cur = _poly_mulmod(cur, gd, self.modulus, p)
+        exp = np.zeros(4 * (q - 1) - 1, dtype=np.int64)
+        exp[:q - 1] = powers
+        exp[q - 1:2 * (q - 1) - 1] = powers[:-1]
+        log = np.full(q, 2 * (q - 1) - 1, dtype=np.int64)
+        log[exp[:q - 1]] = np.arange(q - 1)
+        self._exp, self._log = exp, log
 
-        # inverses
+        # Frobenius x -> x^p and inverses, from the logs of the nonzero
+        # elements
+        lg = log[1:]
+        frob = np.zeros(q, dtype=np.int64)
+        frob[1:] = exp[lg * p % (q - 1)]
         self._inv_table = np.zeros(q, dtype=np.int64)
-        if self._exp is not None:
-            self._inv_table[1:] = self._exp[(-self._log[1:]) % (q - 1)]
-        else:
-            for a in range(1, q):
-                self._inv_table[a] = self._pow_int(a, q - 2)
+        self._inv_table[1:] = exp[-lg % (q - 1)]
 
         # trace to F_p: the sum of x^(p^i) for i < m, an element of the
         # prime subfield encoded as itself
@@ -382,64 +361,24 @@ class FieldSpec:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def _mul_slow(self, a: int, b: int) -> int:
-        prod = _poly_mulmod(list(self.digits(a)), list(self.digits(b)),
-                            self.modulus, self.p)
-        return self.from_digits(prod + [0] * (self.m - len(prod)))
-
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return int(self._mul_table[a, b])
-        if a == 0 or b == 0:
-            return 0
-        if self._log is not None:
-            return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
-        return self._mul_slow(a, b)
+        return int(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
         return int(self._inv_table[a])
 
-    def _pow_int(self, a: int, e: int) -> int:
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_slow(result, base) if self.m > 1 else (result * base) % self.p
-            base = self._mul_slow(base, base) if self.m > 1 else (base * base) % self.p
-            e >>= 1
-        return result
-
     def pow(self, a: int, e: int) -> int:
-        if e == 0:
-            return 1
         if a == 0:
-            return 0
-        if self._log is not None:
-            return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
-        return self._pow_int(a, e % (self.q - 1))
+            return int(e == 0)
+        return int(self._exp[int(self._log[a]) * e % (self.q - 1)])
 
     def trace(self, a: int) -> int:
         """Trace down to the prime field F_p (returned as an int < p)."""
         return int(self._trace_table[a])
-
-    @property
-    def generator(self) -> int:
-        """The residue class of x (a primitive element for Conway moduli)."""
-        return self.p if self.m > 1 else self._prime_generator()
-
-    def _prime_generator(self) -> int:
-        for g in range(2, self.p):
-            if all(pow(g, (self.p - 1) // ell, self.p) != 1
-                   for ell in _prime_factors(self.p - 1)):
-                return g
-        return 1
 
     # -- vectorized ops on integer-encoded ndarrays -------------------------
 
@@ -460,13 +399,7 @@ class FieldSpec:
     def mul_arr(self, a: np.ndarray, b) -> np.ndarray:
         if self.m == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a, b]
-        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        out[nz] = self._exp[(self._log[a[nz]] + self._log[b[nz]]) % (self.q - 1)]
-        return out
+        return self._exp[self._log[a] + self._log[b]]
 
     # -- misc ---------------------------------------------------------------
 

@@ -57,6 +57,23 @@ def test_analyze_malformed_file(runner, tmp_path):
     assert "cannot load code file" in res.output
 
 
+def test_analyze_non_primitive_modulus(runner, tmp_path):
+    # x^10 + ... + x + 1 is irreducible over F_2, but x has order 11 only:
+    # the field must multiply as it does under the Conway modulus
+    brackets = []
+    for modulus in ([1] * 11, None):
+        data = {"p": 2, "m": 10, "n": 1, "coeff_degree": 10,
+                "generators": [[1, 0]]}
+        if modulus:
+            data["modulus"] = modulus
+        path = tmp_path / f"gf1024_{len(brackets)}.json"
+        path.write_text(json.dumps(data))
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert res.exit_code == 0, res.output
+        brackets.append(json.loads(res.output)["bracket"])
+    assert brackets == ["[[1,0,0,1]]_1024"] * 2
+
+
 @pytest.mark.parametrize("fields", [
     {"coeff_degree": 1, "generators": [[7, 0, 0, 1]]},
     {"coeff_degree": 2, "generators": [[7, 0, 0, 1]]},
@@ -131,7 +148,8 @@ def _generator_edits(draw):
     i = draw(st.integers(0, len(gens) - 1))
     j = draw(st.integers(0, len(gens[i]) - 1))
     edit = draw(st.sampled_from(
-        ["ragged", "nested", "row", "generators", "huge n", "n <= 0"]))
+        ["ragged", "nested", "row", "generators", "empty", "huge n",
+         "n <= 0"]))
     if edit == "ragged":
         if draw(st.booleans()):
             del gens[i][j]
@@ -143,6 +161,8 @@ def _generator_edits(draw):
         gens[i] = draw(_NOT_A_LIST)
     elif edit == "generators":
         data["generators"] = draw(_NOT_A_LIST)
+    elif edit == "empty":
+        data["generators"] = []
     elif edit == "huge n":
         data["n"] = draw(st.integers(6, 10**40))
     else:
@@ -153,6 +173,7 @@ def _generator_edits(draw):
 @settings(max_examples=300, deadline=None)
 @given(data=_generator_edits())
 @example(data={**_FIVE, "n": -5})
+@example(data={**_FIVE, "n": 10**30, "generators": []})
 @example(data={**_FIVE, "generators": [[[1, 0]] + _FIVE["generators"][0][1:]]
                + _FIVE["generators"][1:]})
 def test_malformed_generator_lists_fail_cleanly(tmp_path_factory, data):

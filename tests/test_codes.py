@@ -87,6 +87,44 @@ def test_canonical_equality_and_membership():
     assert a.contains_code(AdditiveCode(2, f, [[1, 1, 1, 1]]))
 
 
+@pytest.mark.parametrize("p,m,t", [(2, 1, 1), (3, 1, 1), (2, 2, 1),
+                                   (2, 2, 2), (3, 2, 2), (2, 3, 1)])
+def test_contains_code_matches_rowwise_membership(p, m, t):
+    f = FieldSpec(p, m)
+    rng = np.random.default_rng(10 * p + m + t)
+    n = 3
+
+    def rows(k, q=f.q, cols=2 * n):
+        return rng.integers(0, q, (k, cols))
+
+    for _ in range(12):
+        big = AdditiveCode(n, f, rows(rng.integers(0, 4)), t)
+        classical = ClassicalCode(2 * n, f, rows(rng.integers(0, 4)))
+        # unrelated codes, then a subcode spanned by the code's rows
+        others = [AdditiveCode(n, f, rows(k), t) for k in (0, 1, 2)]
+        cf = big.coeff_field
+        others.append(AdditiveCode._from_coeff_matrix(n, f, t, linalg.matmul(
+            rows(2, cf.q, big.rank), big.mat, cf)))
+        for other in others:
+            assert big.contains_code(other) == all(
+                big.contains_vector(g) for g in other.generators())
+        assert big.contains_code(others[-1])
+        others = [ClassicalCode(2 * n, f, rows(k)) for k in (0, 1, 2)]
+        others.append(ClassicalCode(2 * n, f, linalg.matmul(
+            rows(2, f.q, classical.rank), classical.mat, f)))
+        for other in others:
+            assert classical.contains_code(other) == all(
+                classical.contains_vector(r) for r in other.mat)
+        assert classical.contains_code(others[-1])
+    # a classical code of another length or field is refused, as an
+    # additive one is
+    code = ClassicalCode(4, f, [[1, 0, 0, 1]])
+    for other in (ClassicalCode(5, f, [[1, 0, 0, 1, 0]]),
+                  ClassicalCode(4, FieldSpec(5), [[1, 0, 0, 1]])):
+        with pytest.raises(ValueError, match="different spaces"):
+            code.contains_code(other)
+
+
 def test_as_additive_preserves_set():
     f = FieldSpec(2, 2)
     code = AdditiveCode(2, f, [[1, 2, 0, 3]], coeff_degree=2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subsystem_codes import gf
 from subsystem_codes.gf import (FieldElement, FieldSpec, TowerSpec,
                                 conway_polynomial)
 
@@ -47,9 +48,19 @@ def test_field_axioms_sampled(p, m):
             assert f.mul(x, f.inv(x)) == 1
 
 
-@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 4)])
-def test_generator_is_primitive(p, m):
-    f = FieldSpec(p, m)
+# ids of the Conway cases are "p-m"; a named modulus adds its name
+_GENERATOR_CASES = {
+    "2-2": (2, 2, None), "3-2": (3, 2, None), "2-4": (2, 4, None),
+    "2-1": (2, 1, None), "7-1": (7, 1, None),
+    "3-2-x2+1": (3, 2, (1, 0, 1)),        # x has order 4 of 8
+    "2-10-all-ones": (2, 10, (1,) * 11),  # x has order 11 of 1023
+}
+
+
+@pytest.mark.parametrize("p,m,modulus", list(_GENERATOR_CASES.values()),
+                         ids=list(_GENERATOR_CASES))
+def test_generator_is_primitive(p, m, modulus):
+    f = FieldSpec(p, m, modulus)
     seen = set()
     cur = 1
     for _ in range(f.q - 1):
@@ -109,7 +120,7 @@ def test_tower_embedding(p, m):
 
 def test_vectorized_ops_match_scalar():
     rng = np.random.default_rng(1)
-    # prime field, multiplication table, and log tables (q > 512)
+    # a prime field and extension fields below and above q = 512
     for f in (FieldSpec(3, 2), FieldSpec(5), FieldSpec(2, 10)):
         a = rng.integers(0, f.q, size=40)
         b = rng.integers(0, f.q, size=40)
@@ -133,30 +144,57 @@ def test_vectorized_ops_match_scalar():
                 assert mul[i, j] == f.mul(int(col[i, 0]), int(row[j]))
 
 
+def _oracle_mul(f, a, b):
+    """Schoolbook product of two elements as polynomials mod the modulus."""
+    prod = gf._poly_mulmod(list(f.digits(a)), list(f.digits(b)),
+                           f.modulus, f.p)
+    return f.from_digits(prod)
+
+
+def _oracle_pow(f, a, e):
+    """a^e by square-and-multiply on schoolbook products."""
+    result = 1
+    while e:
+        if e & 1:
+            result = _oracle_mul(f, result, a)
+        a = _oracle_mul(f, a, a)
+        e >>= 1
+    return result
+
+
 @pytest.mark.parametrize("p,m,modulus", [
     (2, 2, None), (3, 2, None), (5, 2, None), (7, 2, None),
-    (3, 2, (1, 0, 1)),        # x^2 + 1: x is not primitive, no log tables
+    (3, 2, (1, 0, 1)),        # x^2 + 1: x is not primitive
     (2, 9, None),
+    (2, 10, (1,) * 11),       # x is not primitive, q > 512
 ])
 def test_tables_match_polynomial_products(p, m, modulus):
     f = FieldSpec(p, m, modulus)
-    assert (f._log is None) == (modulus is not None)
-    if f.q <= 49:
-        pairs = [(a, b) for a in range(f.q) for b in range(f.q)]
-        elems = range(f.q)
+    q = f.q
+    rng = np.random.default_rng(3)
+    if q <= 49:
+        pairs = np.array([(a, b) for a in range(q) for b in range(q)])
+        elems = range(q)
     else:
-        rng = np.random.default_rng(3)
-        pairs = rng.integers(0, f.q, size=(400, 2)).tolist()
-        elems = rng.integers(0, f.q, size=100).tolist()
-    for a, b in pairs:
-        assert f._mul_table[a, b] == f._mul_slow(a, b)
+        pairs = rng.integers(0, q, size=(400, 2))
+        elems = [0, 1] + rng.integers(2, q, size=100).tolist()
+    want = [_oracle_mul(f, int(a), int(b)) for a, b in pairs]
+    assert [f.mul(int(a), int(b)) for a, b in pairs] == want
+    assert f.mul_arr(pairs[:, 0], pairs[:, 1]).tolist() == want
     for a in elems:
+        for e in (0, 1, 2, p, q - 2, q - 1, q, 2 * q + 3):
+            assert f.pow(a, e) == _oracle_pow(f, a, e)
+        if a:
+            assert _oracle_mul(f, a, f.inv(a)) == 1
+            assert f.pow(a, -1) == f.inv(a)
         # tr(a) = a + a^p + ... + a^(p^(m-1)) by polynomial products
-        acc, x = 0, a
+        tr, x = 0, a
         for _ in range(m):
-            acc = f.add(acc, x)
-            x = f._pow_int(x, p)
-        assert f.trace(a) == acc
+            tr = f.add(tr, x)
+            x = _oracle_pow(f, x, p)
+        assert f.trace(a) == tr
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
 
 
 def test_invalid_field_parameters():

@@ -125,7 +125,7 @@ def _naive_nullspace(mat, f):
     return basis
 
 
-# GF(3^6) has 729 elements: no multiplication table, products by log tables
+# GF(3^6) adds a field of degree 6 with 729 elements
 _ORACLE_FIELDS = [(2, 1), (7, 1), (2, 2), (2, 4), (5, 2), (7, 2), (3, 6)]
 
 
