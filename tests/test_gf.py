@@ -171,11 +171,11 @@ def _oracle_pow(f, a, e):
 def test_tables_match_polynomial_products(p, m, modulus):
     f = FieldSpec(p, m, modulus)
     q = f.q
-    rng = np.random.default_rng(3)
     if q <= 49:
         pairs = np.array([(a, b) for a in range(q) for b in range(q)])
         elems = range(q)
     else:
+        rng = np.random.default_rng(3)
         pairs = rng.integers(0, q, size=(400, 2))
         elems = [0, 1] + rng.integers(2, q, size=100).tolist()
     want = [_oracle_mul(f, int(a), int(b)) for a, b in pairs]
@@ -188,11 +188,11 @@ def test_tables_match_polynomial_products(p, m, modulus):
             assert _oracle_mul(f, a, f.inv(a)) == 1
             assert f.pow(a, -1) == f.inv(a)
         # tr(a) = a + a^p + ... + a^(p^(m-1)) by polynomial products
-        tr, x = 0, a
+        acc, x = 0, a
         for _ in range(m):
-            tr = f.add(tr, x)
+            acc = f.add(acc, x)
             x = _oracle_pow(f, x, p)
-        assert f.trace(a) == tr
+        assert f.trace(a) == acc
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
 
