@@ -8,9 +8,9 @@ the catalog of optimal pure MDS subsystem codes.
 
 from .bounds import BoundReport, hamming_check, singleton_check
 from .codes import (DEFAULT_THRESHOLD, AdditiveCode, ClassicalCode,
-                    EnumerationLimitError, SympVector, dual_classical,
-                    dual_symp, intersect, min_swt, min_swt_coset, swt,
-                    swt_distribution, trace_symp)
+                    EnumerationLimitError, SympVector, dual_symp, intersect,
+                    min_swt, min_swt_coset, swt, swt_distribution,
+                    trace_symp)
 from .gf import FieldElement, FieldSpec, TowerSpec, conway_polynomial
 from .known import bacon_shor_code, five_qubit_code
 from .rs import evaluation_code, hermitian_self_orthogonal_rs
@@ -37,7 +37,7 @@ __all__ = [
     "SymplecticBasis", "Table1Row", "EnumerationLimitError",
     "DEFAULT_THRESHOLD", "Policy", "DEFAULT_POLICY",
     "derive", "bracket_params", "analysis_report", "is_pure_to",
-    "swt", "trace_symp", "dual_symp", "dual_classical", "intersect",
+    "swt", "trace_symp", "dual_symp", "intersect",
     "min_swt", "min_swt_coset", "swt_distribution",
     "hyperbolic_decompose", "extend_to_full_symplectic_basis",
     "shrink_k", "grow_k", "stabilizer_to_subsystem",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional
 
@@ -258,9 +258,10 @@ def transform(cfg: RunConfig, file, rule, params_list, target_r,
     downgraded = _rule_downgrades(res) if rule in _CONSTRUCTIVE_RULES else []
     lines = [f"rule: {res.rule}", f"output: {bracket}"] + claim_lines
     if cfg.emit and isinstance(out, SubsystemCode):
+        # the report goes to stdout only, and first, so a refused format
+        # writes no file
+        _dump(replace(cfg, emit=None), payload, lines)
         out.C.save(cfg.emit)
-        click.echo(json.dumps(payload, indent=2, sort_keys=True)
-                   if cfg.fmt == "json" else "\n".join(lines))
         click.echo(f"wrote {cfg.emit}", err=True)
     else:
         _dump(cfg, payload, lines)

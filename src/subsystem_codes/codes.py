@@ -31,7 +31,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from . import _enum, linalg
-from .gf import FieldElement, FieldSpec
+from .gf import FieldSpec
 
 __all__ = [
     "EnumerationLimitError",
@@ -44,7 +44,6 @@ __all__ = [
     "min_swt",
     "min_swt_coset",
     "ClassicalCode",
-    "dual_classical",
     "DEFAULT_THRESHOLD",
     "WITNESS_RANDOM_SAMPLES",
 ]
@@ -76,14 +75,6 @@ class SympVector:
         self.field = field
         self.n = values.size // 2
         self.values = values
-
-    @property
-    def x_part(self) -> Tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.field, int(v)) for v in self.values[: self.n])
-
-    @property
-    def y_part(self) -> Tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.field, int(v)) for v in self.values[self.n:])
 
     def __eq__(self, other):
         return (isinstance(other, SympVector) and self.field == other.field
@@ -645,8 +636,6 @@ class ClassicalCode:
         if kind == "euclidean":
             mat = self.mat
         elif kind == "hermitian":
-            if self.field.m % 2 != 0:
-                raise ValueError("Hermitian dual requested over a non-square field")
             mat = self._conj_mat()
         else:
             raise ValueError(f"unknown dual kind {kind!r}")
@@ -655,8 +644,9 @@ class ClassicalCode:
 
     def _conj_mat(self) -> np.ndarray:
         """The generator matrix with conj_entry applied to every entry."""
-        conj = np.vectorize(self.conj_entry, otypes=[np.int64])
-        return conj(self.mat) if self.mat.size else self.mat
+        if self.field.m % 2 != 0:
+            raise ValueError("Hermitian operations need a square field")
+        return self.field.pow_arr(self.mat, self.field.p**(self.field.m // 2))
 
     def hermitian_product(self, x, y) -> int:
         """<x|y>_h = sum x_i^q y_i."""
@@ -730,8 +720,3 @@ class ClassicalCode:
     def from_json(cls, data: dict) -> "ClassicalCode":
         n, gens = _json_rows(data, "length")
         return cls(n, _json_field(data), gens)
-
-
-def dual_classical(code: ClassicalCode, kind: str) -> ClassicalCode:
-    """Euclidean or Hermitian dual of a classical linear code."""
-    return code.dual(kind)

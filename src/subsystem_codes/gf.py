@@ -11,7 +11,9 @@ log/exp tables built from its generator: the first primitive element in
 encoding order (x for a Conway modulus, the smallest primitive root mod p
 for a prime field).  log(0) is a sentinel that lands every sum of logs with
 a zero operand in the zero tail of the exp table, so a product is one
-lookup with no zero test.
+lookup with no zero test.  Powers of whole arrays (``pow_arr``), the
+generator-power order of the elements and a tower's subfield embedding
+are slices and lookups of the same tables.
 """
 
 from __future__ import annotations
@@ -274,14 +276,12 @@ class FieldSpec:
         self.q = q
         if modulus is None:
             modulus = conway_polynomial(p, m)
-            self.is_conway = True
         else:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree m")
             if not _poly_is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is not irreducible over F_{p}")
-            self.is_conway = modulus == conway_polynomial(p, m)
         self.modulus = tuple(modulus)
         self._build_tables()
 
@@ -401,10 +401,14 @@ class FieldSpec:
             return (a * b) % self.p
         return self._exp[self._log[a] + self._log[b]]
 
-    # -- misc ---------------------------------------------------------------
+    def pow_arr(self, a, e) -> np.ndarray:
+        """a^e elementwise, a broadcast against e, with 0^0 = 1."""
+        a, e = np.asarray(a), np.asarray(e)
+        # reducing e first keeps the product of log and exponent below q^2
+        powers = self._exp[self._log[a] * (e % (self.q - 1)) % (self.q - 1)]
+        return np.where(a == 0, e == 0, powers)
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
+    # -- misc ---------------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
@@ -486,68 +490,39 @@ class TowerSpec:
 
     beta is the residue class of the Conway generator of GF(p^{2m}); the
     subfield embedding GF(p^m) -> GF(p^{2m}) follows the Conway norm
-    compatibility, so arithmetic is consistent across the tower.
+    compatibility, so arithmetic is consistent across the tower.  The
+    embedding and the {1, beta} expansion are read from the log/exp
+    tables of both fields.
     """
 
     def __init__(self, base: FieldSpec):
-        if not base.is_conway:
+        if base.modulus != conway_polynomial(base.p, base.m):
             raise ValueError("tower construction requires Conway moduli")
         self.base = base
-        self.top = FieldSpec(base.p, 2 * base.m)
-        q, q2 = base.q, self.top.q
-        e = (q2 - 1) // (q - 1)
+        self.top = top = FieldSpec(base.p, 2 * base.m)
+        q, q2 = base.q, top.q
 
-        # subfield embedding via generator powers
+        # the base generator's i-th power maps to g^((q+1) i), g the top
+        # generator: g^(q+1) generates the multiplicative group of F_q
         embed = np.zeros(q, dtype=np.int64)
-        gb = base.generator
-        gt_e = self.top.pow(self.top.generator, e)
-        cur_b, cur_t = 1, 1
-        embed[1] = 1
-        for _ in range(q - 2):
-            cur_b = base.mul(cur_b, gb)
-            cur_t = self.top.mul(cur_t, gt_e)
-            embed[cur_b] = cur_t
-        self._embed = embed
-        self._section = {int(v): i for i, v in enumerate(embed)}
-        if len(self._section) != q:
+        embed[base._exp[:q - 1]] = top._exp[:(q + 1) * (q - 1):q + 1]
+        if np.bincount(embed).max() != 1:
             raise AssertionError("subfield embedding is not injective")
-
-        self.beta = self.top.generator
-        # beta must lie outside F_q so that {1, beta} spans F_{q^2} over F_q
-        if self.beta in self._section:
-            raise AssertionError("beta lies in the base field")
-        bq = self.top.pow(self.beta, q)
-        beta0_top = self.top.add(self.beta, bq)
-        if beta0_top not in self._section:
-            raise AssertionError("tr(beta) is not in the base field")
-        self.beta0 = self._section[beta0_top]
+        self._embed = embed
 
         # basis expansion table: x = u + beta*v  <->  (u, v)
-        ex_u = np.zeros(q2, dtype=np.int64)
-        ex_v = np.zeros(q2, dtype=np.int64)
-        seen = np.zeros(q2, dtype=bool)
-        for u in range(q):
-            eu = int(embed[u])
-            for v in range(q):
-                x = self.top.add(eu, self.top.mul(self.beta, int(embed[v])))
-                if seen[x]:
-                    raise AssertionError("{1, beta} does not span the extension")
-                seen[x] = True
-                ex_u[x] = u
-                ex_v[x] = v
-        self._ex_u = ex_u
-        self._ex_v = ex_v
+        self.beta = top.generator
+        u, v = np.divmod(np.arange(q2), q)
+        x = top.add_arr(embed[u], top.mul_arr(embed[v], self.beta))
+        if np.bincount(x).max() != 1:
+            raise AssertionError("{1, beta} does not span the extension")
+        self._ex_u = np.zeros(q2, dtype=np.int64)
+        self._ex_v = np.zeros(q2, dtype=np.int64)
+        self._ex_u[x], self._ex_v[x] = u, v
 
     def embed(self, a: int) -> int:
         """Embed an element of F_q into F_{q^2}."""
         return int(self._embed[a])
-
-    def section(self, x: int) -> int:
-        """Inverse of embed; raises if x is not in the base field."""
-        try:
-            return self._section[int(x)]
-        except KeyError:
-            raise ValueError(f"element {x} is not in the base field") from None
 
     def expand(self, x: int) -> Tuple[int, int]:
         """Write x in F_{q^2} as u + beta*v with u, v in F_q."""

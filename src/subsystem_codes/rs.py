@@ -7,14 +7,16 @@ with deg g <= kappa-1 has at most kappa-1 zeros among nonzero evaluation
 points.
 
 The Hermitian self-orthogonal members used by the MDS subsystem families
-evaluate x^1..x^delta on the nonzero field elements (lengths q-1, q^2-1)
-or x^0..x^delta on the full field (lengths q, q^2; these are the parity
-extensions of the corresponding punctured codes).
+evaluate x^1..x^delta on the nonzero elements of F_q or F_{q^2} (lengths
+q-1, q^2-1) or x^0..x^delta on the whole field (lengths q, q^2; these are
+the parity extensions of the corresponding punctured codes).  Points are
+taken in generator-power order from the exp table and every row comes
+from one array power (``FieldSpec.pow_arr``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,27 +31,23 @@ __all__ = ["evaluation_code", "hermitian_self_orthogonal_rs",
 def evaluation_code(field: FieldSpec, points: Sequence[int],
                     exponents: Sequence[int]) -> ClassicalCode:
     """Code spanned by the rows (pt^u for pt in points), one per exponent."""
-    points = [int(p) for p in points]
-    if len(set(points)) != len(points):
+    points = np.asarray(points, dtype=np.int64)
+    exponents = np.asarray(exponents, dtype=np.int64)
+    if len(set(points.tolist())) != len(points):
         raise ValueError("evaluation points must be distinct")
-    rows = [[field.pow(pt, u) for pt in points] for u in exponents]
-    code = ClassicalCode(len(points), field, rows)
-    if code.rank != len(list(exponents)):
+    code = ClassicalCode(len(points), field,
+                         field.pow_arr(points, exponents[:, None]))
+    if code.rank != len(exponents):
         raise ValueError("evaluation map is not injective for these exponents")
     return code
 
 
-def _field_points(field: FieldSpec, include_zero: bool) -> List[int]:
-    """All (nonzero) field elements in generator-power order, deterministic."""
-    pts = [1]
-    g = field.generator
-    cur = 1
-    for _ in range(field.q - 2):
-        cur = field.mul(cur, g)
-        pts.append(cur)
-    if include_zero:
-        pts.append(0)
-    return pts
+def _field_points(field: FieldSpec, include_zero: bool,
+                  step: int = 1) -> np.ndarray:
+    """g^0, g^step, g^(2 step), ... below g^(q-1) for the generator g, then
+    0 if asked: a slice of the exp table."""
+    pts = field._exp[:field.q - 1:step]
+    return np.append(pts, 0) if include_zero else pts
 
 
 def hermitian_self_orthogonal_rs(tower: TowerSpec, length: int,
@@ -57,27 +55,18 @@ def hermitian_self_orthogonal_rs(tower: TowerSpec, length: int,
     """The self-orthogonal evaluation code behind a given family length.
 
     length must be one of q-1, q, q^2-1, q^2 for q = tower.base.q.  The
-    result has dimension delta (lengths q-1, q^2-1; exponents 1..delta) or
-    delta+1 (lengths q, q^2; exponents 0..delta, points include zero).
-    For delta = 0 the zero code is returned for the shorter lengths.
+    points are the nonzero elements of F_q (length <= q) or of F_{q^2},
+    with 0 added for lengths q and q^2.  The result has dimension delta
+    (exponents 1..delta) without 0 and delta+1 (exponents 0..delta) with
+    it.  For delta = 0 the zero code is returned for the shorter lengths.
     """
     q = tower.base.q
-    top = tower.top
-    if length == q - 1:
-        pts = [tower.embed(x) for x in _field_points(tower.base, False)]
-        exps = range(1, delta + 1)
-    elif length == q:
-        pts = [tower.embed(x) for x in _field_points(tower.base, True)]
-        exps = range(0, delta + 1)
-    elif length == q * q - 1:
-        pts = _field_points(top, False)
-        exps = range(1, delta + 1)
-    elif length == q * q:
-        pts = _field_points(top, True)
-        exps = range(0, delta + 1)
-    else:
+    if length not in (q - 1, q, q * q - 1, q * q):
         raise ValueError(f"unsupported length {length} for q = {q}")
-    code = evaluation_code(top, pts, exps)
+    with_zero = length in (q, q * q)
+    # F_q* in F_{q^2} is generated by g^(q+1)
+    pts = _field_points(tower.top, with_zero, q + 1 if length <= q else 1)
+    code = evaluation_code(tower.top, pts, range(1 - with_zero, delta + 1))
     if not code.is_hermitian_self_orthogonal():
         raise AssertionError(
             f"constructed code of length {length}, delta {delta} is not "

@@ -447,12 +447,7 @@ def _tower_for(field: FieldSpec) -> TowerSpec:
 
 def _expand_vector(tower: TowerSpec, row: np.ndarray) -> np.ndarray:
     """(u|v) of length 2n with row = u + beta*v entrywise."""
-    n = len(row)
-    out = np.zeros(2 * n, dtype=np.int64)
-    for i, x in enumerate(row):
-        u, v = tower.expand(int(x))
-        out[i], out[n + i] = u, v
-    return out
+    return np.concatenate([tower._ex_u[row], tower._ex_v[row]])
 
 
 def hermitian_to_symplectic(X: ClassicalCode,
@@ -483,7 +478,10 @@ def hermitian_to_symplectic(X: ClassicalCode,
 # MDS families
 # ---------------------------------------------------------------------------
 
-_CONSTRUCTIVE = ("iii", "iv", "v", "vi")
+# the constructive families evaluate on F_q (subfield) or F_{q^2}, without
+# or with 0
+_CONSTRUCTIVE = {"iii": (True, 0), "iv": (True, 1), "v": (False, 0),
+                 "vi": (False, 1)}
 
 
 @dataclass
@@ -494,6 +492,12 @@ class MdsFamilySpec:
     ii are supported at parameter level only.  ``delta`` is the design
     parameter (``nu`` for family ii), ``r`` the co-subsystem log_q
     dimension; family i instead takes explicit ``n`` and ``d``.
+
+    A constructive member evaluates on F_q* (the subfield) or F_{q^2}*:
+    n = q - 1 or q^2 - 1 and d = delta + 1, both one larger with 0 among
+    the points; 0 <= 2 delta < q - 1 on the subfield, 0 <= delta < q - 1
+    otherwise and in family ii.  Every family has k = n - 2d + 2 - r >= 1
+    and r >= 0; family iii also allows k = 0.
     """
 
     q: int
@@ -508,54 +512,34 @@ class MdsFamilySpec:
         return self.family in _CONSTRUCTIVE
 
     def __post_init__(self):
-        if self.family not in ("i", "ii") + _CONSTRUCTIVE:
+        if self.family not in ("i", "ii", *_CONSTRUCTIVE):
             raise ValueError(f"unknown family {self.family!r}")
-        q, r, delta = self.q, self.r, self.delta
-        if q < 2:
+        if self.q < 2:
             raise ValueError("q must be a prime power >= 2")
         if self.family == "i":
-            n, d = self.n, self.d
-            if n is None or d is None:
+            if self.n is None or self.d is None:
                 raise ValueError("family i needs explicit n and d")
-            if not (3 <= n <= q and 1 <= d <= n // 2 + 1
-                    and 0 <= r <= n - 2 * d + 1):
-                raise ValueError("family i parameters out of range")
-            return
-        if delta is None:
+            ok = 3 <= self.n <= self.q and 1 <= self.d <= self.n // 2 + 1
+        elif self.delta is None:
             raise ValueError("delta is required for this family")
-        if self.family == "ii":
-            if not (0 <= delta <= q - 2
-                    and 0 <= r <= (delta + 1) * q - 2 * delta - 3):
-                raise ValueError("family ii parameters out of range")
-        elif self.family == "iii":
-            if not (0 <= delta < (q - 1) / 2 and 0 <= r <= q - 2 * delta - 1):
-                raise ValueError("family iii parameters out of range")
-        elif self.family == "iv":
-            if not (0 <= delta < (q - 1) / 2 and 0 <= r < q - 2 * delta - 2):
-                raise ValueError("family iv parameters out of range")
-        elif self.family == "v":
-            if not (0 <= delta < q - 1 and 0 <= r < q * q - 2 * delta - 1):
-                raise ValueError("family v parameters out of range")
-        elif self.family == "vi":
-            if not (0 <= delta < q - 1 and 0 <= r < q * q - 2 * delta - 2):
-                raise ValueError("family vi parameters out of range")
+        else:
+            subfield = _CONSTRUCTIVE.get(self.family, (False,))[0]
+            ok = 0 <= (1 + subfield) * self.delta < self.q - 1
+        k_min = 0 if self.family == "iii" else 1
+        if not (ok and self.r >= 0 and self.target_params()[1] >= k_min):
+            raise ValueError(f"family {self.family} parameters out of range")
 
     def target_params(self):
         """(n, k, r, d) of the produced code."""
-        q, r = self.q, self.r
         if self.family == "i":
-            return (self.n, self.n - 2 * self.d + 2 - r, r, self.d)
-        delta = self.delta
-        if self.family == "ii":
-            return ((delta + 1) * q, (delta + 1) * q - 2 * delta - 2 - r, r,
-                    delta + 2)
-        if self.family == "iii":
-            return (q - 1, q - 1 - 2 * delta - r, r, delta + 1)
-        if self.family == "iv":
-            return (q, q - 2 * delta - 2 - r, r, delta + 2)
-        if self.family == "v":
-            return (q * q - 1, q * q - 2 * delta - 1 - r, r, delta + 1)
-        return (q * q, q * q - 2 * delta - 2 - r, r, delta + 2)
+            n, d = self.n, self.d
+        elif self.family == "ii":
+            n, d = (self.delta + 1) * self.q, self.delta + 2
+        else:
+            subfield, zero = _CONSTRUCTIVE[self.family]
+            n = (self.q if subfield else self.q * self.q) - 1 + zero
+            d = self.delta + 1 + zero
+        return (n, n - 2 * d + 2 - self.r, self.r, d)
 
 
 @lru_cache(maxsize=None)

@@ -50,6 +50,8 @@ class Policy:
             raise ValueError(f"unknown distance mode {self.distance_mode!r}")
         if self.threshold < 1:
             raise ValueError("threshold must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 DEFAULT_POLICY = Policy()
@@ -150,10 +152,6 @@ class ParamRecord:
             raise ValueError("distance must be >= 1")
         if self.k + self.r > self.n:
             raise ValueError("K*R exceeds q^n")
-
-    @property
-    def is_stabilizer(self) -> bool:
-        return self.r == 0
 
     def bracket(self) -> str:
         def fmt(x: Fraction) -> str:

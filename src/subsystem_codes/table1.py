@@ -36,8 +36,7 @@ from .rules import (VERIFIED, WITNESS, _tower_for_q, certify_mds,
                     hermitian_to_symplectic)
 from .subsystem import DEFAULT_POLICY, Policy, SubsystemCode
 
-__all__ = ["Table1Row", "TABLE_FIELDS", "generate_table", "rows_to_csv",
-           "rows_to_json"]
+__all__ = ["Table1Row", "generate_table", "rows_to_csv", "rows_to_json"]
 
 # (subsystem n,k,r,d), (parent n,kappa,dist), modification mark
 _ROWS: Dict[int, List[Tuple[Tuple[int, int, int, int],
@@ -60,8 +59,6 @@ _ROWS: Dict[int, List[Tuple[Tuple[int, int, int, int],
         ((23, 16, 3, 3), (23, 5, 19), "punctured")],
     7: [((48, 1, 37, 6), (48, 42, 7), "")],
 }
-
-TABLE_FIELDS = list(_ROWS)
 
 
 @dataclass

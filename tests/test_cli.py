@@ -199,6 +199,14 @@ def test_transform_shrink_emits_code(runner, five_path, tmp_path):
     assert res.exit_code == 0, res.output
     emitted = AdditiveCode.load(out_path)
     assert emitted.n == 5 and emitted.rank_p == 6    # ((5,1,2,3)) gauge group
+    # csv is refused with or without --emit, before any file is written
+    csv_path = tmp_path / "csv.json"
+    for emit in ([], ["--emit", str(csv_path)]):
+        res = runner.invoke(main, ["--format", "csv", *emit, "transform",
+                                   five_path, "--rule", "shrink-k"])
+        assert res.exit_code == 2
+        assert "CSV output is only available for table1" in res.output
+    assert not csv_path.exists()
 
 
 def test_transform_grow_on_impure_fails(runner, shor_path):
@@ -291,9 +299,12 @@ def test_threshold_env_and_bad_value(runner, shor_path):
                         env={"SUBSYS_THRESHOLD": "8"})
     assert res.exit_code == 0
     assert json.loads(res.stdout)["distance"]["method"] == "witness"
-    res = runner.invoke(main, ["--threshold", "0", "table1", "--q", "3"])
-    assert res.exit_code == 2
-    assert "Invalid value: threshold must be >= 1" in res.output
+    for option, value in [("--threshold", "0"), ("--workers", "0"),
+                          ("--workers", "-2")]:
+        res = runner.invoke(main, [option, value, "table1", "--q", "3"])
+        assert res.exit_code == 2
+        name = option.lstrip("-")
+        assert f"Invalid value: {name} must be >= 1" in res.output
 
 
 def test_family_command(runner):

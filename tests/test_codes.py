@@ -269,6 +269,11 @@ def test_hermitian_self_orthogonal_matches_pairwise_products(p, m):
         assert code.dual("hermitian").contains_code(code) == pairwise, code
         seen.add(pairwise)
     assert seen == {True, False}
+    # conjugation needs a square field
+    for code in (ClassicalCode(2, FieldSpec(p), [[1, 1]]),
+                 ClassicalCode(2, FieldSpec(2, 3), [[1, 1]])):
+        with pytest.raises(ValueError, match="square field"):
+            code.is_hermitian_self_orthogonal()
 
 
 def test_swt_distribution_counts():

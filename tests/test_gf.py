@@ -97,7 +97,8 @@ def test_field_element_ops(a, b):
     assert (-x).value == f.neg(a)
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (5, 1), (7, 1)])
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (5, 1), (7, 1),
+                                 (2, 3), (3, 2)])
 def test_tower_embedding(p, m):
     base = FieldSpec(p, m)
     tw = TowerSpec(base)
@@ -195,6 +196,25 @@ def test_tables_match_polynomial_products(p, m, modulus):
         assert f.trace(a) == acc
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
+    # pow_arr against scalar pow: 0^0 = 1, negative and int64-sized
+    # exponents, broadcasting
+    a = np.array([0, 1] + list(elems)[2:12])
+    e = np.array([0, 1, 2, -1, -3, p, q - 2, q - 1, q, 2 * q + 3, 2**62 + 1])
+    got = f.pow_arr(a[:, None], e)
+    assert got.shape == (len(a), len(e))
+    assert got.tolist() == [[f.pow(int(x), int(y)) for y in e] for x in a]
+    assert f.pow_arr(a, 0).tolist() == [1] * len(a)
+    assert f.pow_arr(0, e).tolist() == [int(y == 0) for y in e]
+
+
+def test_user_modulus_runs_no_conway_search():
+    conway_polynomial.cache_clear()
+    f = FieldSpec(3, 10, (2, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1))
+    assert conway_polynomial.cache_info().currsize == 0
+    assert f.q == 3**10
+    # a tower needs the Conway modulus of its base field
+    with pytest.raises(ValueError, match="Conway moduli"):
+        TowerSpec(FieldSpec(3, 2, (1, 0, 1)))
 
 
 def test_invalid_field_parameters():

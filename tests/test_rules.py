@@ -252,6 +252,64 @@ def test_family_out_of_range():
         MdsFamilySpec(q=7, family="i", n=8, d=3)         # n > q
 
 
+def _reference_family(q, family, delta=None, r=0, n=None, d=None):
+    """(n, k, r, d) of a family member by its per-family formulas, or the
+    ValueError message that refuses it."""
+    if family not in ("i", "ii", "iii", "iv", "v", "vi"):
+        return f"unknown family {family!r}"
+    if q < 2:
+        return "q must be a prime power >= 2"
+    if family == "i":
+        if n is None or d is None:
+            return "family i needs explicit n and d"
+        if not (3 <= n <= q and 1 <= d <= n // 2 + 1
+                and 0 <= r <= n - 2 * d + 1):
+            return "family i parameters out of range"
+        return (n, n - 2 * d + 2 - r, r, d)
+    if delta is None:
+        return "delta is required for this family"
+    ok, params = {
+        "ii": (0 <= delta <= q - 2
+               and 0 <= r <= (delta + 1) * q - 2 * delta - 3,
+               ((delta + 1) * q, (delta + 1) * q - 2 * delta - 2 - r, r,
+                delta + 2)),
+        "iii": (0 <= delta < (q - 1) / 2 and 0 <= r <= q - 2 * delta - 1,
+                (q - 1, q - 1 - 2 * delta - r, r, delta + 1)),
+        "iv": (0 <= delta < (q - 1) / 2 and 0 <= r < q - 2 * delta - 2,
+               (q, q - 2 * delta - 2 - r, r, delta + 2)),
+        "v": (0 <= delta < q - 1 and 0 <= r < q * q - 2 * delta - 1,
+              (q * q - 1, q * q - 2 * delta - 1 - r, r, delta + 1)),
+        "vi": (0 <= delta < q - 1 and 0 <= r < q * q - 2 * delta - 2,
+               (q * q, q * q - 2 * delta - 2 - r, r, delta + 2)),
+    }[family]
+    return params if ok else f"family {family} parameters out of range"
+
+
+def test_family_spec_matches_per_family_formulas():
+    def spec_outcome(**kw):
+        try:
+            return MdsFamilySpec(**kw).target_params()
+        except ValueError as exc:
+            return str(exc)
+
+    cases = [dict(q=q, family=fam, delta=delta, r=r)
+             for q in (1, 2, 3, 4, 5, 7, 9)
+             for fam in ("ii", "iii", "iv", "v", "vi", "bogus")
+             for delta in [None] + list(range(-1, 10))
+             for r in range(-2, 83)]
+    cases += [dict(q=q, family="i", n=n, d=d, r=r)
+              for q in (2, 3, 4, 5, 7, 9)
+              for n in (None, 2, 3, 4, 5, 7, 8, 9, 10)
+              for d in (None, 0, 1, 2, 3, 4, 5, 6)
+              for r in range(-2, 10)]
+    accepted = 0
+    for kw in cases:
+        want = _reference_family(**kw)
+        assert spec_outcome(**kw) == want, kw
+        accepted += isinstance(want, tuple)
+    assert accepted > 1000
+
+
 def test_certify_mds_needs_the_singleton_bound():
     # [[3,1,0,2]]_4 of family iii; threshold 1 takes every code beyond it
     X = hermitian_self_orthogonal_rs(_tower_for_q(4), 3, 1)

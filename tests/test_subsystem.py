@@ -96,6 +96,9 @@ def test_policy_validation():
         Policy(distance_mode="bogus")
     with pytest.raises(ValueError, match="threshold must be >= 1"):
         Policy(threshold=0)
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            Policy(workers=workers)
 
 
 def test_auto_downgrade(monkeypatch):
