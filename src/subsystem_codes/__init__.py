@@ -11,7 +11,7 @@ from .codes import (DEFAULT_THRESHOLD, AdditiveCode, ClassicalCode,
                     EnumerationLimitError, SympVector, dual_symp, intersect,
                     min_swt, min_swt_coset, swt, swt_distribution,
                     trace_symp)
-from .gf import FieldElement, FieldSpec, TowerSpec, conway_polynomial
+from .gf import FieldSpec, TowerSpec, conway_polynomial
 from .known import bacon_shor_code, five_qubit_code
 from .rs import evaluation_code, hermitian_self_orthogonal_rs
 from .rules import (MdsFamilySpec, RuleResult, classical_modify,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdditiveCode", "ClassicalCode", "SympVector", "FieldSpec",
-    "FieldElement", "TowerSpec", "conway_polynomial",
+    "TowerSpec", "conway_polynomial",
     "SubsystemCode", "ParamRecord", "PurityError", "RuleResult",
     "MdsFamilySpec", "BoundReport", "HyperbolicDecomposition",
     "SymplecticBasis", "Table1Row", "EnumerationLimitError",

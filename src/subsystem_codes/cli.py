@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 import click
+from click.core import ParameterSource
 
 from . import bounds, rules, table1 as table1_mod
 from .codes import DEFAULT_THRESHOLD, AdditiveCode
@@ -92,6 +93,16 @@ def _load_code(path: str) -> AdditiveCode:
         return AdditiveCode.load(path)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise click.ClickException(f"cannot load code file {path}: {exc}")
+
+
+def _refuse_options(reason: str, *names: str) -> None:
+    """Usage error for any of the options ``names`` given on the command
+    line; a value from the environment or the default is left alone."""
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        if (param.name in names and ctx.get_parameter_source(param.name)
+                is ParameterSource.COMMANDLINE):
+            raise click.UsageError(f"{param.opts[-1]} {reason}", ctx)
 
 
 def _check_strict(cfg: RunConfig, downgraded: List[str]) -> None:
@@ -212,13 +223,16 @@ _PARAM_RULES = ("shorten-n", "combine-disjoint", "combine-nested")
               help="Parameter tuple '[[n,k,r,d]]_q pure' for "
                    "parameter-level rules (repeat for combining rules).")
 @click.option("-r", "--target-r", type=int, default=0, show_default=True,
-              help="Target co-subsystem dimension where applicable.")
+              help="Target co-subsystem dimension (to-subsystem, combine-*).")
 @click.option("--subset-assumed", is_flag=True,
               help="Confirm nesting for combine-nested.")
 @pass_config
 def transform(cfg: RunConfig, file, rule, params_list, target_r,
               subset_assumed):
     """Apply a propagation rule to a code file or parameter tuple."""
+    if rule not in ("to-subsystem", "combine-disjoint", "combine-nested"):
+        _refuse_options("applies only to to-subsystem and the combine rules",
+                        "target_r")
     policy = cfg.policy
     try:
         if rule in _CONSTRUCTIVE_RULES:
@@ -302,6 +316,10 @@ def table1_cmd(cfg: RunConfig, q):
 @pass_config
 def family(cfg: RunConfig, family, q, delta, r, n, d):
     """Instantiate a member of the MDS subsystem code families."""
+    if family == "i":
+        _refuse_options("does not apply to family i", "delta")
+    else:
+        _refuse_options("applies only to family i", "n", "d")
     try:
         spec = rules.MdsFamilySpec(q=q, family=family, delta=delta, r=r,
                                    n=n, d=d)

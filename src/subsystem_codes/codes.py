@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import combinations, product
-from typing import List, Sequence, Tuple, Union
+from itertools import combinations, islice, product
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "AdditiveCode",
     "dual_symp",
     "intersect",
+    "radical",
     "min_swt",
     "min_swt_coset",
     "ClassicalCode",
@@ -111,8 +112,9 @@ def trace_symp(u: SympVector, v: SympVector) -> int:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _prime_field(p: int) -> FieldSpec:
-    return FieldSpec(p, 1)
+def _field(p: int, m: int, modulus: Optional[Tuple[int, ...]]) -> FieldSpec:
+    """The one FieldSpec per (p, m, modulus); invalid ones raise each time."""
+    return FieldSpec(p, m, modulus)
 
 
 def _coeff_field(field: FieldSpec, t: int) -> FieldSpec:
@@ -120,7 +122,7 @@ def _coeff_field(field: FieldSpec, t: int) -> FieldSpec:
     if t == field.m:
         return field
     if t == 1:
-        return _prime_field(field.p)
+        return _field(field.p, 1, None)
     raise NotImplementedError(
         f"coefficient degree t={t} unsupported (only t=1 and t=m={field.m})")
 
@@ -172,9 +174,9 @@ def _json_field(data: dict) -> FieldSpec:
     """The field of a code file: integers p and m, optional modulus."""
     modulus = data.get("modulus")
     if modulus is not None:
-        modulus = [_plain_int(c, "modulus") for c in modulus]
-    return FieldSpec(_plain_int(data["p"], "p"),
-                     _plain_int(data.get("m", 1), "m"), modulus)
+        modulus = tuple(_plain_int(c, "modulus") for c in modulus)
+    return _field(_plain_int(data["p"], "p"),
+                  _plain_int(data.get("m", 1), "m"), modulus)
 
 
 def _spans_rows(mat: np.ndarray, pivots: List[int], rows: np.ndarray,
@@ -250,7 +252,9 @@ class AdditiveCode:
 
     @classmethod
     def _from_coeff_matrix(cls, n, field, coeff_degree, mat) -> "AdditiveCode":
-        code = cls.zero(n, field, coeff_degree)
+        code = cls.__new__(cls)
+        code.n, code.field, code.t = n, field, coeff_degree
+        code.coeff_field = _coeff_field(field, coeff_degree)
         code.mat, code.pivots = linalg.rref(mat, code.coeff_field)
         code.rank = code.mat.shape[0]
         return code
@@ -379,6 +383,20 @@ def dual_symp(code: AdditiveCode) -> AdditiveCode:
     return AdditiveCode._from_coeff_matrix(code.n, code.field, code.t, basis)
 
 
+def _radical_rows(gram, rows: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """a·rows for a in ker(gram), gram[i, j] the form on rows i and j."""
+    return linalg.matmul(linalg.nullspace(gram, field), rows, field)
+
+
+def radical(code: AdditiveCode) -> AdditiveCode:
+    """C intersect C^perp_s from the Gram matrix G = C M C^T of C's rows:
+    a·C lies in C^perp_s iff G a^T = 0, so C^perp_s is never built."""
+    gram = _pairings(code.mat, code.mat, code.n, code.field, code.t)
+    return AdditiveCode._from_coeff_matrix(
+        code.n, code.field, code.t,
+        _radical_rows(gram, code.mat, code.coeff_field))
+
+
 def intersect(c1: AdditiveCode, c2: AdditiveCode) -> AdditiveCode:
     """Intersection of two codes over the same space, in canonical form."""
     c1._check_compatible(c2)
@@ -422,7 +440,7 @@ def _split(a_rows: np.ndarray, b_rows: np.ndarray, p: int) -> np.ndarray:
     if not len(b_rows):
         return a_rows
     rows = np.vstack([b_rows, a_rows])
-    return rows[linalg.rref(rows.T, _prime_field(p))[1]]
+    return rows[linalg.rref(rows.T, _field(p, 1, None))[1]]
 
 
 def _check_span(p: int, k: int, threshold: int) -> None:
@@ -431,14 +449,18 @@ def _check_span(p: int, k: int, threshold: int) -> None:
             f"span size {p}^{k} exceeds threshold {threshold}")
 
 
-def _min_scan(a, b, threshold: int, workers: int = 1) -> int:
-    """Minimum group weight over span(A) minus span(B); B None is {0}."""
-    p = a.field.p
-    _check_span(p, a.rank_p, threshold)
+def _coset_rows(a, b) -> Tuple[np.ndarray, int]:
+    """A's rows ordered by :func:`_split`, and B's row count; B None is {0}."""
     a_rows = _layout(a)
     b_rows = a_rows[:0] if b is None else _layout(b)
-    return _class_min(_split(a_rows, b_rows, p), p, a.n, len(b_rows),
-                      workers)
+    return _split(a_rows, b_rows, a.field.p), len(b_rows)
+
+
+def _min_scan(a, b, threshold: int, workers: int = 1) -> int:
+    """Minimum group weight over span(A) minus span(B); B None is {0}."""
+    _check_span(a.field.p, a.rank_p, threshold)
+    gens, kb = _coset_rows(a, b)
+    return _class_min(gens, a.field.p, a.n, kb, workers)
 
 
 def _class_min(gens: np.ndarray, p: int, n: int, kb: int,
@@ -481,10 +503,10 @@ def min_swt(code: AdditiveCode, threshold: int = DEFAULT_THRESHOLD,
     return _min_scan(code, None, threshold, workers)
 
 
-def min_swt_coset(a: AdditiveCode, b: AdditiveCode, mode: str = "exact",
-                  threshold: int = DEFAULT_THRESHOLD, workers: int = 1,
-                  seed: int = 0) -> Tuple[int, str]:
-    """Minimum symplectic weight over A \\ B (with B a subcode of A).
+def min_swt_coset(a: AdditiveCode, b: Optional[AdditiveCode],
+                  mode: str = "exact", threshold: int = DEFAULT_THRESHOLD,
+                  workers: int = 1, seed: int = 0) -> Tuple[int, str]:
+    """Minimum symplectic weight over A \\ B (B a subcode of A; None is 0).
 
     ``exact`` enumerates the coset space fully and returns the tag
     ``"exhaustive"``; ``witness`` returns an upper bound with tag
@@ -492,17 +514,16 @@ def min_swt_coset(a: AdditiveCode, b: AdditiveCode, mode: str = "exact",
     ``WITNESS_RANDOM_SAMPLES`` elements, else the result of a bounded
     search (generator combinations plus seeded random sampling).
     """
-    a._check_compatible(b)
-    if not a.contains_code(b):
+    if b is not None and not a.contains_code(b):
         raise ValueError("B is not a subcode of A")
-    if a.rank_p == b.rank_p:
+    if a.rank_p == (0 if b is None else b.rank_p):
         raise ValueError("A equals B: the difference set is empty")
     if mode == "exact":
         return _min_scan(a, b, threshold, workers), "exhaustive"
     if mode != "witness":
         raise ValueError(f"unknown mode {mode!r}")
-    p, kb = a.field.p, b.rank_p
-    gens = _split(_layout(a), _layout(b), p)
+    p = a.field.p
+    gens, kb = _coset_rows(a, b)
     if p**len(gens) <= WITNESS_RANDOM_SAMPLES:
         # no more vectors than the random search would draw: the exact
         # minimum is the tightest upper bound
@@ -522,51 +543,32 @@ def _witness_search(gens, p, n_groups, group_size, kb, ke, seed) -> int:
     k = kb + ke
     best = n_groups + 1
 
-    def weight_of(coeffs: np.ndarray) -> int:
-        v = (coeffs @ gens) % p
-        return int(v.reshape(n_groups, group_size).any(axis=1).sum())
+    def weights(coeffs: np.ndarray) -> np.ndarray:
+        vecs = (coeffs @ gens) % p
+        return vecs.reshape(len(coeffs), n_groups, group_size).any(
+            axis=2).sum(axis=1)
 
-    # combinations of up to 3 generators with nonzero extension support
-    combo_count = 0
-    done = False
-    for size in (1, 2, 3):
-        if done:
-            break
-        for subset in combinations(range(k), size):
-            if all(i < kb for i in subset):
-                continue  # stays inside B
-            for coefs in product(range(1, p), repeat=size):
-                coeffs = np.zeros(k, dtype=np.int64)
-                for i, c in zip(subset, coefs):
-                    coeffs[i] = c
-                w = weight_of(coeffs)
-                if w < best:
-                    best = w
-                combo_count += 1
-                if combo_count >= _WITNESS_COMBO_CAP:
-                    done = True
-                    break
-            if done:
-                break
+    # combinations of up to 3 generators, not all inside B (a subset is
+    # sorted, so its last index is its largest)
+    combos = ((subset, coefs) for size in (1, 2, 3)
+              for subset in combinations(range(k), size) if subset[-1] >= kb
+              for coefs in product(range(1, p), repeat=size))
+    for subset, coefs in islice(combos, _WITNESS_COMBO_CAP):
+        coeffs = np.zeros((1, k), dtype=np.int64)
+        coeffs[0, list(subset)] = coefs
+        best = min(best, int(weights(coeffs)[0]))
 
     rng = np.random.default_rng(seed)
-    block = 1 << 12
-    remaining = WITNESS_RANDOM_SAMPLES
-    while remaining > 0:
-        bsz = min(block, remaining)
+    for start in range(0, WITNESS_RANDOM_SAMPLES, 1 << 12):
+        if best == 1:
+            break
+        bsz = min(1 << 12, WITNESS_RANDOM_SAMPLES - start)
         coeffs = rng.integers(0, p, size=(bsz, k), dtype=np.int64)
         # force a nonzero extension coefficient to stay outside B
         fix = rng.integers(kb, k, size=bsz)
-        vals = rng.integers(1, p, size=bsz, dtype=np.int64)
-        coeffs[np.arange(bsz), fix] = vals
-        vecs = (coeffs @ gens) % p
-        wts = vecs.reshape(bsz, n_groups, group_size).any(axis=2).sum(axis=1)
-        w = int(wts.min())
-        if w < best:
-            best = w
-        remaining -= bsz
-        if best == 1:
-            break
+        coeffs[np.arange(bsz), fix] = rng.integers(1, p, size=bsz,
+                                                   dtype=np.int64)
+        best = min(best, int(weights(coeffs).min()))
     return best
 
 
@@ -656,10 +658,18 @@ class ClassicalCode:
             acc = f.add(acc, f.mul(self.conj_entry(int(xi)), int(yi)))
         return acc
 
+    def _hermitian_gram(self) -> np.ndarray:
+        """conj(G) G^T, the hermitian_products of the generators."""
+        return linalg.matmul(self._conj_mat(), self.mat.T, self.field)
+
     def is_hermitian_self_orthogonal(self) -> bool:
         """All hermitian_products of generators vanish: conj(G) G^T = 0."""
-        return not linalg.matmul(self._conj_mat(), self.mat.T,
-                                 self.field).any()
+        return not self._hermitian_gram().any()
+
+    def hermitian_radical(self) -> "ClassicalCode":
+        """Y intersect Y^perp_h: a·G is in it iff conj(G) G^T a^T = 0."""
+        return ClassicalCode(self.n, self.field, _radical_rows(
+            self._hermitian_gram(), self.mat, self.field))
 
     def intersect(self, other: "ClassicalCode") -> "ClassicalCode":
         self._check_compatible(other)

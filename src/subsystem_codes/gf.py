@@ -27,7 +27,6 @@ __all__ = [
     "conway_polynomial",
     "prime_power",
     "FieldSpec",
-    "FieldElement",
     "TowerSpec",
 ]
 
@@ -421,64 +420,6 @@ class FieldSpec:
         if self.m == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.m})"
-
-
-class FieldElement:
-    """A field element: owning spec plus integer-encoded coefficient vector."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldSpec, value: int):
-        if not 0 <= value < field.q:
-            raise ValueError(f"value {value} out of range for {field}")
-        self.field = field
-        self.value = int(value)
-
-    @property
-    def coeffs(self) -> Tuple[int, ...]:
-        return self.field.digits(self.value)
-
-    def _check(self, other: "FieldElement"):
-        if self.field != other.field:
-            raise ValueError("elements belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.value, other.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def trace(self) -> "FieldElement":
-        prime = FieldSpec(self.field.p, 1)
-        return FieldElement(prime, self.field.trace(self.value))
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement)
-                and self.field == other.field and self.value == other.value)
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value}@{self.field!r}"
 
 
 # ---------------------------------------------------------------------------

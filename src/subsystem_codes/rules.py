@@ -36,7 +36,7 @@ import numpy as np
 from . import rs
 from .bounds import singleton_check
 from .codes import (AdditiveCode, ClassicalCode, EnumerationLimitError,
-                    _pairings, dual_symp)
+                    _field, _pairings, dual_symp)
 from .gf import FieldSpec, TowerSpec, prime_power
 from .subsystem import (DEFAULT_POLICY, ParamRecord, Policy, PurityError,
                         SubsystemCode, bracket_params, derive, is_exact,
@@ -543,14 +543,9 @@ class MdsFamilySpec:
 
 
 @lru_cache(maxsize=None)
-def _field_for_q(q: int) -> FieldSpec:
-    return FieldSpec(*prime_power(q))
-
-
-@lru_cache(maxsize=None)
 def _tower_for_q(q: int) -> TowerSpec:
     """The one F_{q^2} over F_q tower per q, shared by every construction."""
-    return TowerSpec(_field_for_q(q))
+    return TowerSpec(_field(*prime_power(q), None))
 
 
 def certify_mds(C: AdditiveCode, d: int, policy: Policy = DEFAULT_POLICY
@@ -591,7 +586,7 @@ def mds_family(spec: MdsFamilySpec,
     :func:`certify_mds`.  Families i and ii return parameter records only.
     """
     n, k, r, d = spec.target_params()
-    base = _field_for_q(spec.q)
+    base = _field(*prime_power(spec.q), None)
     if not spec.constructive:
         out = ParamRecord(n=n, q=spec.q, k=k, r=r, d=d, pure=True,
                           linear=True,

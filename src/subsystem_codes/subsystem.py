@@ -4,8 +4,12 @@ From an additive code C <= F_q^{2n} with radical D = C intersect C^perp_s,
 the derived subsystem code has dimensions K = q^n / sqrt(|C| |D|) and
 R = sqrt(|C| / |D|), both integral powers of the characteristic p and kept
 as exact base-p exponents.  The minimum distance is the minimum symplectic
-weight over D^perp_s minus C (or over D^perp_s itself when the two agree,
+weight over D^perp_s minus C (or over D^perp_s minus 0 when the two agree,
 which happens exactly when K = 1).
+
+D is read off the Gram matrix G = C M C^T of C's generators
+(:func:`subsystem_codes.codes.radical`), so C^perp_s is never built;
+D^perp_s is built only to measure d.
 
 One frozen :class:`Policy` says how distances are measured.  A measured
 value carries the method backing it: ``exhaustive`` (proved, see
@@ -19,8 +23,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .codes import (DEFAULT_THRESHOLD, AdditiveCode, EnumerationLimitError,
-                    _check_span, dual_symp, intersect, min_swt,
-                    min_swt_coset)
+                    _check_span, dual_symp, min_swt, min_swt_coset, radical)
 from .gf import prime_power
 
 __all__ = ["PurityError", "Policy", "DEFAULT_POLICY", "SubsystemCode",
@@ -184,7 +187,7 @@ def derive(C: AdditiveCode, policy: Policy = DEFAULT_POLICY) -> SubsystemCode:
     """
     if C.rank == 0:
         raise ValueError("C must be nonzero")
-    D = intersect(C, dual_symp(C))
+    D = radical(C)
     nm = C.n * C.field.m
     rc, rd = C.rank_p, D.rank_p
     if (rc + rd) % 2 != 0:
@@ -200,10 +203,12 @@ def derive(C: AdditiveCode, policy: Policy = DEFAULT_POLICY) -> SubsystemCode:
 def measure_distance(code: SubsystemCode, policy: Policy) -> None:
     """Set d and swt(C) of a derived code, with the methods that back them.
 
-    "exact" enumerates d and raises :class:`EnumerationLimitError` beyond
-    the threshold; "auto" falls back to a witness bound there; "witness"
-    searches for one outright.  swt(C) is enumerated when it fits under
-    the threshold and is otherwise a witness bound in every mode.
+    d is the minimum over D^perp_s minus C (minus 0 in case (b)), with D
+    from :func:`derive`'s Gram matrix.  "exact" enumerates d and raises
+    :class:`EnumerationLimitError` beyond the threshold; "auto" falls back
+    to a witness bound there; "witness" searches for one outright.  swt(C)
+    is enumerated when it fits under the threshold and is otherwise a
+    witness bound in every mode.
     """
     C, mode = code.C, policy.distance_mode
     # |D^perp_s| = p^(2nm) / |D| picks the method before D^perp_s is built
@@ -213,7 +218,7 @@ def measure_distance(code: SubsystemCode, policy: Policy) -> None:
     elif mode == "auto":
         mode = "exact" if code.p**k <= policy.threshold else "witness"
     # case (b): D^perp_s = C, and d is the minimum over all of it
-    sub = AdditiveCode.zero(code.n, C.field, C.t) if code.case == "b" else C
+    sub = None if code.case == "b" else C
     opts = dict(threshold=policy.threshold, seed=policy.seed)
     code.d, code.d_method = min_swt_coset(dual_symp(code.D), sub, mode=mode,
                                           workers=policy.workers, **opts)
@@ -225,8 +230,7 @@ def measure_distance(code: SubsystemCode, policy: Policy) -> None:
     except EnumerationLimitError:
         if C.rank_p < 2 * code.n * C.field.m:
             code.swt_c, code.swt_c_method = min_swt_coset(
-                C, AdditiveCode.zero(code.n, C.field, C.t), mode="witness",
-                **opts)
+                C, None, mode="witness", **opts)
 
     if code.K == 1 and code.purity[0] == "impure":
         raise PurityError(

@@ -9,7 +9,9 @@ coordinate (starred rows).  The gauge code is the symplectic expansion
 of the parent; with iota = dim(Y intersect Y^perp_h) the derived
 parameters are k = n - kappa - iota and r = kappa - iota, d = iota + 1.
 The monomial run offset is searched so that iota matches the row; the
-chosen instantiation is recorded, since several offsets can work.
+chosen instantiation is recorded, since several offsets can work.  Each
+tried offset reads its radical off the kappa x kappa Gram matrix conj(Y) Y^T
+(:meth:`ClassicalCode.hermitian_radical`); Y^perp_h is never built.
 
 Verification levels per row (by :func:`subsystem_codes.rules.certify_mds`):
 * q = 3: distances of parent and subsystem code by exhaustive
@@ -116,7 +118,7 @@ def _find_offset(tower: TowerSpec, parent: Tuple[int, int, int], mark: str,
     offsets = [0] if mark == "extended" else range(tower.base.q**2 - 1)
     for offset in offsets:
         Y = _parent_code(tower, parent, mark, offset)
-        Ys = Y.intersect(Y.dual("hermitian"))
+        Ys = Y.hermitian_radical()
         if Ys.rank == iota:
             return offset, Y, Ys
     raise RuntimeError("no monomial run reproduces this row")

@@ -337,6 +337,49 @@ def test_family_parameter_level(runner):
     assert payload["verification"]["[[6,1,1,3]]_7 exists"] == "asserted"
 
 
+@pytest.mark.parametrize("args,option", [
+    (["family", "--family", "vi", "--q", "3", "--delta", "1", "-r", "4",
+      "--n", "100", "--d", "50"], "--n applies only to family i"),
+    (["family", "--family", "vi", "--q", "3", "--delta", "1", "-r", "4",
+      "--d", "50"], "--d applies only to family i"),
+    (["family", "--family", "i", "--q", "7", "--n", "6", "--d", "3", "-r",
+      "1", "--delta", "5"], "--delta does not apply to family i"),
+    (["transform", "FILE", "--rule", "shrink-k", "-r", "3"],
+     "--target-r applies only to to-subsystem and the"),
+    (["transform", "FILE", "--rule", "grow-k", "-r", "0"],
+     "--target-r applies only to to-subsystem and the"),
+])
+def test_options_that_do_not_apply_are_refused(runner, five_path, args,
+                                               option):
+    res = runner.invoke(main, [five_path if a == "FILE" else a for a in args])
+    assert res.exit_code == 2
+    assert f"Error: {option}" in res.stderr
+    assert res.stdout == ""
+
+
+def test_options_that_apply_or_come_from_the_environment(runner, five_path):
+    # the same options where they apply, and values the environment sets
+    # for every run, still succeed
+    for args, env in [
+            (["family", "--family", "i", "--q", "7", "--n", "6", "--d", "3",
+              "-r", "1"], {}),
+            (["family", "--family", "vi", "--q", "3", "--delta", "1", "-r",
+              "4"], {"SUBSYS_FAMILY_N": "100", "SUBSYS_FAMILY_D": "50"}),
+            (["family", "--family", "i", "--q", "7", "--n", "6", "--d", "3",
+              "-r", "1"], {"SUBSYS_FAMILY_DELTA": "5"}),
+            (["transform", five_path, "--rule", "to-subsystem", "-r", "0"],
+             {}),
+            (["transform", five_path, "--rule", "shrink-k"],
+             {"SUBSYS_TRANSFORM_TARGET_R": "3"})]:
+        res = runner.invoke(main, args, env=env)
+        assert res.exit_code == 0, (args, res.output)
+        json.loads(res.stdout)
+    res = runner.invoke(main, ["transform", "--rule", "combine-disjoint",
+                               "-r", "0", "--params", "[[5,1,0,3]]_2 pure",
+                               "--params", "[[5,1,0,3]]_2 pure"])
+    assert res.exit_code == 0, res.output
+
+
 def test_family_bad_range(runner):
     res = runner.invoke(main, ["family", "--family", "iii", "--q", "3",
                                "--delta", "1"])

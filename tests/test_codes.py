@@ -10,10 +10,10 @@ from subsystem_codes import codes, linalg
 from subsystem_codes.codes import (AdditiveCode, ClassicalCode,
                                    EnumerationLimitError, SympVector,
                                    dual_symp, intersect, min_swt,
-                                   min_swt_coset, swt, swt_distribution,
-                                   trace_symp, _split)
+                                   min_swt_coset, radical, swt,
+                                   swt_distribution, trace_symp, _split)
 from subsystem_codes.gf import FieldSpec
-from subsystem_codes.known import bacon_shor_code
+from subsystem_codes.known import bacon_shor_code, five_qubit_code
 from subsystem_codes.rs import evaluation_code
 from subsystem_codes.subsystem import Policy, derive
 
@@ -144,6 +144,77 @@ def test_intersect_matches_sets():
         assert _elements(cap) == _elements(a) & _elements(b)
 
 
+def _radical_inputs(field, t, rng):
+    """Random codes, codes with D = C and codes with D = 0, length 3."""
+    n, q, p, m = 3, field.q, field.p, field.m
+    for _ in range(3):
+        for k in range(1, 6):
+            yield AdditiveCode(n, field, rng.integers(0, q, (k, 2 * n)), t)
+    # vectors (x|0) pair to zero with each other: self-orthogonal
+    x_only = np.zeros((3, 2 * n), dtype=np.int64)
+    x_only[:, :n] = rng.integers(0, q, (3, n))
+    yield AdditiveCode(n, field, x_only, t)
+    # F_q (x_i|0) + F_q (0|x_i) is a hyperbolic plane for each i, so the
+    # whole space and the first two planes have a zero radical
+    eye = np.eye(2 * n, dtype=np.int64)
+    full = np.vstack([eye * p**j for j in range(m)])
+    yield AdditiveCode(n, field, full, t)
+    yield AdditiveCode(n, field, full[np.arange(len(full)) % n != 2], t)
+
+
+@pytest.mark.parametrize("p,m,t", [(2, 1, 1), (3, 1, 1), (2, 2, 1),
+                                   (2, 2, 2), (3, 2, 2), (5, 1, 1)])
+def test_radical_matches_intersection_with_dual(p, m, t):
+    field = FieldSpec(p, m)
+    codes_in = list(_radical_inputs(field, t, np.random.default_rng(p * m)))
+    if (p, m) == (2, 1):
+        codes_in.append(five_qubit_code())
+    kinds = set()
+    for code in codes_in:
+        rad = radical(code)
+        assert rad == intersect(code, dual_symp(code))
+        kinds.add("zero" if rad.rank == 0 else
+                  "self-orthogonal" if rad == code else "proper")
+    assert kinds == {"zero", "self-orthogonal", "proper"}
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (2, 4), (5, 2), (7, 2)])
+def test_hermitian_radical_matches_intersection_with_dual(p, m):
+    f = FieldSpec(p, m)
+    points = [f.pow(f.generator, i) for i in range(f.q - 1)]
+    s = p**(m // 2)
+    dims = set()
+    for kappa in (2, s, f.q // 2):
+        for offset in (0, 1, 2, s + 1):
+            Y = evaluation_code(f, points, [(offset + i) % (f.q - 1)
+                                            for i in range(kappa)])
+            for code in (Y, Y.puncture(Y.n - 1)):
+                rad = code.hermitian_radical()
+                assert rad == code.intersect(code.dual("hermitian"))
+                dims.add(rad.rank)
+    assert 0 in dims and len(dims) > 2
+
+
+def test_min_swt_coset_none_is_the_zero_code(monkeypatch):
+    # B None means A minus {0}; a small sample count makes witness mode
+    # run its random search on every input
+    monkeypatch.setattr(codes, "WITNESS_RANDOM_SAMPLES", 2**5)
+    rng = np.random.default_rng(17)
+    cases = [bacon_shor_code(), five_qubit_code()]
+    for p, m, t in [(3, 1, 1), (2, 2, 1), (2, 2, 2)]:
+        f = FieldSpec(p, m)
+        cases.append(AdditiveCode(3, f, rng.integers(0, f.q, (3, 6)), t))
+    for a in cases:
+        zero = AdditiveCode.zero(a.n, a.field, a.t)
+        for mode in ("exact", "witness"):
+            assert (min_swt_coset(a, None, mode)
+                    == min_swt_coset(a, zero, mode))
+        assert min_swt_coset(a, None)[0] == min_swt(a)
+    empty = AdditiveCode.zero(3, FieldSpec(2))
+    with pytest.raises(ValueError, match="difference set is empty"):
+        min_swt_coset(empty, None)
+
+
 def test_min_swt_coset_oracle():
     f = FieldSpec(2)
     rng = np.random.default_rng(12)
@@ -182,7 +253,7 @@ def test_witness_on_small_span_is_exhaustive_value(monkeypatch):
     # D^perp_s of Bacon-Shor has 2^14 elements, fewer than the random
     # search would draw: witness mode scans it and gets the exact minimum
     from subsystem_codes import codes
-    from subsystem_codes.known import bacon_shor_code
+    from subsystem_codes.known import bacon_shor_code, five_qubit_code
     C = bacon_shor_code()
     D = derive(C, Policy(distance_mode="skip")).D
     exact, _ = min_swt_coset(dual_symp(D), C)
@@ -242,6 +313,7 @@ def test_refused_scan_builds_no_layout(monkeypatch):
                  lambda: swt_distribution(shor, threshold=8),
                  lambda: min_swt_coset(shor, AdditiveCode.zero(9, shor.field),
                                        threshold=8),
+                 lambda: min_swt_coset(shor, None, threshold=8),
                  lambda: classical.min_wt(threshold=4**3),
                  lambda: classical.weight_distribution(threshold=4**3)):
         with pytest.raises(EnumerationLimitError):

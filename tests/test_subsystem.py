@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from subsystem_codes import linalg
 from subsystem_codes.codes import (DEFAULT_THRESHOLD, AdditiveCode, dual_symp,
                                    intersect)
 from subsystem_codes.gf import FieldSpec
@@ -21,6 +22,18 @@ def test_five_qubit():
     assert code.is_pure
     assert code.swt_c == 4
     assert bracket_params(code).bracket() == "[[5,1,0,3]]_2"
+
+
+@pytest.mark.parametrize("make", [five_qubit_code, bacon_shor_code])
+def test_derive_reduces_no_empty_matrix(monkeypatch, make):
+    # D comes from C's Gram matrix and no zero code is built first, so a
+    # derive reduces five matrices, none of them empty
+    C, shapes, real = make(), [], linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda mat, field: shapes.append(
+        np.shape(mat)) or real(mat, field))
+    derive(C)
+    assert len(shapes) <= 5
+    assert all(0 not in shape for shape in shapes)
 
 
 def test_bacon_shor():

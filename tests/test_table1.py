@@ -105,23 +105,22 @@ def test_report_matches_golden(q):
 
 
 def test_rows_and_members_derived_once(monkeypatch):
-    # derive computes C^perp_s; beyond the threshold D^perp_s is never
-    # scanned, so certification must not build it
-    calls = []
-    real = subsystem.dual_symp
-
-    def counted(code):
-        calls.append(code)
-        return real(code)
-
-    monkeypatch.setattr(subsystem, "dual_symp", counted)
-    monkeypatch.setattr(rules, "dual_symp", counted)
+    # each row and member is derived once; beyond the threshold D^perp_s is
+    # never scanned, so certification must not build it (derive takes the
+    # radical from the Gram matrix and builds no dual either)
+    derived, duals = [], []
+    real_derive, real_dual = rules.derive, subsystem.dual_symp
+    monkeypatch.setattr(rules, "derive", lambda C, policy: derived.append(C)
+                        or real_derive(C, policy))
+    for mod in (subsystem, rules):
+        monkeypatch.setattr(mod, "dual_symp", lambda code: duals.append(code)
+                            or real_dual(code))
     rows = generate_table(4)
-    assert len(calls) == len(rows)
-    calls.clear()
+    assert (len(derived), len(duals)) == (len(rows), 0)
+    derived.clear()
     res = mds_family(MdsFamilySpec(q=4, family="v", delta=2, r=1))
     assert res.output.d_method == "witness"
-    assert len(calls) == 1
+    assert (len(derived), len(duals)) == (1, 0)
 
 
 def test_asserted_purity_is_not_certified():
