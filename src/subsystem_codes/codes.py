@@ -506,7 +506,7 @@ def min_swt(code: AdditiveCode, threshold: int = DEFAULT_THRESHOLD,
 def min_swt_coset(a: AdditiveCode, b: Optional[AdditiveCode],
                   mode: str = "exact", threshold: int = DEFAULT_THRESHOLD,
                   workers: int = 1, seed: int = 0) -> Tuple[int, str]:
-    """Minimum symplectic weight over A \\ B (B a subcode of A; None is 0).
+    """Minimum symplectic weight over A \\ B (B a subcode of A; None is {0}).
 
     ``exact`` enumerates the coset space fully and returns the tag
     ``"exhaustive"``; ``witness`` returns an upper bound with tag
