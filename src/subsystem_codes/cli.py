@@ -96,13 +96,15 @@ def _load_code(path: str) -> AdditiveCode:
 
 
 def _refuse_options(reason: str, *names: str) -> None:
-    """Usage error for any of the options ``names`` given on the command
-    line; a value from the environment or the default is left alone."""
+    """Usage error for any of the parameters ``names`` given on the
+    command line; the environment or the default is left alone."""
     ctx = click.get_current_context()
     for param in ctx.command.params:
         if (param.name in names and ctx.get_parameter_source(param.name)
                 is ParameterSource.COMMANDLINE):
-            raise click.UsageError(f"{param.opts[-1]} {reason}", ctx)
+            name = (param.opts[-1] if isinstance(param, click.Option)
+                    else param.human_readable_name)
+            raise click.UsageError(f"{name} {reason}", ctx)
 
 
 def _check_strict(cfg: RunConfig, downgraded: List[str]) -> None:
@@ -212,6 +214,12 @@ def parse_params(text: str) -> ParamRecord:
 _CONSTRUCTIVE_RULES = ("shrink-k", "grow-k", "extend-n", "to-stabilizer",
                        "to-subsystem")
 _PARAM_RULES = ("shorten-n", "combine-disjoint", "combine-nested")
+# the transform inputs each rule reads; any other rule refuses them
+_READ_BY = {"target_r": (("to-subsystem",) + _PARAM_RULES[1:],
+                         "to-subsystem and the combine rules"),
+            "subset_assumed": (("combine-nested",), "combine-nested"),
+            "params_list": (_PARAM_RULES, "the parameter-level rules"),
+            "file": (_CONSTRUCTIVE_RULES, "the constructive rules")}
 
 
 @main.command()
@@ -230,9 +238,9 @@ _PARAM_RULES = ("shorten-n", "combine-disjoint", "combine-nested")
 def transform(cfg: RunConfig, file, rule, params_list, target_r,
               subset_assumed):
     """Apply a propagation rule to a code file or parameter tuple."""
-    if rule not in ("to-subsystem", "combine-disjoint", "combine-nested"):
-        _refuse_options("applies only to to-subsystem and the combine rules",
-                        "target_r")
+    for name, (readers, what) in _READ_BY.items():
+        if rule not in readers:
+            _refuse_options(f"applies only to {what}", name)
     policy = cfg.policy
     try:
         if rule in _CONSTRUCTIVE_RULES:

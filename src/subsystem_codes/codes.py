@@ -9,16 +9,17 @@ coordinate-major, basis-coefficient-minor.  Two codes are equal iff their
 canonical matrices are equal, which makes equality and hashing cheap.
 
 Minimum weights and weight distributions of both code kinds go through
-one path: :func:`_layout` writes a code as prime-field generator rows with
-each coordinate's digits contiguous, :func:`_split` orders the rows of a
-code A as a subcode B's rows followed by A's rows outside their span, and
-one minimum scan and one distribution scan hand the result to the
+one path: :func:`_split` orders the rows of a code A over its coefficient
+field F_{p^t} as a subcode B's rows, then A's rows outside their span;
+:func:`_layout` writes each row g as its t prime-field digit rows alpha^j g
+with each coordinate's digits contiguous, for the
 :mod:`subsystem_codes._enum` kernel.  The minimum scan visits one vector
-per F_p scalar class of A minus B: with B's kb rows first, the counter
-ranges [p^i, 2 p^i) for i = kb .. k-1 (:func:`_class_min`).  Beyond the
-enumeration threshold a randomized witness search gives an upper bound
-instead; witness mode scans a span of at most ``WITNESS_RANDOM_SAMPLES``
-elements outright.
+per F_{p^t} scalar class of A minus B: the counter ranges [p^i, 2 p^i)
+for i = kb, kb + t, .. (:func:`_class_min`).  Beyond the enumeration
+threshold a randomized witness search gives an upper bound instead;
+witness mode scans a span of at most ``WITNESS_RANDOM_SAMPLES`` elements
+outright.  :func:`dual_swt_exceeds` bounds swt(D^perp_s) from below by a
+search over coordinate sets, with no span.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "dual_symp",
     "intersect",
     "radical",
+    "dual_swt_exceeds",
     "min_swt",
     "min_swt_coset",
     "ClassicalCode",
@@ -406,21 +408,53 @@ def intersect(c1: AdditiveCode, c2: AdditiveCode) -> AdditiveCode:
     return AdditiveCode._from_coeff_matrix(c1.n, c1.field, c1.t, vecs)
 
 
+def dual_swt_exceeds(D: AdditiveCode, w: int) -> bool:
+    """True iff every nonzero vector of D^perp_s has symplectic weight > w.
+
+    x lies in D^perp_s iff P x = 0, P = :func:`_pairings` (D, None), so one
+    supported on a coordinate set S exists iff P's 2u columns per
+    coordinate of S are dependent (MacWilliams & Sloane, ch. 1, Thm. 10).
+    Every smaller set lies in a w-set: the search is complete when each of
+    the C(n, w) w-sets gives full column rank, all reduced in one forward
+    elimination.  w >= n asks whether D^perp_s = {0}."""
+    n, k, f = D.n, D.rank, D.coeff_field
+    w, cols = min(w, n), 2 * D.u * min(w, n)
+    if k < cols:
+        return False
+    P = _pairings(D.mat, None, n, D.field, D.t).reshape(k, 2, n, D.u)
+    sets = np.array(list(combinations(range(n), w)), dtype=np.int64)
+    a = P.transpose(0, 2, 1, 3)[:, sets].reshape(k, len(sets), cols)
+    a, each = a.transpose(1, 0, 2).copy(), np.arange(len(sets))
+    for j in range(cols):
+        # entries are >= 0, so the largest is nonzero if any is
+        piv = j + a[:, j:, j].argmax(axis=1)
+        top = a[each, piv, j:]
+        if not top[:, 0].all():
+            return False
+        a[each, piv, j:] = a[:, j, j:]
+        top = f.mul_arr(top, f._inv_table[top[:, :1]])
+        below = a[:, j + 1:, j:]
+        below[:] = f.add_arr(below, f.mul_arr(f.neg_arr(below[:, :, :1]),
+                                              top[:, None]))
+    return True
+
+
 # ---------------------------------------------------------------------------
 # minimum weights by enumeration
 # ---------------------------------------------------------------------------
 
-def _layout(code: Union[AdditiveCode, "ClassicalCode"]) -> np.ndarray:
-    """Prime-field generator rows with each coordinate's digits contiguous.
-
+def _layout(code: Union[AdditiveCode, "ClassicalCode"],
+            rows: np.ndarray) -> np.ndarray:
+    """Prime-field rows with each coordinate's digits contiguous: each of
+    ``rows`` (rows of ``code``'s space over its coefficient field F_{p^t})
+    becomes its t digit rows alpha^j g, alpha^0 g first, not reduced again.
     A coordinate group is the 2m digits of (x_i, y_i) for an additive code
-    and the m digits of x_i for a classical one.
-    """
+    and the m digits of x_i for a classical one."""
     if isinstance(code, AdditiveCode):
         m, n = code.field.m, code.n
         perm = np.arange(2 * n * m).reshape(2, n, m).transpose(1, 0, 2)
-        return code.as_additive().mat[:, perm.reshape(-1)]
-    return _digit_rows(code.mat, code.field)
+        return _digit_rows(rows, code.coeff_field)[:, perm.reshape(-1)]
+    return _digit_rows(rows, code.field)
 
 
 def _digit_rows(mat: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -430,17 +464,14 @@ def _digit_rows(mat: np.ndarray, field: FieldSpec) -> np.ndarray:
     return field._dig[scaled].reshape(k * m, n * m)
 
 
-def _split(a_rows: np.ndarray, b_rows: np.ndarray, p: int) -> np.ndarray:
+def _split(a_rows, b_rows, field: FieldSpec) -> np.ndarray:
     """B's rows as given, then the rows of A outside their span, in A's order.
 
-    Both row sets must be linearly independent, with span(B) inside span(A).
+    Both row sets must be independent over ``field``, span(B) inside span(A).
     One elimination: the pivot columns of the stacked rows' transpose are
-    the rows outside the span of the rows before them.
-    """
-    if not len(b_rows):
-        return a_rows
+    the rows outside the span of the rows before them."""
     rows = np.vstack([b_rows, a_rows])
-    return rows[linalg.rref(rows.T, _field(p, 1, None))[1]]
+    return rows[linalg.rref(rows.T, field)[1]]
 
 
 def _check_span(p: int, k: int, threshold: int) -> None:
@@ -449,36 +480,37 @@ def _check_span(p: int, k: int, threshold: int) -> None:
             f"span size {p}^{k} exceeds threshold {threshold}")
 
 
-def _coset_rows(a, b) -> Tuple[np.ndarray, int]:
-    """A's rows ordered by :func:`_split`, and B's row count; B None is {0}."""
-    a_rows = _layout(a)
-    b_rows = a_rows[:0] if b is None else _layout(b)
-    return _split(a_rows, b_rows, a.field.p), len(b_rows)
+def _coset_rows(a, b) -> Tuple[np.ndarray, int, int]:
+    """A's rows over its coefficient field F_{p^t} split by :func:`_split`
+    and laid out, B's digit-row count, and t; B None is {0}."""
+    cf = a.coeff_field if isinstance(a, AdditiveCode) else a.field
+    rows = a.mat if b is None else _split(a.mat, b.mat, cf)
+    return _layout(a, rows), cf.m * (0 if b is None else b.rank), cf.m
 
 
 def _min_scan(a, b, threshold: int, workers: int = 1) -> int:
     """Minimum group weight over span(A) minus span(B); B None is {0}."""
     _check_span(a.field.p, a.rank_p, threshold)
-    gens, kb = _coset_rows(a, b)
-    return _class_min(gens, a.field.p, a.n, kb, workers)
+    gens, kb, t = _coset_rows(a, b)
+    return _class_min(gens, a.field.p, a.n, kb, t, workers)
 
 
-def _class_min(gens: np.ndarray, p: int, n: int, kb: int,
+def _class_min(gens: np.ndarray, p: int, n: int, kb: int, t: int = 1,
                workers: int = 1) -> int:
     """Minimum group weight over span(gens) minus the span of its first kb.
 
-    Each vector outside span(gens[:kb]) has a top nonzero coefficient on
-    some row i >= kb; scaled so that it is 1, it keeps its weight and stays
-    outside.  So one vector per F_p scalar class suffices: counters
-    [p^i, 2 p^i) of gens[:i+1] for each i.  For p = 2 these ranges join
-    into the one range [2^kb, 2^k).
-    """
+    ``gens`` holds the t digit rows alpha^j g (alpha^0 g first) of each row
+    g over F_{p^t}; kb is a multiple of t.  A vector outside span(gens[:kb])
+    divided by its top nonzero F_{p^t} coefficient keeps its weight, stays
+    outside and has coefficient 1 on alpha^0 g and 0 after it.  So one
+    vector per F_{p^t} scalar class suffices: counters [p^i, 2 p^i) of
+    gens[:i+1], i = kb, kb + t, ..; for p^t = 2 they join into [2^kb, 2^k)."""
     k, size = len(gens), gens.shape[1] // n
-    if p == 2:
+    if p**t == 2:
         return _enum.min_weight_range(gens, p, n, size, 1 << kb, 1 << k,
                                       workers=workers)
     best = n + 1
-    for i in range(kb, k):
+    for i in range(kb, k, t):
         best = min(best, _enum.min_weight_range(
             gens[:i + 1], p, n, size, p**i, 2 * p**i, workers=workers))
         if best <= 1:
@@ -490,7 +522,7 @@ def _distribution_scan(code, threshold: int) -> np.ndarray:
     """Histogram of group weights over the whole code (index = weight)."""
     p, k = code.field.p, code.rank_p
     _check_span(p, k, threshold)
-    gens = _layout(code)
+    gens = _layout(code, code.mat)
     return _enum.weight_distribution(gens, p, code.n, gens.shape[1] // code.n,
                                      0, p**k)
 
@@ -523,11 +555,11 @@ def min_swt_coset(a: AdditiveCode, b: Optional[AdditiveCode],
     if mode != "witness":
         raise ValueError(f"unknown mode {mode!r}")
     p = a.field.p
-    gens, kb = _coset_rows(a, b)
+    gens, kb, t = _coset_rows(a, b)
     if p**len(gens) <= WITNESS_RANDOM_SAMPLES:
         # no more vectors than the random search would draw: the exact
         # minimum is the tightest upper bound
-        return _class_min(gens, p, a.n, kb, workers), "witness"
+        return _class_min(gens, p, a.n, kb, t, workers), "witness"
     w = _witness_search(gens, p, a.n, 2 * a.field.m, kb, len(gens) - kb,
                         seed)
     return w, "witness"

@@ -5,7 +5,7 @@ new one, and returns a :class:`RuleResult` listing the guaranteed claims
 together with how far each claim could actually be checked:
 
 * ``verified_exhaustive`` -- the claim was confirmed by exact computation
-  (integer dimension arithmetic or exhaustive weight enumeration);
+  (dimension arithmetic, weight enumeration or a coordinate-set search);
 * ``witness_consistent`` -- only an upper bound was available (a witness
   search, or the Singleton bound for F_q-linear MDS constructions) and it
   does not contradict the claim;
@@ -35,12 +35,11 @@ import numpy as np
 
 from . import rs
 from .bounds import singleton_check
-from .codes import (AdditiveCode, ClassicalCode, EnumerationLimitError,
-                    _field, _pairings, dual_symp)
+from .codes import (AdditiveCode, ClassicalCode, _check_span, _field,
+                    _pairings, dual_swt_exceeds, dual_symp, min_swt)
 from .gf import FieldSpec, TowerSpec, prime_power
 from .subsystem import (DEFAULT_POLICY, ParamRecord, Policy, PurityError,
-                        SubsystemCode, bracket_params, derive, is_exact,
-                        measure_distance)
+                        SubsystemCode, bracket_params, derive, is_exact)
 from .symplectic import fresh_pair, hyperbolic_decompose
 
 __all__ = [
@@ -552,27 +551,28 @@ def certify_mds(C: AdditiveCode, d: int, policy: Policy = DEFAULT_POLICY
                 ) -> Tuple[SubsystemCode, str, str]:
     """Derive the gauge code C of an MDS construction once and certify it.
 
-    Within the threshold, d and purity are enumerated and checked.  Beyond
-    it, d is the design value with method ``witness``: C must be F_q-linear
-    with zero slack at d, so the Singleton bound k + r <= n - 2d + 2 of
-    such codes bounds d by it.  swt(C) stays unset and purity asserted;
-    "exact" mode raises instead.  Returns the code and the tags of its
-    distance and purity claims.
+    C must be F_q-linear with zero slack at the design d, so the Singleton
+    bound k + r <= n - 2d + 2 of such codes gives d <= design d.  Within
+    the threshold a complete search over coordinate sets proves
+    swt(D^perp_s) >= d (:func:`codes.dual_swt_exceeds`), and C lies in
+    D^perp_s: d is exact, C pure, and swt(C) is enumerated.  Beyond it, d
+    has method ``witness``, swt(C) stays unset and purity asserted; "exact"
+    mode raises.  Returns the code and the tags of its d and purity claims.
     """
     code = derive(C, replace(policy, distance_mode="skip"))
-    try:
-        measure_distance(code, replace(policy, distance_mode="exact"))
-    except EnumerationLimitError:
-        if policy.distance_mode == "exact":
-            raise
-        code.d, code.d_method = d, "witness"
-        if not (code.is_linear and singleton_check(code).attained):
-            raise AssertionError(f"the Singleton bound does not give d <= {d}")
+    code.d = d
+    if not singleton_check(code).attained:          # F_q-linear, slack 0
+        raise AssertionError(f"the Singleton bound does not give d <= {d}")
+    k = 2 * code.n * code.field.m - code.D.rank_p       # log_p |D^perp_s|
+    if policy.distance_mode == "exact":
+        _check_span(code.p, k, policy.threshold)
+    if code.p**k > policy.threshold:
+        code.d_method = "witness"
         return code, WITNESS, ASSERTED
-    if code.d != d:
-        raise AssertionError(f"distance {code.d} != design value {d}")
-    if not code.is_pure:
-        raise AssertionError("the code is not pure")
+    code.swt_c = min_swt(C, policy.threshold, policy.workers)
+    code.d_method = code.swt_c_method = "exhaustive"
+    if not (dual_swt_exceeds(code.D, d - 1) and code.is_pure):
+        raise AssertionError(f"D^perp_s has a vector of weight below {d}")
     return code, VERIFIED, VERIFIED
 
 

@@ -348,6 +348,13 @@ def test_family_parameter_level(runner):
      "--target-r applies only to to-subsystem and the"),
     (["transform", "FILE", "--rule", "grow-k", "-r", "0"],
      "--target-r applies only to to-subsystem and the"),
+    # inputs the rule would not read: --params, the code file, the flag
+    (["transform", "FILE", "--rule", "shrink-k", "--params", "[[9,9,9,9]]_2"],
+     "--params applies only to the parameter-level rules"),
+    (["transform", "FILE", "--rule", "shorten-n", "--params",
+      "[[5,1,0,3]]_2 pure"], "FILE applies only to the constructive rules"),
+    (["transform", "--rule", "shorten-n", "--subset-assumed", "--params",
+      "[[5,1,0,3]]_2 pure"], "--subset-assumed applies only to combine-nested"),
 ])
 def test_options_that_do_not_apply_are_refused(runner, five_path, args,
                                                option):
@@ -370,7 +377,9 @@ def test_options_that_apply_or_come_from_the_environment(runner, five_path):
             (["transform", five_path, "--rule", "to-subsystem", "-r", "0"],
              {}),
             (["transform", five_path, "--rule", "shrink-k"],
-             {"SUBSYS_TRANSFORM_TARGET_R": "3"})]:
+             {"SUBSYS_TRANSFORM_TARGET_R": "3"}),
+            (["transform", "--rule", "shorten-n", "--params",
+              "[[5,1,0,3]]_2 pure"], {"SUBSYS_TRANSFORM_SUBSET_ASSUMED": "1"})]:
         res = runner.invoke(main, args, env=env)
         assert res.exit_code == 0, (args, res.output)
         json.loads(res.stdout)

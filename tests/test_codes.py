@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from subsystem_codes import codes, linalg
+from subsystem_codes import _enum, codes, linalg
 from subsystem_codes.codes import (AdditiveCode, ClassicalCode,
                                    EnumerationLimitError, SympVector,
                                    dual_symp, intersect, min_swt,
@@ -305,8 +305,8 @@ def test_refused_scan_builds_no_layout(monkeypatch):
     # refused before any prime-field layout is built
     laid_out = []
     real_layout = codes._layout
-    monkeypatch.setattr(codes, "_layout",
-                        lambda code: laid_out.append(code) or real_layout(code))
+    monkeypatch.setattr(codes, "_layout", lambda code, rows: laid_out.append(
+        code) or real_layout(code, rows))
     shor = bacon_shor_code()
     classical = ClassicalCode(4, FieldSpec(2, 2), np.eye(4, dtype=np.int64))
     for scan in (lambda: min_swt(shor, threshold=8),
@@ -433,4 +433,124 @@ def test_split_matches_row_by_row():
                 if linalg.rank(np.array(kept + [row]), fp) > len(kept):
                     kept.append(row)
             expect = np.array(kept, dtype=np.int64).reshape(-1, ncols)
-            assert np.array_equal(_split(a, b, p), expect)
+            assert np.array_equal(_split(a, b, fp), expect)
+
+
+def _brute_dual_swt(D):
+    """Independent oracle: min swt over the nonzero x of F_q^{2n} with
+    tr<h|x> = 0 for every h of an F_p-basis of D, by listing all of
+    F_q^{2n}; None when only x = 0 is left."""
+    f, n = D.field, D.n
+    xs = np.array(list(product(range(f.q), repeat=2 * n)), dtype=np.int64)
+    ok = np.ones(len(xs), dtype=bool)
+    for g in D.generators():
+        for j in range(D.t):               # alpha^j g spans D over F_p
+            h = f.mul_arr(g.values, f.p**j)
+            form = np.zeros(len(xs), dtype=np.int64)
+            for i in range(n):
+                form = f.add_arr(form, f.add_arr(
+                    f.mul_arr(xs[:, n + i], h[i]),
+                    f.neg_arr(f.mul_arr(xs[:, i], h[n + i]))))
+            ok &= f._trace_table[form] == 0
+    weights = ((xs[:, :n] != 0) | (xs[:, n:] != 0)).sum(axis=1)[ok]
+    weights = weights[weights > 0]
+    return int(weights.min()) if weights.size else None
+
+
+@pytest.mark.parametrize("p,m,t,lengths", [
+    (2, 1, 1, (1, 2, 3, 4, 5)), (3, 1, 1, (1, 2, 3, 4)),
+    (2, 2, 1, (1, 2, 3)), (2, 2, 2, (1, 2, 3)), (5, 1, 1, (1, 2, 3))])
+def test_dual_swt_exceeds_matches_brute_force(p, m, t, lengths):
+    # "every w-set of coordinates gives full column rank" holds iff every
+    # nonzero vector of D^perp_s has weight > w, in both directions; the
+    # zero code and the whole space are among the inputs
+    f = FieldSpec(p, m)
+    rng = np.random.default_rng(60 + 10 * p + m + t)
+    outcomes, weights = set(), set()
+    for n in lengths:
+        dim = 2 * n * m // t
+        # alpha^j e_i for every coordinate entry i: the whole space
+        whole = np.eye(2 * n, dtype=np.int64)[:, None, :] * f._pw[:, None]
+        inputs = [AdditiveCode.zero(n, f, t),
+                  AdditiveCode(n, f, whole.reshape(-1, 2 * n), t)]
+        inputs += [AdditiveCode(n, f, rng.integers(0, f.q, size=(
+            int(rng.integers(1, dim + 1)), 2 * n)), t) for _ in range(8)]
+        for D in inputs:
+            oracle = _brute_dual_swt(D)
+            weights.add(oracle)
+            for w in range(n + 2):
+                expect = oracle is None or oracle > w
+                assert codes.dual_swt_exceeds(D, w) == expect, (n, w, D.mat)
+                outcomes.add(expect)
+    # both answers, D^perp_s = {0}, and minima above 1 all occur
+    assert outcomes == {True, False}
+    assert None in weights and {1, 2} <= weights
+
+
+def _fp_class_min(a, b):
+    """Reference: the F_p scalar-class scan.  Prime-field rows alpha^j g of
+    every row g (B's, then those of A outside the span so far, one at a
+    time), and counters [p^i, 2 p^i) for every prime-field row i."""
+    f, fp = a.field, FieldSpec(a.field.p)
+
+    def prime_rows(code):
+        rows = []
+        for g in code.mat:
+            for j in range(f.m):
+                digits = f._dig[f.mul_arr(g, f.p**j)]
+                if isinstance(code, AdditiveCode):    # (x_i, y_i) together
+                    digits = digits.reshape(2, code.n, f.m).transpose(1, 0, 2)
+                rows.append(digits.reshape(-1))
+        return rows
+
+    kept = [] if b is None else prime_rows(b)
+    kb = len(kept)
+    for row in prime_rows(a):
+        if linalg.rank(np.array(kept + [row]), fp) > len(kept):
+            kept.append(row)
+    gens = np.array(kept)
+    size = gens.shape[1] // a.n
+    return min(_enum.min_weight_range(gens[:i + 1], f.p, a.n, size, f.p**i,
+                                      2 * f.p**i)
+               for i in range(kb, len(gens)))
+
+
+@pytest.mark.parametrize("p,m,shapes", [
+    (2, 2, ((6, 4), (3, 4))), (2, 3, ((5, 3), (3, 3))),
+    (3, 2, ((5, 3), (3, 3))), (2, 4, ((4, 3), (2, 3))),
+    (5, 2, ((4, 3), (2, 3)))])
+def test_scalar_class_scan_matches_prime_field_classes(p, m, shapes):
+    # one vector per F_q scalar class gives the same minima as one per F_p
+    # class, for classical codes over F_q and F_q-linear additive codes,
+    # with zero-code B, whole-space A and one-row A among the cases
+    f = FieldSpec(p, m)
+    rng = np.random.default_rng(80 + f.q)
+    (nc, kc), (na, ka) = shapes
+    classical = [ClassicalCode(2, f, np.eye(2, dtype=np.int64)),
+                 ClassicalCode(nc, f, rng.integers(1, f.q, size=(1, nc)))]
+    additive = [AdditiveCode(1, f, np.eye(2, dtype=np.int64), m),
+                AdditiveCode(na, f, rng.integers(1, f.q, size=(1, 2 * na)), m)]
+    for _ in range(3):
+        classical.append(ClassicalCode(nc, f, rng.integers(0, f.q, size=(
+            kc, nc))))
+        additive.append(AdditiveCode(na, f, rng.integers(0, f.q, size=(
+            ka, 2 * na)), m))
+    checked = 0
+    for X in classical:
+        assert X.min_wt() == _fp_class_min(X, None)
+        for kb in range(X.rank):
+            sub = ClassicalCode(X.n, f, X.mat[rng.permutation(X.rank)[:kb]])
+            assert X.min_wt_coset(sub) == (_fp_class_min(X, sub),
+                                           "exhaustive")
+            checked += 1
+    for A in additive:
+        assert min_swt(A) == _fp_class_min(A, None)
+        assert min_swt_coset(A, None, "witness")[0] == min_swt(A)
+        for kb in range(A.rank):
+            rows = A.mat[rng.permutation(A.rank)[:kb]]
+            sub = AdditiveCode(A.n, f, rows, m)
+            want = _fp_class_min(A, sub)
+            assert min_swt_coset(A, sub) == (want, "exhaustive")
+            assert min_swt_coset(A, sub, "witness") == (want, "witness")
+            checked += 1
+    assert checked >= 20

@@ -155,7 +155,8 @@ def test_scalar_classes_match_full_scan(p):
         for kb in range(a.rank):
             sub = a.mat[rng.permutation(a.rank)[:kb]]
             b = codes.AdditiveCode(n, field, sub if kb else [])
-            gens = codes._split(codes._layout(a), codes._layout(b), p)
+            gens = codes._split(codes._layout(a, a.mat),
+                                codes._layout(b, b.mat), field)
             weights = _naive_weights(gens, p, n, 2)
             full = weights[p**kb:].min()
             assert codes._min_scan(a, b if kb else None,

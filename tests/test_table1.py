@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from subsystem_codes import rules, subsystem
+from subsystem_codes import _enum, rules, subsystem
 from subsystem_codes.cli import main
+from subsystem_codes.codes import (AdditiveCode, dual_swt_exceeds, dual_symp,
+                                   min_swt, min_swt_coset)
 from subsystem_codes.rs import (hermitian_self_orthogonal_rs,
                                 mds_min_weight_codeword)
 from subsystem_codes.rules import (MdsFamilySpec, _expand_vector,
@@ -167,3 +169,86 @@ def test_singleton_bound_agrees_with_witness_search(q, member):
     assert res.verification[f"d = {d}"] == "witness_consistent"
     X = hermitian_self_orthogonal_rs(tower, res.output.n, delta)
     assert _coset_witness(tower, X, res.output.C) == d
+
+
+def _members_within_threshold():
+    """Every family iii-vi member over q <= 9 whose D^perp_s is enumerated
+    (n m <= 24 leaves out only members far beyond the threshold)."""
+    out = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        m = _tower_for_q(q).base.m
+        for family in ("iii", "iv", "v", "vi"):
+            for delta in range(q):
+                for r in range(12):
+                    try:
+                        spec = MdsFamilySpec(q=q, family=family, delta=delta,
+                                             r=r)
+                    except ValueError:
+                        continue
+                    if spec.target_params()[0] * m > 24:
+                        continue
+                    res = mds_family(spec)
+                    if getattr(res.output, "d_method", None) == "exhaustive":
+                        out.append((spec, res.output))
+    return out
+
+
+def test_certificate_agrees_with_span_enumeration(rows_q3):
+    # the coordinate-set search and a scan of D^perp_s give the same
+    # swt(D^perp_s), which is the design d, on every q = 3 row and every
+    # family member within the threshold
+    cases = [(r.subsystem[3], r.code) for r in rows_q3]
+    members = _members_within_threshold()
+    cases += [(spec.target_params()[3], code) for spec, code in members]
+    assert len(members) >= 50
+    assert {d for d, _ in cases} == {1, 2, 3, 4}
+    for d, code in cases:
+        dual = dual_symp(code.D)
+        assert min_swt(dual) == d
+        assert dual_swt_exceeds(code.D, d - 1)
+        assert not dual_swt_exceeds(code.D, d)
+        assert (code.d, code.d_method, code.swt_c_method) == (
+            d, "exhaustive", "exhaustive")
+        assert code.swt_c == min_swt(code.C) >= d
+    for row in rows_q3:
+        # the coset scan the certificate replaced
+        d = row.subsystem[3]
+        assert min_swt_coset(dual_symp(row.code.D), row.code.C) == (
+            d, "exhaustive")
+
+
+@pytest.mark.parametrize("q,family,delta", [(3, "vi", 1), (5, "iv", 1),
+                                            (7, "iv", 2), (8, "iii", 3)])
+def test_certificate_refuses_two_dependent_columns(q, family, delta):
+    # make x_1 a multiple of x_0 in every row of the radical: then D^perp_s
+    # holds a vector on y_0 and y_1 alone, and a certificate for d >= 3
+    # must refuse, as span enumeration confirms
+    code = mds_family(MdsFamilySpec(q=q, family=family, delta=delta)).output
+    D, f, d = code.D, code.field, code.d
+    assert d >= 3 and dual_swt_exceeds(D, d - 1)
+    rows = D.mat.copy()
+    rows[:, 1] = f.mul_arr(rows[:, 0], f.generator)
+    planted = AdditiveCode(D.n, f, rows, D.t)
+    assert not dual_swt_exceeds(planted, 2)
+    assert not dual_swt_exceeds(planted, d - 1)
+    assert min_swt(dual_symp(planted)) <= 2
+
+
+def test_catalog_scans_no_dual_and_few_vectors(monkeypatch):
+    # the q = 3 rows get d from the coordinate-set search, so no scan of
+    # D^perp_s is made, and a catalog pass requests few vectors (the
+    # F_p-class scans with D^perp_s minus C requested 17.5 M)
+    calls = []
+    real = _enum.min_weight_range
+    monkeypatch.setattr(
+        _enum, "min_weight_range",
+        lambda gens, p, groups, size, lo, hi, **kw: calls.append(
+            (len(gens), hi - lo)) or real(gens, p, groups, size, lo, hi, **kw))
+    rows = generate_table(3)
+    # a scan of D^perp_s, or of a coset in it, ends on all of its rows
+    smallest = min(2 * r.code.n * r.code.field.m - r.code.D.rank_p
+                   for r in rows)
+    assert calls and max(k for k, _ in calls) < smallest
+    for q in (4, 5, 7):
+        generate_table(q)
+    assert sum(vectors for _, vectors in calls) <= 2 * 10**6
