@@ -17,11 +17,11 @@ Verification levels per row (by :func:`subsystem_codes.rules.certify_mds`):
 * q = 3: the parent distance and swt(C) by enumeration; d and purity by
   a complete search of the radical's C(n, d-1) coordinate sets and zero
   Singleton slack (no scan of D^perp_s, 3^14 elements).
-* q in {4, 5, 7}: exact parameter bookkeeping, Hermitian
-  self-orthogonality of the radical's preimage, classical MDS dimension
-  checks and zero Singleton slack; D^perp_s is beyond the threshold
-  (e.g. 4^26 elements), so the Singleton bounds give d <= iota + 1
-  (method ``witness``) and dist <= n - kappa + 1, and purity is asserted.
+* q in {4, 5, 7}: parameter bookkeeping, Hermitian self-orthogonality of
+  the radical's preimage, MDS dimensions and zero Singleton slack;
+  D^perp_s is beyond the threshold (e.g. 4^26 elements), so the Singleton
+  bounds give d <= iota + 1 (method ``witness``) and, for a parent beyond
+  it too, dist <= n - kappa + 1; purity is asserted.
 """
 
 from __future__ import annotations
