@@ -16,13 +16,9 @@ in the smallest unsigned dtype that holds p^group_size values (exact for
 every prime p, up to 2^63 values), and a group adds to the weight
 through one key comparison.  High rows are scanned in batches against
 the whole low table; the first and last batch are clipped to [lo, hi).
-Results do not depend on how the high rows are split between worker
-threads.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,8 +26,6 @@ __all__ = ["min_weight_range", "weight_distribution"]
 
 # counters per batch: the comparison and weight arrays stay near 256 kB
 _BATCH = 1 << 18
-# ranges shorter than this are not split between threads
-_THREAD_MIN = 1 << 16
 
 
 def _low_rows(k: int) -> int:
@@ -51,74 +45,50 @@ def _keys(gens, p, group_size, counters):
         keys.T, dtype=np.min_scalar_type(p**group_size - 1))
 
 
-class _Span:
-    """Half-span key tables for counters in [lo, hi)."""
-
-    def __init__(self, gens, p, n_groups, group_size, lo, hi):
-        if p**group_size > 1 << 63:
-            raise ValueError(f"a group of {group_size} digits over F_{p} "
-                             "does not fit a 63-bit key")
-        gens = np.asarray(gens, dtype=np.int64)
-        kl = _low_rows(len(gens))
-        self.low_size = p**kl
-        self.lo, self.hi = lo, hi
-        self.h_first = lo // self.low_size
-        self.h_last = (hi - 1) // self.low_size + 1
-        self.low = _keys(gens[:kl], p, group_size, np.arange(self.low_size))
-        # negated high rows: a group of a sum is zero iff the keys agree
-        self.high = _keys(-gens[kl:] % p, p, group_size,
-                          np.arange(self.h_first, self.h_last))
-        self.wdtype = np.min_scalar_type(n_groups)
-
-    def row_ranges(self, parts: int):
-        """Split the high rows into ``parts`` contiguous (first, last) runs."""
-        rows = self.h_last - self.h_first
-        step = -(-rows // parts)
-        return [(self.h_first + a, min(self.h_last, self.h_first + a + step))
-                for a in range(0, rows, step)]
-
-    def batches(self, first: int, last: int):
-        """Weights of the counters of high rows [first, last), clipped."""
-        rows = max(1, _BATCH // self.low_size)
-        cmp = np.empty((min(rows, last - first), self.low_size), dtype=bool)
-        wts = np.empty(cmp.shape, dtype=self.wdtype)
-        for a in range(first, last, rows):
-            b = min(last, a + rows)
-            c, w = cmp[:b - a], wts[:b - a]
-            high = self.high[:, a - self.h_first:b - self.h_first, None]
-            w.fill(0)
-            for low, neg_high in zip(self.low, high):
-                np.not_equal(low, neg_high, out=c)
-                w += c
-            base = a * self.low_size
-            yield w.reshape(-1)[max(0, self.lo - base):self.hi - base]
+def _weights(gens, p, n_groups, group_size, lo, hi):
+    """Block weights of the span counters in [lo, hi), batch by batch of
+    high rows."""
+    if p**group_size > 1 << 63:
+        raise ValueError(f"a group of {group_size} digits over F_{p} "
+                         "does not fit a 63-bit key")
+    gens = np.asarray(gens, dtype=np.int64)
+    kl = _low_rows(len(gens))
+    low_size = p**kl
+    h_first = lo // low_size
+    low = _keys(gens[:kl], p, group_size, np.arange(low_size))
+    # negated high rows: a group of a sum is zero iff the keys agree
+    high = _keys(-gens[kl:] % p, p, group_size,
+                 np.arange(h_first, (hi - 1) // low_size + 1))
+    rows = max(1, _BATCH // low_size)
+    cmp = np.empty((min(rows, high.shape[1]), low_size), dtype=bool)
+    wts = np.empty(cmp.shape, dtype=np.min_scalar_type(n_groups))
+    for a in range(0, high.shape[1], rows):
+        batch = high[:, a:a + rows, None]
+        c, w = cmp[:batch.shape[1]], wts[:batch.shape[1]]
+        w.fill(0)
+        for low_keys, neg_high in zip(low, batch):
+            np.not_equal(low_keys, neg_high, out=c)
+            w += c
+        base = (h_first + a) * low_size
+        yield w.reshape(-1)[max(0, lo - base):hi - base]
 
 
 def min_weight_range(gens: np.ndarray, p: int, n_groups: int, group_size: int,
-                     lo: int, hi: int, workers: int = 1) -> int:
+                     lo: int, hi: int) -> int:
     """Minimum block weight over span counters in [lo, hi).
 
     The scan stops at the first element of weight 1, which is exact when
     no counter in the range gives the zero vector: the rows are linearly
-    independent and ``lo >= 1``.  ``workers`` threads split the high rows.
+    independent and ``lo >= 1``.
     """
     if lo >= hi:
         raise ValueError("empty enumeration range")
-    span = _Span(gens, p, n_groups, group_size, lo, hi)
-
-    def scan(rows):
-        best = n_groups + 1
-        for w in span.batches(*rows):
-            best = min(best, int(w.min()))
-            if best <= 1:
-                break
-        return best
-
-    parts = span.row_ranges(workers if hi - lo >= _THREAD_MIN else 1)
-    if len(parts) == 1:
-        return scan(parts[0])
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        return min(pool.map(scan, parts))
+    best = n_groups + 1
+    for w in _weights(gens, p, n_groups, group_size, lo, hi):
+        best = min(best, int(w.min()))
+        if best <= 1:
+            break
+    return best
 
 
 def weight_distribution(gens: np.ndarray, p: int, n_groups: int,
@@ -127,7 +97,6 @@ def weight_distribution(gens: np.ndarray, p: int, n_groups: int,
     dist = np.zeros(n_groups + 1, dtype=np.int64)
     if lo >= hi:
         return dist
-    span = _Span(gens, p, n_groups, group_size, lo, hi)
-    for w in span.batches(span.h_first, span.h_last):
+    for w in _weights(gens, p, n_groups, group_size, lo, hi):
         dist += np.bincount(w, minlength=n_groups + 1)
     return dist

@@ -40,8 +40,6 @@ pass_config = click.make_pass_decorator(RunConfig)
 @click.group(context_settings={"auto_envvar_prefix": "SUBSYS"})
 @click.option("--threshold", type=int, default=DEFAULT_THRESHOLD,
               show_default=True, help="Enumeration size limit.")
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Worker threads for enumeration.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Random seed for witness searches.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
@@ -55,17 +53,20 @@ pass_config = click.make_pass_decorator(RunConfig)
               help="Distance verification level.")
 @click.version_option(package_name="artifact")
 @click.pass_context
-def main(ctx, threshold, workers, seed, fmt, strict, emit, distance):
+def main(ctx, threshold, seed, fmt, strict, emit, distance):
     """Construct and transform subsystem codes from classical codes."""
-    if distance != "exact" and ctx.invoked_subcommand in ("table1", "family"):
-        raise click.UsageError(f"--distance has no effect on "
-                               f"{ctx.invoked_subcommand}; it applies to "
-                               "analyze and transform only")
+    if ctx.invoked_subcommand in ("table1", "family"):
+        # their certificates run no witness search
+        reason = (f"has no effect on {ctx.invoked_subcommand}; it applies "
+                  "to analyze and transform only")
+        if distance != "exact":
+            raise click.UsageError(f"--distance {reason}")
+        _refuse_options(reason, "seed")
     # --distance exact downgrades automatically beyond the threshold; the
     # downgrade is reported (and fatal under --strict)
     try:
         policy = Policy("auto" if distance == "exact" else distance,
-                        threshold=threshold, workers=workers, seed=seed)
+                        threshold=threshold, seed=seed)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
     ctx.obj = RunConfig(policy=policy, fmt=fmt, strict=strict, emit=emit)

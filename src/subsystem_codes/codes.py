@@ -125,7 +125,7 @@ def _coeff_field(field: FieldSpec, t: int) -> FieldSpec:
         return field
     if t == 1:
         return _field(field.p, 1, None)
-    raise NotImplementedError(
+    raise ValueError(
         f"coefficient degree t={t} unsupported (only t=1 and t=m={field.m})")
 
 
@@ -488,15 +488,14 @@ def _coset_rows(a, b) -> Tuple[np.ndarray, int, int]:
     return _layout(a, rows), cf.m * (0 if b is None else b.rank), cf.m
 
 
-def _min_scan(a, b, threshold: int, workers: int = 1) -> int:
+def _min_scan(a, b, threshold: int) -> int:
     """Minimum group weight over span(A) minus span(B); B None is {0}."""
     _check_span(a.field.p, a.rank_p, threshold)
     gens, kb, t = _coset_rows(a, b)
-    return _class_min(gens, a.field.p, a.n, kb, t, workers)
+    return _class_min(gens, a.field.p, a.n, kb, t)
 
 
-def _class_min(gens: np.ndarray, p: int, n: int, kb: int, t: int = 1,
-               workers: int = 1) -> int:
+def _class_min(gens: np.ndarray, p: int, n: int, kb: int, t: int = 1) -> int:
     """Minimum group weight over span(gens) minus the span of its first kb.
 
     ``gens`` holds the t digit rows alpha^j g (alpha^0 g first) of each row
@@ -507,12 +506,11 @@ def _class_min(gens: np.ndarray, p: int, n: int, kb: int, t: int = 1,
     gens[:i+1], i = kb, kb + t, ..; for p^t = 2 they join into [2^kb, 2^k)."""
     k, size = len(gens), gens.shape[1] // n
     if p**t == 2:
-        return _enum.min_weight_range(gens, p, n, size, 1 << kb, 1 << k,
-                                      workers=workers)
+        return _enum.min_weight_range(gens, p, n, size, 1 << kb, 1 << k)
     best = n + 1
     for i in range(kb, k, t):
         best = min(best, _enum.min_weight_range(
-            gens[:i + 1], p, n, size, p**i, 2 * p**i, workers=workers))
+            gens[:i + 1], p, n, size, p**i, 2 * p**i))
         if best <= 1:
             break
     return best
@@ -527,17 +525,16 @@ def _distribution_scan(code, threshold: int) -> np.ndarray:
                                      0, p**k)
 
 
-def min_swt(code: AdditiveCode, threshold: int = DEFAULT_THRESHOLD,
-            workers: int = 1) -> int:
+def min_swt(code: AdditiveCode, threshold: int = DEFAULT_THRESHOLD) -> int:
     """Exact minimum symplectic weight by full span enumeration."""
     if code.rank == 0:
         raise ValueError("minimum weight of the zero code is undefined")
-    return _min_scan(code, None, threshold, workers)
+    return _min_scan(code, None, threshold)
 
 
 def min_swt_coset(a: AdditiveCode, b: Optional[AdditiveCode],
                   mode: str = "exact", threshold: int = DEFAULT_THRESHOLD,
-                  workers: int = 1, seed: int = 0) -> Tuple[int, str]:
+                  seed: int = 0) -> Tuple[int, str]:
     """Minimum symplectic weight over A \\ B (B a subcode of A; None is {0}).
 
     ``exact`` enumerates the coset space fully and returns the tag
@@ -551,7 +548,7 @@ def min_swt_coset(a: AdditiveCode, b: Optional[AdditiveCode],
     if a.rank_p == (0 if b is None else b.rank_p):
         raise ValueError("A equals B: the difference set is empty")
     if mode == "exact":
-        return _min_scan(a, b, threshold, workers), "exhaustive"
+        return _min_scan(a, b, threshold), "exhaustive"
     if mode != "witness":
         raise ValueError(f"unknown mode {mode!r}")
     p = a.field.p
@@ -559,7 +556,7 @@ def min_swt_coset(a: AdditiveCode, b: Optional[AdditiveCode],
     if p**len(gens) <= WITNESS_RANDOM_SAMPLES:
         # no more vectors than the random search would draw: the exact
         # minimum is the tightest upper bound
-        return _class_min(gens, p, a.n, kb, t, workers), "witness"
+        return _class_min(gens, p, a.n, kb, t), "witness"
     w = _witness_search(gens, p, a.n, 2 * a.field.m, kb, len(gens) - kb,
                         seed)
     return w, "witness"
@@ -712,12 +709,11 @@ class ClassicalCode:
 
     # -- weights -------------------------------------------------------------
 
-    def min_wt(self, threshold: int = DEFAULT_THRESHOLD,
-               workers: int = 1) -> int:
+    def min_wt(self, threshold: int = DEFAULT_THRESHOLD) -> int:
         """Exact minimum Hamming weight by enumeration."""
         if self.rank == 0:
             raise ValueError("minimum weight of the zero code is undefined")
-        return _min_scan(self, None, threshold, workers)
+        return _min_scan(self, None, threshold)
 
     def weight_distribution(self,
                             threshold: int = DEFAULT_THRESHOLD) -> np.ndarray:

@@ -569,7 +569,7 @@ def certify_mds(C: AdditiveCode, d: int, policy: Policy = DEFAULT_POLICY
     if code.p**k > policy.threshold:
         code.d_method = "witness"
         return code, WITNESS, ASSERTED
-    code.swt_c = min_swt(C, policy.threshold, policy.workers)
+    code.swt_c = min_swt(C, policy.threshold)
     code.d_method = code.swt_c_method = "exhaustive"
     if not (dual_swt_exceeds(code.D, d - 1) and code.is_pure):
         raise AssertionError(f"D^perp_s has a vector of weight below {d}")

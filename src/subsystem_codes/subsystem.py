@@ -40,12 +40,11 @@ class Policy:
     distance_mode: "exact" (raise beyond the enumeration threshold),
     "auto" (downgrade to a witness bound, recorded in the method tag),
     "witness", or "skip".  threshold: the largest span enumerated
-    exactly; workers: enumeration threads; seed: witness-search seed.
+    exactly; seed: witness-search seed.
     """
 
     distance_mode: str = "auto"
     threshold: int = DEFAULT_THRESHOLD
-    workers: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -53,8 +52,8 @@ class Policy:
             raise ValueError(f"unknown distance mode {self.distance_mode!r}")
         if self.threshold < 1:
             raise ValueError("threshold must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 DEFAULT_POLICY = Policy()
@@ -221,11 +220,10 @@ def measure_distance(code: SubsystemCode, policy: Policy) -> None:
     sub = None if code.case == "b" else C
     opts = dict(threshold=policy.threshold, seed=policy.seed)
     code.d, code.d_method = min_swt_coset(dual_symp(code.D), sub, mode=mode,
-                                          workers=policy.workers, **opts)
+                                          **opts)
 
     try:
-        code.swt_c = min_swt(C, threshold=policy.threshold,
-                             workers=policy.workers)
+        code.swt_c = min_swt(C, threshold=policy.threshold)
         code.swt_c_method = "exhaustive"
     except EnumerationLimitError:
         if C.rank_p < 2 * code.n * C.field.m:

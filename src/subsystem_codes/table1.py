@@ -132,8 +132,7 @@ def _verify_parent(Y: ClassicalCode, parent: Tuple[int, int, int],
     if dist != n - kappa + 1:
         raise AssertionError("parent is not MDS in the recorded row")
     try:
-        if Y.min_wt(threshold=policy.threshold,
-                    workers=policy.workers) != dist:
+        if Y.min_wt(threshold=policy.threshold) != dist:
             raise AssertionError("parent distance mismatch")
         return VERIFIED
     except EnumerationLimitError:

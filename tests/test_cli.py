@@ -81,6 +81,8 @@ def test_analyze_non_primitive_modulus(runner, tmp_path):
     {"coeff_degree": 1, "generators": [[1.5, 0, 0, 1]]},
     {"coeff_degree": 1, "generators": [[1, 0, 0]]},
     {"coeff_degree": 1, "generators": 5},
+    # a coefficient degree other than 1 and m
+    {"m": 4, "coeff_degree": 2, "generators": [[1, 0, 0, 0]]},
 ])
 def test_analyze_rejects_bad_entries(runner, tmp_path, fields):
     bad = tmp_path / "bad.json"
@@ -299,12 +301,14 @@ def test_threshold_env_and_bad_value(runner, shor_path):
                         env={"SUBSYS_THRESHOLD": "8"})
     assert res.exit_code == 0
     assert json.loads(res.stdout)["distance"]["method"] == "witness"
-    for option, value in [("--threshold", "0"), ("--workers", "0"),
-                          ("--workers", "-2")]:
-        res = runner.invoke(main, [option, value, "table1", "--q", "3"])
+    for args, message in [
+            (["--threshold", "0", "table1", "--q", "3"],
+             "threshold must be >= 1"),
+            (["--seed", "-1", "analyze", shor_path], "seed must be >= 0"),
+            (["--seed", "-2", "analyze", shor_path], "seed must be >= 0")]:
+        res = runner.invoke(main, args)
         assert res.exit_code == 2
-        name = option.lstrip("-")
-        assert f"Invalid value: {name} must be >= 1" in res.output
+        assert f"Invalid value: {message}" in res.output
 
 
 def test_family_command(runner):
@@ -355,6 +359,10 @@ def test_family_parameter_level(runner):
       "[[5,1,0,3]]_2 pure"], "FILE applies only to the constructive rules"),
     (["transform", "--rule", "shorten-n", "--subset-assumed", "--params",
       "[[5,1,0,3]]_2 pure"], "--subset-assumed applies only to combine-nested"),
+    # no witness search runs in table1 or family
+    (["--seed", "7", "table1", "--q", "3"], "--seed has no effect on table1"),
+    (["--seed", "0", "family", "--family", "vi", "--q", "3", "--delta", "1",
+      "-r", "4"], "--seed has no effect on family"),
 ])
 def test_options_that_do_not_apply_are_refused(runner, five_path, args,
                                                option):
@@ -379,7 +387,8 @@ def test_options_that_apply_or_come_from_the_environment(runner, five_path):
             (["transform", five_path, "--rule", "shrink-k"],
              {"SUBSYS_TRANSFORM_TARGET_R": "3"}),
             (["transform", "--rule", "shorten-n", "--params",
-              "[[5,1,0,3]]_2 pure"], {"SUBSYS_TRANSFORM_SUBSET_ASSUMED": "1"})]:
+              "[[5,1,0,3]]_2 pure"], {"SUBSYS_TRANSFORM_SUBSET_ASSUMED": "1"}),
+            (["table1", "--q", "3"], {"SUBSYS_SEED": "7"})]:
         res = runner.invoke(main, args, env=env)
         assert res.exit_code == 0, (args, res.output)
         json.loads(res.stdout)

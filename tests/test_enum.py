@@ -62,26 +62,6 @@ def test_empty_ranges():
     assert not _enum.weight_distribution(gens, 2, 1, 2, 3, 3).any()
 
 
-def test_workers_agree():
-    # the weight-1 early stop cannot fire on this span; both ranges cover
-    # enough counters and high-half rows that two threads split them
-    rng = np.random.default_rng(46)
-    p, k, groups, gsize = 3, 11, 8, 2
-    while True:
-        gens = _independent_gens(rng, p, k, groups, gsize)
-        weights = _naive_weights(gens, p, groups, gsize)
-        if weights[1:].min() > 1:
-            break
-    for lo in (1, p**3):
-        assert p**k - lo >= _enum._THREAD_MIN
-        span = _enum._Span(gens, p, groups, gsize, lo, p**k)
-        assert len(span.row_ranges(2)) == 2
-        single = _enum.min_weight_range(gens, p, groups, gsize, lo, p**k)
-        multi = _enum.min_weight_range(gens, p, groups, gsize, lo, p**k,
-                                       workers=2)
-        assert single == multi == weights[lo:].min()
-
-
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 3), (3, 5), (2, 7), (5, 1)])
 def test_uneven_halves(p, k):
     # odd k: the low half has one row more than the high half; k = 1

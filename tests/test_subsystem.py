@@ -104,14 +104,14 @@ def test_distance_modes():
 
 
 def test_policy_validation():
-    assert Policy() == Policy("auto", DEFAULT_THRESHOLD, 1, 0)
+    assert Policy() == Policy("auto", DEFAULT_THRESHOLD, 0)
     with pytest.raises(ValueError, match="unknown distance mode"):
         Policy(distance_mode="bogus")
     with pytest.raises(ValueError, match="threshold must be >= 1"):
         Policy(threshold=0)
-    for workers in (0, -2):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            Policy(workers=workers)
+    for seed in (-1, -2):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            Policy(seed=seed)
 
 
 def test_auto_downgrade(monkeypatch):
