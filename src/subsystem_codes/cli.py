@@ -59,7 +59,8 @@ def main(ctx, threshold, seed, fmt, strict, emit, distance):
         # their certificates run no witness search
         reason = (f"has no effect on {ctx.invoked_subcommand}; it applies "
                   "to analyze and transform only")
-        if distance != "exact":
+        if distance != "exact" and ctx.get_parameter_source(
+                "distance") is ParameterSource.COMMANDLINE:
             raise click.UsageError(f"--distance {reason}")
         _refuse_options(reason, "seed")
     # --distance exact downgrades automatically beyond the threshold; the

@@ -25,6 +25,7 @@ search over coordinate sets, with no span.
 from __future__ import annotations
 
 import json
+from copy import copy
 from functools import lru_cache
 from itertools import combinations, islice, product
 from typing import List, Optional, Sequence, Tuple, Union
@@ -192,6 +193,13 @@ def _spans_rows(mat: np.ndarray, pivots: List[int], rows: np.ndarray,
     return np.array_equal(linalg.matmul(rows[:, pivots], mat, field), rows)
 
 
+def _with_basis(code, mat: np.ndarray, pivots: List[int]):
+    """``code``'s kind and space, spanned by ``mat`` (already reduced)."""
+    out = copy(code)
+    out.mat, out.pivots, out.rank = mat, pivots, mat.shape[0]
+    return out
+
+
 class AdditiveCode:
     """An F_{p^t}-linear subspace of F_q^{2n} in canonical generator form."""
 
@@ -339,26 +347,13 @@ class AdditiveCode:
 
 
 @lru_cache(maxsize=None)
-def _symplectic_gram(n: int, field: FieldSpec, t: int) -> np.ndarray:
-    """Gram matrix of the form on coefficient coordinates (read-only).
-
-    Each coordinate i contributes blocks -T at (x_i, y_i) and T at
-    (y_i, x_i).  t = m: the untraced symplectic form over F_q, T = (1).
-    t = 1: the trace-symplectic form as an F_p-bilinear form on m digits
-    per x_i and y_i, T_ab = tr(alpha_a alpha_b).
-    """
-    p, u = field.p, field.m // t
-    T = np.ones((1, 1), dtype=np.int64)
-    if u > 1:
-        T = np.array([[field.trace(field.mul(p**a, p**b)) for b in range(u)]
-                      for a in range(u)], dtype=np.int64)
-    M = np.zeros((2 * n * u, 2 * n * u), dtype=np.int64)
-    for i in range(n):
-        x0, y0 = i * u, (n + i) * u
-        M[x0:x0 + u, y0:y0 + u] = (-T) % p
-        M[y0:y0 + u, x0:x0 + u] = T
-    M.flags.writeable = False
-    return M
+def _trace_block(field: FieldSpec, u: int) -> np.ndarray:
+    """T_ab = tr(alpha_a alpha_b) over F_p: the trace form on the u digits
+    of one x_i or y_i (read-only); u = 1 is the untraced form, T = (1)."""
+    T = np.array([[field.trace(field.mul(field.p**a, field.p**b))
+                   for b in range(u)] for a in range(u)], dtype=np.int64)
+    T.flags.writeable = False
+    return T
 
 
 def _pairings(U, V, n: int, field: FieldSpec, t: int) -> np.ndarray:
@@ -366,10 +361,15 @@ def _pairings(U, V, n: int, field: FieldSpec, t: int) -> np.ndarray:
 
     U and V are coefficient rows (one vector may be given as a 1-D row).
     With V None the result is U M: row i holds the coefficients of
-    x -> <u_i|x>.
+    x -> <u_i|x>.  M has blocks -T at (x_i, y_i) and T at (y_i, x_i), so
+    U M = (U_y T | -U_x T), T from :func:`_trace_block`, with no product.
     """
-    cf = _coeff_field(field, t)
-    UM = linalg.matmul(U, _symplectic_gram(n, field, t), cf)
+    cf, h = _coeff_field(field, t), n * field.m // t
+    U = np.asarray(U, dtype=np.int64).reshape(-1, 2 * h)
+    if h > n:       # T acts on each coordinate's u = h/n digits
+        T = _trace_block(field, h // n)
+        U = (U.reshape(-1, len(T)) @ T % field.p).reshape(len(U), 2 * h)
+    UM = np.concatenate([U[:, h:], cf.neg_arr(U[:, :h])], axis=1)
     return UM if V is None else linalg.matmul(UM, np.atleast_2d(V).T, cf)
 
 
@@ -381,8 +381,7 @@ def dual_symp(code: AdditiveCode) -> AdditiveCode:
     computation stays over F_q.
     """
     a = _pairings(code.mat, None, code.n, code.field, code.t)
-    basis = linalg.nullspace(a, code.coeff_field)
-    return AdditiveCode._from_coeff_matrix(code.n, code.field, code.t, basis)
+    return _with_basis(code, *linalg.reduced_nullspace(a, code.coeff_field))
 
 
 def _radical_rows(gram, rows: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -670,8 +669,7 @@ class ClassicalCode:
             mat = self._conj_mat()
         else:
             raise ValueError(f"unknown dual kind {kind!r}")
-        basis = linalg.nullspace(mat, self.field)
-        return ClassicalCode(self.n, self.field, basis)
+        return _with_basis(self, *linalg.reduced_nullspace(mat, self.field))
 
     def _conj_mat(self) -> np.ndarray:
         """The generator matrix with conj_entry applied to every entry."""

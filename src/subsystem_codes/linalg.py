@@ -3,7 +3,9 @@
 Matrices are 2-D ``numpy.int64`` arrays of integer-encoded field elements.
 Every function works on whole arrays: ``rref`` clears a pivot column in all
 rows with one array step, and ``matmul`` over GF(p^m) is one integer product
-mod p on the F_p digits.  The hot enumeration loops live in ``_enum``.
+mod p on the F_p digits.  One elimination gives ``solve_many`` the solution
+for every right-hand side and the kernel, and ``reduced_nullspace`` the
+kernel's reduced basis.  The hot enumeration loops live in ``_enum``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import numpy as np
 
 from .gf import FieldSpec
 
-__all__ = ["rref", "rank", "nullspace", "row_space_contains", "solve", "matmul"]
+__all__ = ["rref", "rank", "nullspace", "reduced_nullspace",
+           "row_space_contains", "solve_many", "solve", "matmul"]
 
 
 def _as_matrix(mat) -> np.ndarray:
@@ -70,13 +73,15 @@ def rank(mat, field: FieldSpec) -> int:
 def nullspace(mat, field: FieldSpec) -> np.ndarray:
     """Canonical basis of {v : mat @ v = 0}, one vector per row."""
     a = _as_matrix(mat)
-    cols = a.shape[1]
-    r, pivots = rref(a, field)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[range(len(free)), free] = 1
-    basis[:, pivots] = field.neg_arr(r[:, free].T)
-    return basis
+    return solve_many(a, np.zeros((a.shape[0], 0), dtype=np.int64), field)[1]
+
+
+def reduced_nullspace(mat, field: FieldSpec) -> Tuple[np.ndarray, List[int]]:
+    """Reduced echelon basis of {v : mat @ v = 0} and its pivots in one
+    elimination: by matroid duality the :func:`nullspace` basis of the
+    reversed columns, with rows and columns reversed, is already reduced."""
+    basis = nullspace(_as_matrix(mat)[:, ::-1], field)[::-1, ::-1].copy()
+    return basis, (basis != 0).argmax(axis=1).tolist() if basis.size else []
 
 
 def row_space_contains(rref_mat: np.ndarray, pivots: List[int], v,
@@ -93,19 +98,29 @@ def row_space_contains(rref_mat: np.ndarray, pivots: List[int], v,
     return coeffs
 
 
-def solve(a, b, field: FieldSpec) -> Optional[np.ndarray]:
-    """One solution x of a @ x = b (free variables set to zero), or None."""
-    a = _as_matrix(a)
-    b = np.asarray(b, dtype=np.int64).reshape(-1)
+def solve_many(a, b, field: FieldSpec) -> Optional[tuple]:
+    """Solutions of a @ x = b[:, j] with free variables zero, one row per
+    column j, and the :func:`nullspace` basis of a, from one elimination
+    of [a | b]; None if some column of b is inconsistent."""
+    a, b = _as_matrix(a), _as_matrix(b)
     if a.shape[0] != b.shape[0]:
         raise ValueError("dimension mismatch")
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    r, pivots = rref(aug, field)
-    if pivots and pivots[-1] == a.shape[1]:
-        return None  # inconsistent system
-    x = np.zeros(a.shape[1], dtype=np.int64)
-    x[pivots] = r[:, -1]
-    return x
+    cols = a.shape[1]
+    r, pivots = rref(np.concatenate([a, b], axis=1), field)
+    if pivots and pivots[-1] >= cols:
+        return None
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.eye(cols, dtype=np.int64)[free]
+    basis[:, pivots] = field.neg_arr(r[:, free].T)
+    x = np.zeros((b.shape[1], cols), dtype=np.int64)
+    x[:, pivots] = r[:, cols:].T
+    return x, basis
+
+
+def solve(a, b, field: FieldSpec) -> Optional[np.ndarray]:
+    """One solution x of a @ x = b (free variables set to zero), or None."""
+    solved = solve_many(a, np.reshape(b, (-1, 1)), field)
+    return None if solved is None else solved[0][0]
 
 
 def matmul(a, b, field: FieldSpec) -> np.ndarray:

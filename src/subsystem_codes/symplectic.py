@@ -5,12 +5,14 @@ form for t = 1, the untraced one over F_q for t = m), with every form
 value from ``codes._pairings``.  Vectors are coefficient rows in the
 canonical column order of :mod:`subsystem_codes.codes`.
 
-Completion has two steps.  The partner step gives each isotropic vector
-a partner by one linear solve.  The complement step takes the canonical
-(reduced echelon) complement of the span so far: its first row v and the
-first later row pairing non-trivially with v, scaled to <v|w> = 1, are
-the next fresh pair.  :func:`fresh_pair` runs each step once, which is
-all that adjoining one pair to a gauge code needs;
+Completion has two steps, one elimination each.  The partner step
+solves for every isotropic vector's partner at once, then moves each by
+the kernel of the code's pairing rows to pair to 0 with the earlier
+ones.  The complement step takes the canonical (reduced echelon)
+complement of the span so far: its first row v and the first later row
+pairing non-trivially with v, scaled to <v|w> = 1, are the next fresh
+pair.  :func:`fresh_pair` runs each step once, which is all that
+adjoining one pair to a gauge code needs;
 :func:`extend_to_full_symplectic_basis` repeats the complement step.
 """
 
@@ -157,21 +159,35 @@ def _partner_pairs(dec: HyperbolicDecomposition) -> List[Pair]:
     """(x_i, z_i) for every isotropic z_i of a valid decomposition.
 
     x_i pairs to 1 with z_i and to 0 with every other vector of ``dec``
-    and with the earlier partners.  Free variables of each solve are zero.
-    """
+    and with the earlier partners, free variables zero.  One elimination
+    of [R | -I_s] (R x = <taken|x>) gives x0_i and ker R = K; reduced by
+    R, <x_j|.> is <x_j|K> on R's free columns, so x_i = x0_i + y K with y
+    the free-variables-zero solution of <x_j|K> y = -<x_j|x0_i>, j < i.
+    The rows [<x_j|K> | -<x_j|x0_l>] are kept reduced as they arrive (E):
+    they are independent, so each adds one pivot, and y[lead] = E[:, i]."""
     dec.validate()
     cf = dec.coeff_field()
     # row j holds the coefficients of x -> <taken_j|x> = -<x|taken_j>
     rows = dec.pairings(dec.matrix(), None)
+    rhs = cf.neg(1) * np.eye(len(rows), dec.s, dtype=np.int64)
+    solved = linalg.solve_many(rows, rhs, cf)
+    if solved is None:
+        raise AssertionError("no symplectic partner exists; invalid input")
+    base, K = solved
+    KB = np.concatenate([K, cf.neg_arr(base)])
+    E, lead = np.zeros((0, len(KB)), dtype=np.int64), []
     pairs: List[Pair] = []
     for i, z in enumerate(dec.isotropic):
-        rhs = np.zeros(len(rows), dtype=np.int64)
-        rhs[i] = cf.neg(1)
-        x = linalg.solve(rows, rhs, cf)
-        if x is None:
-            raise AssertionError("no symplectic partner exists; invalid input")
+        y = np.zeros(len(K), dtype=np.int64)
+        y[lead] = E[:, len(K) + i]
+        x = cf.add_arr(base[i], linalg.matmul(y, K, cf)[0])
         pairs.append((x, z))
-        rows = np.vstack([rows, dec.pairings(x, None)])
+        a = dec.pairings(x, KB)[0]
+        a = cf.add_arr(a, cf.neg_arr(linalg.matmul(a[None, lead], E, cf)[0]))
+        lead.append(int(np.flatnonzero(a[:len(K)])[0]))
+        a = cf.mul_arr(a, cf.inv(int(a[lead[-1]])))
+        E = np.vstack([cf.add_arr(E, cf.neg_arr(
+            cf.mul_arr(E[:, lead[-1], None], a))), a])
     return pairs
 
 
@@ -179,7 +195,7 @@ def _complement_pair(dec: HyperbolicDecomposition, pairs: List[Pair]) -> Pair:
     """First hyperbolic pair of the canonical complement of ``pairs``."""
     cf = dec.coeff_field()
     V = replace(dec, isotropic=[], pairs=pairs).matrix()
-    comp, _ = linalg.rref(linalg.nullspace(dec.pairings(V, None), cf), cf)
+    comp, _ = linalg.reduced_nullspace(dec.pairings(V, None), cf)
     vals = dec.pairings(comp[0], comp[1:])[0]
     hit = np.flatnonzero(vals)
     if not hit.size:

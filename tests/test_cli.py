@@ -388,7 +388,13 @@ def test_options_that_apply_or_come_from_the_environment(runner, five_path):
              {"SUBSYS_TRANSFORM_TARGET_R": "3"}),
             (["transform", "--rule", "shorten-n", "--params",
               "[[5,1,0,3]]_2 pure"], {"SUBSYS_TRANSFORM_SUBSET_ASSUMED": "1"}),
-            (["table1", "--q", "3"], {"SUBSYS_SEED": "7"})]:
+            (["table1", "--q", "3"], {"SUBSYS_SEED": "7"}),
+            (["table1", "--q", "3"], {"SUBSYS_DISTANCE": "witness"}),
+            (["table1", "--q", "3"], {"SUBSYS_DISTANCE": "skip"}),
+            (["family", "--family", "vi", "--q", "3", "--delta", "1", "-r",
+              "4"], {"SUBSYS_DISTANCE": "witness"}),
+            (["family", "--family", "vi", "--q", "3", "--delta", "1", "-r",
+              "4"], {"SUBSYS_DISTANCE": "skip"})]:
         res = runner.invoke(main, args, env=env)
         assert res.exit_code == 0, (args, res.output)
         json.loads(res.stdout)

@@ -60,6 +60,45 @@ def test_swt_and_trace_symp():
     assert trace_symp(u, v) == trace_symp(v, u) if f.p == 2 else True
 
 
+def _dense_gram(n, field, t):
+    """The form's Gram matrix M on coefficient coordinates, built entry by
+    entry: blocks -T at (x_i, y_i) and T at (y_i, x_i), T_ab =
+    tr(alpha_a alpha_b) for t = 1 and T = (1) for t = m."""
+    u = field.m // t
+    tr = [[field.trace(field.mul(field.p**a, field.p**b)) if u > 1 else 1
+           for b in range(u)] for a in range(u)]
+    cf = codes._coeff_field(field, t)
+    M = np.zeros((2 * n * u, 2 * n * u), dtype=np.int64)
+    for i in range(n):
+        for a in range(u):
+            for b in range(u):
+                M[i * u + a, (n + i) * u + b] = cf.neg(tr[a][b])
+                M[(n + i) * u + a, i * u + b] = tr[a][b]
+    return M
+
+
+@pytest.mark.parametrize("p,m,t", [(2, 1, 1), (3, 1, 1), (5, 1, 1), (2, 2, 1),
+                                   (2, 2, 2), (3, 2, 1), (3, 2, 2), (2, 3, 1),
+                                   (2, 3, 3)])
+def test_pairings_match_dense_gram_product(p, m, t):
+    # U M is read off U's x and y blocks; the reference multiplies by M
+    field = FieldSpec(p, m)
+    cf = codes._coeff_field(field, t)
+    rng = np.random.default_rng(40 + p + m + t)
+    for n in (1, 2, 4):
+        M = _dense_gram(n, field, t)
+        for rows in (0, 1, 3):
+            U = rng.integers(0, cf.q, (rows, len(M)))
+            V = rng.integers(0, cf.q, (2, len(M)))
+            UM = linalg.matmul(U, M, cf)
+            assert np.array_equal(codes._pairings(U, None, n, field, t), UM)
+            assert np.array_equal(codes._pairings(U, V, n, field, t),
+                                  linalg.matmul(UM, V.T, cf))
+        u = rng.integers(0, cf.q, len(M))
+        assert np.array_equal(codes._pairings(u, None, n, field, t)[0],
+                              linalg.matmul(u[None], M, cf)[0])
+
+
 @pytest.mark.parametrize("p,m,t", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 2, 2)])
 def test_dual_involution_and_size(p, m, t):
     field = FieldSpec(p, m)

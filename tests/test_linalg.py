@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from subsystem_codes import linalg
+from subsystem_codes.codes import (AdditiveCode, ClassicalCode, _pairings,
+                                   dual_symp)
 from subsystem_codes.gf import FieldSpec
 
 
@@ -196,3 +198,66 @@ def test_linalg_matches_scalar_oracle(pm):
             got = linalg.matmul(mat, other, f)
             assert got.shape == (rows, inner_cols), label
             assert got.tolist() == _naive_matmul(mat, other, f), label
+
+
+@pytest.mark.parametrize("pm", _ORACLE_FIELDS, ids=lambda pm: f"GF({pm[0]}^{pm[1]})")
+def test_reduced_nullspace_matches_scalar_oracle(pm):
+    # one elimination gives the reduced basis of the kernel: the oracle
+    # reduces the one-free-column basis a second time
+    f = FieldSpec(*pm)
+    rng = np.random.default_rng(100 + sum(pm))
+    for label, mat in _shapes(f, rng):
+        basis, piv = linalg.reduced_nullspace(mat, f)
+        ker = _naive_nullspace(mat, f)
+        want, want_piv = _naive_rref(
+            np.array(ker, dtype=np.int64).reshape(len(ker), mat.shape[1]), f)
+        assert basis.tolist() == want and piv == want_piv, label
+        assert basis.shape == (len(want), mat.shape[1]), label
+        assert basis.flags.c_contiguous and basis.dtype == np.int64, label
+
+
+def _random_additive(rng, f, t):
+    n = int(rng.integers(1, 5))
+    rows = int(rng.integers(0, 2 * n * f.m // t + 2))
+    return AdditiveCode(n, f, rng.integers(0, f.q, (rows, 2 * n)), t)
+
+
+@pytest.mark.parametrize("p,m,t", [(2, 1, 1), (3, 1, 1), (5, 1, 1), (2, 2, 1),
+                                   (2, 2, 2), (3, 2, 1), (3, 2, 2), (2, 3, 3)])
+def test_duals_match_reduced_nullspace_reference(p, m, t):
+    # the reference reduces the kernel basis again; the duals build the
+    # code straight from the one-elimination basis
+    f = FieldSpec(p, m)
+    rng = np.random.default_rng(p * 100 + m * 10 + t)
+    for _ in range(25):
+        code = _random_additive(rng, f, t)
+        a = _pairings(code.mat, None, code.n, f, t)
+        want = AdditiveCode._from_coeff_matrix(
+            code.n, f, t, linalg.nullspace(a, code.coeff_field))
+        got = dual_symp(code)
+        assert got == want
+        assert got.pivots == want.pivots and got.rank == want.rank
+        assert (got.n, got.field, got.t) == (code.n, f, t)
+    for _ in range(10):
+        length = int(rng.integers(1, 7))
+        cc = ClassicalCode(length, f, rng.integers(
+            0, f.q, (int(rng.integers(0, length + 2)), length)))
+        for kind in ("euclidean", "hermitian") if m % 2 == 0 else ("euclidean",):
+            mat = cc.mat if kind == "euclidean" else cc._conj_mat()
+            want = ClassicalCode(length, f, linalg.nullspace(mat, f))
+            got = cc.dual(kind)
+            assert got == want and got.pivots == want.pivots
+            assert got.rank == want.rank == length - cc.rank
+
+
+def test_solve_many_matches_single_solves(field):
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        mat = rng.integers(0, field.q, size=(4, 6)).astype(np.int64)
+        b = linalg.matmul(mat, rng.integers(0, field.q, (6, 3)), field)
+        x, ker = linalg.solve_many(mat, b, field)
+        assert np.array_equal(ker, linalg.nullspace(mat, field))
+        for j in range(3):
+            assert np.array_equal(x[j], linalg.solve(mat, b[:, j], field))
+    bad = np.array([[1, 0], [1, 0]], dtype=np.int64)
+    assert linalg.solve_many(bad, np.array([[0, 1], [0, 0]]), field) is None

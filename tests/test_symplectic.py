@@ -1,11 +1,18 @@
 """Hyperbolic decomposition and symplectic basis completion."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from subsystem_codes.codes import AdditiveCode, dual_symp, intersect
+from subsystem_codes import linalg, rs
+from subsystem_codes.codes import (AdditiveCode, _coeff_field, _pairings,
+                                   dual_symp, intersect)
 from subsystem_codes.gf import FieldSpec
-from subsystem_codes.symplectic import (extend_to_full_symplectic_basis,
+from subsystem_codes.rules import (MdsFamilySpec, _adjoin_fresh_pair,
+                                   _tower_for_q, hermitian_to_symplectic)
+from subsystem_codes.symplectic import (_partner_pairs,
+                                        extend_to_full_symplectic_basis,
                                         fresh_pair, hyperbolic_decompose)
 
 
@@ -85,3 +92,130 @@ def test_self_orthogonal_code_is_all_isotropic():
     code = AdditiveCode(2, field, [[1, 1, 0, 0], [0, 0, 1, 1]])
     dec = hyperbolic_decompose(code)
     assert dec.r == 0 and dec.s == code.rank
+
+
+# -- the partner and complement steps against the per-partner algorithm ----
+#
+# The reference solves the whole growing system [R; <x_0|.>; ..] once per
+# partner and reduces the complement's kernel basis a second time.
+
+def _reference_partners(dec):
+    cf = dec.coeff_field()
+    rows = dec.pairings(dec.matrix(), None)
+    pairs = []
+    for i, z in enumerate(dec.isotropic):
+        rhs = np.zeros(len(rows), dtype=np.int64)
+        rhs[i] = cf.neg(1)
+        x = linalg.solve(rows, rhs, cf)
+        assert x is not None
+        pairs.append((x, z))
+        rows = np.vstack([rows, dec.pairings(x, None)])
+    return pairs
+
+
+def _reference_fresh_pair(dec):
+    cf = dec.coeff_field()
+    pairs = _reference_partners(dec) + list(dec.pairs)
+    V = replace(dec, isotropic=[], pairs=pairs).matrix()
+    comp, _ = linalg.rref(linalg.nullspace(dec.pairings(V, None), cf), cf)
+    vals = dec.pairings(comp[0], comp[1:])[0]
+    hit = np.flatnonzero(vals)[0]
+    return comp[0], cf.mul_arr(comp[1 + hit], cf.inv(int(vals[hit])))
+
+
+def _same_pairs(got, want):
+    return len(got) == len(want) and all(
+        np.array_equal(a, c) and np.array_equal(b, d)
+        for (a, b), (c, d) in zip(got, want))
+
+
+def _isotropic_heavy_code(rng, field, n, t):
+    """Vectors each pairing to 0 with the ones before, then up to two
+    random vectors, so radicals of several vectors are common."""
+    cf = _coeff_field(field, t)
+    dim = 2 * n * field.m // t
+    rows = np.zeros((0, dim), dtype=np.int64)
+    for _ in range(int(rng.integers(1, dim // 2 + 1))):
+        ker = linalg.nullspace(_pairings(rows, None, n, field, t), cf)
+        rows = np.vstack([rows, linalg.matmul(
+            rng.integers(0, cf.q, (1, len(ker))), ker, cf)])
+    extra = rng.integers(0, cf.q, (int(rng.integers(0, 3)), dim))
+    return AdditiveCode._from_coeff_matrix(n, field, t,
+                                           np.vstack([rows, extra]))
+
+
+@pytest.mark.parametrize("p,m,t", [(2, 1, 1), (3, 1, 1), (5, 1, 1),
+                                   (2, 2, 1), (2, 2, 2), (3, 2, 2)])
+def test_partners_match_per_partner_solves(p, m, t):
+    field = FieldSpec(p, m)
+    rng = np.random.default_rng(30 + 7 * p + m + t)
+    several = 0
+    for _ in range(40):
+        code = _isotropic_heavy_code(rng, field, int(rng.integers(1, 5)), t)
+        if code.rank == 0:
+            continue
+        dec = hyperbolic_decompose(code)
+        several += dec.s >= 2
+        assert _same_pairs(_partner_pairs(dec), _reference_partners(dec))
+        if 2 * (dec.s + dec.r) < dec.dim:
+            assert _same_pairs([fresh_pair(dec)], [_reference_fresh_pair(dec)])
+    assert several >= 5
+
+
+def _family_members():
+    """The member with the largest delta for each constructive family and
+    q <= 9; over q = 8, 9 only one of the lengths q^2 - 1 and q^2, with
+    delta = 1."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for family in ("iii", "iv", "v", "vi"):
+            if (q, family) in ((8, "vi"), (9, "v")):
+                continue
+            large = q >= 8 and family in ("v", "vi")
+            for delta in (1,) if large else range(q, -1, -1):
+                try:
+                    spec = MdsFamilySpec(q=q, family=family, delta=delta)
+                except ValueError:
+                    continue
+                yield q, spec.target_params()[0], delta
+                break
+
+
+def test_adjunction_chains_match_per_partner_solves():
+    steps = 0
+    for q, n, delta in _family_members():
+        C = hermitian_to_symplectic(
+            rs.hermitian_self_orthogonal_rs(_tower_for_q(q), n, delta))
+        for _ in range(3):
+            dec = hyperbolic_decompose(C)
+            if 2 * (dec.s + dec.r) >= dec.dim:
+                with pytest.raises(ValueError, match="no room left"):
+                    _adjoin_fresh_pair(C)
+                break
+            assert _same_pairs(_partner_pairs(dec), _reference_partners(dec))
+            pair = _reference_fresh_pair(dec)
+            assert _same_pairs([fresh_pair(dec)], [pair])
+            want = replace(dec, pairs=dec.pairs + [pair]).span()
+            C = _adjoin_fresh_pair(C)
+            assert C == want
+            steps += 1
+    assert steps >= 50
+
+
+def test_adjunction_eliminates_once_per_step(monkeypatch):
+    # family vi, q = 5, delta = 3 has 8 isotropic generators; adjoining a
+    # pair reduces the span, the partner system, the complement and the
+    # output span once each: no system as large as R is solved per partner
+    C = hermitian_to_symplectic(
+        rs.hermitian_self_orthogonal_rs(_tower_for_q(5), 25, 3))
+    dec = hyperbolic_decompose(C)
+    assert dec.s >= 4
+    sizes = []
+    rref = linalg.rref
+
+    def counting(mat, field):
+        sizes.append(np.shape(mat)[0])
+        return rref(mat, field)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    _adjoin_fresh_pair(C)
+    assert sum(rows >= C.rank for rows in sizes) <= 4
