@@ -348,8 +348,8 @@ class AdditiveCode:
 
 @lru_cache(maxsize=None)
 def _trace_block(field: FieldSpec, u: int) -> np.ndarray:
-    """T_ab = tr(alpha_a alpha_b) over F_p: the trace form on the u digits
-    of one x_i or y_i (read-only); u = 1 is the untraced form, T = (1)."""
+    """T_ab = tr(alpha_a alpha_b) over F_p: the trace form on the u > 1
+    digits of one x_i or y_i (read-only); for u = 1 T is (1), no product."""
     T = np.array([[field.trace(field.mul(field.p**a, field.p**b))
                    for b in range(u)] for a in range(u)], dtype=np.int64)
     T.flags.writeable = False
