@@ -22,7 +22,7 @@ from .rules import (MdsFamilySpec, RuleResult, classical_modify,
 from .subsystem import (DEFAULT_POLICY, ParamRecord, Policy, PurityError,
                         SubsystemCode, analysis_report, bracket_params, derive,
                         is_pure_to)
-from .symplectic import (HyperbolicDecomposition, SymplecticBasis,
+from .symplectic import (HyperbolicDecomposition,
                          extend_to_full_symplectic_basis,
                          hyperbolic_decompose)
 from .table1 import Table1Row, generate_table
@@ -34,7 +34,7 @@ __all__ = [
     "TowerSpec", "conway_polynomial",
     "SubsystemCode", "ParamRecord", "PurityError", "RuleResult",
     "MdsFamilySpec", "BoundReport", "HyperbolicDecomposition",
-    "SymplecticBasis", "Table1Row", "EnumerationLimitError",
+    "Table1Row", "EnumerationLimitError",
     "DEFAULT_THRESHOLD", "Policy", "DEFAULT_POLICY",
     "derive", "bracket_params", "analysis_report", "is_pure_to",
     "swt", "trace_symp", "dual_symp", "intersect",

@@ -656,38 +656,30 @@ class ClassicalCode:
 
     # -- duals ---------------------------------------------------------------
 
-    def conj_entry(self, x: int) -> int:
-        """Frobenius x -> x^{sqrt(q)} for codes over a square field."""
+    def _conj(self, a) -> np.ndarray:
+        """Frobenius x -> x^sqrt(q) on every entry, for a square field."""
         if self.field.m % 2 != 0:
             raise ValueError("Hermitian operations need a square field")
-        return self.field.pow(int(x), self.field.p**(self.field.m // 2))
+        return self.field.pow_arr(a, self.field.p**(self.field.m // 2))
 
     def dual(self, kind: str = "euclidean") -> "ClassicalCode":
         if kind == "euclidean":
             mat = self.mat
         elif kind == "hermitian":
-            mat = self._conj_mat()
+            mat = self._conj(self.mat)
         else:
             raise ValueError(f"unknown dual kind {kind!r}")
         return _with_basis(self, *linalg.reduced_nullspace(mat, self.field))
 
-    def _conj_mat(self) -> np.ndarray:
-        """The generator matrix with conj_entry applied to every entry."""
-        if self.field.m % 2 != 0:
-            raise ValueError("Hermitian operations need a square field")
-        return self.field.pow_arr(self.mat, self.field.p**(self.field.m // 2))
-
     def hermitian_product(self, x, y) -> int:
-        """<x|y>_h = sum x_i^q y_i."""
-        f = self.field
-        acc = 0
-        for xi, yi in zip(np.asarray(x), np.asarray(y)):
-            acc = f.add(acc, f.mul(self.conj_entry(int(xi)), int(yi)))
-        return acc
+        """<x|y>_h = sum x_i^sqrt(q) y_i."""
+        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+        return int(linalg.matmul(self._conj(x).reshape(1, -1),
+                                 y.reshape(-1, 1), self.field)[0, 0])
 
     def _hermitian_gram(self) -> np.ndarray:
         """conj(G) G^T, the hermitian_products of the generators."""
-        return linalg.matmul(self._conj_mat(), self.mat.T, self.field)
+        return linalg.matmul(self._conj(self.mat), self.mat.T, self.field)
 
     def is_hermitian_self_orthogonal(self) -> bool:
         """All hermitian_products of generators vanish: conj(G) G^T = 0."""

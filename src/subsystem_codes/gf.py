@@ -13,7 +13,13 @@ for a prime field).  log(0) is a sentinel that lands every sum of logs with
 a zero operand in the zero tail of the exp table, so a product is one
 lookup with no zero test.  Powers of whole arrays (``pow_arr``), the
 generator-power order of the elements and a tower's subfield embedding
-are slices and lookups of the same tables.
+are slices and lookups of the same tables.  Scalar ``add``, ``neg`` and
+``mul`` are the array operations applied to scalars.
+
+A user-given modulus is checked for irreducibility by trial division: a
+monic polynomial of degree m is reducible iff it has a monic factor of
+degree at most m/2, and under the field-size cap that is at most 510
+divisions.
 """
 
 from __future__ import annotations
@@ -112,68 +118,15 @@ def _is_primitive(g: Sequence[int], f: Sequence[int], p: int) -> bool:
                    for ell in _prime_factors(order))
 
 
-def _poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _poly_is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p."""
-    m = len(f) - 1
-    if m < 1 or f[-1] != 1:
-        return False
-    if m == 1:
-        return True
-    x = [0, 1]
-    # x^(p^m) == x mod f
-    xq = list(x)
-    for _ in range(m):
-        xq = _poly_powmod(xq, p, f, p)
-    if _poly_sub(xq, x, p):
-        return False
-    # gcd(x^(p^(m/r)) - x, f) == 1 for every prime r | m
-    for r in _prime_factors(m):
-        xq = list(x)
-        for _ in range(m // r):
-            xq = _poly_powmod(xq, p, f, p)
-        g = _poly_sub(xq, x, p)
-        if not g:
-            return False
-        if len(_poly_gcd(g, list(f), p)) > 1:
-            return False
+    """True iff the monic f of degree m >= 1 has no monic factor of degree
+    1..m/2 over F_p: at most 510 trial divisions under the field-size cap."""
+    for d in range(1, (len(f) - 1) // 2 + 1):
+        for low in range(p**d):
+            g = [low // p**i % p for i in range(d)] + [1]
+            if not any(_poly_mod(list(f), g, p)):
+                return False
     return True
-
-
-def _poly_gcd(a: list, b: list, p: int) -> list:
-    """Monic gcd of two polynomials over F_p."""
-
-    def norm(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = norm(list(a)), norm(list(b))
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        db, da = len(b) - 1, len(a) - 1
-        while da >= db and a:
-            coef = a[-1] * inv % p
-            for i in range(db + 1):
-                a[da - db + i] = (a[da - db + i] - coef * b[i]) % p
-            a = norm(a)
-            da = len(a) - 1
-        a, b = b, a
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
 
 
 @lru_cache(maxsize=None)
@@ -254,7 +207,9 @@ class FieldSpec:
     m : extension degree.
     modulus : optional monic irreducible polynomial over F_p given as a
         sequence of m+1 coefficients, low degree first.  Defaults to the
-        Conway polynomial.
+        Conway polynomial.  A given modulus is checked by trial division
+        by every monic polynomial of degree 1..m/2 (ValueError "not
+        irreducible" on a factor).
 
     ``generator`` is the first primitive element in encoding order: x for a
     Conway modulus, the smallest primitive root for a prime field.
@@ -344,26 +299,16 @@ class FieldSpec:
     # -- scalar ops ---------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return int(((self._dig[a] + self._dig[b]) % self.p) @ self._pw)
+        return int(self.add_arr(a, b))
 
     def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        return int(((-self._dig[a]) % self.p) @ self._pw)
+        return int(self.neg_arr(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        return int(self._exp[self._log[a] + self._log[b]])
+        return int(self.mul_arr(a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -392,7 +337,7 @@ class FieldSpec:
         if self.m == 1:
             return (-a) % self.p
         if self.p == 2:
-            return a.copy()
+            return np.copy(a)
         return ((-self._dig[a]) % self.p) @ self._pw
 
     def mul_arr(self, a: np.ndarray, b) -> np.ndarray:

@@ -28,8 +28,7 @@ from .codes import AdditiveCode, _coeff_field, _pairings
 from .gf import FieldSpec
 
 __all__ = ["HyperbolicDecomposition", "hyperbolic_decompose",
-           "extend_to_full_symplectic_basis", "fresh_pair",
-           "SymplecticBasis"]
+           "extend_to_full_symplectic_basis", "fresh_pair"]
 
 Pair = Tuple[np.ndarray, np.ndarray]
 
@@ -100,29 +99,6 @@ class HyperbolicDecomposition:
             raise AssertionError("pairing relations violated")
 
 
-@dataclass
-class SymplecticBasis:
-    """A full symplectic basis of F_q^{2n} over the coefficient field.
-
-    ``pairs[k]`` = (x_k, z_k); pairs are ordered so that partners of the
-    input's isotropic vectors come first, the input's own pairs next, and
-    freshly completed pairs last (``fresh_from`` marks their start index).
-    """
-
-    n: int
-    field: FieldSpec
-    coeff_degree: int
-    pairs: List[Pair]
-    fresh_from: int
-
-    def validate(self) -> None:
-        dec = HyperbolicDecomposition(self.n, self.field, self.coeff_degree,
-                                      [], self.pairs)
-        dec.validate()
-        if 2 * len(self.pairs) != dec.dim:
-            raise AssertionError("basis does not span the full space")
-
-
 def hyperbolic_decompose(code: AdditiveCode) -> HyperbolicDecomposition:
     """Symplectic Gram-Schmidt split of a code into radical + pairs.
 
@@ -156,7 +132,7 @@ def hyperbolic_decompose(code: AdditiveCode) -> HyperbolicDecomposition:
 
 
 def _partner_pairs(dec: HyperbolicDecomposition) -> List[Pair]:
-    """(x_i, z_i) for every isotropic z_i of a valid decomposition.
+    """(x_i, z_i) for every isotropic z_i of a decomposition.
 
     x_i pairs to 1 with z_i and to 0 with every other vector of ``dec``
     and with the earlier partners, free variables zero.  One elimination
@@ -164,8 +140,8 @@ def _partner_pairs(dec: HyperbolicDecomposition) -> List[Pair]:
     R, <x_j|.> is <x_j|K> on R's free columns, so x_i = x0_i + y K with y
     the free-variables-zero solution of <x_j|K> y = -<x_j|x0_i>, j < i.
     The rows [<x_j|K> | -<x_j|x0_l>] are kept reduced as they arrive (E):
-    they are independent, so each adds one pivot, and y[lead] = E[:, i]."""
-    dec.validate()
+    they are independent, so each adds one pivot, and y[lead] = E[:, i].
+    Callers validate the completed pairs; bad input raises AssertionError."""
     cf = dec.coeff_field()
     # row j holds the coefficients of x -> <taken_j|x> = -<x|taken_j>
     rows = dec.pairings(dec.matrix(), None)
@@ -184,7 +160,10 @@ def _partner_pairs(dec: HyperbolicDecomposition) -> List[Pair]:
         pairs.append((x, z))
         a = dec.pairings(x, KB)[0]
         a = cf.add_arr(a, cf.neg_arr(linalg.matmul(a[None, lead], E, cf)[0]))
-        lead.append(int(np.flatnonzero(a[:len(K)])[0]))
+        free = np.flatnonzero(a[:len(K)])
+        if not free.size:
+            raise AssertionError("dependent partner pairings; invalid input")
+        lead.append(int(free[0]))
         a = cf.mul_arr(a, cf.inv(int(a[lead[-1]])))
         E = np.vstack([cf.add_arr(E, cf.neg_arr(
             cf.mul_arr(E[:, lead[-1], None], a))), a])
@@ -206,7 +185,7 @@ def _complement_pair(dec: HyperbolicDecomposition, pairs: List[Pair]) -> Pair:
 def fresh_pair(dec: HyperbolicDecomposition) -> Pair:
     """The first fresh hyperbolic pair completing a valid decomposition.
 
-    Equal to ``extend_to_full_symplectic_basis(dec).pairs[fresh_from]``,
+    Equal to ``extend_to_full_symplectic_basis(dec).pairs[dec.s + dec.r]``,
     without completing the rest of the basis.  The pair is validated with
     the partners and ``dec``'s own pairs.  Raises ValueError when the code
     and the partners of its isotropic vectors already fill the space.
@@ -219,19 +198,22 @@ def fresh_pair(dec: HyperbolicDecomposition) -> Pair:
     return pairs[-1]
 
 
-def extend_to_full_symplectic_basis(dec: HyperbolicDecomposition) -> SymplecticBasis:
+def extend_to_full_symplectic_basis(
+        dec: HyperbolicDecomposition) -> HyperbolicDecomposition:
     """Complete a valid decomposition to a symplectic basis of the space.
 
     Every isotropic vector z_i receives a partner x_i; the remaining space
-    is filled with fresh hyperbolic pairs.  Deterministic: linear solves
-    fix free variables to zero and fresh pivots are taken in canonical
-    (lexicographic reduced-basis) order.
+    is filled with fresh hyperbolic pairs.  The result has no isotropic
+    part; its pairs are the partners, then ``dec``'s own pairs, then the
+    fresh pairs from index ``dec.s + dec.r`` on.  Deterministic: linear
+    solves fix free variables to zero and fresh pivots are taken in
+    canonical (lexicographic reduced-basis) order.
     """
     pairs = _partner_pairs(dec) + list(dec.pairs)
-    fresh_from = len(pairs)
     while 2 * len(pairs) < dec.dim:
         pairs.append(_complement_pair(dec, pairs))
-    basis = SymplecticBasis(dec.n, dec.field, dec.coeff_degree, pairs,
-                            fresh_from)
+    basis = replace(dec, isotropic=[], pairs=pairs)
     basis.validate()
+    if 2 * basis.r != basis.dim:
+        raise AssertionError("basis does not span the full space")
     return basis

@@ -74,6 +74,17 @@ def test_analyze_non_primitive_modulus(runner, tmp_path):
     assert brackets == ["[[1,0,0,1]]_1024"] * 2
 
 
+def test_analyze_refuses_reducible_modulus(runner, tmp_path):
+    # x^2 + 1 = (x + 1)^2 over F_2
+    bad = tmp_path / "reducible.json"
+    bad.write_text(json.dumps({"p": 2, "m": 2, "modulus": [1, 0, 1], "n": 1,
+                               "coeff_degree": 1, "generators": [[1, 0]]}))
+    res = runner.invoke(main, ["analyze", str(bad)])
+    assert res.exit_code == 1
+    assert f"cannot load code file {bad}: " in res.output
+    assert "is not irreducible" in res.output
+
+
 @pytest.mark.parametrize("fields", [
     {"coeff_degree": 1, "generators": [[7, 0, 0, 1]]},
     {"coeff_degree": 2, "generators": [[7, 0, 0, 1]]},
@@ -439,9 +450,12 @@ _GOLDEN = Path(__file__).parent / "golden"
      "family_vi_q3_d1_r4"),
     (["transform", str(_DATA / "five_qubit.json"), "--rule", "shrink-k"],
      "transform_five_qubit_shrink_k"),
+    (["analyze", str(_DATA / "five_qubit.json")], "analyze_five_qubit"),
+    (["analyze", str(_DATA / "bacon_shor.json")], "analyze_bacon_shor"),
 ])
 def test_rule_report_matches_golden(args, name):
-    # reports that adjoin hyperbolic pairs must not move, byte for byte
+    # reports that adjoin hyperbolic pairs, and the analyze reports whose
+    # bounds and purity rest on the field arithmetic, must not move
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 0, res.output
     assert res.stdout_bytes == (_GOLDEN / f"{name}.json").read_bytes()

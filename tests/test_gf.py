@@ -1,10 +1,13 @@
 """Finite field arithmetic tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subsystem_codes import gf
+from subsystem_codes.codes import ClassicalCode
 from subsystem_codes.gf import FieldSpec, TowerSpec, conway_polynomial
 
 # classical table values for the standard (Conway) moduli, as coefficient
@@ -228,3 +231,73 @@ def test_invalid_field_parameters():
     # the prime 2^61 - 1 that takes minutes) and a large m never gives p^m
     with pytest.raises(ValueError, match="exceeds supported cap"):
         FieldSpec(2**64)
+
+
+# -- irreducibility against products of factors ------------------------------
+
+def _monic(p, m):
+    """Every monic polynomial of degree m over F_p, low degree first."""
+    return [low + (1,) for low in itertools.product(range(p), repeat=m)]
+
+
+def _convolve(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+def _mobius(n):
+    sign, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            sign = -sign
+        d += 1
+    return -sign if n > 1 else sign
+
+
+@pytest.mark.parametrize("p,top", [(2, 8), (3, 5), (5, 3), (7, 2)])
+def test_irreducibility_matches_factor_products(p, top):
+    for m in range(1, top + 1):
+        # reducible iff a product of two monic factors of degree >= 1
+        reducible = {_convolve(a, b, p) for d in range(1, m)
+                     for a in _monic(p, d) for b in _monic(p, m - d)}
+        irreducible = [f for f in _monic(p, m)
+                       if gf._poly_is_irreducible(f, p)]
+        assert set(irreducible) == set(_monic(p, m)) - reducible
+        # the count of monic irreducibles: (1/m) sum_{d|m} mu(d) p^(m/d)
+        # (Lidl & Niederreiter, Finite Fields, Thm. 3.25)
+        assert m * len(irreducible) == sum(
+            _mobius(d) * p**(m // d) for d in range(1, m + 1) if m % d == 0)
+
+
+@pytest.mark.parametrize("p,m,modulus", [
+    (2, 2, (1, 0, 1)),                  # (x + 1)^2
+    (3, 4, (1, 0, 2, 0, 1)),            # (x^2 + 1)^2, no linear factor
+    # (x^8 + x^4 + x^3 + x + 1)^2: only factors of degree m/2, at the cap
+    (2, 16, (1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1)),
+])
+def test_reducible_modulus_is_refused(p, m, modulus):
+    with pytest.raises(ValueError, match="not irreducible"):
+        FieldSpec(p, m, modulus)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 4), (5, 2), (2, 6)])
+def test_hermitian_product_matches_schoolbook(p, m):
+    f = FieldSpec(p, m)
+    root = p**(m // 2)
+    rng = np.random.default_rng(15)
+    for n in (0, 1, 2, 5, 9):
+        code = ClassicalCode(n, f, [])
+        for _ in range(20):
+            x, y = rng.integers(0, f.q, size=(2, n)).tolist()
+            # sum x_i^sqrt(q) y_i, adding digit vectors mod p
+            want = [0] * m
+            for a, b in zip(x, y):
+                term = f.digits(_oracle_mul(f, _oracle_pow(f, a, root), b))
+                want = [u + v for u, v in zip(want, term)]
+            assert code.hermitian_product(x, y) == f.from_digits(want)

@@ -11,7 +11,8 @@ from subsystem_codes.codes import (AdditiveCode, _coeff_field, _pairings,
 from subsystem_codes.gf import FieldSpec
 from subsystem_codes.rules import (MdsFamilySpec, _adjoin_fresh_pair,
                                    _tower_for_q, hermitian_to_symplectic)
-from subsystem_codes.symplectic import (_partner_pairs,
+from subsystem_codes.symplectic import (HyperbolicDecomposition,
+                                        _partner_pairs,
                                         extend_to_full_symplectic_basis,
                                         fresh_pair, hyperbolic_decompose)
 
@@ -55,18 +56,19 @@ def test_basis_completion(p, m, t):
         code = _random_code(rng, field, n, t)
         dec = hyperbolic_decompose(code)
         basis = extend_to_full_symplectic_basis(dec)
-        basis.validate()                    # full rank + pairing relations
+        basis.validate()                    # pairing relations
         dim = 2 * n * m // t
-        assert 2 * len(basis.pairs) == dim
+        assert basis.s == 0 and 2 * basis.r == dim
+        fresh_from = dec.s + dec.r
         # fresh pairs commute with everything in the input code
-        for x, z in basis.pairs[basis.fresh_from:]:
+        for x, z in basis.pairs[fresh_from:]:
             for g in code.mat:
                 assert dec.form(x, g) == 0
                 assert dec.form(z, g) == 0
         # the one-pair step gives exactly the first fresh pair
-        if basis.fresh_from < len(basis.pairs):
+        if fresh_from < basis.r:
             x, z = fresh_pair(dec)
-            fx, fz = basis.pairs[basis.fresh_from]
+            fx, fz = basis.pairs[fresh_from]
             assert np.array_equal(x, fx) and np.array_equal(z, fz)
         else:
             with pytest.raises(ValueError, match="no room left"):
@@ -92,6 +94,36 @@ def test_self_orthogonal_code_is_all_isotropic():
     code = AdditiveCode(2, field, [[1, 1, 0, 0], [0, 0, 1, 1]])
     dec = hyperbolic_decompose(code)
     assert dec.r == 0 and dec.s == code.rank
+
+
+def _bad_decompositions():
+    """(name, decomposition, check) for inputs that break the relations."""
+    x0, x1, _, z0, z1, _ = np.eye(6, dtype=np.int64)  # n = 3: <x_i|z_i> = 1
+
+    def dec(p, isotropic, pairs):
+        return HyperbolicDecomposition(3, FieldSpec(p), 1, isotropic, pairs)
+    yield ("pair that does not pair", dec(2, [], [(x0, x1)]),
+           lambda d: d.form(*d.pairs[0]) == 0)
+    yield ("isotropic vectors that pair", dec(2, [x0, z0], []),
+           lambda d: d.form(*d.isotropic) != 0)
+    yield ("dependent isotropic vectors", dec(3, [x0, 2 * x0], []),
+           lambda d: linalg.rank(d.matrix(), d.field) == 1)
+    yield ("isotropic vector that pairs with a pair",
+           dec(2, [x0 + z1], [(x1, z1)]),
+           lambda d: d.form(d.isotropic[0], d.pairs[0][0]) != 0)
+
+
+@pytest.mark.parametrize("complete", [fresh_pair,
+                                      extend_to_full_symplectic_basis])
+def test_invalid_decomposition_fails_by_name(complete):
+    # _partner_pairs does not validate its input: the callers validate the
+    # completed pairs, and a bad input must still fail by name
+    for name, dec, check in _bad_decompositions():
+        assert check(dec), name
+        with pytest.raises((AssertionError, ValueError)) as err:
+            complete(dec)
+        if err.type is ValueError:
+            assert "no room left" in str(err.value), name
 
 
 # -- the partner and complement steps against the per-partner algorithm ----
