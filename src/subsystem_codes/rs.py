@@ -1,10 +1,13 @@
 """Reed-Solomon style evaluation codes over F_{q^2}.
 
 An evaluation code is spanned by rows (pt^u)_{pt in points} for a
-consecutive run of monomial exponents u.  With a run of size kappa the
-code is MDS with parameters [n, kappa, n-kappa+1]: a codeword x^a * g(x)
-with deg g <= kappa-1 has at most kappa-1 zeros among nonzero evaluation
-points.
+consecutive run of monomial exponents u = a, .., a+kappa-1.  On distinct
+points it is a generalized Reed-Solomon code, MDS with parameters
+[n, kappa, n-kappa+1] (MacWilliams & Sloane, ch. 11): a codeword
+(pt^a g(pt)) with deg g <= kappa-1 vanishes on at most kappa-1 points,
+provided every multiplier pt^a is nonzero, that is a = 0 whenever 0 is a
+point.  :func:`grs_distance` checks these conditions on the points and
+exponents a code is built from.
 
 The Hermitian self-orthogonal members used by the MDS subsystem families
 evaluate x^1..x^delta on the nonzero elements of F_q or F_{q^2} (lengths
@@ -24,7 +27,7 @@ from . import linalg
 from .codes import ClassicalCode
 from .gf import FieldSpec, TowerSpec
 
-__all__ = ["evaluation_code", "hermitian_self_orthogonal_rs",
+__all__ = ["evaluation_code", "grs_distance", "hermitian_self_orthogonal_rs",
            "mds_min_weight_codeword"]
 
 
@@ -40,6 +43,31 @@ def evaluation_code(field: FieldSpec, points: Sequence[int],
     if code.rank != len(exponents):
         raise ValueError("evaluation map is not injective for these exponents")
     return code
+
+
+def grs_distance(points: Sequence[int], exponents: Sequence[int]) -> int:
+    """n - kappa + 1, the distance of :func:`evaluation_code` (points,
+    exponents), proved from its construction with no search.
+
+    The exponents must be a run a, a+1, .., a+kappa-1 with a >= 0 and
+    kappa >= 1, the points distinct with kappa <= n, and a = 0 whenever 0
+    is a point.  Raises AssertionError naming the first condition that
+    fails.
+    """
+    points = [int(pt) for pt in points]
+    exponents = [int(e) for e in exponents]
+    n, kappa = len(points), len(exponents)
+    a = exponents[0] if exponents else 0
+    if not exponents or a < 0 or exponents != list(range(a, a + kappa)):
+        raise AssertionError("the exponents are not a run a, a+1, .. with "
+                             "a >= 0")
+    if len(set(points)) != n:
+        raise AssertionError("the evaluation points are not distinct")
+    if kappa > n:
+        raise AssertionError(f"kappa = {kappa} exceeds the length n = {n}")
+    if a > 0 and 0 in points:
+        raise AssertionError(f"the multiplier 0^{a} of the point 0 vanishes")
+    return n - kappa + 1
 
 
 def _field_points(field: FieldSpec, include_zero: bool,

@@ -6,14 +6,18 @@ together with how far each claim could actually be checked:
 
 * ``verified_exhaustive`` -- the claim was confirmed by exact computation
   (dimension arithmetic, weight enumeration or a coordinate-set search);
+* ``verified_algebraic`` -- the claim follows by a theorem from checked
+  construction data, with no search (the distance of a catalog parent,
+  :func:`subsystem_codes.rs.grs_distance`);
 * ``witness_consistent`` -- only an upper bound was available (a witness
   search, or the Singleton bound for F_q-linear MDS constructions) and it
   does not contradict the claim;
 * ``asserted`` -- the claim rests on the general argument alone (all
   parameter-level rules).
 
-They match one for one the methods of measured values: ``exhaustive``,
-``witness`` and ``asserted``.
+``verified_exhaustive``, ``witness_consistent`` and ``asserted`` match
+one for one the methods of measured values: ``exhaustive``, ``witness``
+and ``asserted``.
 
 The dimension-trading rules are constructive: a hyperbolic pair is
 adjoined to (or removed from) the gauge code, moving one unit of
@@ -52,6 +56,7 @@ __all__ = [
 ]
 
 VERIFIED = "verified_exhaustive"
+ALGEBRAIC = "verified_algebraic"
 WITNESS = "witness_consistent"
 ASSERTED = "asserted"
 
@@ -547,19 +552,20 @@ def _tower_for_q(q: int) -> TowerSpec:
     return TowerSpec(_field(*prime_power(q), None))
 
 
-def certify_mds(C: AdditiveCode, d: int, policy: Policy = DEFAULT_POLICY
-                ) -> Tuple[SubsystemCode, str, str]:
-    """Derive the gauge code C of an MDS construction once and certify it.
+def certify_mds(code: SubsystemCode, d: int, policy: Policy = DEFAULT_POLICY
+                ) -> Tuple[str, str]:
+    """Certify the derived code of an MDS construction at its design d.
 
-    C must be F_q-linear with zero slack at the design d, so the Singleton
+    ``code`` comes from :func:`derive` in "skip" mode, and its gauge code
+    must be F_q-linear with zero slack at the design d, so the Singleton
     bound k + r <= n - 2d + 2 of such codes gives d <= design d.  Within
     the threshold a complete search over coordinate sets proves
     swt(D^perp_s) >= d (:func:`codes.dual_swt_exceeds`), and C lies in
     D^perp_s: d is exact, C pure, and swt(C) is enumerated.  Beyond it, d
     has method ``witness``, swt(C) stays unset and purity asserted; "exact"
-    mode raises.  Returns the code and the tags of its d and purity claims.
+    mode raises.  Sets d and swt(C) on ``code`` and returns the tags of its
+    d and purity claims.
     """
-    code = derive(C, replace(policy, distance_mode="skip"))
     code.d = d
     if not singleton_check(code).attained:          # F_q-linear, slack 0
         raise AssertionError(f"the Singleton bound does not give d <= {d}")
@@ -568,12 +574,12 @@ def certify_mds(C: AdditiveCode, d: int, policy: Policy = DEFAULT_POLICY
         _check_span(code.p, k, policy.threshold)
     if code.p**k > policy.threshold:
         code.d_method = "witness"
-        return code, WITNESS, ASSERTED
-    code.swt_c = min_swt(C, policy.threshold)
+        return WITNESS, ASSERTED
+    code.swt_c = min_swt(code.C, policy.threshold)
     code.d_method = code.swt_c_method = "exhaustive"
     if not (dual_swt_exceeds(code.D, d - 1) and code.is_pure):
         raise AssertionError(f"D^perp_s has a vector of weight below {d}")
-    return code, VERIFIED, VERIFIED
+    return VERIFIED, VERIFIED
 
 
 def mds_family(spec: MdsFamilySpec,
@@ -582,8 +588,8 @@ def mds_family(spec: MdsFamilySpec,
 
     Families iii-vi: build the Hermitian self-orthogonal evaluation code
     over F_{q^2}, expand it to a symplectic self-orthogonal gauge code,
-    adjoin r fresh hyperbolic pairs, and certify the result with
-    :func:`certify_mds`.  Families i and ii return parameter records only.
+    adjoin r fresh hyperbolic pairs, derive the result once and certify it
+    with :func:`certify_mds`.  Families i and ii return parameter records only.
     """
     n, k, r, d = spec.target_params()
     base = _field(*prime_power(spec.q), None)
@@ -611,7 +617,8 @@ def mds_family(spec: MdsFamilySpec,
         res.add(f"[[{n},{n},0,1]]_{spec.q} (trivial code)", VERIFIED)
         return res
 
-    out, d_tag, pure_tag = certify_mds(C, d, policy)
+    out = derive(C, Policy("skip"))
+    d_tag, pure_tag = certify_mds(out, d, policy)
     res = RuleResult("mds_family", out)
     m = base.m
     if (out.k_exp, out.r_exp) != (k * m, r * m):

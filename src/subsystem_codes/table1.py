@@ -10,18 +10,25 @@ of the parent; with iota = dim(Y intersect Y^perp_h) the derived
 parameters are k = n - kappa - iota and r = kappa - iota, d = iota + 1.
 The monomial run offset is searched so that iota matches the row; the
 chosen instantiation is recorded, since several offsets can work.  Each
-tried offset reads its radical off the kappa x kappa Gram matrix conj(Y) Y^T
-(:meth:`ClassicalCode.hermitian_radical`); Y^perp_h is never built.
+tried offset derives the expansion of Y once (:func:`derive` in "skip"
+mode): its radical D, read off the Gram matrix of the generators, is the
+expansion of Y intersect Y^perp_h, so the offset fits when dim D = 2 iota.
+That derived code is the row's code; no radical is computed twice.
 
-Verification levels per row (by :func:`subsystem_codes.rules.certify_mds`):
-* q = 3: the parent distance and swt(C) by enumeration; d and purity by
-  a complete search of the radical's C(n, d-1) coordinate sets and zero
-  Singleton slack (no scan of D^perp_s, 3^14 elements).
-* q in {4, 5, 7}: parameter bookkeeping, Hermitian self-orthogonality of
-  the radical's preimage, MDS dimensions and zero Singleton slack;
-  D^perp_s is beyond the threshold (e.g. 4^26 elements), so the Singleton
-  bounds give d <= iota + 1 (method ``witness``) and, for a parent beyond
-  it too, dist <= n - kappa + 1; purity is asserted.
+Verification per row:
+* parent distance: Y is built from the points and the exponent run that
+  :func:`subsystem_codes.rs.grs_distance` checks, so Y is a generalized
+  Reed-Solomon code and its distance is n - kappa + 1 with no search
+  (``verified_algebraic``, for every q and independent of the threshold).
+  A punctured row evaluates on the points minus the last one, which gives
+  the punctured code, since the reduced basis is unique.
+* radical self-orthogonality: D pairs to zero with itself.
+* dimensions, d and purity by :func:`subsystem_codes.rules.certify_mds`.
+  For q = 3, swt(C) by enumeration, and d and purity by a complete search
+  of the radical's C(n, d-1) coordinate sets and zero Singleton slack (no
+  scan of D^perp_s, 3^14 elements).  For q in {4, 5, 7} D^perp_s is beyond
+  the threshold (e.g. 4^26 elements), so the Singleton bound gives
+  d <= iota + 1 (method ``witness``) and purity is asserted.
 """
 
 from __future__ import annotations
@@ -32,11 +39,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
 from . import rs
-from .codes import ClassicalCode, EnumerationLimitError
+from .codes import ClassicalCode, _pairings
 from .gf import TowerSpec
-from .rules import (VERIFIED, WITNESS, _tower_for_q, certify_mds,
+from .rules import (ALGEBRAIC, VERIFIED, _tower_for_q, certify_mds,
                     hermitian_to_symplectic)
-from .subsystem import DEFAULT_POLICY, Policy, SubsystemCode
+from .subsystem import DEFAULT_POLICY, Policy, SubsystemCode, derive
 
 __all__ = ["Table1Row", "generate_table", "rows_to_csv", "rows_to_json"]
 
@@ -95,49 +102,43 @@ class Table1Row:
 
 
 def _parent_code(tower: TowerSpec, parent: Tuple[int, int, int], mark: str,
-                 offset: int) -> ClassicalCode:
-    """The evaluation code for one row at a given monomial-run offset."""
-    top = tower.base.q ** 2
-    n, kappa, _ = parent
-    if mark == "extended":
-        pts = rs._field_points(tower.top, True)
-        return rs.evaluation_code(tower.top, pts, range(kappa))
-    pts = rs._field_points(tower.top, False)
-    exps = [(offset + i) % (top - 1) for i in range(kappa)]
-    code = rs.evaluation_code(tower.top, pts, exps)
+                 offset: int) -> Tuple[ClassicalCode, int]:
+    """The evaluation code for one row at a given monomial-run offset, with
+    the distance its points and exponents prove (:func:`rs.grs_distance`)."""
+    kappa = parent[1]
+    pts = rs._field_points(tower.top, mark == "extended")
     if mark == "punctured":
-        code = code.puncture(code.n - 1)
-    return code
+        pts = pts[:-1]
+    exps = range(offset, offset + kappa)
+    return (rs.evaluation_code(tower.top, pts, exps),
+            rs.grs_distance(pts, exps))
 
 
 def _find_offset(tower: TowerSpec, parent: Tuple[int, int, int], mark: str,
-                 iota: int) -> Tuple[int, ClassicalCode, ClassicalCode]:
+                 iota: int) -> Tuple[int, ClassicalCode, int, SubsystemCode]:
     """Smallest monomial-run offset giving the required radical dimension,
-    with the parent Y and its radical Y intersect Y^perp_h."""
+    with the parent Y, its proved distance and the derived code of its
+    expansion, whose radical D has dimension 2 iota over F_q."""
     # extended rows evaluate the fixed run x^0 .. x^(kappa-1)
     offsets = [0] if mark == "extended" else range(tower.base.q**2 - 1)
     for offset in offsets:
-        Y = _parent_code(tower, parent, mark, offset)
-        Ys = Y.hermitian_radical()
-        if Ys.rank == iota:
-            return offset, Y, Ys
+        Y, dist = _parent_code(tower, parent, mark, offset)
+        C = hermitian_to_symplectic(Y, require_self_orthogonal=False)
+        code = derive(C, Policy("skip"))
+        if code.D.rank == 2 * iota:
+            return offset, Y, dist, code
     raise RuntimeError("no monomial run reproduces this row")
 
 
-def _verify_parent(Y: ClassicalCode, parent: Tuple[int, int, int],
-                   policy: Policy) -> str:
-    n, kappa, dist = parent
+def _verify_parent(Y: ClassicalCode, dist: int,
+                   parent: Tuple[int, int, int]) -> str:
+    """Tag of the parent distance ``dist`` that Y's construction proves."""
+    n, kappa, recorded = parent
     if (Y.n, Y.rank) != (n, kappa):
         raise AssertionError("parent dimensions do not match the row")
-    if dist != n - kappa + 1:
-        raise AssertionError("parent is not MDS in the recorded row")
-    try:
-        if Y.min_wt(threshold=policy.threshold) != dist:
-            raise AssertionError("parent distance mismatch")
-        return VERIFIED
-    except EnumerationLimitError:
-        # the classical Singleton bound: dist <= n - kappa + 1
-        return WITNESS
+    if dist != recorded:
+        raise AssertionError("parent distance does not match the row")
+    return ALGEBRAIC
 
 
 def generate_table(q: int,
@@ -153,17 +154,17 @@ def generate_table(q: int,
         iota = parent[1] - r
         if (k, d) != (n - parent[1] - iota, iota + 1):
             raise AssertionError("row bookkeeping is inconsistent")
-        offset, Y, Ys = _find_offset(tower, parent, mark, iota)
+        offset, Y, dist, code = _find_offset(tower, parent, mark, iota)
         row = Table1Row(q, subsystem, parent, mark, offset)
 
-        row.verification["parent_distance"] = _verify_parent(Y, parent, policy)
+        row.verification["parent_distance"] = _verify_parent(Y, dist, parent)
 
-        if not Ys.is_hermitian_self_orthogonal():
-            raise AssertionError("radical preimage is not self-orthogonal")
+        D = code.D
+        if _pairings(D.mat, D.mat, D.n, D.field, D.t).any():
+            raise AssertionError("the radical is not self-orthogonal")
         row.verification["radical_self_orthogonal"] = VERIFIED
 
-        C = hermitian_to_symplectic(Y, require_self_orthogonal=False)
-        code, d_tag, pure_tag = certify_mds(C, d, policy)
+        d_tag, pure_tag = certify_mds(code, d, policy)
         m = tower.base.m
         if (code.k_exp, code.r_exp) != (k * m, r * m):
             raise AssertionError("subsystem dimensions do not match the row")

@@ -37,7 +37,9 @@ def verdict(capfd):
 def test_criterion_1_catalog_q3_exact(verdict):
     rows = generate_table(3)
     ok = (len(rows) == 5
-          and all(set(r.verification.values()) == {"verified_exhaustive"}
+          and all(r.verification["parent_distance"] == "verified_algebraic"
+                  and {v for c, v in r.verification.items()
+                       if c != "parent_distance"} == {"verified_exhaustive"}
                   for r in rows)
           and all(r.code.d == r.subsystem[3] and r.code.is_pure
                   for r in rows))
@@ -51,6 +53,7 @@ def test_criterion_2_catalog_large_q(verdict):
         ok &= len(rows) == count
         for r in rows:
             v = r.verification
+            ok &= v["parent_distance"] == "verified_algebraic"
             ok &= v["dimensions"] == "verified_exhaustive"
             ok &= v["radical_self_orthogonal"] == "verified_exhaustive"
             ok &= v["mds_slack_zero"] == "verified_exhaustive"

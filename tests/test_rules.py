@@ -315,17 +315,26 @@ def test_certify_mds_needs_the_singleton_bound():
     X = hermitian_self_orthogonal_rs(_tower_for_q(4), 3, 1)
     C = hermitian_to_symplectic(X)
     beyond = Policy(threshold=1)
-    code, d_tag, pure_tag = certify_mds(C, 2, beyond)
+
+    def derived(C):
+        return derive(C, Policy("skip"))
+
+    code = derived(C)
+    d_tag, pure_tag = certify_mds(code, 2, beyond)
     assert (code.d, code.d_method) == (2, "witness")
     assert (d_tag, pure_tag) == ("witness_consistent", "asserted")
     with pytest.raises(AssertionError):
-        certify_mds(C, 3, beyond)                  # a planted design d + 1
+        certify_mds(derived(C), 3, beyond)         # a planted design d + 1
     with pytest.raises(AssertionError):
-        certify_mds(C.as_additive(), 2, beyond)    # t = 1: not F_q-linear
+        # t = 1: not F_q-linear
+        certify_mds(derived(C.as_additive()), 2, beyond)
     with pytest.raises(EnumerationLimitError):
-        certify_mds(C, 2, Policy("exact", threshold=1))
-    assert certify_mds(C, 2)[1:] == ("verified_exhaustive",
-                                     "verified_exhaustive")
+        certify_mds(derived(C), 2, Policy("exact", threshold=1))
+    code = derived(C)
+    assert certify_mds(code, 2) == ("verified_exhaustive",
+                                    "verified_exhaustive")
+    assert (code.d, code.d_method, code.swt_c_method) == (2, "exhaustive",
+                                                          "exhaustive")
 
 
 def test_family_k0_boundary():

@@ -8,17 +8,20 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from subsystem_codes import _enum, rules, subsystem
+from subsystem_codes import _enum, rules, subsystem, table1
 from subsystem_codes.cli import main
-from subsystem_codes.codes import (AdditiveCode, dual_swt_exceeds, dual_symp,
+from subsystem_codes.codes import (DEFAULT_THRESHOLD, AdditiveCode,
+                                   ClassicalCode, dual_swt_exceeds, dual_symp,
                                    min_swt, min_swt_coset)
-from subsystem_codes.rs import (hermitian_self_orthogonal_rs,
+from subsystem_codes.rs import (_field_points, evaluation_code, grs_distance,
+                                hermitian_self_orthogonal_rs,
                                 mds_min_weight_codeword)
 from subsystem_codes.rules import (MdsFamilySpec, _expand_vector,
-                                   _tower_for_q, grow_k, mds_family)
+                                   _tower_for_q, grow_k,
+                                   hermitian_to_symplectic, mds_family)
 from subsystem_codes.subsystem import PurityError, analysis_report
 from subsystem_codes.table1 import (Table1Row, _ROWS, _find_offset,
-                                    generate_table, rows_to_csv,
+                                    _parent_code, generate_table, rows_to_csv,
                                     rows_to_json)
 
 
@@ -32,7 +35,9 @@ def test_q3_block_fully_verified(rows_q3):
         (8, 1, 5, 2), (8, 4, 2, 2), (8, 5, 1, 2),
         (9, 1, 4, 3), (9, 4, 1, 3)]
     for row in rows_q3:
-        assert set(row.verification.values()) == {"verified_exhaustive"}
+        v = dict(row.verification)
+        assert v.pop("parent_distance") == "verified_algebraic"
+        assert set(v.values()) == {"verified_exhaustive"}
         assert row.code is not None
         n, k, r, d = row.subsystem
         m = row.code.field.m
@@ -56,8 +61,7 @@ def test_large_q_blocks(q, count):
     assert len(rows) == count
     for row in rows:
         v = row.verification
-        assert v["parent_distance"] in ("verified_exhaustive",
-                                        "witness_consistent")
+        assert v["parent_distance"] == "verified_algebraic"
         assert v["radical_self_orthogonal"] == "verified_exhaustive"
         assert v["dimensions"] == "verified_exhaustive"
         assert v["distance"] in ("verified_exhaustive", "witness_consistent")
@@ -107,18 +111,23 @@ def test_report_matches_golden(q):
 
 
 def test_rows_and_members_derived_once(monkeypatch):
-    # each row and member is derived once; beyond the threshold D^perp_s is
-    # never scanned, so certification must not build it (derive takes the
-    # radical from the Gram matrix and builds no dual either)
-    derived, duals = [], []
+    # each row and member is derived once, so its radical is computed once;
+    # beyond the threshold D^perp_s is never scanned, so certification must
+    # not build it (derive takes the radical from the Gram matrix and builds
+    # no dual either)
+    derived, radicals, duals = [], [], []
     real_derive, real_dual = rules.derive, subsystem.dual_symp
-    monkeypatch.setattr(rules, "derive", lambda C, policy: derived.append(C)
-                        or real_derive(C, policy))
+    real_radical = subsystem.radical
+    monkeypatch.setattr(subsystem, "radical", lambda C: radicals.append(C)
+                        or real_radical(C))
+    for mod in (table1, rules):
+        monkeypatch.setattr(mod, "derive", lambda C, policy: derived.append(C)
+                            or real_derive(C, policy))
     for mod in (subsystem, rules):
         monkeypatch.setattr(mod, "dual_symp", lambda code: duals.append(code)
                             or real_dual(code))
     rows = generate_table(4)
-    assert (len(derived), len(duals)) == (len(rows), 0)
+    assert (len(derived), len(radicals), len(duals)) == (len(rows),) * 2 + (0,)
     derived.clear()
     res = mds_family(MdsFamilySpec(q=4, family="v", delta=2, r=1))
     assert res.output.d_method == "witness"
@@ -159,9 +168,10 @@ def test_singleton_bound_agrees_with_witness_search(q, member):
         assert row.verification["distance"] == "witness_consistent"
         n, kappa, dist = row.parent
         iota = kappa - row.subsystem[2]
-        _, Y, Ys = _find_offset(tower, row.parent, row.mark, iota)
+        _, Y, _, _ = _find_offset(tower, row.parent, row.mark, iota)
         assert int((mds_min_weight_codeword(Y) != 0).sum()) == dist
-        assert _coset_witness(tower, Ys, row.code.C) == row.subsystem[3]
+        assert _coset_witness(tower, Y.hermitian_radical(),
+                              row.code.C) == row.subsystem[3]
     family, delta, r = member
     spec = MdsFamilySpec(q=q, family=family, delta=delta, r=r)
     res = mds_family(spec)
@@ -236,14 +246,20 @@ def test_certificate_refuses_two_dependent_columns(q, family, delta):
 
 def test_catalog_scans_no_dual_and_few_vectors(monkeypatch):
     # the q = 3 rows get d from the coordinate-set search, so no scan of
-    # D^perp_s is made, and a catalog pass requests few vectors (the
-    # F_p-class scans with D^perp_s minus C requested 17.5 M)
-    calls = []
+    # D^perp_s is made, and the parents' distances come from their
+    # construction, so no parent is scanned either: a catalog pass
+    # requests only the swt(C) scans of the q = 3 rows (the F_p-class scans
+    # with D^perp_s minus C requested 17.5 M, the parent scans 0.97 M)
+    calls, parent_calls = [], []
     real = _enum.min_weight_range
     monkeypatch.setattr(
         _enum, "min_weight_range",
         lambda gens, p, groups, size, lo, hi, **kw: calls.append(
             (len(gens), hi - lo)) or real(gens, p, groups, size, lo, hi, **kw))
+    # neither a parent's distance nor its radical Y ^ Y^perp_h is computed
+    for name in ("min_wt", "hermitian_radical"):
+        monkeypatch.setattr(ClassicalCode, name,
+                            lambda self, *a, **kw: parent_calls.append(self))
     rows = generate_table(3)
     # a scan of D^perp_s, or of a coset in it, ends on all of its rows
     smallest = min(2 * r.code.n * r.code.field.m - r.code.D.rank_p
@@ -251,4 +267,57 @@ def test_catalog_scans_no_dual_and_few_vectors(monkeypatch):
     assert calls and max(k for k, _ in calls) < smallest
     for q in (4, 5, 7):
         generate_table(q)
-    assert sum(vectors for _, vectors in calls) <= 2 * 10**6
+    assert not parent_calls
+    assert sum(vectors for _, vectors in calls) <= 600_000
+
+
+def _catalog():
+    """(row, parent code, proved parent distance) for all 17 rows."""
+    out = []
+    for q in sorted(_ROWS):
+        tower = _tower_for_q(q)
+        for row in generate_table(q):
+            Y, dist = _parent_code(tower, row.parent, row.mark, row.offset)
+            out.append((row, Y, dist))
+    return out
+
+
+def test_parent_certificate_agrees_with_enumeration():
+    # the 12 parents whose span fits under the threshold are enumerated
+    # and have exactly the distance their construction proves; the other
+    # 5 are cross-checked by the codeword search of
+    # test_singleton_bound_agrees_with_witness_search
+    within = 0
+    for row, Y, dist in _catalog():
+        assert dist == row.parent[2] == Y.n - Y.rank + 1
+        if Y.field.q ** Y.rank <= DEFAULT_THRESHOLD:
+            assert Y.min_wt() == dist
+            within += 1
+        if row.mark == "punctured":
+            # evaluating on one point fewer is puncturing the plain code
+            tower = _tower_for_q(row.q)
+            full = evaluation_code(tower.top, _field_points(tower.top, False),
+                                   range(row.offset, row.offset + Y.rank))
+            assert Y == full.puncture(full.n - 1)
+    assert within == 12
+
+
+@pytest.mark.parametrize("points,exponents,refusal", [
+    ([1, 2, 3, 4], [0, 1, 3], "not a run"),
+    ([1, 2, 2, 4], [0, 1, 2], "not distinct"),
+    ([1, 2, 3, 0], [1, 2], "multiplier 0"),
+    ([1, 2, 3], [0, 1, 2, 3], "exceeds the length"),
+])
+def test_grs_certificate_refuses_planted_inputs(points, exponents, refusal):
+    with pytest.raises(AssertionError, match=refusal):
+        grs_distance(points, exponents)
+    # inputs that meet every condition are accepted
+    assert grs_distance([1, 2, 3, 4], [2, 3, 4]) == 2
+    assert grs_distance([1, 2, 3, 0], [0, 1]) == 3
+
+
+def test_derived_radical_is_the_expansion_of_the_hermitian_radical():
+    # derive reads D off the Gram matrix of the expansion of Y; the
+    # independent oracle is the expansion of Y intersect Y^perp_h
+    for row, Y, _ in _catalog():
+        assert row.code.D == hermitian_to_symplectic(Y.hermitian_radical())
