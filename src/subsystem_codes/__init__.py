@@ -8,9 +8,8 @@ the catalog of optimal pure MDS subsystem codes.
 
 from .bounds import BoundReport, hamming_check, singleton_check
 from .codes import (DEFAULT_THRESHOLD, AdditiveCode, ClassicalCode,
-                    EnumerationLimitError, SympVector, dual_symp, intersect,
-                    min_swt, min_swt_coset, swt, swt_distribution,
-                    trace_symp)
+                    EnumerationLimitError, dual_symp, intersect, min_swt,
+                    min_swt_coset, swt_distribution)
 from .gf import FieldSpec, TowerSpec, conway_polynomial
 from .known import bacon_shor_code, five_qubit_code
 from .rs import evaluation_code, hermitian_self_orthogonal_rs
@@ -20,8 +19,7 @@ from .rules import (MdsFamilySpec, RuleResult, classical_modify,
                     shrink_k, stabilizer_to_subsystem,
                     subsystem_to_stabilizer)
 from .subsystem import (DEFAULT_POLICY, ParamRecord, Policy, PurityError,
-                        SubsystemCode, analysis_report, bracket_params, derive,
-                        is_pure_to)
+                        SubsystemCode, analysis_report, bracket_params, derive)
 from .symplectic import (HyperbolicDecomposition,
                          extend_to_full_symplectic_basis,
                          hyperbolic_decompose)
@@ -30,14 +28,13 @@ from .table1 import Table1Row, generate_table
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdditiveCode", "ClassicalCode", "SympVector", "FieldSpec",
-    "TowerSpec", "conway_polynomial",
+    "AdditiveCode", "ClassicalCode", "FieldSpec", "TowerSpec",
+    "conway_polynomial",
     "SubsystemCode", "ParamRecord", "PurityError", "RuleResult",
     "MdsFamilySpec", "BoundReport", "HyperbolicDecomposition",
     "Table1Row", "EnumerationLimitError",
     "DEFAULT_THRESHOLD", "Policy", "DEFAULT_POLICY",
-    "derive", "bracket_params", "analysis_report", "is_pure_to",
-    "swt", "trace_symp", "dual_symp", "intersect",
+    "derive", "bracket_params", "analysis_report", "dual_symp", "intersect",
     "min_swt", "min_swt_coset", "swt_distribution",
     "hyperbolic_decompose", "extend_to_full_symplectic_basis",
     "shrink_k", "grow_k", "stabilizer_to_subsystem",

@@ -20,7 +20,7 @@ from typing import List, Optional
 import click
 from click.core import ParameterSource
 
-from . import bounds, rules, table1 as table1_mod
+from . import __version__, bounds, rules, table1 as table1_mod
 from .codes import DEFAULT_THRESHOLD, AdditiveCode
 from .subsystem import (DEFAULT_POLICY, ParamRecord, Policy, SubsystemCode,
                         analysis_report, bracket_params, derive, is_exact)
@@ -51,7 +51,7 @@ pass_config = click.make_pass_decorator(RunConfig)
 @click.option("--distance", type=click.Choice(["exact", "witness", "skip"]),
               default="exact", show_default=True,
               help="Distance verification level.")
-@click.version_option(package_name="artifact")
+@click.version_option(version=__version__)
 @click.pass_context
 def main(ctx, threshold, seed, fmt, strict, emit, distance):
     """Construct and transform subsystem codes from classical codes."""

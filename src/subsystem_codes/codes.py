@@ -1,4 +1,4 @@
-"""Vectors of F_q^{2n}, additive and F_q-linear codes, duals and weights.
+"""Additive codes in F_q^{2n}, classical codes, their duals and weights.
 
 An :class:`AdditiveCode` is stored in canonical form: the reduced row
 echelon basis of its generator matrix over the coefficient subfield
@@ -8,11 +8,11 @@ field columns; the fixed column order is x-block then y-block,
 coordinate-major, basis-coefficient-minor.  Two codes are equal iff their
 canonical matrices are equal, which makes equality and hashing cheap.
 
-Minimum weights and weight distributions of both code kinds go through
-one path: :func:`_split` orders the rows of a code A over its coefficient
-field F_{p^t} as a subcode B's rows, then A's rows outside their span;
-:func:`_layout` writes each row g as its t prime-field digit rows alpha^j g
-with each coordinate's digits contiguous, for the
+Minimum weights of both code kinds and symplectic weight distributions go
+through one path: :func:`_split` orders the rows of a code A over its
+coefficient field F_{p^t} as a subcode B's rows, then A's rows outside
+their span; :func:`_layout` writes each row g as its t prime-field digit
+rows alpha^j g with each coordinate's digits contiguous, for the
 :mod:`subsystem_codes._enum` kernel.  The minimum scan visits one vector
 per F_{p^t} scalar class of A minus B: the counter ranges [p^i, 2 p^i)
 for i = kb, kb + t, .. (:func:`_class_min`).  Beyond the enumeration
@@ -28,7 +28,7 @@ import json
 from copy import copy
 from functools import lru_cache
 from itertools import combinations, islice, product
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -37,9 +37,6 @@ from .gf import FieldSpec
 
 __all__ = [
     "EnumerationLimitError",
-    "SympVector",
-    "swt",
-    "trace_symp",
     "AdditiveCode",
     "dual_symp",
     "intersect",
@@ -59,55 +56,6 @@ _WITNESS_COMBO_CAP = 10**6
 
 class EnumerationLimitError(RuntimeError):
     """Raised when an exact enumeration would exceed the threshold."""
-
-
-# ---------------------------------------------------------------------------
-# symplectic vectors
-# ---------------------------------------------------------------------------
-
-class SympVector:
-    """An element (x|y) of F_q^{2n}, stored as 2n integer-encoded entries."""
-
-    __slots__ = ("n", "field", "values")
-
-    def __init__(self, field: FieldSpec, values: Sequence[int]):
-        values = np.asarray(values, dtype=np.int64)
-        if values.ndim != 1 or values.size % 2 != 0:
-            raise ValueError("a symplectic vector needs 2n entries")
-        if values.size and (values.min() < 0 or values.max() >= field.q):
-            raise ValueError("entries out of field range")
-        self.field = field
-        self.n = values.size // 2
-        self.values = values
-
-    def __eq__(self, other):
-        return (isinstance(other, SympVector) and self.field == other.field
-                and np.array_equal(self.values, other.values))
-
-    def __hash__(self):
-        return hash((self.field, self.values.tobytes()))
-
-    def __repr__(self):
-        x = ",".join(str(v) for v in self.values[: self.n])
-        y = ",".join(str(v) for v in self.values[self.n:])
-        return f"({x}|{y})"
-
-
-def swt(v: Union[SympVector, Sequence[int]]) -> int:
-    """Symplectic weight: positions i with (x_i, y_i) != (0, 0)."""
-    vals = v.values if isinstance(v, SympVector) else np.asarray(v, dtype=np.int64)
-    n = vals.size // 2
-    return int(((vals[:n] != 0) | (vals[n:] != 0)).sum())
-
-
-def trace_symp(u: SympVector, v: SympVector) -> int:
-    """Trace-symplectic product tr_{q/p}(a'.b - a.b') for u=(a|b), v=(a'|b')."""
-    if not isinstance(u, SympVector) or not isinstance(v, SympVector):
-        raise TypeError("expected SympVector operands")
-    if u.field != v.field or u.n != v.n:
-        raise ValueError("length or field mismatch")
-    f = u.field
-    return f.trace(int(_pairings(u.values, v.values, u.n, f, f.m)[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +109,6 @@ def _plain_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"field {name!r} must be an integer, got {value!r}")
     return int(value)
-
-
-def _json_rows(data: dict, key: str) -> Tuple[int, list]:
-    """The length (field ``key``) and the generator list of a code file."""
-    n, gens = _plain_int(data[key], key), data["generators"]
-    if n < 1:
-        raise ValueError(f"field {key!r} must be at least 1, got {n}")
-    if not isinstance(gens, list):
-        raise ValueError(f"field 'generators' must be a list, got {gens!r}")
-    return n, gens
 
 
 def _json_field(data: dict) -> FieldSpec:
@@ -232,10 +170,6 @@ class AdditiveCode:
         return self.rank * self.t
 
     def _expand_row(self, row) -> np.ndarray:
-        if isinstance(row, SympVector):
-            if row.field != self.field or row.n != self.n:
-                raise ValueError("generator has wrong length or field")
-            row = row.values
         row = _field_row(row, self.field, 2 * self.n)
         if self.t == self.field.m:
             return row
@@ -278,9 +212,6 @@ class AdditiveCode:
 
     # -- membership, comparison --------------------------------------------
 
-    def generators(self) -> List[SympVector]:
-        return [SympVector(self.field, self._contract_row(r)) for r in self.mat]
-
     def contains_vector(self, v) -> bool:
         row = self._expand_row(v)
         return linalg.row_space_contains(self.mat, self.pivots, row,
@@ -306,12 +237,6 @@ class AdditiveCode:
         return (f"AdditiveCode(n={self.n}, {self.field!r}, t={self.t}, "
                 f"rank={self.rank})")
 
-    # -- the trace-symplectic form ------------------------------------------
-
-    def form(self, u: np.ndarray, v: np.ndarray) -> int:
-        """Evaluate the (trace-)symplectic form on two coefficient rows."""
-        return int(_pairings(u, v, self.n, self.field, self.t)[0, 0])
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -327,7 +252,12 @@ class AdditiveCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "AdditiveCode":
-        n, gens = _json_rows(data, "n")
+        n, gens = _plain_int(data["n"], "n"), data["generators"]
+        if n < 1:
+            raise ValueError(f"field 'n' must be at least 1, got {n}")
+        if not isinstance(gens, list):
+            raise ValueError(
+                f"field 'generators' must be a list, got {gens!r}")
         # every report derives the code, and the zero code has no derivation
         if not gens:
             raise ValueError(
@@ -671,18 +601,12 @@ class ClassicalCode:
             raise ValueError(f"unknown dual kind {kind!r}")
         return _with_basis(self, *linalg.reduced_nullspace(mat, self.field))
 
-    def hermitian_product(self, x, y) -> int:
-        """<x|y>_h = sum x_i^sqrt(q) y_i."""
-        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
-        return int(linalg.matmul(self._conj(x).reshape(1, -1),
-                                 y.reshape(-1, 1), self.field)[0, 0])
-
     def _hermitian_gram(self) -> np.ndarray:
-        """conj(G) G^T, the hermitian_products of the generators."""
+        """conj(G) G^T: <g_i|g_j>_h = sum g_i^sqrt(q) g_j of the generators."""
         return linalg.matmul(self._conj(self.mat), self.mat.T, self.field)
 
     def is_hermitian_self_orthogonal(self) -> bool:
-        """All hermitian_products of generators vanish: conj(G) G^T = 0."""
+        """All Hermitian products of generators vanish: conj(G) G^T = 0."""
         return not self._hermitian_gram().any()
 
     def hermitian_radical(self) -> "ClassicalCode":
@@ -704,10 +628,6 @@ class ClassicalCode:
         if self.rank == 0:
             raise ValueError("minimum weight of the zero code is undefined")
         return _min_scan(self, None, threshold)
-
-    def weight_distribution(self,
-                            threshold: int = DEFAULT_THRESHOLD) -> np.ndarray:
-        return _distribution_scan(self, threshold)
 
     def min_wt_coset(self, sub: "ClassicalCode",
                      threshold: int = DEFAULT_THRESHOLD) -> Tuple[int, str]:
@@ -732,19 +652,3 @@ class ClassicalCode:
                              self.field)
         mat = np.concatenate([self.mat, self.field.neg_arr(sums)], axis=1)
         return ClassicalCode(self.n + 1, self.field, mat)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.field.p,
-            "m": self.field.m,
-            "modulus": list(self.field.modulus),
-            "length": self.n,
-            "generators": [[int(v) for v in r] for r in self.mat],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ClassicalCode":
-        n, gens = _json_rows(data, "length")
-        return cls(n, _json_field(data), gens)

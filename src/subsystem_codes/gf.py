@@ -206,7 +206,8 @@ class FieldSpec:
     p : prime characteristic.
     m : extension degree.
     modulus : optional monic irreducible polynomial over F_p given as a
-        sequence of m+1 coefficients, low degree first.  Defaults to the
+        sequence of m+1 coefficients in 0..p-1, low degree first (a
+        coefficient outside that range is a ValueError).  Defaults to the
         Conway polynomial.  A given modulus is checked by trial division
         by every monic polynomial of degree 1..m/2 (ValueError "not
         irreducible" on a factor).
@@ -231,7 +232,10 @@ class FieldSpec:
         if modulus is None:
             modulus = conway_polynomial(p, m)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(int(c) for c in modulus)
+            if not all(0 <= c < p for c in modulus):
+                raise ValueError(f"modulus {modulus} has a coefficient "
+                                 f"outside 0..{p - 1}")
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree m")
             if not _poly_is_irreducible(modulus, p):
@@ -303,9 +307,6 @@ class FieldSpec:
 
     def neg(self, a: int) -> int:
         return int(self.neg_arr(a))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_arr(a, b))
@@ -405,19 +406,3 @@ class TowerSpec:
         self._ex_u = np.zeros(q2, dtype=np.int64)
         self._ex_v = np.zeros(q2, dtype=np.int64)
         self._ex_u[x], self._ex_v[x] = u, v
-
-    def embed(self, a: int) -> int:
-        """Embed an element of F_q into F_{q^2}."""
-        return int(self._embed[a])
-
-    def expand(self, x: int) -> Tuple[int, int]:
-        """Write x in F_{q^2} as u + beta*v with u, v in F_q."""
-        return int(self._ex_u[x]), int(self._ex_v[x])
-
-    def combine(self, u: int, v: int) -> int:
-        """Inverse of expand."""
-        return self.top.add(self.embed(u), self.top.mul(self.beta, self.embed(v)))
-
-    def conj(self, x: int) -> int:
-        """Frobenius conjugation x -> x^q."""
-        return self.top.pow(x, self.base.q)

@@ -38,12 +38,12 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from . import rs
-from .bounds import singleton_check
+from .bounds import _params, singleton_check
 from .codes import (AdditiveCode, ClassicalCode, _check_span, _field,
                     _pairings, dual_swt_exceeds, dual_symp, min_swt)
 from .gf import FieldSpec, TowerSpec, prime_power
 from .subsystem import (DEFAULT_POLICY, ParamRecord, Policy, PurityError,
-                        SubsystemCode, bracket_params, derive, is_exact)
+                        SubsystemCode, derive, is_exact)
 from .symplectic import fresh_pair, hyperbolic_decompose
 
 __all__ = [
@@ -296,10 +296,10 @@ def _extend_code(X: AdditiveCode) -> AdditiveCode:
     """X' = {(a alpha | b 0) : (a|b) in X, alpha in F_q} of length n+1."""
     n, f = X.n, X.field
     gens = []
-    for g in X.generators():
+    for g in map(X._contract_row, X.mat):
         row = np.zeros(2 * (n + 1), dtype=np.int64)
-        row[:n] = g.values[:n]
-        row[n + 1: 2 * n + 1] = g.values[n:]
+        row[:n] = g[:n]
+        row[n + 1: 2 * n + 1] = g[n:]
         gens.append(row)
     # x-part alpha: 1 spans F_q over itself; for t < m, the encoded basis
     # elements alpha^j = p^j span it over F_{p^t}
@@ -337,15 +337,9 @@ def extend_length(code: SubsystemCode,
     return res
 
 
-def _as_params(code: Union[SubsystemCode, ParamRecord]) -> ParamRecord:
-    if isinstance(code, ParamRecord):
-        return code
-    return bracket_params(code)
-
-
 def shorten_length(params: Union[SubsystemCode, ParamRecord]) -> RuleResult:
     """Pure ((n,K,R,d))_q -> pure ((n-1, qK, R, d-1))_q, parameter level."""
-    rec = _as_params(params)
+    rec = _params(params)
     if rec.pure is not True:
         raise PurityError("shortening requires a pure input code")
     if rec.d is None or rec.d < 2:
@@ -375,7 +369,7 @@ def combine_disjoint(p1: Union[SubsystemCode, ParamRecord],
     [[n1+n2-k2-r2, k1+r1-r, r, >= min{d1, d1+d2-k2-r2}]]_2 for
     0 <= r < k1+r1.  Purity of the output is not guaranteed.
     """
-    a, b = _as_params(p1), _as_params(p2)
+    a, b = _params(p1), _params(p2)
     if a.q != 2 or b.q != 2:
         raise ValueError("this combination rule applies to q = 2 only")
     if a.pure is not True or b.pure is not True:
@@ -408,7 +402,7 @@ def combine_nested(p1: Union[SubsystemCode, ParamRecord],
     0 <= r <= k1+k2+r1+r2.  The nesting cannot be checked from parameters
     alone, so the caller must set ``subset_assumed``.
     """
-    a, b = _as_params(p1), _as_params(p2)
+    a, b = _params(p1), _params(p2)
     if not subset_assumed:
         raise ValueError("set subset_assumed=True to confirm that the second "
                          "code is contained in the first")

@@ -28,7 +28,7 @@ from .gf import prime_power
 
 __all__ = ["PurityError", "Policy", "DEFAULT_POLICY", "SubsystemCode",
            "ParamRecord", "derive", "measure_distance", "is_exact",
-           "is_pure_to", "bracket_params", "analysis_report"]
+           "bracket_params", "analysis_report"]
 
 _DISTANCE_MODES = ("exact", "auto", "witness", "skip")
 
@@ -234,19 +234,6 @@ def measure_distance(code: SubsystemCode, policy: Policy) -> None:
         raise PurityError(
             f"an ((n,1,R,d))_q subsystem code must be pure; "
             f"swt(C) = {code.swt_c} < d = {code.d}")
-
-
-def is_pure_to(code: SubsystemCode, d_prime: int) -> bool:
-    """True iff C has no nonzero element of symplectic weight below d_prime."""
-    if d_prime <= 1:
-        return True
-    if code.swt_c is None:
-        raise ValueError("swt(C) unknown; purity level cannot be decided")
-    if is_exact(code.swt_c_method):
-        return code.swt_c >= d_prime
-    if code.swt_c < d_prime:
-        return False
-    raise ValueError("only a witness bound on swt(C) is available")
 
 
 def bracket_params(code: SubsystemCode) -> ParamRecord:

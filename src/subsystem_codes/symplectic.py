@@ -67,9 +67,6 @@ class HyperbolicDecomposition:
         """Form values <u_i|v_j> for the rows of U and V (U M for V None)."""
         return _pairings(U, V, self.n, self.field, self.coeff_degree)
 
-    def form(self, u: np.ndarray, v: np.ndarray) -> int:
-        return int(self.pairings(u, v)[0, 0])
-
     def all_vectors(self) -> List[np.ndarray]:
         out = list(self.isotropic)
         for x, z in self.pairs:
@@ -182,6 +179,18 @@ def _complement_pair(dec: HyperbolicDecomposition, pairs: List[Pair]) -> Pair:
     return comp[0], cf.mul_arr(comp[1 + hit[0]], cf.inv(int(vals[hit[0]])))
 
 
+def _complete(dec: HyperbolicDecomposition,
+              fresh: int) -> HyperbolicDecomposition:
+    """``dec``'s partners and own pairs, then ``fresh`` fresh pairs: a
+    validated decomposition with no isotropic part."""
+    pairs = _partner_pairs(dec) + list(dec.pairs)
+    for _ in range(fresh):
+        pairs.append(_complement_pair(dec, pairs))
+    basis = replace(dec, isotropic=[], pairs=pairs)
+    basis.validate()
+    return basis
+
+
 def fresh_pair(dec: HyperbolicDecomposition) -> Pair:
     """The first fresh hyperbolic pair completing a valid decomposition.
 
@@ -192,10 +201,7 @@ def fresh_pair(dec: HyperbolicDecomposition) -> Pair:
     """
     if 2 * (dec.s + dec.r) >= dec.dim:
         raise ValueError("no room left for a fresh hyperbolic pair")
-    pairs = _partner_pairs(dec) + list(dec.pairs)
-    pairs.append(_complement_pair(dec, pairs))
-    replace(dec, isotropic=[], pairs=pairs).validate()
-    return pairs[-1]
+    return _complete(dec, 1).pairs[-1]
 
 
 def extend_to_full_symplectic_basis(
@@ -209,11 +215,7 @@ def extend_to_full_symplectic_basis(
     solves fix free variables to zero and fresh pivots are taken in
     canonical (lexicographic reduced-basis) order.
     """
-    pairs = _partner_pairs(dec) + list(dec.pairs)
-    while 2 * len(pairs) < dec.dim:
-        pairs.append(_complement_pair(dec, pairs))
-    basis = replace(dec, isotropic=[], pairs=pairs)
-    basis.validate()
+    basis = _complete(dec, dec.dim // 2 - dec.s - dec.r)
     if 2 * basis.r != basis.dim:
         raise AssertionError("basis does not span the full space")
     return basis

@@ -49,6 +49,12 @@ def test_analyze_text_format(runner, shor_path):
     assert "distance: 3 [exhaustive]" in res.output
 
 
+def test_version(runner):
+    res = runner.invoke(main, ["--version"])
+    assert res.exit_code == 0, res.output
+    assert "0.1.0" in res.output
+
+
 def test_analyze_malformed_file(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -94,6 +100,9 @@ def test_analyze_refuses_reducible_modulus(runner, tmp_path):
     {"coeff_degree": 1, "generators": 5},
     # a coefficient degree other than 1 and m
     {"m": 4, "coeff_degree": 2, "generators": [[1, 0, 0, 0]]},
+    # modulus coefficients outside 0..p-1, read as [1, 1, 1] mod 2 before
+    {"modulus": [3, 1, 1], "coeff_degree": 1, "generators": [[1, 0, 0, 1]]},
+    {"modulus": [-1, 1, 1], "coeff_degree": 1, "generators": [[1, 0, 0, 1]]},
 ])
 def test_analyze_rejects_bad_entries(runner, tmp_path, fields):
     bad = tmp_path / "bad.json"

@@ -91,11 +91,11 @@ def test_trace_properties(p, m):
 @given(st.integers(0, 8), st.integers(0, 8))
 @settings(max_examples=50, deadline=None)
 def test_field_element_ops(a, b):
-    # scalar add/sub/mul/neg against polynomial arithmetic on the digits
+    # scalar add/neg/mul against polynomial arithmetic on the digits
     f = FieldSpec(3, 2)
     x, y = f.digits(a), f.digits(b)
     assert f.add(a, b) == f.from_digits(u + v for u, v in zip(x, y))
-    assert f.sub(a, b) == f.from_digits(u - v for u, v in zip(x, y))
+    assert f.add(a, f.neg(b)) == f.from_digits(u - v for u, v in zip(x, y))
     assert f.neg(a) == f.from_digits(-u for u in x)
     assert f.add(a, f.neg(a)) == 0
     assert f.mul(a, b) == f.from_digits(
@@ -107,21 +107,20 @@ def test_field_element_ops(a, b):
 def test_tower_embedding(p, m):
     base = FieldSpec(p, m)
     tw = TowerSpec(base)
-    q = base.q
-    # the embedding is a ring homomorphism
+    top, q, embed = tw.top, base.q, tw._embed.tolist()
+    # the embedding is a ring homomorphism (products by schoolbook)
     for a in range(q):
         for b in range(q):
-            assert tw.embed(base.add(a, b)) == tw.top.add(tw.embed(a),
-                                                          tw.embed(b))
-            assert tw.embed(base.mul(a, b)) == tw.top.mul(tw.embed(a),
-                                                          tw.embed(b))
-    # expand/combine are mutually inverse
-    for x in range(tw.top.q):
-        u, v = tw.expand(x)
-        assert tw.combine(u, v) == x
-    # conjugation fixes exactly the base field
-    fixed = [x for x in range(tw.top.q) if tw.conj(x) == x]
-    assert sorted(fixed) == sorted(tw.embed(a) for a in range(q))
+            assert embed[base.add(a, b)] == top.add(embed[a], embed[b])
+            assert embed[_oracle_mul(base, a, b)] == _oracle_mul(
+                top, embed[a], embed[b])
+    # the {1, beta} expansion tables invert x = u + beta*v
+    for x in range(top.q):
+        u, v = int(tw._ex_u[x]), int(tw._ex_v[x])
+        assert top.add(embed[u], _oracle_mul(top, tw.beta, embed[v])) == x
+    # conjugation x -> x^q fixes exactly the base field
+    xs = np.arange(top.q)
+    assert sorted(xs[top.pow_arr(xs, q) == xs]) == sorted(embed)
 
 
 def test_vectorized_ops_match_scalar():
@@ -292,12 +291,16 @@ def test_hermitian_product_matches_schoolbook(p, m):
     root = p**(m // 2)
     rng = np.random.default_rng(15)
     for n in (0, 1, 2, 5, 9):
-        code = ClassicalCode(n, f, [])
-        for _ in range(20):
-            x, y = rng.integers(0, f.q, size=(2, n)).tolist()
-            # sum x_i^sqrt(q) y_i, adding digit vectors mod p
-            want = [0] * m
-            for a, b in zip(x, y):
-                term = f.digits(_oracle_mul(f, _oracle_pow(f, a, root), b))
-                want = [u + v for u, v in zip(want, term)]
-            assert code.hermitian_product(x, y) == f.from_digits(want)
+        for _ in range(6):
+            code = ClassicalCode(n, f, rng.integers(0, f.q, size=(3, n)))
+            gram = code._hermitian_gram()
+            assert gram.shape == (code.rank, code.rank)
+            for i, x in enumerate(code.mat.tolist()):
+                for j, y in enumerate(code.mat.tolist()):
+                    # sum x_i^sqrt(q) y_i, adding digit vectors mod p
+                    want = [0] * m
+                    for a, b in zip(x, y):
+                        term = f.digits(_oracle_mul(
+                            f, _oracle_pow(f, a, root), b))
+                        want = [u + v for u, v in zip(want, term)]
+                    assert gram[i, j] == f.from_digits(want)

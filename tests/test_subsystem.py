@@ -11,8 +11,7 @@ from subsystem_codes.codes import (DEFAULT_THRESHOLD, AdditiveCode, dual_symp,
 from subsystem_codes.gf import FieldSpec
 from subsystem_codes.known import bacon_shor_code, five_qubit_code
 from subsystem_codes.subsystem import (ParamRecord, Policy, PurityError,
-                                       analysis_report, bracket_params, derive,
-                                       is_pure_to)
+                                       analysis_report, bracket_params, derive)
 
 
 def test_five_qubit():
@@ -42,8 +41,6 @@ def test_bacon_shor():
     assert code.d_method == "exhaustive"
     assert code.purity == ("impure", 2)
     assert bracket_params(code).bracket() == "[[9,1,4,3]]_2"
-    assert not is_pure_to(code, 3)
-    assert is_pure_to(code, 2)
 
 
 def test_dimension_formula_random():

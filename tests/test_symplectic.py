@@ -63,8 +63,8 @@ def test_basis_completion(p, m, t):
         # fresh pairs commute with everything in the input code
         for x, z in basis.pairs[fresh_from:]:
             for g in code.mat:
-                assert dec.form(x, g) == 0
-                assert dec.form(z, g) == 0
+                assert dec.pairings(x, g)[0, 0] == 0
+                assert dec.pairings(z, g)[0, 0] == 0
         # the one-pair step gives exactly the first fresh pair
         if fresh_from < basis.r:
             x, z = fresh_pair(dec)
@@ -103,14 +103,14 @@ def _bad_decompositions():
     def dec(p, isotropic, pairs):
         return HyperbolicDecomposition(3, FieldSpec(p), 1, isotropic, pairs)
     yield ("pair that does not pair", dec(2, [], [(x0, x1)]),
-           lambda d: d.form(*d.pairs[0]) == 0)
+           lambda d: d.pairings(*d.pairs[0])[0, 0] == 0)
     yield ("isotropic vectors that pair", dec(2, [x0, z0], []),
-           lambda d: d.form(*d.isotropic) != 0)
+           lambda d: d.pairings(*d.isotropic)[0, 0] != 0)
     yield ("dependent isotropic vectors", dec(3, [x0, 2 * x0], []),
            lambda d: linalg.rank(d.matrix(), d.field) == 1)
     yield ("isotropic vector that pairs with a pair",
            dec(2, [x0 + z1], [(x1, z1)]),
-           lambda d: d.form(d.isotropic[0], d.pairs[0][0]) != 0)
+           lambda d: d.pairings(d.isotropic[0], d.pairs[0][0])[0, 0] != 0)
 
 
 @pytest.mark.parametrize("complete", [fresh_pair,
