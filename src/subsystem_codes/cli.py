@@ -15,6 +15,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from pathlib import Path
 from typing import List, Optional
 
 import click
@@ -86,8 +87,15 @@ def _echo(cfg: RunConfig, out: str) -> None:
     """Print a report and write it to the --emit path as well."""
     click.echo(out, nl=False)
     if cfg.emit:
-        with open(cfg.emit, "w") as fh:
-            fh.write(out)
+        _write(cfg.emit, lambda path: Path(path).write_text(out))
+
+
+def _write(path: str, write) -> None:
+    """``write(path)``; a path that cannot be written fails cleanly."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc.strerror}")
 
 
 def _load_code(path: str) -> AdditiveCode:
@@ -285,7 +293,7 @@ def transform(cfg: RunConfig, file, rule, params_list, target_r,
         # the report goes to stdout only, and first, so a refused format
         # writes no file
         _dump(replace(cfg, emit=None), payload, lines)
-        out.C.save(cfg.emit)
+        _write(cfg.emit, out.C.save)
         click.echo(f"wrote {cfg.emit}", err=True)
     else:
         _dump(cfg, payload, lines)

@@ -24,8 +24,10 @@ adjoined to (or removed from) the gauge code, moving one unit of
 dimension between subsystem and co-subsystem.  Length extension appends a
 coordinate whose x-part ranges over the field.  Shortening and the two
 combining rules operate on parameters only.
-The MDS families and the catalog in :mod:`subsystem_codes.table1` share
-one certifier, :func:`certify_mds`.
+Every constructed gauge code is derived and checked against the
+(log_p K, log_p R) its producer promised in one step,
+:func:`_derive_checked`; the MDS families and the catalog in
+:mod:`subsystem_codes.table1` share one certifier, :func:`certify_mds`.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ import numpy as np
 
 from . import rs
 from .bounds import _params, singleton_check
-from .codes import (AdditiveCode, ClassicalCode, _check_span, _field,
-                    _pairings, dual_swt_exceeds, dual_symp, min_swt)
+from .codes import (AdditiveCode, ClassicalCode, _field, _pairings,
+                    dual_swt_exceeds, dual_symp, min_swt)
 from .gf import FieldSpec, TowerSpec, prime_power
 from .subsystem import (DEFAULT_POLICY, ParamRecord, Policy, PurityError,
-                        SubsystemCode, derive, is_exact)
+                        SubsystemCode, _dual_fits, derive, is_exact)
 from .symplectic import fresh_pair, hyperbolic_decompose
 
 __all__ = [
@@ -94,6 +96,22 @@ def _drop_last_pair(C: AdditiveCode) -> AdditiveCode:
     if not dec.pairs:
         raise ValueError("the code has no hyperbolic pair to drop")
     return replace(dec, pairs=dec.pairs[:-1]).span()
+
+
+def _derive_checked(rule: str, C: AdditiveCode, k_exp: int, r_exp: int,
+                    claims: Tuple[str, ...], policy: Policy) -> RuleResult:
+    """Derive the gauge code C that ``rule`` constructed and check the
+    (log_p K, log_p R) it promised; ``claims`` state those dimensions and
+    are recorded as verified."""
+    out = derive(C, policy)
+    if (out.k_exp, out.r_exp) != (k_exp, r_exp):
+        raise AssertionError(
+            f"{rule}: derived (log_p K, log_p R) = ({out.k_exp}, "
+            f"{out.r_exp}), promised ({k_exp}, {r_exp})")
+    res = RuleResult(rule, out)
+    for claim in claims:
+        res.add(claim, VERIFIED)
+    return res
 
 
 def _working_code(code: SubsystemCode, t: Optional[int]) -> AdditiveCode:
@@ -177,16 +195,11 @@ def shrink_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
         raise PurityError(
             f"shrinking K = p^t = {p**t} to 1 requires a pure input code")
 
-    C_m = _adjoin_fresh_pair(C)
-    out = derive(C_m, policy)
-
-    res = RuleResult("shrink_k", out)
-    if out.k_exp != code.k_exp - t or out.r_exp != code.r_exp + t:
-        raise AssertionError("dimension bookkeeping failed")
-    res.add(f"K' = K/{p**t}", VERIFIED)
-    res.add(f"R' = {p**t}*R", VERIFIED)
+    res = _derive_checked("shrink_k", _adjoin_fresh_pair(C),
+                          code.k_exp - t, code.r_exp + t,
+                          (f"K' = K/{p**t}", f"R' = {p**t}*R"), policy)
+    out = res.output
     res.add("d' >= d", _ge_status(out.d, out.d_method, code.d, code.d_method))
-
     _add_pure_to(res, out, code)
     return res
 
@@ -215,14 +228,10 @@ def grow_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
     if kind != "pure":
         raise PurityError("purity of the input could not be established")
 
-    C_new = _drop_last_pair(C)
-    out = derive(C_new, policy)
-
-    res = RuleResult("grow_k", out)
-    if out.k_exp != code.k_exp + t or out.r_exp != code.r_exp - t:
-        raise AssertionError("dimension bookkeeping failed")
-    res.add(f"K' = {p**t}*K", VERIFIED)
-    res.add(f"R' = R/{p**t}", VERIFIED)
+    res = _derive_checked("grow_k", _drop_last_pair(C),
+                          code.k_exp + t, code.r_exp - t,
+                          (f"K' = {p**t}*K", f"R' = R/{p**t}"), policy)
+    out = res.output
     _add_same_distance(res, out, code)
     res.add("pure", VERIFIED if out.is_pure else
             (WITNESS if out.swt_c_method == "witness" else ASSERTED))
@@ -253,12 +262,10 @@ def stabilizer_to_subsystem(code: SubsystemCode, r: int,
     C = code.C
     for _ in range(steps_p // t):
         C = _adjoin_fresh_pair(C)
-    out = derive(C, policy)
-    res = RuleResult("stabilizer_to_subsystem", out)
-    if out.k_exp != code.k_exp - steps_p or out.r_exp != steps_p:
-        raise AssertionError("dimension bookkeeping failed")
-    res.add(f"k' = k - {r}", VERIFIED)
-    res.add(f"r' = {r}", VERIFIED)
+    res = _derive_checked("stabilizer_to_subsystem", C,
+                          code.k_exp - steps_p, steps_p,
+                          (f"k' = k - {r}", f"r' = {r}"), policy)
+    out = res.output
     res.add("d' >= d", _ge_status(out.d, out.d_method, code.d, code.d_method))
     _add_pure_to(res, out, code)
     return res
@@ -277,12 +284,10 @@ def subsystem_to_stabilizer(code: SubsystemCode,
     if code.D.rank == 0:
         raise ValueError("the radical is trivial; the associated stabilizer "
                          "code is the full space")
-    out = derive(code.D, policy)
-    res = RuleResult("subsystem_to_stabilizer", out)
-    if out.k_exp != code.k_exp + code.r_exp or out.r_exp != 0:
-        raise AssertionError("dimension bookkeeping failed")
-    res.add("k' = k + r", VERIFIED)
-    res.add("r' = 0", VERIFIED)
+    res = _derive_checked("subsystem_to_stabilizer", code.D,
+                          code.k_exp + code.r_exp, 0,
+                          ("k' = k + r", "r' = 0"), policy)
+    out = res.output
     _add_same_distance(res, out, code)
     res.add("pure", VERIFIED if out.is_pure else ASSERTED)
     return res
@@ -321,13 +326,9 @@ def extend_length(code: SubsystemCode,
     if code.k_exp == 0:
         raise ValueError("extension requires K > 1")
     C_ext = _extend_code(code.C)
-    out = derive(C_ext, policy)
-    res = RuleResult("extend_length", out)
-    if out.k_exp != code.k_exp or out.r_exp != code.r_exp:
-        raise AssertionError("dimension bookkeeping failed")
-    res.add("n' = n + 1", VERIFIED)
-    res.add("K' = K", VERIFIED)
-    res.add("R' = R", VERIFIED)
+    res = _derive_checked("extend_length", C_ext, code.k_exp, code.r_exp,
+                          ("n' = n + 1", "K' = K", "R' = R"), policy)
+    out = res.output
     if dual_symp(C_ext) != _extend_code(dual_symp(code.C)):
         raise AssertionError("dualization does not commute with extension")
     res.add("dual of extension = extension of dual", VERIFIED)
@@ -444,8 +445,9 @@ def _tower_for(field: FieldSpec) -> TowerSpec:
 
 
 def _expand_vector(tower: TowerSpec, row: np.ndarray) -> np.ndarray:
-    """(u|v) of length 2n with row = u + beta*v entrywise."""
-    return np.concatenate([tower._ex_u[row], tower._ex_v[row]])
+    """(u|v) of length 2n with row = u + beta*v entrywise; a matrix is
+    expanded row by row."""
+    return np.concatenate([tower._ex_u[row], tower._ex_v[row]], axis=-1)
 
 
 def hermitian_to_symplectic(X: ClassicalCode,
@@ -459,10 +461,8 @@ def hermitian_to_symplectic(X: ClassicalCode,
     tower = _tower_for(X.field)
     if require_self_orthogonal and not X.is_hermitian_self_orthogonal():
         raise ValueError("X is not Hermitian self-orthogonal")
-    gens = []
-    for g in X.mat:
-        gens.append(_expand_vector(tower, g))
-        gens.append(_expand_vector(tower, X.field.mul_arr(g, tower.beta)))
+    gens = np.concatenate([_expand_vector(tower, X.mat), _expand_vector(
+        tower, X.field.mul_arr(X.mat, tower.beta))])
     C = AdditiveCode(X.n, tower.base, gens, coeff_degree=tower.base.m)
     if C.rank != 2 * X.rank:
         raise AssertionError("expansion lost dimensions")
@@ -563,10 +563,7 @@ def certify_mds(code: SubsystemCode, d: int, policy: Policy = DEFAULT_POLICY
     code.d = d
     if not singleton_check(code).attained:          # F_q-linear, slack 0
         raise AssertionError(f"the Singleton bound does not give d <= {d}")
-    k = 2 * code.n * code.field.m - code.D.rank_p       # log_p |D^perp_s|
-    if policy.distance_mode == "exact":
-        _check_span(code.p, k, policy.threshold)
-    if code.p**k > policy.threshold:
+    if not _dual_fits(code, policy):
         code.d_method = "witness"
         return WITNESS, ASSERTED
     code.swt_c = min_swt(code.C, policy.threshold)
@@ -586,7 +583,6 @@ def mds_family(spec: MdsFamilySpec,
     with :func:`certify_mds`.  Families i and ii return parameter records only.
     """
     n, k, r, d = spec.target_params()
-    base = _field(*prime_power(spec.q), None)
     if not spec.constructive:
         out = ParamRecord(n=n, q=spec.q, k=k, r=r, d=d, pure=True,
                           linear=True,
@@ -597,7 +593,8 @@ def mds_family(spec: MdsFamilySpec,
         res.add(f"MDS: k + r = n - 2d + 2 = {n - 2 * d + 2}", VERIFIED)
         return res
 
-    X = rs.hermitian_self_orthogonal_rs(_tower_for_q(spec.q), n, spec.delta)
+    tower = _tower_for_q(spec.q)
+    X = rs.hermitian_self_orthogonal_rs(tower, n, spec.delta)
     C = hermitian_to_symplectic(X)
     for _ in range(r):
         C = _adjoin_fresh_pair(C)
@@ -611,13 +608,10 @@ def mds_family(spec: MdsFamilySpec,
         res.add(f"[[{n},{n},0,1]]_{spec.q} (trivial code)", VERIFIED)
         return res
 
-    out = derive(C, Policy("skip"))
-    d_tag, pure_tag = certify_mds(out, d, policy)
-    res = RuleResult("mds_family", out)
-    m = base.m
-    if (out.k_exp, out.r_exp) != (k * m, r * m):
-        raise AssertionError("family dimensions do not match the target")
-    res.add(f"k = {k}, r = {r}", VERIFIED)
+    m = tower.base.m
+    res = _derive_checked("mds_family", C, k * m, r * m,
+                          (f"k = {k}, r = {r}",), Policy("skip"))
+    d_tag, pure_tag = certify_mds(res.output, d, policy)
     res.add(f"MDS: k + r = n - 2d + 2 = {n - 2 * d + 2}", VERIFIED)
     res.add(f"d = {d}", d_tag)
     res.add("pure", pure_tag)

@@ -147,7 +147,11 @@ class ParamRecord:
     def __post_init__(self):
         self.k = Fraction(self.k)
         self.r = Fraction(self.r)
-        prime_power(self.q)
+        p, m = prime_power(self.q)
+        for name, x in (("k", self.k), ("r", self.r)):
+            if (x * m).denominator != 1:        # log_q of a power of p
+                raise ValueError(f"{name} = {x} must be a multiple of 1/m "
+                                 f"for q = p^m = {p}^{m}")
         if self.n < 1:
             raise ValueError("length must be >= 1")
         if self.d is not None and self.d < 1:
@@ -199,6 +203,15 @@ def derive(C: AdditiveCode, policy: Policy = DEFAULT_POLICY) -> SubsystemCode:
     return code
 
 
+def _dual_fits(code: SubsystemCode, policy: Policy) -> bool:
+    """True iff |D^perp_s| = p^(2nm) / |D| is within the threshold, known
+    before D^perp_s is built; "exact" mode raises beyond it."""
+    k = 2 * code.n * code.field.m - code.D.rank_p
+    if policy.distance_mode == "exact":
+        _check_span(code.p, k, policy.threshold)
+    return code.p**k <= policy.threshold
+
+
 def measure_distance(code: SubsystemCode, policy: Policy) -> None:
     """Set d and swt(C) of a derived code, with the methods that back them.
 
@@ -210,12 +223,8 @@ def measure_distance(code: SubsystemCode, policy: Policy) -> None:
     witness bound in every mode.
     """
     C, mode = code.C, policy.distance_mode
-    # |D^perp_s| = p^(2nm) / |D| picks the method before D^perp_s is built
-    k = 2 * code.n * C.field.m - code.D.rank_p
-    if mode == "exact":
-        _check_span(code.p, k, policy.threshold)
-    elif mode == "auto":
-        mode = "exact" if code.p**k <= policy.threshold else "witness"
+    if mode in ("exact", "auto"):
+        mode = "exact" if _dual_fits(code, policy) else "witness"
     # case (b): D^perp_s = C, and d is the minimum over all of it
     sub = None if code.case == "b" else C
     opts = dict(threshold=policy.threshold, seed=policy.seed)

@@ -8,12 +8,11 @@ evaluated on the nonzero field elements (plain rows), on the whole field
 coordinate (starred rows).  The gauge code is the symplectic expansion
 of the parent; with iota = dim(Y intersect Y^perp_h) the derived
 parameters are k = n - kappa - iota and r = kappa - iota, d = iota + 1.
-The monomial run offset is searched so that iota matches the row; the
-chosen instantiation is recorded, since several offsets can work.  Each
-tried offset derives the expansion of Y once (:func:`derive` in "skip"
-mode): its radical D, read off the Gram matrix of the generators, is the
-expansion of Y intersect Y^perp_h, so the offset fits when dim D = 2 iota.
-That derived code is the row's code; no radical is computed twice.
+Every row evaluates the run x^0 .. x^(kappa-1) (reported as offset 0).
+The expansion of Y is derived once, in "skip" mode, and must have the
+row's (log_p K, log_p R); its radical D, read off the Gram matrix of the
+generators, is the expansion of Y intersect Y^perp_h.  That derived code
+is the row's code; no radical is computed twice.
 
 Verification per row:
 * parent distance: Y is built from the points and the exponent run that
@@ -23,7 +22,8 @@ Verification per row:
   A punctured row evaluates on the points minus the last one, which gives
   the punctured code, since the reduced basis is unique.
 * radical self-orthogonality: D pairs to zero with itself.
-* dimensions, d and purity by :func:`subsystem_codes.rules.certify_mds`.
+* dimensions by the derivation, d and purity by
+  :func:`subsystem_codes.rules.certify_mds`.
   For q = 3, swt(C) by enumeration, and d and purity by a complete search
   of the radical's C(n, d-1) coordinate sets and zero Singleton slack (no
   scan of D^perp_s, 3^14 elements).  For q in {4, 5, 7} D^perp_s is beyond
@@ -35,15 +35,15 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from . import rs
 from .codes import ClassicalCode, _pairings
 from .gf import TowerSpec
-from .rules import (ALGEBRAIC, VERIFIED, _tower_for_q, certify_mds,
-                    hermitian_to_symplectic)
-from .subsystem import DEFAULT_POLICY, Policy, SubsystemCode, derive
+from .rules import (ALGEBRAIC, VERIFIED, _derive_checked, _tower_for_q,
+                    certify_mds, hermitian_to_symplectic)
+from .subsystem import DEFAULT_POLICY, Policy, SubsystemCode
 
 __all__ = ["Table1Row", "generate_table", "rows_to_csv", "rows_to_json"]
 
@@ -72,15 +72,14 @@ _ROWS: Dict[int, List[Tuple[Tuple[int, int, int, int],
 
 @dataclass
 class Table1Row:
-    """One reproduced row: codes, chosen instantiation, verification."""
+    """One reproduced row: codes and verification."""
 
     q: int
     subsystem: Tuple[int, int, int, int]
     parent: Tuple[int, int, int]
     mark: str                        # "" | "extended" | "punctured"
-    offset: int                      # first monomial exponent of the run
-    code: Optional[SubsystemCode] = None
-    verification: Dict[str, str] = dc_field(default_factory=dict)
+    code: SubsystemCode
+    verification: Dict[str, str]
 
     def subsystem_bracket(self) -> str:
         n, k, r, d = self.subsystem
@@ -96,49 +95,23 @@ class Table1Row:
             "subsystem": self.subsystem_bracket(),
             "parent": self.parent_bracket(),
             "mark": self.mark,
-            "offset": self.offset,
+            "offset": 0,             # the run starts at x^0 on every row
             "verification": dict(self.verification),
         }
 
 
-def _parent_code(tower: TowerSpec, parent: Tuple[int, int, int], mark: str,
-                 offset: int) -> Tuple[ClassicalCode, int]:
-    """The evaluation code for one row at a given monomial-run offset, with
-    the distance its points and exponents prove (:func:`rs.grs_distance`)."""
-    kappa = parent[1]
+def _parent_code(tower: TowerSpec, parent: Tuple[int, int, int],
+                 mark: str) -> ClassicalCode:
+    """The evaluation code of x^0 .. x^(kappa-1) for one row, checked to be
+    its [n, kappa, dist] parent with the proved :func:`rs.grs_distance`."""
     pts = rs._field_points(tower.top, mark == "extended")
     if mark == "punctured":
         pts = pts[:-1]
-    exps = range(offset, offset + kappa)
-    return (rs.evaluation_code(tower.top, pts, exps),
-            rs.grs_distance(pts, exps))
-
-
-def _find_offset(tower: TowerSpec, parent: Tuple[int, int, int], mark: str,
-                 iota: int) -> Tuple[int, ClassicalCode, int, SubsystemCode]:
-    """Smallest monomial-run offset giving the required radical dimension,
-    with the parent Y, its proved distance and the derived code of its
-    expansion, whose radical D has dimension 2 iota over F_q."""
-    # extended rows evaluate the fixed run x^0 .. x^(kappa-1)
-    offsets = [0] if mark == "extended" else range(tower.base.q**2 - 1)
-    for offset in offsets:
-        Y, dist = _parent_code(tower, parent, mark, offset)
-        C = hermitian_to_symplectic(Y, require_self_orthogonal=False)
-        code = derive(C, Policy("skip"))
-        if code.D.rank == 2 * iota:
-            return offset, Y, dist, code
-    raise RuntimeError("no monomial run reproduces this row")
-
-
-def _verify_parent(Y: ClassicalCode, dist: int,
-                   parent: Tuple[int, int, int]) -> str:
-    """Tag of the parent distance ``dist`` that Y's construction proves."""
-    n, kappa, recorded = parent
-    if (Y.n, Y.rank) != (n, kappa):
-        raise AssertionError("parent dimensions do not match the row")
-    if dist != recorded:
-        raise AssertionError("parent distance does not match the row")
-    return ALGEBRAIC
+    exps = range(parent[1])
+    Y = rs.evaluation_code(tower.top, pts, exps)
+    if (Y.n, Y.rank, rs.grs_distance(pts, exps)) != parent:
+        raise AssertionError(f"the parent is not the row's {parent}")
+    return Y
 
 
 def generate_table(q: int,
@@ -148,33 +121,24 @@ def generate_table(q: int,
         raise ValueError(f"no catalog rows for q = {q}; "
                          f"available: {sorted(_ROWS)}")
     tower = _tower_for_q(q)
+    m = tower.base.m
     out = []
     for subsystem, parent, mark in _ROWS[q]:
-        n, k, r, d = subsystem
-        iota = parent[1] - r
-        if (k, d) != (n - parent[1] - iota, iota + 1):
-            raise AssertionError("row bookkeeping is inconsistent")
-        offset, Y, dist, code = _find_offset(tower, parent, mark, iota)
-        row = Table1Row(q, subsystem, parent, mark, offset)
-
-        row.verification["parent_distance"] = _verify_parent(Y, dist, parent)
-
-        D = code.D
+        # _derive_checked checks k and r, certify_mds's zero slack checks d
+        _, k, r, d = subsystem
+        C = hermitian_to_symplectic(_parent_code(tower, parent, mark),
+                                    require_self_orthogonal=False)
+        res = _derive_checked("generate_table", C, k * m, r * m,
+                              ("dimensions",), Policy("skip"))
+        D = res.output.D
         if _pairings(D.mat, D.mat, D.n, D.field, D.t).any():
             raise AssertionError("the radical is not self-orthogonal")
-        row.verification["radical_self_orthogonal"] = VERIFIED
-
-        d_tag, pure_tag = certify_mds(code, d, policy)
-        m = tower.base.m
-        if (code.k_exp, code.r_exp) != (k * m, r * m):
-            raise AssertionError("subsystem dimensions do not match the row")
-        row.verification["dimensions"] = VERIFIED
-        row.verification["distance"] = d_tag
-        row.verification["pure"] = pure_tag
-        # certify_mds refuses a code with Singleton slack
-        row.verification["mds_slack_zero"] = VERIFIED
-        row.code = code
-        out.append(row)
+        d_tag, pure_tag = certify_mds(res.output, d, policy)
+        out.append(Table1Row(q, subsystem, parent, mark, res.output, {
+            "parent_distance": ALGEBRAIC, "radical_self_orthogonal": VERIFIED,
+            **res.verification, "distance": d_tag, "pure": pure_tag,
+            # certify_mds refuses a code with Singleton slack
+            "mds_slack_zero": VERIFIED}))
     return out
 
 
@@ -186,7 +150,7 @@ def rows_to_csv(rows: List[Table1Row]) -> str:
     for row in rows:
         summary = ";".join(f"{k}={v}" for k, v in row.verification.items())
         w.writerow([row.subsystem_bracket(), row.parent_bracket(),
-                    row.mark, row.offset, summary])
+                    row.mark, 0, summary])
     return buf.getvalue()
 
 

@@ -1,7 +1,10 @@
 """End-to-end command-line behavior via click's test runner."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,6 +56,17 @@ def test_version(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0, res.output
     assert "0.1.0" in res.output
+
+
+def test_checkout_runs_without_install():
+    # README: PYTHONPATH=src python3 -m subsystem_codes.cli ... in a checkout
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    res = subprocess.run([sys.executable, "-m", "subsystem_codes.cli",
+                          "--version"], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert "0.1.0" in res.stdout
 
 
 def test_analyze_malformed_file(runner, tmp_path):
@@ -210,6 +224,22 @@ def test_malformed_generator_lists_fail_cleanly(tmp_path_factory, data):
                      r"|is not a list", res.output)
     assert "inhomogeneous" not in res.output
     assert "must have -" not in res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", str(_DATA / "five_qubit.json")],
+    ["transform", str(_DATA / "five_qubit.json"), "--rule", "shrink-k"],
+    ["table1", "--q", "3"],
+    ["family", "--family", "vi", "--q", "3", "--delta", "1", "-r", "4"],
+])
+def test_unwritable_emit_path_fails_cleanly(runner, tmp_path, args):
+    # AdditiveCode.save (transform) and the report writer (the others)
+    path = tmp_path / "missing_dir" / "out.json"
+    res = runner.invoke(main, ["--emit", str(path), *args])
+    assert res.exit_code == 1
+    assert f"cannot write {path}: No such file or directory" in res.output
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
 
@@ -445,6 +475,21 @@ def test_parse_params():
         parse_params("[[9,1,4]]_2")
 
 
+@pytest.mark.parametrize("text,refused", [
+    ("[[5,1/2,0,3]]_4 pure", None), ("[[5,1,2/3,3]]_8 pure", None),
+    ("[[5,1/3,0,3]]_2 pure", "k = 1/3"), ("[[5,1,1/2,3]]_8 pure", "r = 1/2"),
+])
+def test_params_are_multiples_of_one_over_m(runner, text, refused):
+    # log_q of a power of p for q = p^m
+    res = runner.invoke(main, ["transform", "--rule", "shorten-n",
+                               "--params", text])
+    if refused is None:
+        assert res.exit_code == 0, res.output
+    else:
+        assert res.exit_code == 2
+        assert f"{refused} must be a multiple of 1/m" in res.output
+
+
 _GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -505,10 +550,16 @@ _BAD_PARAMS = st.one_of(
 @example(bad="[[5,1/0,0,3]]_2 pure", rule="shorten-n")
 @example(bad="[[5,1,0,3]]_6 pure", rule="shorten-n")
 @example(bad="[[5,1,0,3]]_1 pure", rule="shorten-n")
+# k not a multiple of 1/m for q = p^m: read as [[4,4/3,0,2]]_2, and in
+# combine-disjoint int(k2 + r2) truncated 1/2 to give n' = 12
+@example(bad="[[5,1/3,0,3]]_2 pure", rule="shorten-n")
+@example(bad="[[7,1/2,0,3]]_2 pure", rule="combine-disjoint")
 def test_malformed_params_fail_cleanly(bad, rule):
     args = ["transform", "--rule", rule, "--params", bad]
     if rule == "combine-nested":
         args += ["--params", "[[5,1,0,3]]_2 pure", "--subset-assumed"]
+    elif rule == "combine-disjoint":
+        args += ["--params", "[[5,1/2,0,3]]_2 pure"]
     res = CliRunner().invoke(main, args)
     assert res.exit_code != 0
     # an uncaught exception would have been a traceback

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from subsystem_codes import rules
 from subsystem_codes.codes import (AdditiveCode, ClassicalCode,
                                    EnumerationLimitError, dual_symp,
                                    min_swt, swt_distribution)
@@ -349,6 +350,24 @@ def test_certify_mds_needs_the_singleton_bound():
                                     "verified_exhaustive")
     assert (code.d, code.d_method, code.swt_c_method) == (2, "exhaustive",
                                                           "exhaustive")
+
+
+def test_planted_wrong_promise_names_its_producer(monkeypatch, five):
+    # with no pair adjoined the derived dimensions are not the ones each
+    # producer promised, and the one check after derive says whose they were
+    stabilizer = mds_family(MdsFamilySpec(q=3, family="vi", delta=1)).output
+    assert stabilizer.r_exp == 0 and stabilizer.k_exp > 1
+    monkeypatch.setattr(rules, "_adjoin_fresh_pair", lambda C: C)
+    for producer, call in [
+            ("shrink_k", lambda: shrink_k(five)),
+            ("stabilizer_to_subsystem",
+             lambda: stabilizer_to_subsystem(stabilizer, 1)),
+            ("mds_family",
+             lambda: mds_family(MdsFamilySpec(q=3, family="vi", delta=1,
+                                              r=2)))]:
+        with pytest.raises(AssertionError, match=f"^{producer}: derived "
+                           r"\(log_p K, log_p R\)"):
+            call()
 
 
 def test_family_k0_boundary():

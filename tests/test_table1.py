@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from subsystem_codes import _enum, rules, subsystem, table1
+from subsystem_codes import _enum, rules, subsystem
 from subsystem_codes.cli import main
 from subsystem_codes.codes import (DEFAULT_THRESHOLD, AdditiveCode,
                                    ClassicalCode, dual_swt_exceeds, dual_symp,
@@ -20,9 +20,8 @@ from subsystem_codes.rules import (MdsFamilySpec, _expand_vector,
                                    _tower_for_q, grow_k,
                                    hermitian_to_symplectic, mds_family)
 from subsystem_codes.subsystem import PurityError, analysis_report
-from subsystem_codes.table1 import (Table1Row, _ROWS, _find_offset,
-                                    _parent_code, generate_table, rows_to_csv,
-                                    rows_to_json)
+from subsystem_codes.table1 import (Table1Row, _ROWS, _parent_code,
+                                    generate_table, rows_to_csv, rows_to_json)
 
 
 @pytest.fixture(scope="module")
@@ -120,9 +119,8 @@ def test_rows_and_members_derived_once(monkeypatch):
     real_radical = subsystem.radical
     monkeypatch.setattr(subsystem, "radical", lambda C: radicals.append(C)
                         or real_radical(C))
-    for mod in (table1, rules):
-        monkeypatch.setattr(mod, "derive", lambda C, policy: derived.append(C)
-                            or real_derive(C, policy))
+    monkeypatch.setattr(rules, "derive", lambda C, policy: derived.append(C)
+                        or real_derive(C, policy))
     for mod in (subsystem, rules):
         monkeypatch.setattr(mod, "dual_symp", lambda code: duals.append(code)
                             or real_dual(code))
@@ -166,9 +164,8 @@ def test_singleton_bound_agrees_with_witness_search(q, member):
     tower = _tower_for_q(q)
     for row in generate_table(q):
         assert row.verification["distance"] == "witness_consistent"
-        n, kappa, dist = row.parent
-        iota = kappa - row.subsystem[2]
-        _, Y, _, _ = _find_offset(tower, row.parent, row.mark, iota)
+        dist = row.parent[2]
+        Y = _parent_code(tower, row.parent, row.mark)
         assert int((mds_min_weight_codeword(Y) != 0).sum()) == dist
         assert _coset_witness(tower, Y.hermitian_radical(),
                               row.code.C) == row.subsystem[3]
@@ -277,8 +274,11 @@ def _catalog():
     for q in sorted(_ROWS):
         tower = _tower_for_q(q)
         for row in generate_table(q):
-            Y, dist = _parent_code(tower, row.parent, row.mark, row.offset)
-            out.append((row, Y, dist))
+            Y = _parent_code(tower, row.parent, row.mark)
+            pts = _field_points(tower.top, row.mark == "extended")
+            if row.mark == "punctured":
+                pts = pts[:-1]
+            out.append((row, Y, grs_distance(pts, range(Y.rank))))
     return out
 
 
@@ -297,7 +297,7 @@ def test_parent_certificate_agrees_with_enumeration():
             # evaluating on one point fewer is puncturing the plain code
             tower = _tower_for_q(row.q)
             full = evaluation_code(tower.top, _field_points(tower.top, False),
-                                   range(row.offset, row.offset + Y.rank))
+                                   range(Y.rank))
             assert Y == full.puncture(full.n - 1)
     assert within == 12
 
@@ -314,6 +314,23 @@ def test_grs_certificate_refuses_planted_inputs(points, exponents, refusal):
     # inputs that meet every condition are accepted
     assert grs_distance([1, 2, 3, 4], [2, 3, 4]) == 2
     assert grs_distance([1, 2, 3, 0], [0, 1]) == 3
+
+
+def test_planted_rows_are_refused(monkeypatch):
+    tower = _tower_for_q(3)
+    # a parent distance its construction does not prove
+    with pytest.raises(AssertionError, match="not the row's"):
+        _parent_code(tower, (8, 6, 4), "")
+    # consistent bookkeeping, but the parent's radical has dimension 1, not 2
+    monkeypatch.setitem(_ROWS, 3, [((8, 0, 4, 3), (8, 6, 3), "")])
+    with pytest.raises(AssertionError, match="^generate_table: derived"):
+        generate_table(3)
+    # the right dimensions with d != iota + 1: zero Singleton slack refuses
+    for d, refusal in [(3, "violate k\\+r <= n-2d\\+2"),
+                       (1, "Singleton bound does not give d <= 1")]:
+        monkeypatch.setitem(_ROWS, 3, [((8, 1, 5, d), (8, 6, 3), "")])
+        with pytest.raises(AssertionError, match=refusal):
+            generate_table(3)
 
 
 def test_derived_radical_is_the_expansion_of_the_hermitian_radical():
