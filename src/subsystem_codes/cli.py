@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -80,7 +81,15 @@ def _dump(cfg: RunConfig, payload, text_lines=None) -> None:
     if cfg.fmt == "text" and text_lines is not None:
         _echo(cfg, "\n".join(text_lines) + "\n")
     else:
-        _echo(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        # K or R may have more digits than int -> str allows by default
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            _echo(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
 
 def _echo(cfg: RunConfig, out: str) -> None:

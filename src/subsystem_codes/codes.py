@@ -1,17 +1,22 @@
 """Additive codes in F_q^{2n}, classical codes, their duals and weights.
 
-An :class:`AdditiveCode` is stored in canonical form: the reduced row
-echelon basis of its generator matrix over the coefficient subfield
-F_{p^t}, where t = 1 gives an additive (F_p-linear) code and t = m an
-F_q-linear one.  For t = 1 each F_q coordinate is expanded into m prime
-field columns; the fixed column order is x-block then y-block,
-coordinate-major, basis-coefficient-minor.  Two codes are equal iff their
-canonical matrices are equal, which makes equality and hashing cheap.
+Both kinds share one canonical form (:class:`_Code`): the reduced row
+echelon basis of the generator matrix over a coefficient field, its
+pivots and its rank.  An :class:`AdditiveCode` is F_{p^t}-linear, where
+t = 1 gives an additive (F_p-linear) code and t = m an F_q-linear one.
+For t = 1 each F_q coordinate is expanded into m prime field columns; the
+fixed column order is x-block then y-block, coordinate-major,
+basis-coefficient-minor.  A :class:`ClassicalCode` over F_q has
+coefficient field F_q.  Two codes are equal iff they are of one kind, in
+one space (n, field, coefficient degree) and have equal canonical
+matrices, which makes equality and hashing cheap; membership,
+containment, :func:`intersect` and the weight scans serve both kinds.
 
-Minimum weights of both code kinds and symplectic weight distributions go
-through one path: :func:`_split` orders the rows of a code A over its
-coefficient field F_{p^t} as a subcode B's rows, then A's rows outside
-their span; :func:`_layout` writes each row g as its t prime-field digit
+Minimum weights of both code kinds go through :func:`_min_scan`, which
+refuses a B that is not a subcode of A and an empty A minus B, and share
+their layout with symplectic weight distributions: :func:`_split` orders
+the rows of a code A over its coefficient field F_{p^t} as a subcode B's
+rows, then A's rows outside their span; :func:`_layout` writes each row g as its t prime-field digit
 rows alpha^j g with each coordinate's digits contiguous, for the
 :mod:`subsystem_codes._enum` kernel.  The minimum scan visits one vector
 per F_{p^t} scalar class of A minus B: the counter ranges [p^i, 2 p^i)
@@ -28,7 +33,7 @@ import json
 from copy import copy
 from functools import lru_cache
 from itertools import combinations, islice, product
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +64,7 @@ class EnumerationLimitError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# additive codes
+# the canonical form of both code kinds; additive codes
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -120,38 +125,81 @@ def _json_field(data: dict) -> FieldSpec:
                   _plain_int(data.get("m", 1), "m"), modulus)
 
 
-def _spans_rows(mat: np.ndarray, pivots: List[int], rows: np.ndarray,
-                field: FieldSpec) -> bool:
-    """True iff every row of ``rows`` lies in the row space of ``mat``.
-
-    ``mat``/``pivots`` come from ``linalg.rref``: the pivot columns hold an
-    identity, so the only candidate coefficients are the pivot entries and
-    one product answers for all rows at once.
+class _Code:
+    """The canonical form both code kinds share: ``mat``, the reduced row
+    echelon basis of the code over its coefficient field, its ``pivots``
+    and its ``rank``.  A subclass sets n, field and coeff_field and gives
+    ``_row`` (one validated generator as a coefficient row) and ``ncols``.
     """
-    return np.array_equal(linalg.matmul(rows[:, pivots], mat, field), rows)
+
+    def _reduce(self, rows: np.ndarray, pivots: Optional[List[int]] = None):
+        """Set the canonical form to the rref of ``rows``; rows given with
+        their ``pivots`` are already reduced and are taken as they are."""
+        if pivots is None:
+            rows, pivots = linalg.rref(rows, self.coeff_field)
+        self.mat, self.pivots, self.rank = rows, pivots, rows.shape[0]
+
+    def _spanned(self, rows: np.ndarray, pivots: Optional[List[int]] = None):
+        """This code's kind and space, spanned by ``rows`` the library
+        computed itself, so they are not validated again."""
+        out = copy(self)
+        out._reduce(rows, pivots)
+        return out
+
+    def _rows(self, generators) -> np.ndarray:
+        rows = [self._row(g) for g in generators]
+        return (np.stack(rows) if rows
+                else np.zeros((0, self.ncols), dtype=np.int64))
+
+    @property
+    def rank_p(self) -> int:
+        """log_p of the code cardinality."""
+        return self.rank * self.coeff_field.m
+
+    @property
+    def _space(self) -> tuple:
+        """(kind, n, field, coefficient degree) of the space the code is in."""
+        return type(self), self.n, self.field, self.coeff_field.m
+
+    def _check_compatible(self, other: "_Code"):
+        if self._space != other._space:
+            raise ValueError("codes live in different spaces")
+
+    def __eq__(self, other):
+        return (isinstance(other, _Code) and self._space == other._space
+                and np.array_equal(self.mat, other.mat))
+
+    def __hash__(self):
+        return hash((self._space, self.mat.tobytes()))
+
+    def contains_vector(self, v) -> bool:
+        return linalg.row_space_contains(self.mat, self.pivots, self._row(v),
+                                         self.coeff_field) is not None
+
+    def contains_code(self, other: "_Code") -> bool:
+        """The pivot columns of ``mat`` hold an identity, so the only
+        candidate coefficients of a row of ``other`` are its pivot entries
+        and one product answers for all rows at once."""
+        self._check_compatible(other)
+        coeffs = other.mat[:, self.pivots]
+        return np.array_equal(
+            linalg.matmul(coeffs, self.mat, self.coeff_field), other.mat)
 
 
-def _with_basis(code, mat: np.ndarray, pivots: List[int]):
-    """``code``'s kind and space, spanned by ``mat`` (already reduced)."""
-    out = copy(code)
-    out.mat, out.pivots, out.rank = mat, pivots, mat.shape[0]
-    return out
-
-
-class AdditiveCode:
+class AdditiveCode(_Code):
     """An F_{p^t}-linear subspace of F_q^{2n} in canonical generator form."""
 
     def __init__(self, n: int, field: FieldSpec, generators,
                  coeff_degree: int = 1):
         if coeff_degree < 1 or field.m % coeff_degree != 0:
             raise ValueError(f"coeff_degree {coeff_degree} does not divide m={field.m}")
-        self.n = int(n)
-        self.field = field
-        self.t = int(coeff_degree)
+        self.n, self.field, self.t = int(n), field, int(coeff_degree)
         self.coeff_field = _coeff_field(field, self.t)
-        rows = self._expand_rows(generators)
-        self.mat, self.pivots = linalg.rref(rows, self.coeff_field)
-        self.rank = self.mat.shape[0]
+        self._reduce(self._rows(generators))
+
+    # perfbench/spans.py wraps these two in this class's own __dict__
+    contains_vector = _Code.contains_vector
+    contains_code = _Code.contains_code
 
     # -- representation helpers --------------------------------------------
 
@@ -164,26 +212,15 @@ class AdditiveCode:
     def ncols(self) -> int:
         return 2 * self.n * self.u
 
-    @property
-    def rank_p(self) -> int:
-        """log_p of the code cardinality."""
-        return self.rank * self.t
-
-    def _expand_row(self, row) -> np.ndarray:
+    def _row(self, row) -> np.ndarray:
         row = _field_row(row, self.field, 2 * self.n)
         if self.t == self.field.m:
             return row
         # expand each F_q entry into its m prime-field digits
         return self.field._dig[row].reshape(-1)
 
-    def _expand_rows(self, generators) -> np.ndarray:
-        rows = [self._expand_row(g) for g in generators]
-        if not rows:
-            return np.zeros((0, self.ncols), dtype=np.int64)
-        return np.stack(rows)
-
     def _contract_row(self, row: np.ndarray) -> np.ndarray:
-        """Inverse of _expand_row, giving 2n integer-encoded F_q entries."""
+        """Inverse of _row, giving 2n integer-encoded F_q entries."""
         if self.t == self.field.m:
             return np.asarray(row, dtype=np.int64)
         return np.asarray(row, dtype=np.int64).reshape(2 * self.n, self.field.m) @ self.field._pw
@@ -199,8 +236,7 @@ class AdditiveCode:
         code = cls.__new__(cls)
         code.n, code.field, code.t = n, field, coeff_degree
         code.coeff_field = _coeff_field(field, coeff_degree)
-        code.mat, code.pivots = linalg.rref(mat, code.coeff_field)
-        code.rank = code.mat.shape[0]
+        code._reduce(mat)
         return code
 
     def as_additive(self) -> "AdditiveCode":
@@ -209,29 +245,6 @@ class AdditiveCode:
             return self
         return AdditiveCode._from_coeff_matrix(
             self.n, self.field, 1, _digit_rows(self.mat, self.field))
-
-    # -- membership, comparison --------------------------------------------
-
-    def contains_vector(self, v) -> bool:
-        row = self._expand_row(v)
-        return linalg.row_space_contains(self.mat, self.pivots, row,
-                                         self.coeff_field) is not None
-
-    def contains_code(self, other: "AdditiveCode") -> bool:
-        self._check_compatible(other)
-        return _spans_rows(self.mat, self.pivots, other.mat, self.coeff_field)
-
-    def _check_compatible(self, other: "AdditiveCode"):
-        if (self.n, self.field, self.t) != (other.n, other.field, other.t):
-            raise ValueError("codes live in different spaces")
-
-    def __eq__(self, other):
-        return (isinstance(other, AdditiveCode)
-                and (self.n, self.field, self.t) == (other.n, other.field, other.t)
-                and np.array_equal(self.mat, other.mat))
-
-    def __hash__(self):
-        return hash((self.n, self.field, self.t, self.mat.tobytes()))
 
     def __repr__(self):
         return (f"AdditiveCode(n={self.n}, {self.field!r}, t={self.t}, "
@@ -311,7 +324,7 @@ def dual_symp(code: AdditiveCode) -> AdditiveCode:
     computation stays over F_q.
     """
     a = _pairings(code.mat, None, code.n, code.field, code.t)
-    return _with_basis(code, *linalg.reduced_nullspace(a, code.coeff_field))
+    return code._spanned(*linalg.reduced_nullspace(a, code.coeff_field))
 
 
 def _radical_rows(gram, rows: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -323,18 +336,17 @@ def radical(code: AdditiveCode) -> AdditiveCode:
     """C intersect C^perp_s from the Gram matrix G = C M C^T of C's rows:
     a·C lies in C^perp_s iff G a^T = 0, so C^perp_s is never built."""
     gram = _pairings(code.mat, code.mat, code.n, code.field, code.t)
-    return AdditiveCode._from_coeff_matrix(
-        code.n, code.field, code.t,
-        _radical_rows(gram, code.mat, code.coeff_field))
+    return code._spanned(_radical_rows(gram, code.mat, code.coeff_field))
 
 
-def intersect(c1: AdditiveCode, c2: AdditiveCode) -> AdditiveCode:
-    """Intersection of two codes over the same space, in canonical form."""
+def intersect(c1, c2):
+    """Intersection of two codes of one kind and space, in canonical form:
+    a·c1.mat for the first c1.rank entries a of each kernel vector of the
+    stacked rows' transpose."""
     c1._check_compatible(c2)
-    stacked = np.concatenate([c1.mat, c2.mat], axis=0)
-    ker = linalg.nullspace(stacked.T, c1.coeff_field)
-    vecs = linalg.matmul(ker[:, : c1.rank], c1.mat, c1.coeff_field)
-    return AdditiveCode._from_coeff_matrix(c1.n, c1.field, c1.t, vecs)
+    cf = c1.coeff_field
+    ker = linalg.nullspace(np.concatenate([c1.mat, c2.mat]).T, cf)
+    return c1._spanned(linalg.matmul(ker[:, :c1.rank], c1.mat, cf))
 
 
 def dual_swt_exceeds(D: AdditiveCode, w: int) -> bool:
@@ -372,18 +384,16 @@ def dual_swt_exceeds(D: AdditiveCode, w: int) -> bool:
 # minimum weights by enumeration
 # ---------------------------------------------------------------------------
 
-def _layout(code: Union[AdditiveCode, "ClassicalCode"],
-            rows: np.ndarray) -> np.ndarray:
+def _layout(code, rows: np.ndarray) -> np.ndarray:
     """Prime-field rows with each coordinate's digits contiguous: each of
     ``rows`` (rows of ``code``'s space over its coefficient field F_{p^t})
     becomes its t digit rows alpha^j g, alpha^0 g first, not reduced again.
     A coordinate group is the 2m digits of (x_i, y_i) for an additive code
     and the m digits of x_i for a classical one."""
-    if isinstance(code, AdditiveCode):
-        m, n = code.field.m, code.n
-        perm = np.arange(2 * n * m).reshape(2, n, m).transpose(1, 0, 2)
-        return _digit_rows(rows, code.coeff_field)[:, perm.reshape(-1)]
-    return _digit_rows(rows, code.field)
+    digits = _digit_rows(rows, code.coeff_field)
+    n, m = code.n, code.field.m
+    perm = np.arange(digits.shape[1]).reshape(-1, n, m).transpose(1, 0, 2)
+    return digits[:, perm.reshape(-1)]
 
 
 def _digit_rows(mat: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -412,16 +422,32 @@ def _check_span(p: int, k: int, threshold: int) -> None:
 def _coset_rows(a, b) -> Tuple[np.ndarray, int, int]:
     """A's rows over its coefficient field F_{p^t} split by :func:`_split`
     and laid out, B's digit-row count, and t; B None is {0}."""
-    cf = a.coeff_field if isinstance(a, AdditiveCode) else a.field
-    rows = a.mat if b is None else _split(a.mat, b.mat, cf)
-    return _layout(a, rows), cf.m * (0 if b is None else b.rank), cf.m
+    rows = a.mat if b is None else _split(a.mat, b.mat, a.coeff_field)
+    return _layout(a, rows), 0 if b is None else b.rank_p, a.coeff_field.m
 
 
-def _min_scan(a, b, threshold: int) -> int:
-    """Minimum group weight over span(A) minus span(B); B None is {0}."""
-    _check_span(a.field.p, a.rank_p, threshold)
+def _min_scan(a, b, threshold: int, mode: str = "exact",
+              seed: int = 0) -> Tuple[int, str]:
+    """Minimum group weight over span(A) minus span(B) and its tag, for
+    codes of either kind; B a subcode of A, None is {0}.  See
+    :func:`min_swt_coset` for the modes."""
+    if b is not None and not a.contains_code(b):
+        raise ValueError("B is not a subcode of A")
+    if a.rank_p == (0 if b is None else b.rank_p):
+        raise ValueError("A equals B: the difference set is empty")
+    p = a.field.p
+    if mode == "exact":
+        _check_span(p, a.rank_p, threshold)
+    elif mode != "witness":
+        raise ValueError(f"unknown mode {mode!r}")
     gens, kb, t = _coset_rows(a, b)
-    return _class_min(gens, a.field.p, a.n, kb, t)
+    if mode == "witness" and p**len(gens) > WITNESS_RANDOM_SAMPLES:
+        return _witness_search(gens, p, a.n, gens.shape[1] // a.n, kb,
+                               len(gens) - kb, seed), mode
+    # in witness mode the span has no more vectors than the random search
+    # would draw, so the exact minimum is the tightest upper bound
+    return (_class_min(gens, p, a.n, kb, t),
+            "exhaustive" if mode == "exact" else mode)
 
 
 def _class_min(gens: np.ndarray, p: int, n: int, kb: int, t: int = 1) -> int:
@@ -456,9 +482,7 @@ def _distribution_scan(code, threshold: int) -> np.ndarray:
 
 def min_swt(code: AdditiveCode, threshold: int = DEFAULT_THRESHOLD) -> int:
     """Exact minimum symplectic weight by full span enumeration."""
-    if code.rank == 0:
-        raise ValueError("minimum weight of the zero code is undefined")
-    return _min_scan(code, None, threshold)
+    return _min_scan(code, None, threshold)[0]
 
 
 def min_swt_coset(a: AdditiveCode, b: Optional[AdditiveCode],
@@ -472,23 +496,7 @@ def min_swt_coset(a: AdditiveCode, b: Optional[AdditiveCode],
     ``WITNESS_RANDOM_SAMPLES`` elements, else the result of a bounded
     search (generator combinations plus seeded random sampling).
     """
-    if b is not None and not a.contains_code(b):
-        raise ValueError("B is not a subcode of A")
-    if a.rank_p == (0 if b is None else b.rank_p):
-        raise ValueError("A equals B: the difference set is empty")
-    if mode == "exact":
-        return _min_scan(a, b, threshold), "exhaustive"
-    if mode != "witness":
-        raise ValueError(f"unknown mode {mode!r}")
-    p = a.field.p
-    gens, kb, t = _coset_rows(a, b)
-    if p**len(gens) <= WITNESS_RANDOM_SAMPLES:
-        # no more vectors than the random search would draw: the exact
-        # minimum is the tightest upper bound
-        return _class_min(gens, p, a.n, kb, t), "witness"
-    w = _witness_search(gens, p, a.n, 2 * a.field.m, kb, len(gens) - kb,
-                        seed)
-    return w, "witness"
+    return _min_scan(a, b, threshold, mode, seed)
 
 
 def _witness_search(gens, p, n_groups, group_size, kb, ke, seed) -> int:
@@ -540,46 +548,20 @@ def swt_distribution(code: AdditiveCode,
 # classical codes
 # ---------------------------------------------------------------------------
 
-class ClassicalCode:
+class ClassicalCode(_Code):
     """A linear code over F_q (or F_{q^2}) in canonical generator form."""
 
     def __init__(self, length: int, field: FieldSpec, generators):
         self.n = int(length)
-        self.field = field
-        rows = self._as_rows(generators)
-        self.mat, self.pivots = linalg.rref(rows, field)
-        self.rank = self.mat.shape[0]
-
-    def _as_rows(self, generators) -> np.ndarray:
-        rows = [_field_row(g, self.field, self.n) for g in generators]
-        if not rows:
-            return np.zeros((0, self.n), dtype=np.int64)
-        return np.stack(rows)
+        self.field = self.coeff_field = field
+        self._reduce(self._rows(generators))
 
     @property
-    def rank_p(self) -> int:
-        """log_p of the code cardinality."""
-        return self.rank * self.field.m
+    def ncols(self) -> int:
+        return self.n
 
-    def contains_vector(self, v) -> bool:
-        return linalg.row_space_contains(self.mat, self.pivots, v,
-                                         self.field) is not None
-
-    def contains_code(self, other: "ClassicalCode") -> bool:
-        self._check_compatible(other)
-        return _spans_rows(self.mat, self.pivots, other.mat, self.field)
-
-    def _check_compatible(self, other: "ClassicalCode"):
-        if (self.n, self.field) != (other.n, other.field):
-            raise ValueError("codes live in different spaces")
-
-    def __eq__(self, other):
-        return (isinstance(other, ClassicalCode)
-                and (self.n, self.field) == (other.n, other.field)
-                and np.array_equal(self.mat, other.mat))
-
-    def __hash__(self):
-        return hash((self.n, self.field, self.mat.tobytes()))
+    def _row(self, row) -> np.ndarray:
+        return _field_row(row, self.field, self.n)
 
     def __repr__(self):
         return f"ClassicalCode([{self.n},{self.rank}] over {self.field!r})"
@@ -599,7 +581,7 @@ class ClassicalCode:
             mat = self._conj(self.mat)
         else:
             raise ValueError(f"unknown dual kind {kind!r}")
-        return _with_basis(self, *linalg.reduced_nullspace(mat, self.field))
+        return self._spanned(*linalg.reduced_nullspace(mat, self.field))
 
     def _hermitian_gram(self) -> np.ndarray:
         """conj(G) G^T: <g_i|g_j>_h = sum g_i^sqrt(q) g_j of the generators."""
@@ -611,32 +593,22 @@ class ClassicalCode:
 
     def hermitian_radical(self) -> "ClassicalCode":
         """Y intersect Y^perp_h: a·G is in it iff conj(G) G^T a^T = 0."""
-        return ClassicalCode(self.n, self.field, _radical_rows(
+        return self._spanned(_radical_rows(
             self._hermitian_gram(), self.mat, self.field))
 
     def intersect(self, other: "ClassicalCode") -> "ClassicalCode":
-        self._check_compatible(other)
-        stacked = np.concatenate([self.mat, other.mat], axis=0)
-        ker = linalg.nullspace(stacked.T, self.field)
-        vecs = linalg.matmul(ker[:, : self.rank], self.mat, self.field)
-        return ClassicalCode(self.n, self.field, vecs)
+        return intersect(self, other)
 
     # -- weights -------------------------------------------------------------
 
     def min_wt(self, threshold: int = DEFAULT_THRESHOLD) -> int:
         """Exact minimum Hamming weight by enumeration."""
-        if self.rank == 0:
-            raise ValueError("minimum weight of the zero code is undefined")
-        return _min_scan(self, None, threshold)
+        return _min_scan(self, None, threshold)[0]
 
     def min_wt_coset(self, sub: "ClassicalCode",
                      threshold: int = DEFAULT_THRESHOLD) -> Tuple[int, str]:
         """Minimum Hamming weight over self \\ sub, by enumeration."""
-        if not self.contains_code(sub):
-            raise ValueError("sub is not a subcode")
-        if self.rank == sub.rank:
-            raise ValueError("difference set is empty")
-        return _min_scan(self, sub, threshold), "exhaustive"
+        return _min_scan(self, sub, threshold)
 
     # -- classical modifications --------------------------------------------
 

@@ -368,7 +368,8 @@ def combine_disjoint(p1: Union[SubsystemCode, ParamRecord],
 
     [[n1,k1,r1,d1]]_2 and [[n2,k2,r2,d2]]_2 with k2+r2 <= n1 give
     [[n1+n2-k2-r2, k1+r1-r, r, >= min{d1, d1+d2-k2-r2}]]_2 for
-    0 <= r < k1+r1.  Purity of the output is not guaranteed.
+    0 <= r < k1+r1; a minimum below 1 leaves the trivial d' >= 1.  Purity
+    of the output is not guaranteed.
     """
     a, b = _params(p1), _params(p2)
     if a.q != 2 or b.q != 2:
@@ -384,12 +385,14 @@ def combine_disjoint(p1: Union[SubsystemCode, ParamRecord],
     d = min(a.d, a.d + b.d - int(b.k + b.r))
     out = ParamRecord(
         n=a.n + b.n - int(b.k + b.r), q=2, k=a.k + a.r - r, r=r,
-        d=d, d_is_bound=True, pure=None,
+        d=max(d, 1), d_is_bound=True, pure=None,
         provenance=list(a.provenance) + list(b.provenance)
         + ["combine_disjoint"])
     res = RuleResult("combine_disjoint", out)
     res.add("n' = n1 + n2 - k2 - r2, k' = k1 + r1 - r, r' = r", ASSERTED)
-    res.add(f"d' >= min(d1, d1 + d2 - k2 - r2) = {d}", ASSERTED)
+    res.add(f"d' >= min(d1, d1 + d2 - k2 - r2) = {d}" if d >= 1 else
+            f"d' >= 1 is the trivial bound (min(d1, d1 + d2 - k2 - r2) "
+            f"= {d})", ASSERTED)
     return res
 
 

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior via click's test runner."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -285,6 +287,23 @@ def test_transform_combine_params(runner):
     assert payload["output"]["bracket"] == "[[10,2,0,>=3]]_2"
 
 
+@pytest.mark.parametrize("second,bracket,claim", [
+    ("[[4,2,0,2]]_2 pure", "[[7,1,0,>=3]]_2",
+     "d' >= min(d1, d1 + d2 - k2 - r2) = 3"),
+    # d1 + d2 - k2 - r2 = -1 was refused with "distance must be >= 1"
+    ("[[5,3,0,1]]_2 pure", "[[5,1,0,>=1]]_2",
+     "d' >= 1 is the trivial bound (min(d1, d1 + d2 - k2 - r2) = -1)"),
+])
+def test_transform_combine_disjoint(runner, second, bracket, claim):
+    first = "[[5,1,0,3]]_2 pure" if "[[4," in second else "[[3,1,0,1]]_2 pure"
+    res = runner.invoke(main, ["transform", "--rule", "combine-disjoint",
+                               "--params", first, "--params", second])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    assert payload["output"]["bracket"] == bracket
+    assert payload["claims"][-1] == claim
+
+
 def test_transform_missing_params(runner):
     res = runner.invoke(main, ["transform", "--rule", "combine-disjoint",
                                "--params", "[[5,1,0,3]]_2"])
@@ -513,6 +532,44 @@ def test_rule_report_matches_golden(args, name):
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 0, res.output
     assert res.stdout_bytes == (_GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("args,name", [
+    (["analyze", str(_DATA / "five_qubit.json")], "analyze_five_qubit"),
+    (["transform", str(_DATA / "five_qubit.json"), "--rule", "shrink-k"],
+     "transform_five_qubit_shrink_k"),
+])
+def test_in_process_call_matches_golden(args, name):
+    # the call perfbench/worker.py makes for its small-codes operations
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main.main(args=args, prog_name="subsys", standalone_mode=False)
+    assert out.getvalue().encode() == (_GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_huge_report_integers_print_exactly():
+    # K = 64^4093 has 7,393 digits, beyond the default int -> str limit
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    res = subprocess.run([sys.executable, "-m", "subsystem_codes.cli",
+                          "family", "--family", "v", "--q", "64",
+                          "--delta", "1"], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        want = str(64**4093)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert re.search(r'"K": (\d+)', res.stdout).group(1) == want
+    # the report writer restores the limit it lifted
+    assert CliRunner().invoke(main, ["family", "--family", "v", "--q", "64",
+                                     "--delta", "1"]).exit_code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 _PRIMES = [2, 3, 5, 7, 11, 13]

@@ -1,6 +1,7 @@
 """Additive and classical codes: canonical form, duals, weights."""
 
 import json
+from copy import copy
 from itertools import product
 
 import numpy as np
@@ -182,6 +183,90 @@ def test_intersect_matches_sets():
         b = AdditiveCode(2, f, rng.integers(0, 3, size=(2, 4)))
         cap = intersect(a, b)
         assert _elements(cap) == _elements(a) & _elements(b)
+
+
+def _eliminated_intersection(x, y):
+    """The elimination ClassicalCode.intersect ran before it delegated to
+    codes.intersect: a·x for the first x.rank entries a of each kernel
+    vector of the stacked rows' transpose, validated again as generators."""
+    stacked = np.concatenate([x.mat, y.mat], axis=0)
+    ker = linalg.nullspace(stacked.T, x.field)
+    vecs = linalg.matmul(ker[:, : x.rank], x.mat, x.field)
+    return ClassicalCode(x.n, x.field, vecs)
+
+
+def _classical_words(code):
+    """All codewords of a classical code, every combination of its rows."""
+    coeffs = list(product(range(code.field.q), repeat=code.rank))
+    coeffs = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), code.rank)
+    return {tuple(w) for w in linalg.matmul(coeffs, code.mat,
+                                            code.field).tolist()}
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 2), (3, 2)])
+def test_classical_intersect_matches_elimination(p, m):
+    f = FieldSpec(p, m)
+    rng = np.random.default_rng(40 + p * m)
+    n = 4
+    zero = ClassicalCode(n, f, [])
+    whole = ClassicalCode(n, f, np.eye(n, dtype=np.int64))
+    codes_in = [zero, whole] + [
+        ClassicalCode(n, f, rng.integers(0, f.q, (k, n)))
+        for k in (1, 2, 2, 3, 3)]
+    for x in codes_in:
+        assert x.intersect(zero) == zero and x.intersect(whole) == x
+        for y in codes_in:
+            cap = x.intersect(y)
+            assert cap == _eliminated_intersection(x, y) == intersect(x, y)
+            if f.q == 3:
+                assert _classical_words(cap) == (_classical_words(x)
+                                                 & _classical_words(y))
+
+
+def test_additive_and_classical_codes_never_compare_equal():
+    f = FieldSpec(2, 2)
+    rows = [[1, 2, 0, 3], [0, 1, 1, 0]]
+    a = AdditiveCode(2, f, rows, coeff_degree=2)
+    c = ClassicalCode(4, f, rows)
+    assert np.array_equal(a.mat, c.mat) and a.rank_p == c.rank_p
+    same_n = copy(c)
+    same_n.n = a.n          # the kind alone tells the two spaces apart
+    for other in (c, same_n):
+        assert a != other and other != a
+        for x, y in ((a, other), (other, a)):
+            with pytest.raises(ValueError, match="different spaces"):
+                x.contains_code(y)
+            with pytest.raises(ValueError, match="different spaces"):
+                intersect(x, y)
+
+
+def test_classical_contains_vector_validates_entries():
+    f = FieldSpec(2, 2)
+    code = ClassicalCode(3, f, [[1, 2, 3]])
+    assert code.contains_vector([2, 3, 1]) and not code.contains_vector([1, 0, 0])
+    with pytest.raises(ValueError, match="entry 4 is not an element of GF"):
+        code.contains_vector([4, 0, 0])
+    with pytest.raises(ValueError, match="must have 3 entries"):
+        code.contains_vector([1, 2])
+
+
+def test_shared_coset_checks_for_both_kinds():
+    f = FieldSpec(3)
+    big = ClassicalCode(3, f, [[1, 1, 0], [0, 1, 1]])
+    other = ClassicalCode(3, f, [[1, 0, 0]])
+    zero = ClassicalCode(3, f, [])
+    additive = AdditiveCode(2, f, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    not_sub = AdditiveCode(2, f, [[0, 0, 1, 0]])
+    for run in (lambda: big.min_wt_coset(other),
+                lambda: min_swt_coset(additive, not_sub)):
+        with pytest.raises(ValueError, match="B is not a subcode of A"):
+            run()
+    for run in (zero.min_wt, lambda: big.min_wt_coset(big),
+                lambda: min_swt(AdditiveCode.zero(2, f)),
+                lambda: min_swt_coset(additive, additive, "witness")):
+        with pytest.raises(ValueError, match="the difference set is empty"):
+            run()
+    assert big.min_wt_coset(zero) == (big.min_wt(), "exhaustive")
 
 
 def _radical_inputs(field, t, rng):

@@ -21,8 +21,8 @@ from subsystem_codes.rules import (MdsFamilySpec, _extend_code, _tower_for_q,
                                    subsystem_to_stabilizer)
 from subsystem_codes.rs import (evaluation_code, hermitian_self_orthogonal_rs,
                                 mds_min_weight_codeword)
-from subsystem_codes.subsystem import (Policy, PurityError, bracket_params,
-                                       derive)
+from subsystem_codes.subsystem import (ParamRecord, Policy, PurityError,
+                                       bracket_params, derive)
 
 
 def _hamming_distribution(X):
@@ -154,6 +154,7 @@ def test_combine_disjoint(five):
     short = shorten_length(five).output              # [[4,2,0,2]]
     res = combine_disjoint(five, short, 0)
     assert res.output.bracket() == "[[7,1,0,>=3]]_2"
+    assert res.claims[-1] == "d' >= min(d1, d1 + d2 - k2 - r2) = 3"
     assert res.output.pure is None                   # purity not claimed
     with pytest.raises(ValueError):
         combine_disjoint(five, short, 1)       # r >= k1 + r1 = 1
@@ -161,6 +162,17 @@ def test_combine_disjoint(five):
     bad.q = 3
     with pytest.raises(ValueError):
         combine_disjoint(bad, short, 0)
+
+
+def test_combine_disjoint_trivial_bound():
+    # d1 + d2 - k2 - r2 = 1 + 1 - 3 < 1: only the trivial d' >= 1 holds
+    a = ParamRecord(n=3, q=2, k=1, r=0, d=1, pure=True)
+    b = ParamRecord(n=5, q=2, k=3, r=0, d=1, pure=True)
+    res = combine_disjoint(a, b, 0)
+    assert res.output.bracket() == "[[5,1,0,>=1]]_2"
+    assert res.output.d == 1 and res.output.d_is_bound
+    assert res.claims[-1] == ("d' >= 1 is the trivial bound "
+                              "(min(d1, d1 + d2 - k2 - r2) = -1)")
 
 
 def test_combine_disjoint_length_check(five):
