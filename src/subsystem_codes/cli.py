@@ -5,97 +5,57 @@ propagation rule, ``table1`` to regenerate the optimal-code catalog, and
 ``family`` to instantiate an MDS family member.  Reports are emitted as
 deterministic JSON (sorted keys), CSV (catalog only), or text.
 
-Every flag can also be set through an environment variable with the
-``SUBSYS_`` prefix, e.g. ``SUBSYS_THRESHOLD=1000000``; flags win.
+Every option can also be set through an environment variable, ``SUBSYS_``
++ the command name for a command's own options + the long flag, in upper
+case with ``-`` as ``_``: ``SUBSYS_FORMAT``, ``SUBSYS_TRANSFORM_TARGET_R``.
+Flags win.  A flag without a value is set by 1, true, yes or on, and
+``SUBSYS_TRANSFORM_PARAMS`` holds ``;``-separated tuples.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import re
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional
 
-import click
-from click.core import ParameterSource
-
 from . import __version__, bounds, rules, table1 as table1_mod
 from .codes import DEFAULT_THRESHOLD, AdditiveCode
-from .subsystem import (DEFAULT_POLICY, ParamRecord, Policy, SubsystemCode,
-                        analysis_report, bracket_params, derive, is_exact)
+from .subsystem import (ParamRecord, Policy, SubsystemCode, analysis_report,
+                        bracket_params, derive, is_exact)
 
 
-@dataclass
-class RunConfig:
-    policy: Policy = DEFAULT_POLICY
-    fmt: str = "json"
-    strict: bool = False
-    emit: Optional[str] = None
+class CliError(Exception):
+    """``Error: <message>`` on stderr, exit status ``code`` (2: usage)."""
+
+    def __init__(self, message: str, code: int = 2):
+        super().__init__(message)
+        self.code = code
 
 
-pass_config = click.make_pass_decorator(RunConfig)
-
-
-@click.group(context_settings={"auto_envvar_prefix": "SUBSYS"})
-@click.option("--threshold", type=int, default=DEFAULT_THRESHOLD,
-              show_default=True, help="Enumeration size limit.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Random seed for witness searches.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
-              default="json", show_default=True)
-@click.option("--strict", is_flag=True,
-              help="Treat verification downgrades as failures.")
-@click.option("--emit", type=click.Path(dir_okay=False), default=None,
-              help="Write the produced code or report to this path.")
-@click.option("--distance", type=click.Choice(["exact", "witness", "skip"]),
-              default="exact", show_default=True,
-              help="Distance verification level.")
-@click.version_option(version=__version__)
-@click.pass_context
-def main(ctx, threshold, seed, fmt, strict, emit, distance):
-    """Construct and transform subsystem codes from classical codes."""
-    if ctx.invoked_subcommand in ("table1", "family"):
-        # their certificates run no witness search
-        reason = (f"has no effect on {ctx.invoked_subcommand}; it applies "
-                  "to analyze and transform only")
-        if distance != "exact" and ctx.get_parameter_source(
-                "distance") is ParameterSource.COMMANDLINE:
-            raise click.UsageError(f"--distance {reason}")
-        _refuse_options(reason, "seed")
-    # --distance exact downgrades automatically beyond the threshold; the
-    # downgrade is reported (and fatal under --strict)
-    try:
-        policy = Policy("auto" if distance == "exact" else distance,
-                        threshold=threshold, seed=seed)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
-    ctx.obj = RunConfig(policy=policy, fmt=fmt, strict=strict, emit=emit)
-
-
-def _dump(cfg: RunConfig, payload, text_lines=None) -> None:
-    if cfg.fmt == "csv":
-        raise click.UsageError("CSV output is only available for table1")
-    if cfg.fmt == "text" and text_lines is not None:
-        _echo(cfg, "\n".join(text_lines) + "\n")
-    else:
+def _dump(cfg: argparse.Namespace, payload, text_lines: List[str],
+          csv: Optional[str] = None, emit: bool = True) -> None:
+    """Print a report: JSON, ``text_lines`` under --format text or ``csv``
+    under --format csv; write it to the --emit path as well if ``emit``."""
+    if cfg.format == "csv" and csv is None:
+        raise CliError("CSV output is only available for table1")
+    out = csv if cfg.format == "csv" else "\n".join(text_lines) + "\n"
+    if cfg.format == "json":
         # K or R may have more digits than int -> str allows by default
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit:
             sys.set_int_max_str_digits(0)
         try:
-            _echo(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         finally:
             if limit:
                 sys.set_int_max_str_digits(limit)
-
-
-def _echo(cfg: RunConfig, out: str) -> None:
-    """Print a report and write it to the --emit path as well."""
-    click.echo(out, nl=False)
-    if cfg.emit:
+    print(out, end="", flush=True)
+    if cfg.emit and emit:
         _write(cfg.emit, lambda path: Path(path).write_text(out))
 
 
@@ -104,39 +64,30 @@ def _write(path: str, write) -> None:
     try:
         write(path)
     except OSError as exc:
-        raise click.ClickException(f"cannot write {path}: {exc.strerror}")
+        raise CliError(f"cannot write {path}: {exc.strerror}", 1)
 
 
 def _load_code(path: str) -> AdditiveCode:
     try:
         return AdditiveCode.load(path)
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise click.ClickException(f"cannot load code file {path}: {exc}")
+        raise CliError(f"cannot load code file {path}: {exc}", 1)
 
 
-def _refuse_options(reason: str, *names: str) -> None:
-    """Usage error for any of the parameters ``names`` given on the
-    command line; the environment or the default is left alone."""
-    ctx = click.get_current_context()
-    for param in ctx.command.params:
-        if (param.name in names and ctx.get_parameter_source(param.name)
-                is ParameterSource.COMMANDLINE):
-            name = (param.opts[-1] if isinstance(param, click.Option)
-                    else param.human_readable_name)
-            raise click.UsageError(f"{name} {reason}", ctx)
+def _refuse_options(given, reason: str, *names: str) -> None:
+    """Usage error for any of ``names`` among the options ``given``."""
+    for name in names:
+        if name in given:
+            raise CliError(f"{name} {reason}")
 
 
-def _check_strict(cfg: RunConfig, downgraded: List[str]) -> None:
-    """Warn about downgraded claims; under --strict name them and exit 3."""
-    if not downgraded:
-        return
-    warning = ("warning: some results rest on witness or asserted "
-               "verification only")
-    if not cfg.strict:
-        click.echo(warning, err=True)
-        return
-    click.echo(f"{warning}: {', '.join(downgraded)}", err=True)
-    raise click.exceptions.Exit(3)
+def _check_strict(cfg: argparse.Namespace, downgraded: List[str]) -> int:
+    """Warn about downgraded claims; under --strict name them: status 3."""
+    if downgraded:
+        print("warning: some results rest on witness or asserted "
+              "verification only" + (f": {', '.join(downgraded)}"
+                                     if cfg.strict else ""), file=sys.stderr)
+    return 3 if downgraded and cfg.strict else 0
 
 
 def _code_downgrades(code: SubsystemCode) -> List[str]:
@@ -146,41 +97,27 @@ def _code_downgrades(code: SubsystemCode) -> List[str]:
             if method is not None and not is_exact(method)]
 
 
-def _rule_downgrades(res: rules.RuleResult) -> List[str]:
-    """The output code's downgraded values and the rule's asserted claims."""
-    out = res.output
-    return ((_code_downgrades(out) if isinstance(out, SubsystemCode) else [])
-            + _claims_with(res.verification, (rules.ASSERTED,)))
-
-
-def _rule_report(res: rules.RuleResult):
-    """JSON payload, output bracket and claim lines of a rule's result."""
+def _rule_report(cfg: argparse.Namespace, res: rules.RuleResult, head: str,
+                 checked: bool = True, emit: bool = True) -> int:
+    """Print a rule's result; if ``checked``, --strict refuses downgrades."""
     out = res.output
     if isinstance(out, SubsystemCode):
         output, bracket = analysis_report(out), bracket_params(out).bracket()
     else:
         output, bracket = out.to_json(), out.bracket()
-    payload = {"rule": res.rule, "output": output, "claims": res.claims,
-               "verification": res.verification}
-    return payload, bracket, [f"  {c}: {res.verification[c]}"
-                              for c in res.claims]
+    _dump(cfg, {"rule": res.rule, "output": output, "claims": res.claims,
+                "verification": res.verification},
+          [head + bracket] + [f"  {c}: {res.verification[c]}"
+                              for c in res.claims], emit=emit)
+    return _check_strict(cfg, (
+        (_code_downgrades(out) if isinstance(out, SubsystemCode) else [])
+        + [f"{c} ({t})" for c, t in res.verification.items()
+           if t == rules.ASSERTED]) if checked else [])
 
 
-def _claims_with(verification: dict, tags) -> List[str]:
-    return [f"{claim} ({tag})" for claim, tag in verification.items()
-            if tag in tags]
-
-
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@pass_config
-def analyze(cfg: RunConfig, file):
+def analyze(cfg: argparse.Namespace) -> int:
     """Derive and analyze the subsystem code of a classical code file."""
-    C = _load_code(file)
-    try:
-        code = derive(C, cfg.policy)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    code = derive(_load_code(cfg.file), cfg.policy)
     report = analysis_report(code)
     rec = bracket_params(code)
     report["bounds"] = {}
@@ -188,18 +125,15 @@ def analyze(cfg: RunConfig, file):
         report["bounds"]["singleton"] = bounds.singleton_check(rec).to_json()
         if rec.pure:
             report["bounds"]["hamming"] = bounds.hamming_check(rec).to_json()
-    lines = [
-        f"code: {report['bracket']}",
-        f"purity: {report['purity']['kind']} "
-        f"(swt(C) = {report['purity']['swt_C']})",
-        f"distance: {report['distance']['value']} "
-        f"[{report['distance']['method']}]",
-    ]
+    purity, distance = report["purity"], report["distance"]
+    lines = [f"code: {report['bracket']}",
+             f"purity: {purity['kind']} (swt(C) = {purity['swt_C']})",
+             f"distance: {distance['value']} [{distance['method']}]"]
     for name, rep in report["bounds"].items():
         lines.append(f"{name}: slack {rep['slack']}"
                      + (" (attained)" if rep["attained"] else ""))
     _dump(cfg, report, lines)
-    _check_strict(cfg, _code_downgrades(code))
+    return _check_strict(cfg, _code_downgrades(code))
 
 
 _PARAM_RE = re.compile(
@@ -211,153 +145,219 @@ def parse_params(text: str) -> ParamRecord:
     """Parse '[[n,k,r,d]]_q' optionally followed by 'pure'/'linear' words."""
     m = _PARAM_RE.match(text.strip())
     if not m:
-        raise click.BadParameter(
-            f"cannot parse parameters {text!r}; expected "
+        raise CliError(
+            f"Invalid value: cannot parse parameters {text!r}; expected "
             "'[[n,k,r,d]]_q [pure] [linear]'")
     n, k, r, ge, d, q, words = m.groups()
     flags = set(words.split())
+    pure = True if "pure" in flags else False if "impure" in flags else None
     try:
         return ParamRecord(
             n=int(n), q=int(q), k=Fraction(k), r=Fraction(r), d=int(d),
-            d_is_bound=ge is not None,
-            pure=True if "pure" in flags else (
-                False if "impure" in flags else None),
-            linear=True if "linear" in flags else None,
-            provenance=["cli"])
+            d_is_bound=ge is not None, pure=pure,
+            linear=True if "linear" in flags else None, provenance=["cli"])
     except ZeroDivisionError:
-        raise click.BadParameter(f"{text!r} has a zero denominator")
+        raise CliError(f"Invalid value: {text!r} has a zero denominator")
     except ValueError as exc:
-        raise click.BadParameter(f"bad parameters {text!r}: {exc}")
+        raise CliError(f"Invalid value: bad parameters {text!r}: {exc}")
 
 
-_CONSTRUCTIVE_RULES = ("shrink-k", "grow-k", "extend-n", "to-stabilizer",
-                       "to-subsystem")
-_PARAM_RULES = ("shorten-n", "combine-disjoint", "combine-nested")
+# each rule, on a derived code or on one or two parameter records
+_CONSTRUCTIVE_RULES = {
+    "shrink-k": lambda code, cfg: rules.shrink_k(code, policy=cfg.policy),
+    "grow-k": lambda code, cfg: rules.grow_k(code, policy=cfg.policy),
+    "extend-n": lambda code, cfg: rules.extend_length(code, cfg.policy),
+    "to-stabilizer":
+        lambda code, cfg: rules.subsystem_to_stabilizer(code, cfg.policy),
+    "to-subsystem": lambda code, cfg: rules.stabilizer_to_subsystem(
+        code, cfg.target_r, cfg.policy)}
+_PARAM_RULES = {
+    "shorten-n": lambda a, cfg: rules.shorten_length(a),
+    "combine-disjoint":
+        lambda a, b, cfg: rules.combine_disjoint(a, b, cfg.target_r),
+    "combine-nested": lambda a, b, cfg: rules.combine_nested(
+        a, b, cfg.target_r, subset_assumed=cfg.subset_assumed)}
 # the transform inputs each rule reads; any other rule refuses them
-_READ_BY = {"target_r": (("to-subsystem",) + _PARAM_RULES[1:],
-                         "to-subsystem and the combine rules"),
-            "subset_assumed": (("combine-nested",), "combine-nested"),
-            "params_list": (_PARAM_RULES, "the parameter-level rules"),
-            "file": (_CONSTRUCTIVE_RULES, "the constructive rules")}
+_READ_BY = {
+    "--target-r": (("to-subsystem", "combine-disjoint", "combine-nested"),
+                   "to-subsystem and the combine rules"),
+    "--subset-assumed": (("combine-nested",), "combine-nested"),
+    "--params": (tuple(_PARAM_RULES), "the parameter-level rules"),
+    "FILE": (tuple(_CONSTRUCTIVE_RULES), "the constructive rules")}
 
 
-@main.command()
-@click.argument("file", required=False,
-                type=click.Path(exists=True, dir_okay=False))
-@click.option("--rule", required=True,
-              type=click.Choice(_CONSTRUCTIVE_RULES + _PARAM_RULES))
-@click.option("--params", "params_list", multiple=True,
-              help="Parameter tuple '[[n,k,r,d]]_q pure' for "
-                   "parameter-level rules (repeat for combining rules).")
-@click.option("-r", "--target-r", type=int, default=0, show_default=True,
-              help="Target co-subsystem dimension (to-subsystem, combine-*).")
-@click.option("--subset-assumed", is_flag=True,
-              help="Confirm nesting for combine-nested.")
-@pass_config
-def transform(cfg: RunConfig, file, rule, params_list, target_r,
-              subset_assumed):
+def transform(cfg: argparse.Namespace) -> int:
     """Apply a propagation rule to a code file or parameter tuple."""
+    rule, given = cfg.rule, cfg.given | ({"FILE"} if cfg.file else set())
     for name, (readers, what) in _READ_BY.items():
         if rule not in readers:
-            _refuse_options(f"applies only to {what}", name)
-    policy = cfg.policy
-    try:
-        if rule in _CONSTRUCTIVE_RULES:
-            if file is None:
-                raise click.UsageError(f"rule {rule} needs a code file")
-            code = derive(_load_code(file), policy)
-            if rule == "shrink-k":
-                res = rules.shrink_k(code, policy=policy)
-            elif rule == "grow-k":
-                res = rules.grow_k(code, policy=policy)
-            elif rule == "extend-n":
-                res = rules.extend_length(code, policy)
-            elif rule == "to-stabilizer":
-                res = rules.subsystem_to_stabilizer(code, policy)
-            else:
-                res = rules.stabilizer_to_subsystem(code, target_r, policy)
-        else:
-            recs = [parse_params(t) for t in params_list]
-            if rule == "shorten-n":
-                if len(recs) != 1:
-                    raise click.UsageError("shorten-n needs one --params")
-                res = rules.shorten_length(recs[0])
-            else:
-                if len(recs) != 2:
-                    raise click.UsageError(f"{rule} needs two --params")
-                if rule == "combine-disjoint":
-                    res = rules.combine_disjoint(recs[0], recs[1], target_r)
-                else:
-                    res = rules.combine_nested(recs[0], recs[1], target_r,
-                                               subset_assumed=subset_assumed)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
-
-    out = res.output
-    payload, bracket, claim_lines = _rule_report(res)
-    # parameter-level rules are asserted by nature
-    downgraded = _rule_downgrades(res) if rule in _CONSTRUCTIVE_RULES else []
-    lines = [f"rule: {res.rule}", f"output: {bracket}"] + claim_lines
-    if cfg.emit and isinstance(out, SubsystemCode):
-        # the report goes to stdout only, and first, so a refused format
-        # writes no file
-        _dump(replace(cfg, emit=None), payload, lines)
-        _write(cfg.emit, out.C.save)
-        click.echo(f"wrote {cfg.emit}", err=True)
+            _refuse_options(given, f"applies only to {what}", name)
+    if rule in _CONSTRUCTIVE_RULES:
+        if cfg.file is None:
+            raise CliError(f"rule {rule} needs a code file")
+        code = derive(_load_code(cfg.file), cfg.policy)
+        res = _CONSTRUCTIVE_RULES[rule](code, cfg)
     else:
-        _dump(cfg, payload, lines)
-    _check_strict(cfg, downgraded)
+        recs = [parse_params(t) for t in cfg.params]
+        if len(recs) != (1 if rule == "shorten-n" else 2):
+            count = "one" if rule == "shorten-n" else "two"
+            raise CliError(f"{rule} needs {count} --params")
+        res = _PARAM_RULES[rule](*recs, cfg)
+    # the report goes to stdout only, and first, so a refused format writes
+    # no file; parameter-level rules are asserted by nature
+    saves = bool(cfg.emit) and isinstance(res.output, SubsystemCode)
+    status = _rule_report(cfg, res, f"rule: {res.rule}\noutput: ",
+                          rule in _CONSTRUCTIVE_RULES, emit=not saves)
+    if saves:
+        _write(cfg.emit, res.output.C.save)
+        print(f"wrote {cfg.emit}", file=sys.stderr)
+    return status
 
 
-@main.command("table1")
-@click.option("--q", type=int, required=True,
-              help="Field size (one of the catalog blocks).")
-@pass_config
-def table1_cmd(cfg: RunConfig, q):
+def table1(cfg: argparse.Namespace) -> int:
     """Regenerate and verify the optimal pure MDS subsystem code catalog."""
-    try:
-        rows = table1_mod.generate_table(q, cfg.policy)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
-    if cfg.fmt == "csv":
-        _echo(cfg, table1_mod.rows_to_csv(rows))
-    else:
-        lines = [f"{r.subsystem_bracket():>18}  {r.parent_bracket():>15}  "
-                 f"{r.mark or '-':9}  d:{r.verification['distance']}"
-                 for r in rows]
-        _dump(cfg, table1_mod.rows_to_json(rows), lines)
-    downgraded = [f"{r.subsystem_bracket()} {claim}"
-                  for r in rows for claim in _claims_with(
-                      r.verification, (rules.WITNESS, rules.ASSERTED))]
-    _check_strict(cfg, downgraded)
+    rows = table1_mod.generate_table(cfg.q, cfg.policy)
+    _dump(cfg, table1_mod.rows_to_json(rows), [
+        f"{r.subsystem_bracket():>18}  {r.parent_bracket():>15}  "
+        f"{r.mark or '-':9}  d:{r.verification['distance']}" for r in rows],
+        table1_mod.rows_to_csv(rows))
+    return _check_strict(cfg, [
+        f"{r.subsystem_bracket()} {c} ({t})" for r in rows
+        for c, t in r.verification.items() if t in (rules.WITNESS,
+                                                     rules.ASSERTED)])
 
 
-@main.command()
-@click.option("--family", required=True,
-              type=click.Choice(["i", "ii", "iii", "iv", "v", "vi"]))
-@click.option("--q", type=int, required=True)
-@click.option("--delta", type=int, default=None)
-@click.option("-r", "--target-r", "r", type=int, default=0, show_default=True)
-@click.option("--n", type=int, default=None, help="Length (family i only).")
-@click.option("--d", type=int, default=None, help="Distance (family i only).")
-@pass_config
-def family(cfg: RunConfig, family, q, delta, r, n, d):
+def family(cfg: argparse.Namespace) -> int:
     """Instantiate a member of the MDS subsystem code families."""
-    if family == "i":
-        _refuse_options("does not apply to family i", "delta")
+    if cfg.family == "i":
+        _refuse_options(cfg.given, "does not apply to family i", "--delta")
     else:
-        _refuse_options("applies only to family i", "n", "d")
+        _refuse_options(cfg.given, "applies only to family i", "--n", "--d")
+    res = rules.mds_family(rules.MdsFamilySpec(
+        q=cfg.q, family=cfg.family, delta=cfg.delta, r=cfg.target_r,
+        n=cfg.n, d=cfg.d), cfg.policy)
+    return _rule_report(cfg, res, f"family {cfg.family} over GF({cfg.q}): ")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a refusal instead of printing it, reads each option that the
+    command line leaves out from the variable ``env`` + the long flag (upper
+    case, ``-`` as ``_``) and names the options given in ``given``."""
+
+    env = "SUBSYS_"
+
+    def error(self, message):
+        raise CliError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        known, env, i = self._option_string_actions, [], 0
+        names = [a.partition("=")[0] if a[:2] == "--" else a[:2] for a in args]
+        given = {known[n].option_strings[-1] for n in names if n in known}
+        # before the command, argparse would read the value after an unknown
+        # option as the command
+        while (self is _PARSER and i < len(args)
+               and args[i].startswith("-") and args[i] != "-"):
+            name, eq, _ = args[i].partition("=")
+            if name not in known:
+                self.error(f"unrecognized arguments: {args[i]}")
+            i += 1 if eq or known[name].nargs == 0 else 2
+        for action in self._actions:
+            name = (action.option_strings or ["-"])[-1]
+            raw = os.environ.get(self.env + name[2:].upper().replace("-", "_"))
+            if (not raw or name in given or not action.option_strings
+                    or action.default is argparse.SUPPRESS):
+                continue
+            if action.nargs != 0:               # --params takes a;b
+                env += [f"{name}={value}" for value in (
+                    raw.split(";") if action.default == [] else [raw])]
+            elif raw.strip().lower() in ("1", "true", "yes", "on"):
+                env.append(name)
+        ns, extras = super().parse_known_args(env + list(args), namespace)
+        ns.given = given | getattr(ns, "given", set())
+        return ns, extras
+
+
+# built once: building it costs more than a parse
+_PARSER = _Parser(prog="subsys", allow_abbrev=False, description=(
+    "Construct and transform subsystem codes from classical codes."))
+_PARSER.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD,
+                     help="Enumeration size limit.")
+_PARSER.add_argument("--seed", type=int, default=0, help="Witness seed.")
+_PARSER.add_argument("--format", choices=("json", "csv", "text"),
+                     default="json")
+_PARSER.add_argument("--strict", action="store_true",
+                     help="Treat verification downgrades as failures.")
+_PARSER.add_argument("--emit",
+                     help="Write the produced code or report to this path.")
+_PARSER.add_argument("--distance", choices=("exact", "witness", "skip"),
+                     default="exact", help="Distance verification level.")
+_PARSER.add_argument("--version", action="version",
+                     version=f"%(prog)s, version {__version__}")
+_COMMANDS = _PARSER.add_subparsers(metavar="COMMAND", required=True)
+for _run in (analyze, transform, table1, family):
+    _cmd = _COMMANDS.add_parser(_run.__name__, help=_run.__doc__,
+                                description=_run.__doc__, allow_abbrev=False)
+    _cmd.set_defaults(run=_run)
+    _cmd.env = f"SUBSYS_{_run.__name__.upper()}_"
+_COMMANDS.choices["analyze"].add_argument("file", metavar="FILE")
+_cmd = _COMMANDS.choices["transform"]
+_cmd.add_argument("file", metavar="FILE", nargs="?")
+_cmd.add_argument("--rule", required=True,
+                  choices=(*_CONSTRUCTIVE_RULES, *_PARAM_RULES))
+_cmd.add_argument("--params", action="append", default=[],
+                  help="'[[n,k,r,d]]_q pure' (twice for combining rules).")
+_cmd.add_argument("-r", "--target-r", type=int, default=0,
+                  help="Target co-subsystem dimension.")
+_cmd.add_argument("--subset-assumed", action="store_true",
+                  help="Confirm nesting for combine-nested.")
+_COMMANDS.choices["table1"].add_argument("--q", type=int, required=True)
+_cmd = _COMMANDS.choices["family"]
+_cmd.add_argument("--family", required=True,
+                  choices=("i", "ii", "iii", "iv", "v", "vi"))
+_cmd.add_argument("--q", type=int, required=True)
+_cmd.add_argument("--delta", type=int)
+_cmd.add_argument("-r", "--target-r", type=int, default=0)
+_cmd.add_argument("--n", type=int, help="Length (family i only).")
+_cmd.add_argument("--d", type=int, help="Distance (family i only).")
+
+
+def main(args: Optional[List[str]] = None, prog_name: Optional[str] = None,
+         standalone_mode: bool = True) -> int:
+    """Run one command and exit with its status (1: failure, 2: usage error,
+    3: --strict refusal), or return it and raise a refusal if not
+    ``standalone_mode``."""
+    _PARSER.prog = prog_name or os.path.basename(sys.argv[0])
     try:
-        spec = rules.MdsFamilySpec(q=q, family=family, delta=delta, r=r,
-                                   n=n, d=d)
-        res = rules.mds_family(spec, cfg.policy)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
-    payload, bracket, claim_lines = _rule_report(res)
-    _dump(cfg, payload,
-          [f"family {family} over GF({q}): {bracket}"] + claim_lines)
-    _check_strict(cfg, _rule_downgrades(res))
+        cfg = _PARSER.parse_args(sys.argv[1:] if args is None else args)
+        if cfg.run in (table1, family):
+            # their certificates run no witness search
+            reason = (f"has no effect on {cfg.run.__name__}; it applies to "
+                      "analyze and transform only")
+            exact = {"--distance"} if cfg.distance == "exact" else set()
+            _refuse_options(cfg.given - exact, reason, "--distance", "--seed")
+        # --distance exact downgrades automatically beyond the threshold;
+        # the downgrade is reported (and fatal under --strict)
+        try:
+            cfg.policy = Policy(
+                "auto" if cfg.distance == "exact" else cfg.distance,
+                threshold=cfg.threshold, seed=cfg.seed)
+        except ValueError as exc:
+            # Policy names the value it refuses first: "seed must be >= 0"
+            raise CliError(f"Invalid value: {exc} (--{str(exc).split()[0]})")
+        try:
+            status = cfg.run(cfg)
+        except ValueError as exc:       # the library refuses the input
+            raise CliError(str(exc), 1)
+    except CliError as exc:
+        if not standalone_mode:
+            raise
+        print(f"Error: {exc}", file=sys.stderr)
+        status = exc.code
+    return sys.exit(status) if standalone_mode else status
+
+
+main.main = main        # the in-process call main.main(args=..., ...)
 
 
 if __name__ == "__main__":
-    main()
+    main(prog_name=f"python -m {__spec__.name}")

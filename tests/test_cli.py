@@ -1,4 +1,4 @@
-"""End-to-end command-line behavior via click's test runner."""
+"""End-to-end command-line behavior, run in process through ``invoke``."""
 
 import contextlib
 import io
@@ -10,17 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import invoke
 from subsystem_codes.cli import _PARAM_RE, main, parse_params
 from subsystem_codes.codes import AdditiveCode
 from subsystem_codes.known import bacon_shor_code, five_qubit_code
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture()
@@ -37,8 +32,8 @@ def shor_path(tmp_path):
     return str(path)
 
 
-def test_analyze_five_qubit(runner, five_path):
-    res = runner.invoke(main, ["analyze", five_path])
+def test_analyze_five_qubit(five_path):
+    res = invoke(["analyze", five_path])
     assert res.exit_code == 0, res.output
     report = json.loads(res.output)
     assert report["bracket"] == "[[5,1,0,3]]_2"
@@ -46,16 +41,16 @@ def test_analyze_five_qubit(runner, five_path):
     assert report["bounds"]["singleton"]["slack"] == 0
 
 
-def test_analyze_text_format(runner, shor_path):
-    res = runner.invoke(main, ["--format", "text", "analyze", shor_path])
+def test_analyze_text_format(shor_path):
+    res = invoke(["--format", "text", "analyze", shor_path])
     assert res.exit_code == 0, res.output
     assert "code: [[9,1,4,3]]_2" in res.output
     assert "purity: impure" in res.output
     assert "distance: 3 [exhaustive]" in res.output
 
 
-def test_version(runner):
-    res = runner.invoke(main, ["--version"])
+def test_version():
+    res = invoke(["--version"])
     assert res.exit_code == 0, res.output
     assert "0.1.0" in res.output
 
@@ -71,15 +66,15 @@ def test_checkout_runs_without_install():
     assert "0.1.0" in res.stdout
 
 
-def test_analyze_malformed_file(runner, tmp_path):
+def test_analyze_malformed_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    res = runner.invoke(main, ["analyze", str(bad)])
+    res = invoke(["analyze", str(bad)])
     assert res.exit_code != 0
     assert "cannot load code file" in res.output
 
 
-def test_analyze_non_primitive_modulus(runner, tmp_path):
+def test_analyze_non_primitive_modulus(tmp_path):
     # x^10 + ... + x + 1 is irreducible over F_2, but x has order 11 only:
     # the field must multiply as it does under the Conway modulus
     brackets = []
@@ -90,18 +85,18 @@ def test_analyze_non_primitive_modulus(runner, tmp_path):
             data["modulus"] = modulus
         path = tmp_path / f"gf1024_{len(brackets)}.json"
         path.write_text(json.dumps(data))
-        res = runner.invoke(main, ["analyze", str(path)])
+        res = invoke(["analyze", str(path)])
         assert res.exit_code == 0, res.output
         brackets.append(json.loads(res.output)["bracket"])
     assert brackets == ["[[1,0,0,1]]_1024"] * 2
 
 
-def test_analyze_refuses_reducible_modulus(runner, tmp_path):
+def test_analyze_refuses_reducible_modulus(tmp_path):
     # x^2 + 1 = (x + 1)^2 over F_2
     bad = tmp_path / "reducible.json"
     bad.write_text(json.dumps({"p": 2, "m": 2, "modulus": [1, 0, 1], "n": 1,
                                "coeff_degree": 1, "generators": [[1, 0]]}))
-    res = runner.invoke(main, ["analyze", str(bad)])
+    res = invoke(["analyze", str(bad)])
     assert res.exit_code == 1
     assert f"cannot load code file {bad}: " in res.output
     assert "is not irreducible" in res.output
@@ -120,13 +115,13 @@ def test_analyze_refuses_reducible_modulus(runner, tmp_path):
     {"modulus": [3, 1, 1], "coeff_degree": 1, "generators": [[1, 0, 0, 1]]},
     {"modulus": [-1, 1, 1], "coeff_degree": 1, "generators": [[1, 0, 0, 1]]},
 ])
-def test_analyze_rejects_bad_entries(runner, tmp_path, fields):
+def test_analyze_rejects_bad_entries(tmp_path, fields):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"p": 2, "m": 2, "n": 2, **fields}))
-    res = runner.invoke(main, ["analyze", str(bad)])
+    res = invoke(["analyze", str(bad)])
     assert res.exit_code != 0
     assert "cannot load code file" in res.output
-    # a clean click error, not an exception escaping with a traceback
+    # a clean refusal, not an exception escaping with a traceback
     assert isinstance(res.exception, SystemExit)
 
 
@@ -138,11 +133,11 @@ _FIVE = json.loads((_DATA / "five_qubit.json").read_text())
     ("n", 5.7), ("p", 2.9), ("m", 1.5), ("coeff_degree", True), ("n", "5"),
     ("m", 1.0), ("p", None), ("modulus", [1, 1.0]), ("modulus", [1, True]),
 ])
-def test_analyze_rejects_non_integer_fields(runner, tmp_path, key, value):
+def test_analyze_rejects_non_integer_fields(tmp_path, key, value):
     # int() read each of these edits as the five-qubit code
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**_FIVE, key: value}))
-    res = runner.invoke(main, ["analyze", str(bad)])
+    res = invoke(["analyze", str(bad)])
     assert res.exit_code == 1
     assert f"cannot load code file {bad}: field {key!r}" in res.output
 
@@ -164,7 +159,7 @@ def test_malformed_code_files_fail_cleanly(tmp_path_factory, key, value):
         data[key] = value
     path = tmp_path_factory.mktemp("code") / "bad.json"
     path.write_text(json.dumps(data))
-    res = CliRunner().invoke(main, ["analyze", str(path)])
+    res = invoke(["analyze", str(path)])
     assert res.exit_code == 1
     assert "cannot load code file" in res.output
     # an uncaught exception would have been a traceback
@@ -217,7 +212,7 @@ def _generator_edits(draw):
 def test_malformed_generator_lists_fail_cleanly(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("code") / "bad.json"
     path.write_text(json.dumps(data))
-    res = CliRunner().invoke(main, ["analyze", str(path)])
+    res = invoke(["analyze", str(path)])
     assert res.exit_code == 1
     assert "cannot load code file" in res.output
     # the message names the field, the entry or the generator at fault,
@@ -236,49 +231,49 @@ def test_malformed_generator_lists_fail_cleanly(tmp_path_factory, data):
     ["table1", "--q", "3"],
     ["family", "--family", "vi", "--q", "3", "--delta", "1", "-r", "4"],
 ])
-def test_unwritable_emit_path_fails_cleanly(runner, tmp_path, args):
+def test_unwritable_emit_path_fails_cleanly(tmp_path, args):
     # AdditiveCode.save (transform) and the report writer (the others)
     path = tmp_path / "missing_dir" / "out.json"
-    res = runner.invoke(main, ["--emit", str(path), *args])
+    res = invoke(["--emit", str(path), *args])
     assert res.exit_code == 1
     assert f"cannot write {path}: No such file or directory" in res.output
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
 
 
-def test_transform_shrink_emits_code(runner, five_path, tmp_path):
+def test_transform_shrink_emits_code(five_path, tmp_path):
     out_path = tmp_path / "shrunk.json"
-    res = runner.invoke(main, ["--emit", str(out_path), "transform",
-                               five_path, "--rule", "shrink-k"])
+    res = invoke(["--emit", str(out_path), "transform",
+                  five_path, "--rule", "shrink-k"])
     assert res.exit_code == 0, res.output
     emitted = AdditiveCode.load(out_path)
     assert emitted.n == 5 and emitted.rank_p == 6    # ((5,1,2,3)) gauge group
     # csv is refused with or without --emit, before any file is written
     csv_path = tmp_path / "csv.json"
     for emit in ([], ["--emit", str(csv_path)]):
-        res = runner.invoke(main, ["--format", "csv", *emit, "transform",
-                                   five_path, "--rule", "shrink-k"])
+        res = invoke(["--format", "csv", *emit, "transform",
+                      five_path, "--rule", "shrink-k"])
         assert res.exit_code == 2
         assert "CSV output is only available for table1" in res.output
     assert not csv_path.exists()
 
 
-def test_transform_grow_on_impure_fails(runner, shor_path):
-    res = runner.invoke(main, ["transform", shor_path, "--rule", "grow-k"])
+def test_transform_grow_on_impure_fails(shor_path):
+    res = invoke(["transform", shor_path, "--rule", "grow-k"])
     assert res.exit_code != 0
     assert "grid" in res.output or "absorb" in res.output.lower()
 
 
-def test_transform_shorten_params(runner):
-    res = runner.invoke(main, ["transform", "--rule", "shorten-n",
-                               "--params", "[[5,1,0,3]]_2 pure"])
+def test_transform_shorten_params():
+    res = invoke(["transform", "--rule", "shorten-n",
+                  "--params", "[[5,1,0,3]]_2 pure"])
     assert res.exit_code == 0, res.output
     payload = json.loads(res.output)
     assert payload["output"]["bracket"] == "[[4,2,0,2]]_2"
 
 
-def test_transform_combine_params(runner):
-    res = runner.invoke(main, [
+def test_transform_combine_params():
+    res = invoke([
         "transform", "--rule", "combine-nested", "-r", "0",
         "--subset-assumed",
         "--params", "[[5,1,0,3]]_2 pure", "--params", "[[5,1,0,3]]_2 pure"])
@@ -294,25 +289,25 @@ def test_transform_combine_params(runner):
     ("[[5,3,0,1]]_2 pure", "[[5,1,0,>=1]]_2",
      "d' >= 1 is the trivial bound (min(d1, d1 + d2 - k2 - r2) = -1)"),
 ])
-def test_transform_combine_disjoint(runner, second, bracket, claim):
+def test_transform_combine_disjoint(second, bracket, claim):
     first = "[[5,1,0,3]]_2 pure" if "[[4," in second else "[[3,1,0,1]]_2 pure"
-    res = runner.invoke(main, ["transform", "--rule", "combine-disjoint",
-                               "--params", first, "--params", second])
+    res = invoke(["transform", "--rule", "combine-disjoint",
+                  "--params", first, "--params", second])
     assert res.exit_code == 0, res.output
     payload = json.loads(res.output)
     assert payload["output"]["bracket"] == bracket
     assert payload["claims"][-1] == claim
 
 
-def test_transform_missing_params(runner):
-    res = runner.invoke(main, ["transform", "--rule", "combine-disjoint",
-                               "--params", "[[5,1,0,3]]_2"])
+def test_transform_missing_params():
+    res = invoke(["transform", "--rule", "combine-disjoint",
+                  "--params", "[[5,1,0,3]]_2"])
     assert res.exit_code != 0
     assert "two --params" in res.output
 
 
-def test_table1_csv(runner):
-    res = runner.invoke(main, ["--format", "csv", "table1", "--q", "3"])
+def test_table1_csv():
+    res = invoke(["--format", "csv", "table1", "--q", "3"])
     assert res.exit_code == 0, res.output
     lines = res.output.strip().splitlines()
     assert lines[0].startswith("subsystem,parent,mark")
@@ -320,36 +315,36 @@ def test_table1_csv(runner):
     assert "[[9,4,1,3]]_3" in lines[-1]
 
 
-def test_table1_unknown_q(runner):
-    res = runner.invoke(main, ["table1", "--q", "11"])
+def test_table1_unknown_q():
+    res = invoke(["table1", "--q", "11"])
     assert res.exit_code != 0
     assert "no catalog rows" in res.output
 
 
-def test_table1_strict_downgrade_exits_3(runner):
+def test_table1_strict_downgrade_exits_3():
     # q = 4 distances rest on witnesses, so --strict must refuse
-    res = runner.invoke(main, ["--strict", "table1", "--q", "4"])
+    res = invoke(["--strict", "table1", "--q", "4"])
     assert res.exit_code == 3
 
 
-def test_strict_names_downgraded_claims(runner, shor_path):
-    res = runner.invoke(main, ["--strict", "--distance", "witness",
-                               "analyze", shor_path])
+def test_strict_names_downgraded_claims(shor_path):
+    res = invoke(["--strict", "--distance", "witness",
+                  "analyze", shor_path])
     assert res.exit_code == 3
     assert res.stderr.endswith("verification only: distance (witness)\n")
-    res = runner.invoke(main, ["--strict", "table1", "--q", "4"])
+    res = invoke(["--strict", "table1", "--q", "4"])
     assert res.exit_code == 3
     assert "[[15,1,10,3]]_4 distance (witness_consistent)" in res.stderr
     assert "[[16,1,9,4]]_4 pure (asserted)" in res.stderr
     # without --strict the warning stays as it was and names nothing
-    res = runner.invoke(main, ["table1", "--q", "4"])
+    res = invoke(["table1", "--q", "4"])
     assert res.exit_code == 0
     assert res.stderr == ("warning: some results rest on witness or "
                           "asserted verification only\n")
     # family names asserted claims as well as downgraded values, as
     # transform does
-    res = runner.invoke(main, ["--strict", "family", "--family", "v",
-                               "--q", "4", "--delta", "2", "-r", "1"])
+    res = invoke(["--strict", "family", "--family", "v",
+                  "--q", "4", "--delta", "2", "-r", "1"])
     assert res.exit_code == 3
     assert res.stderr.endswith(
         "verification only: distance (witness), pure (asserted)\n")
@@ -358,16 +353,16 @@ def test_strict_names_downgraded_claims(runner, shor_path):
         for args in (["table1", "--q", "3"],
                      ["family", "--family", "vi", "--q", "3", "--delta", "1",
                       "-r", "4"]):
-            res = runner.invoke(main, ["--distance", mode] + args)
+            res = invoke(["--distance", mode] + args)
             assert res.exit_code == 2
             assert "--distance has no effect" in res.stderr
-    res = runner.invoke(main, ["--distance", "exact", "table1", "--q", "3"])
+    res = invoke(["--distance", "exact", "table1", "--q", "3"])
     assert res.exit_code == 0
 
 
-def test_threshold_env_and_bad_value(runner, shor_path):
-    res = runner.invoke(main, ["analyze", shor_path],
-                        env={"SUBSYS_THRESHOLD": "8"})
+def test_threshold_env_and_bad_value(shor_path):
+    res = invoke(["analyze", shor_path],
+                 env={"SUBSYS_THRESHOLD": "8"})
     assert res.exit_code == 0
     assert json.loads(res.stdout)["distance"]["method"] == "witness"
     for args, message in [
@@ -375,32 +370,32 @@ def test_threshold_env_and_bad_value(runner, shor_path):
              "threshold must be >= 1"),
             (["--seed", "-1", "analyze", shor_path], "seed must be >= 0"),
             (["--seed", "-2", "analyze", shor_path], "seed must be >= 0")]:
-        res = runner.invoke(main, args)
+        res = invoke(args)
         assert res.exit_code == 2
         assert f"Invalid value: {message}" in res.output
 
 
-def test_family_command(runner):
-    res = runner.invoke(main, ["family", "--family", "vi", "--q", "3",
-                               "--delta", "1", "-r", "4"])
+def test_family_command():
+    res = invoke(["family", "--family", "vi", "--q", "3",
+                  "--delta", "1", "-r", "4"])
     assert res.exit_code == 0, res.output
     payload = json.loads(res.output)
     assert payload["output"]["bracket"] == "[[9,1,4,3]]_3"
 
 
-def test_family_delta0_member_has_singleton_witness(runner):
+def test_family_delta0_member_has_singleton_witness():
     # d = 1 is an upper bound from the Singleton bound, as for delta > 0
-    res = runner.invoke(main, ["family", "--family", "v", "--q", "4",
-                               "--delta", "0", "-r", "1"])
+    res = invoke(["family", "--family", "v", "--q", "4",
+                  "--delta", "0", "-r", "1"])
     assert res.exit_code == 0, res.output
     payload = json.loads(res.stdout)
     assert payload["output"]["distance"]["method"] == "witness"
     assert payload["verification"]["d = 1"] == "witness_consistent"
 
 
-def test_family_parameter_level(runner):
-    res = runner.invoke(main, ["family", "--family", "i", "--q", "7",
-                               "--n", "6", "--d", "3", "-r", "1"])
+def test_family_parameter_level():
+    res = invoke(["family", "--family", "i", "--q", "7",
+                  "--n", "6", "--d", "3", "-r", "1"])
     assert res.exit_code == 0, res.output
     # the existence claim is asserted, which is flagged on stderr
     body = "".join(line for line in res.output.splitlines(keepends=True)
@@ -421,6 +416,10 @@ def test_family_parameter_level(runner):
      "--target-r applies only to to-subsystem and the"),
     (["transform", "FILE", "--rule", "grow-k", "-r", "0"],
      "--target-r applies only to to-subsystem and the"),
+    (["transform", "FILE", "--rule", "grow-k", "-r3"],
+     "--target-r applies only to to-subsystem and the"),
+    (["family", "--family", "vi", "--q", "3", "--delta", "1", "-r", "4",
+      "--n=100"], "--n applies only to family i"),
     # inputs the rule would not read: --params, the code file, the flag
     (["transform", "FILE", "--rule", "shrink-k", "--params", "[[9,9,9,9]]_2"],
      "--params applies only to the parameter-level rules"),
@@ -433,15 +432,14 @@ def test_family_parameter_level(runner):
     (["--seed", "0", "family", "--family", "vi", "--q", "3", "--delta", "1",
       "-r", "4"], "--seed has no effect on family"),
 ])
-def test_options_that_do_not_apply_are_refused(runner, five_path, args,
-                                               option):
-    res = runner.invoke(main, [five_path if a == "FILE" else a for a in args])
+def test_options_that_do_not_apply_are_refused(five_path, args, option):
+    res = invoke([five_path if a == "FILE" else a for a in args])
     assert res.exit_code == 2
     assert f"Error: {option}" in res.stderr
     assert res.stdout == ""
 
 
-def test_options_that_apply_or_come_from_the_environment(runner, five_path):
+def test_options_that_apply_or_come_from_the_environment(five_path):
     # the same options where they apply, and values the environment sets
     # for every run, still succeed
     for args, env in [
@@ -464,25 +462,25 @@ def test_options_that_apply_or_come_from_the_environment(runner, five_path):
               "4"], {"SUBSYS_DISTANCE": "witness"}),
             (["family", "--family", "vi", "--q", "3", "--delta", "1", "-r",
               "4"], {"SUBSYS_DISTANCE": "skip"})]:
-        res = runner.invoke(main, args, env=env)
+        res = invoke(args, env=env)
         assert res.exit_code == 0, (args, res.output)
         json.loads(res.stdout)
-    res = runner.invoke(main, ["transform", "--rule", "combine-disjoint",
-                               "-r", "0", "--params", "[[5,1,0,3]]_2 pure",
-                               "--params", "[[5,1,0,3]]_2 pure"])
+    res = invoke(["transform", "--rule", "combine-disjoint",
+                  "-r", "0", "--params", "[[5,1,0,3]]_2 pure",
+                  "--params", "[[5,1,0,3]]_2 pure"])
     assert res.exit_code == 0, res.output
 
 
-def test_family_bad_range(runner):
-    res = runner.invoke(main, ["family", "--family", "iii", "--q", "3",
-                               "--delta", "1"])
+def test_family_bad_range():
+    res = invoke(["family", "--family", "iii", "--q", "3",
+                  "--delta", "1"])
     assert res.exit_code != 0
 
 
-def test_deterministic_output(runner, five_path):
+def test_deterministic_output(five_path):
     args = ["--seed", "7", "analyze", five_path]
-    first = runner.invoke(main, args)
-    second = runner.invoke(main, args)
+    first = invoke(args)
+    second = invoke(args)
     assert first.output == second.output
 
 
@@ -498,10 +496,10 @@ def test_parse_params():
     ("[[5,1/2,0,3]]_4 pure", None), ("[[5,1,2/3,3]]_8 pure", None),
     ("[[5,1/3,0,3]]_2 pure", "k = 1/3"), ("[[5,1,1/2,3]]_8 pure", "r = 1/2"),
 ])
-def test_params_are_multiples_of_one_over_m(runner, text, refused):
+def test_params_are_multiples_of_one_over_m(text, refused):
     # log_q of a power of p for q = p^m
-    res = runner.invoke(main, ["transform", "--rule", "shorten-n",
-                               "--params", text])
+    res = invoke(["transform", "--rule", "shorten-n",
+                  "--params", text])
     if refused is None:
         assert res.exit_code == 0, res.output
     else:
@@ -529,7 +527,7 @@ _GOLDEN = Path(__file__).parent / "golden"
 def test_rule_report_matches_golden(args, name):
     # reports that adjoin hyperbolic pairs, and the analyze reports whose
     # bounds and purity rest on the field arithmetic, must not move
-    res = CliRunner().invoke(main, args)
+    res = invoke(args)
     assert res.exit_code == 0, res.output
     assert res.stdout_bytes == (_GOLDEN / f"{name}.json").read_bytes()
 
@@ -567,8 +565,8 @@ def test_huge_report_integers_print_exactly():
             sys.set_int_max_str_digits(limit)
     assert re.search(r'"K": (\d+)', res.stdout).group(1) == want
     # the report writer restores the limit it lifted
-    assert CliRunner().invoke(main, ["family", "--family", "v", "--q", "64",
-                                     "--delta", "1"]).exit_code == 0
+    assert invoke(["family", "--family", "v", "--q", "64",
+                   "--delta", "1"]).exit_code == 0
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
@@ -617,8 +615,145 @@ def test_malformed_params_fail_cleanly(bad, rule):
         args += ["--params", "[[5,1,0,3]]_2 pure", "--subset-assumed"]
     elif rule == "combine-disjoint":
         args += ["--params", "[[5,1/2,0,3]]_2 pure"]
-    res = CliRunner().invoke(main, args)
+    res = invoke(args)
     assert res.exit_code != 0
     # an uncaught exception would have been a traceback
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
+
+
+_FIVE_FILE = str(_DATA / "five_qubit.json")
+_SHOR_FILE = str(_DATA / "bacon_shor.json")
+_P1, _P2 = "[[5,1,0,3]]_2 pure", "[[4,2,0,2]]_2 pure"
+
+
+# variable, its value, the same value as a flag, another value as a flag,
+# and the arguments, with "@" where the flag goes
+@pytest.mark.parametrize("var,value,same,other,args", [
+    ("SUBSYS_THRESHOLD", "8", ["--threshold", "8"],
+     ["--threshold", "1000000"], ["@", "analyze", _SHOR_FILE]),
+    ("SUBSYS_SEED", "-1", ["--seed", "-1"], ["--seed", "2"],
+     ["@", "analyze", _SHOR_FILE]),
+    ("SUBSYS_FORMAT", "text", ["--format", "text"], ["--format", "json"],
+     ["@", "analyze", _FIVE_FILE]),
+    ("SUBSYS_STRICT", "0", [], ["--strict"],
+     ["@", "--distance", "witness", "analyze", _SHOR_FILE]),
+    ("SUBSYS_EMIT", "env.json", ["--emit", "env.json"],
+     ["--emit", "flag.json"], ["@", "analyze", _FIVE_FILE]),
+    ("SUBSYS_DISTANCE", "witness", ["--distance", "witness"],
+     ["--distance", "exact"], ["@", "analyze", _SHOR_FILE]),
+    ("SUBSYS_TRANSFORM_RULE", "extend-n", ["--rule", "extend-n"],
+     ["--rule", "shrink-k"], ["transform", _FIVE_FILE, "@"]),
+    ("SUBSYS_TRANSFORM_PARAMS", _P1, ["--params", _P1], ["--params", _P2],
+     ["transform", "--rule", "shorten-n", "@"]),
+    ("SUBSYS_TRANSFORM_TARGET_R", "1", ["-r", "1"], ["--target-r", "0"],
+     ["transform", "--rule", "combine-disjoint", "--params", _P1,
+      "--params", _P2, "@"]),
+    ("SUBSYS_TRANSFORM_SUBSET_ASSUMED", "0", [], ["--subset-assumed"],
+     ["transform", "--rule", "combine-nested", "--params", _P1, "--params",
+      _P1, "@"]),
+    ("SUBSYS_TABLE1_Q", "3", ["--q", "3"], ["--q", "4"], ["table1", "@"]),
+    ("SUBSYS_FAMILY_FAMILY", "v", ["--family", "v"], ["--family", "vi"],
+     ["family", "--q", "4", "--delta", "2", "-r", "1", "@"]),
+    ("SUBSYS_FAMILY_Q", "4", ["--q", "4"], ["--q", "5"],
+     ["family", "--family", "vi", "--delta", "2", "-r", "4", "@"]),
+    ("SUBSYS_FAMILY_DELTA", "2", ["--delta", "2"], ["--delta", "3"],
+     ["family", "--family", "vi", "--q", "5", "-r", "4", "@"]),
+    ("SUBSYS_FAMILY_TARGET_R", "4", ["-r", "4"], ["--target-r", "1"],
+     ["family", "--family", "vi", "--q", "4", "--delta", "2", "@"]),
+    ("SUBSYS_FAMILY_N", "6", ["--n", "6"], ["--n", "8"],
+     ["family", "--family", "i", "--q", "7", "--d", "3", "-r", "1", "@"]),
+    ("SUBSYS_FAMILY_D", "3", ["--d", "3"], ["--d", "2"],
+     ["family", "--family", "i", "--q", "7", "--n", "6", "-r", "1", "@"]),
+])
+def test_each_variable_sets_its_option_and_the_flag_wins(
+        tmp_path, monkeypatch, var, value, same, other, args):
+    # SUBSYS_ + the command for its own options + the long flag
+    monkeypatch.chdir(tmp_path)
+
+    def outcome(flag, env=None):
+        res = invoke([t for a in args for t in (flag if a == "@" else [a])],
+                     env=env)
+        emitted = sorted(p.name for p in tmp_path.iterdir())
+        for path in tmp_path.iterdir():
+            path.unlink()
+        return res.exit_code, res.stdout, res.stderr, emitted
+
+    assert outcome(same) != outcome(other)        # the case can tell
+    assert outcome([], {var: value}) == outcome(same)
+    assert outcome(other, {var: value}) == outcome(other)
+
+
+def test_variable_forms():
+    # a flag reads the usual true words; --params takes ;-separated tuples
+    base = ["--distance", "witness", "analyze", _SHOR_FILE]
+    for word in ("1", "true", "Yes", "on"):
+        assert invoke(base, env={"SUBSYS_STRICT": word}).exit_code == 3
+    assert invoke(base, env={"SUBSYS_STRICT": "off"}).exit_code == 0
+    res = invoke(["transform", "--rule", "combine-disjoint"],
+                 env={"SUBSYS_TRANSFORM_PARAMS": f"{_P1};{_P2}"})
+    assert res.exit_code == 0, res.output
+    assert res.stdout == invoke(["transform", "--rule", "combine-disjoint",
+                                 "--params", _P1, "--params", _P2]).stdout
+    # the names derived from Python parameters before are not read
+    for env, args in [
+            ({"SUBSYS_FMT": "text"}, ["analyze", _FIVE_FILE]),
+            ({"SUBSYS_FAMILY_R": "1"},
+             ["family", "--family", "vi", "--q", "4", "--delta", "2"]),
+            ({"SUBSYS_TRANSFORM_PARAMS_LIST": _P1},
+             ["transform", "--rule", "shorten-n", "--params", _P2])]:
+        assert invoke(args, env=env).stdout == invoke(args).stdout
+
+
+@pytest.mark.parametrize("flag,value,env", [
+    ("--threshold", "-5", "SUBSYS_THRESHOLD"), ("--threshold", "0", None),
+    ("--seed", "-1", "SUBSYS_SEED")])
+def test_bad_value_names_its_option(flag, value, env):
+    message = (f"Error: Invalid value: {flag[2:]} must be >= "
+               f"{1 if flag == '--threshold' else 0} ({flag})\n")
+    res = invoke([flag, value, "analyze", _FIVE_FILE])
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", message)
+    if env:
+        res = invoke(["analyze", _FIVE_FILE], env={env: value})
+        assert (res.exit_code, res.stdout, res.stderr) == (2, "", message)
+
+
+@pytest.mark.parametrize("args", [
+    ["--thr", "5", "analyze", _FIVE_FILE], ["--thr=5", "analyze", _FIVE_FILE],
+    ["--thresh", "5", "table1", "--q", "3"],
+    ["analyze", "--foo", _FIVE_FILE],
+    ["transform", _FIVE_FILE, "--ru", "shrink-k"],
+    ["family", "--fam", "vi", "--q", "3", "--delta", "1"]])
+def test_unknown_or_abbreviated_option_is_refused(args):
+    res = invoke(args)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("Error: ")
+    assert res.stdout == ""
+
+
+def test_help_lists_the_commands():
+    res = invoke(["--help"])
+    assert res.exit_code == 0
+    for command in ("analyze", "transform", "table1", "family"):
+        assert command in res.stdout
+
+
+def test_version_line():
+    assert invoke(["--version"]).stdout == "subsys, version 0.1.0\n"
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    res = subprocess.run([sys.executable, "-m", "subsystem_codes.cli",
+                          "--version"], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.stdout == "python -m subsystem_codes.cli, version 0.1.0\n"
+
+
+def test_cli_import_leaves_click_out():
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, subsystem_codes.cli; "
+         "print('click' in sys.modules)"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"

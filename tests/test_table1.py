@@ -6,10 +6,9 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import invoke
 from subsystem_codes import _enum, rules, subsystem
-from subsystem_codes.cli import main
 from subsystem_codes.codes import (DEFAULT_THRESHOLD, AdditiveCode,
                                    ClassicalCode, dual_swt_exceeds, dual_symp,
                                    min_swt, min_swt_coset)
@@ -104,7 +103,7 @@ def test_report_matches_golden(q):
     # tests/golden holds the reports of `subsys table1 --q <q>`; any kernel
     # or verification change must leave them byte for byte as they are
     golden = Path(__file__).parent / "golden" / f"table1_q{q}.json"
-    res = CliRunner().invoke(main, ["table1", "--q", str(q)])
+    res = invoke(["table1", "--q", str(q)])
     assert res.exit_code == 0, res.output
     assert res.stdout_bytes == golden.read_bytes()
 
