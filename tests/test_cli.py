@@ -416,10 +416,6 @@ def test_family_parameter_level():
      "--target-r applies only to to-subsystem and the"),
     (["transform", "FILE", "--rule", "grow-k", "-r", "0"],
      "--target-r applies only to to-subsystem and the"),
-    (["transform", "FILE", "--rule", "grow-k", "-r3"],
-     "--target-r applies only to to-subsystem and the"),
-    (["family", "--family", "vi", "--q", "3", "--delta", "1", "-r", "4",
-      "--n=100"], "--n applies only to family i"),
     # inputs the rule would not read: --params, the code file, the flag
     (["transform", "FILE", "--rule", "shrink-k", "--params", "[[9,9,9,9]]_2"],
      "--params applies only to the parameter-level rules"),
@@ -431,6 +427,11 @@ def test_family_parameter_level():
     (["--seed", "7", "table1", "--q", "3"], "--seed has no effect on table1"),
     (["--seed", "0", "family", "--family", "vi", "--q", "3", "--delta", "1",
       "-r", "4"], "--seed has no effect on family"),
+    # the attached spellings of the same options are refused alike
+    (["transform", "FILE", "--rule", "grow-k", "-r3"],
+     "--target-r applies only to to-subsystem and the"),
+    (["family", "--family", "vi", "--q", "3", "--delta", "1", "-r", "4",
+      "--n=100"], "--n applies only to family i"),
 ])
 def test_options_that_do_not_apply_are_refused(five_path, args, option):
     res = invoke([five_path if a == "FILE" else a for a in args])
