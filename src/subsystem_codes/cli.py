@@ -8,8 +8,7 @@ deterministic JSON (sorted keys), CSV (catalog only), or text.
 Every option can also be set through an environment variable, ``SUBSYS_``
 + the command name for a command's own options + the long flag, in upper
 case with ``-`` as ``_``: ``SUBSYS_FORMAT``, ``SUBSYS_TRANSFORM_TARGET_R``.
-Flags win.  A flag without a value is set by 1, true, yes or on, and
-``SUBSYS_TRANSFORM_PARAMS`` holds ``;``-separated tuples.
+Flags win.  A flag's variable is 1/true/t/yes/y/on or 0/false/f/no/n/off.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ class CliError(Exception):
 
 def _dump(cfg: argparse.Namespace, payload, text_lines: List[str],
           csv: Optional[str] = None, emit: bool = True) -> None:
-    """Print a report: JSON, ``text_lines`` under --format text or ``csv``
-    under --format csv; write it to the --emit path as well if ``emit``."""
+    """Print a report in --format (JSON, ``text_lines`` or ``csv``) and, if
+    ``emit``, write it to the --emit path as well."""
     if cfg.format == "csv" and csv is None:
         raise CliError("CSV output is only available for table1")
     out = csv if cfg.format == "csv" else "\n".join(text_lines) + "\n"
@@ -239,39 +238,41 @@ def family(cfg: argparse.Namespace) -> int:
     return _rule_report(cfg, res, f"family {cfg.family} over GF({cfg.q}): ")
 
 
+def _path(path: str, exists: bool = True) -> str:
+    """A code FILE (or, not ``exists``, an --emit path), checked at parse."""
+    if exists and not os.path.exists(path) or os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"File {path!r} " + (
+            "is a directory." if os.path.isdir(path) else "does not exist."))
+    return path
+
+
 class _Parser(argparse.ArgumentParser):
-    """Raises a refusal instead of printing it, reads each option that the
-    command line leaves out from the variable ``env`` + the long flag (upper
-    case, ``-`` as ``_``) and names the options given in ``given``."""
+    """Raises refusals, reads each option left off the command line from
+    ``env`` + its long flag and records those given in ``ns.given``."""
 
     env = "SUBSYS_"
+    true, false = "1 true t yes y on".split(), "0 false f no n off".split()
 
     def error(self, message):
         raise CliError(message)
 
     def parse_known_args(self, args=None, namespace=None):
-        known, env, i = self._option_string_actions, [], 0
+        known, env = self._option_string_actions, []
         names = [a.partition("=")[0] if a[:2] == "--" else a[:2] for a in args]
         given = {known[n].option_strings[-1] for n in names if n in known}
-        # before the command, argparse would read the value after an unknown
-        # option as the command
-        while (self is _PARSER and i < len(args)
-               and args[i].startswith("-") and args[i] != "-"):
-            name, eq, _ = args[i].partition("=")
-            if name not in known:
-                self.error(f"unrecognized arguments: {args[i]}")
-            i += 1 if eq or known[name].nargs == 0 else 2
-        for action in self._actions:
-            name = (action.option_strings or ["-"])[-1]
-            raw = os.environ.get(self.env + name[2:].upper().replace("-", "_"))
-            if (not raw or name in given or not action.option_strings
+        for name, action in known.items():
+            var = self.env + name[2:].upper().replace("-", "_")
+            raw = os.environ.get(var)
+            if (not raw or name != action.option_strings[-1] or name in given
                     or action.default is argparse.SUPPRESS):
                 continue
-            if action.nargs != 0:               # --params takes a;b
-                env += [f"{name}={value}" for value in (
-                    raw.split(";") if action.default == [] else [raw])]
-            elif raw.strip().lower() in ("1", "true", "yes", "on"):
+            if action.nargs != 0:
+                env.append(f"{name}={raw}")
+            elif raw.strip().lower() in self.true:
                 env.append(name)
+            elif raw.strip().lower() not in self.false:
+                raise CliError(f"Invalid value for {var}: {raw!r} is not a "
+                               "valid boolean")
         ns, extras = super().parse_known_args(env + list(args), namespace)
         ns.given = given | getattr(ns, "given", set())
         return ns, extras
@@ -287,7 +288,7 @@ _PARSER.add_argument("--format", choices=("json", "csv", "text"),
                      default="json")
 _PARSER.add_argument("--strict", action="store_true",
                      help="Treat verification downgrades as failures.")
-_PARSER.add_argument("--emit",
+_PARSER.add_argument("--emit", type=lambda p: _path(p, False),
                      help="Write the produced code or report to this path.")
 _PARSER.add_argument("--distance", choices=("exact", "witness", "skip"),
                      default="exact", help="Distance verification level.")
@@ -299,9 +300,9 @@ for _run in (analyze, transform, table1, family):
                                 description=_run.__doc__, allow_abbrev=False)
     _cmd.set_defaults(run=_run)
     _cmd.env = f"SUBSYS_{_run.__name__.upper()}_"
-_COMMANDS.choices["analyze"].add_argument("file", metavar="FILE")
+_COMMANDS.choices["analyze"].add_argument("file", metavar="FILE", type=_path)
 _cmd = _COMMANDS.choices["transform"]
-_cmd.add_argument("file", metavar="FILE", nargs="?")
+_cmd.add_argument("file", metavar="FILE", nargs="?", type=_path)
 _cmd.add_argument("--rule", required=True,
                   choices=(*_CONSTRUCTIVE_RULES, *_PARAM_RULES))
 _cmd.add_argument("--params", action="append", default=[],
@@ -324,8 +325,7 @@ _cmd.add_argument("--d", type=int, help="Distance (family i only).")
 def main(args: Optional[List[str]] = None, prog_name: Optional[str] = None,
          standalone_mode: bool = True) -> int:
     """Run one command and exit with its status (1: failure, 2: usage error,
-    3: --strict refusal), or return it and raise a refusal if not
-    ``standalone_mode``."""
+    3: --strict refusal); not ``standalone_mode``, return it or raise."""
     _PARSER.prog = prog_name or os.path.basename(sys.argv[0])
     try:
         cfg = _PARSER.parse_args(sys.argv[1:] if args is None else args)

@@ -686,16 +686,17 @@ def test_each_variable_sets_its_option_and_the_flag_wins(
 
 
 def test_variable_forms():
-    # a flag reads the usual true words; --params takes ;-separated tuples
+    # a flag's variable reads the boolean words and refuses any other
     base = ["--distance", "witness", "analyze", _SHOR_FILE]
-    for word in ("1", "true", "Yes", "on"):
+    for word in ("1", "true", "t", "Yes", "y", "on"):
         assert invoke(base, env={"SUBSYS_STRICT": word}).exit_code == 3
-    assert invoke(base, env={"SUBSYS_STRICT": "off"}).exit_code == 0
-    res = invoke(["transform", "--rule", "combine-disjoint"],
-                 env={"SUBSYS_TRANSFORM_PARAMS": f"{_P1};{_P2}"})
-    assert res.exit_code == 0, res.output
-    assert res.stdout == invoke(["transform", "--rule", "combine-disjoint",
-                                 "--params", _P1, "--params", _P2]).stdout
+    for word in ("0", "false", "f", "No", "n", "off"):
+        assert invoke(base, env={"SUBSYS_STRICT": word}).exit_code == 0
+    for word in ("ture", "2"):
+        res = invoke(base, env={"SUBSYS_STRICT": word})
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            2, "", f"Error: Invalid value for SUBSYS_STRICT: {word!r} is "
+                   "not a valid boolean\n")
     # the names derived from Python parameters before are not read
     for env, args in [
             ({"SUBSYS_FMT": "text"}, ["analyze", _FIVE_FILE]),
@@ -717,6 +718,23 @@ def test_bad_value_names_its_option(flag, value, env):
     if env:
         res = invoke(["analyze", _FIVE_FILE], env={env: value})
         assert (res.exit_code, res.stdout, res.stderr) == (2, "", message)
+
+
+@pytest.mark.parametrize("args,env,message", [
+    (["analyze", "missing.json"], None,
+     "argument FILE: File 'missing.json' does not exist."),
+    (["transform", ".", "--rule", "shrink-k"], None,
+     "argument FILE: File '.' is a directory."),
+    (["--emit", ".", "table1", "--q", "4"], None,
+     "argument --emit: File '.' is a directory."),
+    (["analyze", _FIVE_FILE], {"SUBSYS_EMIT": "."},
+     "argument --emit: File '.' is a directory.")])
+def test_bad_paths_are_refused_before_any_work(tmp_path, monkeypatch, args,
+                                               env, message):
+    monkeypatch.chdir(tmp_path)
+    res = invoke(args, env=env)
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "",
+                                                       f"Error: {message}\n")
 
 
 @pytest.mark.parametrize("args", [
