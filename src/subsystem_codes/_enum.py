@@ -16,6 +16,8 @@ in the smallest unsigned dtype that holds p^group_size values (exact for
 every prime p, up to 2^63 values), and a group adds to the weight
 through one key comparison.  High rows are scanned in batches against
 the whole low table; the first and last batch are clipped to [lo, hi).
+The kernel keeps the last span's low table, so the per-class ranges of
+one coset scan build one.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = ["min_weight_range", "weight_distribution"]
 
 # counters per batch: the comparison and weight arrays stay near 256 kB
 _BATCH = 1 << 18
+_last_low = [None, None]        # [key, low table] of the last span only
 
 
 def _low_rows(k: int) -> int:
@@ -45,6 +48,18 @@ def _keys(gens, p, group_size, counters):
         keys.T, dtype=np.min_scalar_type(p**group_size - 1))
 
 
+def _low_table(low_gens, p, group_size):
+    """Read-only keys of the span of ``low_gens``, kept for the next scan
+    of the same rows; the kept table is freed before another is built."""
+    key = (p, group_size, low_gens.shape, low_gens.tobytes())
+    if _last_low[0] != key:
+        _last_low[:] = None, None
+        _last_low[:] = key, _keys(low_gens, p, group_size,
+                                  np.arange(p**len(low_gens)))
+        _last_low[1].flags.writeable = False
+    return _last_low[1]
+
+
 def _weights(gens, p, n_groups, group_size, lo, hi):
     """Block weights of the span counters in [lo, hi), batch by batch of
     high rows."""
@@ -55,7 +70,7 @@ def _weights(gens, p, n_groups, group_size, lo, hi):
     kl = _low_rows(len(gens))
     low_size = p**kl
     h_first = lo // low_size
-    low = _keys(gens[:kl], p, group_size, np.arange(low_size))
+    low = _low_table(gens[:kl], p, group_size)
     # negated high rows: a group of a sum is zero iff the keys agree
     high = _keys(-gens[kl:] % p, p, group_size,
                  np.arange(h_first, (hi - 1) // low_size + 1))

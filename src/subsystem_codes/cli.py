@@ -100,14 +100,12 @@ def _rule_report(cfg: argparse.Namespace, res: rules.RuleResult, head: str,
                  checked: bool = True, emit: bool = True) -> int:
     """Print a rule's result; if ``checked``, --strict refuses downgrades."""
     out = res.output
-    if isinstance(out, SubsystemCode):
-        output, bracket = analysis_report(out), bracket_params(out).bracket()
-    else:
-        output, bracket = out.to_json(), out.bracket()
+    output = (analysis_report(out) if isinstance(out, SubsystemCode)
+              else out.to_json())
     _dump(cfg, {"rule": res.rule, "output": output, "claims": res.claims,
                 "verification": res.verification},
-          [head + bracket] + [f"  {c}: {res.verification[c]}"
-                              for c in res.claims], emit=emit)
+          [head + output["bracket"]] + [f"  {c}: {res.verification[c]}"
+                                        for c in res.claims], emit=emit)
     return _check_strict(cfg, (
         (_code_downgrades(out) if isinstance(out, SubsystemCode) else [])
         + [f"{c} ({t})" for c, t in res.verification.items()
@@ -117,8 +115,8 @@ def _rule_report(cfg: argparse.Namespace, res: rules.RuleResult, head: str,
 def analyze(cfg: argparse.Namespace) -> int:
     """Derive and analyze the subsystem code of a classical code file."""
     code = derive(_load_code(cfg.file), cfg.policy)
-    report = analysis_report(code)
     rec = bracket_params(code)
+    report = analysis_report(code, rec)
     report["bounds"] = {}
     if rec.d is not None and rec.k.denominator == 1 and rec.r.denominator == 1:
         report["bounds"]["singleton"] = bounds.singleton_check(rec).to_json()

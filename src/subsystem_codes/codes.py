@@ -16,15 +16,16 @@ Minimum weights of both code kinds go through :func:`_min_scan`, which
 refuses a B that is not a subcode of A and an empty A minus B, and share
 their layout with symplectic weight distributions: :func:`_split` orders
 the rows of a code A over its coefficient field F_{p^t} as a subcode B's
-rows, then A's rows outside their span; :func:`_layout` writes each row g as its t prime-field digit
-rows alpha^j g with each coordinate's digits contiguous, for the
+rows, then the rows of A whose pivots B lacks, read off the two canonical
+forms; :func:`_layout` writes each row g as its t prime-field digit rows
+alpha^j g with each coordinate's digits contiguous, for the
 :mod:`subsystem_codes._enum` kernel.  The minimum scan visits one vector
-per F_{p^t} scalar class of A minus B: the counter ranges [p^i, 2 p^i)
-for i = kb, kb + t, .. (:func:`_class_min`).  Beyond the enumeration
-threshold a randomized witness search gives an upper bound instead;
-witness mode scans a span of at most ``WITNESS_RANDOM_SAMPLES`` elements
-outright.  :func:`dual_swt_exceeds` bounds swt(D^perp_s) from below by a
-search over coordinate sets, with no span.
+per F_{p^t} scalar class of A minus B: the counter ranges [p^i, 2 p^i) of
+the whole layout for i = kb, kb + t, .. (:func:`_class_min`).  Beyond the
+enumeration threshold a randomized witness search gives an upper bound
+instead; witness mode scans a span of at most ``WITNESS_RANDOM_SAMPLES``
+elements outright.  :func:`dual_swt_exceeds` bounds swt(D^perp_s) from
+below by a search over coordinate sets, with no span.
 """
 
 from __future__ import annotations
@@ -327,26 +328,30 @@ def dual_symp(code: AdditiveCode) -> AdditiveCode:
     return code._spanned(*linalg.reduced_nullspace(a, code.coeff_field))
 
 
-def _radical_rows(gram, rows: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """a·rows for a in ker(gram), gram[i, j] the form on rows i and j."""
-    return linalg.matmul(linalg.nullspace(gram, field), rows, field)
+def _kernel_span(code, mat: np.ndarray):
+    """The span of a·code.mat, a the first code.rank entries of each vector
+    of the reduced basis of ker(mat), which must hold every pivot.  With a
+    and code.mat reduced, row r of a·code.mat is zero left of the pivot of
+    code.mat's row piv[r], 1 there and 0 at the other such pivots."""
+    a, piv = linalg.reduced_nullspace(mat, code.coeff_field)
+    return code._spanned(linalg.matmul(a[:, :code.rank], code.mat,
+                                       code.coeff_field),
+                         [code.pivots[i] for i in piv])
 
 
 def radical(code: AdditiveCode) -> AdditiveCode:
     """C intersect C^perp_s from the Gram matrix G = C M C^T of C's rows:
     a·C lies in C^perp_s iff G a^T = 0, so C^perp_s is never built."""
-    gram = _pairings(code.mat, code.mat, code.n, code.field, code.t)
-    return code._spanned(_radical_rows(gram, code.mat, code.coeff_field))
+    return _kernel_span(code, _pairings(code.mat, code.mat, code.n,
+                                        code.field, code.t))
 
 
 def intersect(c1, c2):
     """Intersection of two codes of one kind and space, in canonical form:
-    a·c1.mat for the first c1.rank entries a of each kernel vector of the
-    stacked rows' transpose."""
+    a·c1.mat for (a, b) in the kernel of the stacked rows' transpose; c2's
+    rows are independent, so a != 0 and holds its vector's pivot."""
     c1._check_compatible(c2)
-    cf = c1.coeff_field
-    ker = linalg.nullspace(np.concatenate([c1.mat, c2.mat]).T, cf)
-    return c1._spanned(linalg.matmul(ker[:, :c1.rank], c1.mat, cf))
+    return _kernel_span(c1, np.concatenate([c1.mat, c2.mat]).T)
 
 
 def dual_swt_exceeds(D: AdditiveCode, w: int) -> bool:
@@ -403,14 +408,13 @@ def _digit_rows(mat: np.ndarray, field: FieldSpec) -> np.ndarray:
     return field._dig[scaled].reshape(k * m, n * m)
 
 
-def _split(a_rows, b_rows, field: FieldSpec) -> np.ndarray:
-    """B's rows as given, then the rows of A outside their span, in A's order.
-
-    Both row sets must be independent over ``field``, span(B) inside span(A).
-    One elimination: the pivot columns of the stacked rows' transpose are
-    the rows outside the span of the rows before them."""
-    rows = np.vstack([b_rows, a_rows])
-    return rows[linalg.rref(rows.T, field)[1]]
+def _split(a, b) -> np.ndarray:
+    """B's rows, then A's rows whose pivot B lacks, in A's order, for codes
+    in canonical form, span(B) in span(A): B's pivots are among A's, so
+    these are rank A rows with distinct pivots, hence independent."""
+    taken = set(b.pivots)
+    return np.concatenate([b.mat, a.mat[[i for i, c in enumerate(a.pivots)
+                                         if c not in taken]]])
 
 
 def _check_span(p: int, k: int, threshold: int) -> None:
@@ -422,7 +426,7 @@ def _check_span(p: int, k: int, threshold: int) -> None:
 def _coset_rows(a, b) -> Tuple[np.ndarray, int, int]:
     """A's rows over its coefficient field F_{p^t} split by :func:`_split`
     and laid out, B's digit-row count, and t; B None is {0}."""
-    rows = a.mat if b is None else _split(a.mat, b.mat, a.coeff_field)
+    rows = a.mat if b is None else _split(a, b)
     return _layout(a, rows), 0 if b is None else b.rank_p, a.coeff_field.m
 
 
@@ -457,15 +461,16 @@ def _class_min(gens: np.ndarray, p: int, n: int, kb: int, t: int = 1) -> int:
     g over F_{p^t}; kb is a multiple of t.  A vector outside span(gens[:kb])
     divided by its top nonzero F_{p^t} coefficient keeps its weight, stays
     outside and has coefficient 1 on alpha^0 g and 0 after it.  So one
-    vector per F_{p^t} scalar class suffices: counters [p^i, 2 p^i) of
-    gens[:i+1], i = kb, kb + t, ..; for p^t = 2 they join into [2^kb, 2^k)."""
+    vector per F_{p^t} scalar class suffices: counters [p^i, 2 p^i) of all
+    gens (zero on rows above i, so all share one low table), i = kb,
+    kb + t, ..; for p^t = 2 they join into [2^kb, 2^k)."""
     k, size = len(gens), gens.shape[1] // n
     if p**t == 2:
         return _enum.min_weight_range(gens, p, n, size, 1 << kb, 1 << k)
     best = n + 1
     for i in range(kb, k, t):
         best = min(best, _enum.min_weight_range(
-            gens[:i + 1], p, n, size, p**i, 2 * p**i))
+            gens, p, n, size, p**i, 2 * p**i))
         if best <= 1:
             break
     return best
@@ -593,8 +598,7 @@ class ClassicalCode(_Code):
 
     def hermitian_radical(self) -> "ClassicalCode":
         """Y intersect Y^perp_h: a·G is in it iff conj(G) G^T a^T = 0."""
-        return self._spanned(_radical_rows(
-            self._hermitian_gram(), self.mat, self.field))
+        return _kernel_span(self, self._hermitian_gram())
 
     def intersect(self, other: "ClassicalCode") -> "ClassicalCode":
         return intersect(self, other)

@@ -176,6 +176,14 @@ def _add_pure_to(res: RuleResult, out: SubsystemCode,
 # dimension trading
 # ---------------------------------------------------------------------------
 
+def _require_pure(code: SubsystemCode, impure: str) -> None:
+    """Refuse an input not proved pure; ``impure`` says why if impure."""
+    kind = code.purity[0]
+    if kind != "pure":
+        raise PurityError(impure if kind == "impure" else
+                          "purity of the input could not be established")
+
+
 def shrink_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
              policy: Policy = DEFAULT_POLICY) -> RuleResult:
     """Trade one unit of subsystem dimension for co-subsystem dimension.
@@ -191,9 +199,9 @@ def shrink_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
         raise ValueError("the subsystem is already trivial (K = 1)")
     if code.k_exp < t:
         raise ValueError(f"K = {code.K} is smaller than p^t = {p**t}")
-    if code.k_exp == t and not code.is_pure:
-        raise PurityError(
-            f"shrinking K = p^t = {p**t} to 1 requires a pure input code")
+    if code.k_exp == t:
+        _require_pure(code, f"shrinking K = p^t = {p**t} to 1 requires a "
+                      "pure input code")
 
     res = _derive_checked("shrink_k", _adjoin_fresh_pair(C),
                           code.k_exp - t, code.r_exp + t,
@@ -219,14 +227,9 @@ def grow_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
     p = code.p
     if code.r_exp < t:
         raise ValueError(f"R = {code.R} is smaller than p^t = {p**t}")
-    kind = code.purity[0]
-    if kind == "impure":
-        raise PurityError(
-            "growing the subsystem requires a pure input code; the gauge "
-            "group of an impure code can absorb low-weight errors that "
-            "become logical after the trade")
-    if kind != "pure":
-        raise PurityError("purity of the input could not be established")
+    _require_pure(code, "growing the subsystem requires a pure input code; "
+                  "the gauge group of an impure code can absorb low-weight "
+                  "errors that become logical after the trade")
 
     res = _derive_checked("grow_k", _drop_last_pair(C),
                           code.k_exp + t, code.r_exp - t,
@@ -278,9 +281,8 @@ def subsystem_to_stabilizer(code: SubsystemCode,
     Dropping every hyperbolic pair of the gauge code leaves exactly its
     radical D, which generates the stabilizer.
     """
-    if not code.is_pure:
-        raise PurityError("only pure subsystem codes collapse to a "
-                          "stabilizer code of the same distance")
+    _require_pure(code, "only pure subsystem codes collapse to a "
+                  "stabilizer code of the same distance")
     if code.D.rank == 0:
         raise ValueError("the radical is trivial; the associated stabilizer "
                          "code is the full space")

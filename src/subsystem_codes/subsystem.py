@@ -263,10 +263,11 @@ def bracket_params(code: SubsystemCode) -> ParamRecord:
     )
 
 
-def analysis_report(code: SubsystemCode) -> dict:
-    """JSON-friendly analysis report for a derived subsystem code."""
+def analysis_report(code: SubsystemCode, rec=None) -> dict:
+    """JSON-friendly analysis report for a derived subsystem code; ``rec``
+    is its :func:`bracket_params` record if the caller has built it."""
     purity = code.purity
-    rec = bracket_params(code)
+    rec = bracket_params(code) if rec is None else rec
     return {
         "params": {
             "n": code.n,

@@ -264,6 +264,28 @@ def test_transform_grow_on_impure_fails(shor_path):
     assert "grid" in res.output or "absorb" in res.output.lower()
 
 
+@pytest.mark.parametrize("pre, code, rule, message", [
+    (["--threshold", "1"], "five", "shrink-k", "purity of the input could "
+     "not be established"),
+    (["--distance", "skip"], "five", "shrink-k", "purity of the input could "
+     "not be established"),
+    (["--threshold", "1"], "five", "to-stabilizer", "purity of the input "
+     "could not be established"),
+    ([], "shor", "shrink-k", "shrinking K = p^t = 2 to 1 requires a pure "
+     "input code"),
+    ([], "shor", "to-stabilizer", "only pure subsystem codes collapse to a "
+     "stabilizer code of the same distance"),
+])
+def test_purity_refusal_names_its_cause(five_path, shor_path, pre, code,
+                                        rule, message):
+    # the five-qubit code is pure, but not proved so when swt(C) is not
+    # enumerated; the Bacon-Shor code is proved impure
+    path = five_path if code == "five" else shor_path
+    res = invoke([*pre, "transform", path, "--rule", rule])
+    assert res.exit_code == 1
+    assert res.output == f"Error: {message}\n"
+
+
 def test_transform_shorten_params():
     res = invoke(["transform", "--rule", "shorten-n",
                   "--params", "[[5,1,0,3]]_2 pure"])

@@ -216,8 +216,9 @@ def test_classical_intersect_matches_elimination(p, m):
     for x in codes_in:
         assert x.intersect(zero) == zero and x.intersect(whole) == x
         for y in codes_in:
-            cap = x.intersect(y)
-            assert cap == _eliminated_intersection(x, y) == intersect(x, y)
+            cap, ref = x.intersect(y), _eliminated_intersection(x, y)
+            assert cap == ref == intersect(x, y)
+            assert cap.pivots == ref.pivots
             if f.q == 3:
                 assert _classical_words(cap) == (_classical_words(x)
                                                  & _classical_words(y))
@@ -318,6 +319,47 @@ def test_hermitian_radical_matches_intersection_with_dual(p, m):
                 assert rad == code.intersect(code.dual("hermitian"))
                 dims.add(rad.rank)
     assert 0 in dims and len(dims) > 2
+
+
+def _assert_reduced_as(code, kernel, of):
+    """``code`` is in the form rref gives the rows a·of.mat, a the first
+    of.rank entries of each ``kernel`` vector: matrix and pivots."""
+    mat, piv = linalg.rref(linalg.matmul(kernel[:, :of.rank], of.mat,
+                                         of.coeff_field), of.coeff_field)
+    assert np.array_equal(code.mat, mat) and code.pivots == piv
+
+
+@pytest.mark.parametrize("p,m,t", [(2, 1, 1), (3, 1, 1), (2, 2, 1),
+                                   (2, 2, 2)])
+def test_read_off_radical_and_intersection_equal_rref(p, m, t):
+    # radical and intersect take a·mat as it is, with no second rref
+    field = FieldSpec(p, m)
+    rng = np.random.default_rng(70 + p * m + t)
+    zero = AdditiveCode.zero(3, field, t)
+    codes_in = [zero, dual_symp(zero)] + list(_radical_inputs(field, t, rng))
+    for x in codes_in:
+        gram = codes._pairings(x.mat, x.mat, x.n, field, t)
+        _assert_reduced_as(radical(x), linalg.nullspace(gram, x.coeff_field),
+                           x)
+    for x in codes_in[::3]:
+        for y in codes_in[1::4]:
+            stacked = np.concatenate([x.mat, y.mat]).T
+            _assert_reduced_as(intersect(x, y),
+                               linalg.nullspace(stacked, x.coeff_field), x)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2)])
+def test_read_off_hermitian_radical_equals_rref(p, m):
+    f = FieldSpec(p, m)
+    rng = np.random.default_rng(80 + p)
+    n = 4
+    codes_in = [ClassicalCode(n, f, []),
+                ClassicalCode(n, f, np.eye(n, dtype=np.int64))] + [
+        ClassicalCode(n, f, rng.integers(0, f.q, (k, n)))
+        for k in (1, 2, 2, 3, 3)]
+    for x in codes_in:
+        _assert_reduced_as(x.hermitian_radical(),
+                           linalg.nullspace(x._hermitian_gram(), f), x)
 
 
 def test_min_swt_coset_none_is_the_zero_code(monkeypatch):
@@ -525,9 +567,16 @@ def test_classical_modifications():
         code.puncture(5)
 
 
-def test_split_matches_row_by_row():
-    """B's rows, then each row of A outside the span of the rows before it."""
+def test_split_matches_row_by_row(monkeypatch):
+    """B's rows, then A's rows whose pivot is not one of B's, in A's order:
+    together rank A rows spanning A, found with no elimination."""
     rng = np.random.default_rng(9)
+    rref, calls = linalg.rref, []
+
+    def counting(mat, field):
+        calls.append(np.shape(mat))
+        return rref(mat, field)
+
     for p in (2, 3, 5, 7):
         fp = FieldSpec(p)
         for _ in range(40):
@@ -538,13 +587,19 @@ def test_split_matches_row_by_row():
                 continue
             mix = rng.integers(0, p, size=(int(rng.integers(0, len(a) + 1)),
                                            len(a)))
-            b = linalg.rref(linalg.matmul(mix, a, fp), fp)[0]
-            kept = list(b)
-            for row in a:
-                if linalg.rank(np.array(kept + [row]), fp) > len(kept):
-                    kept.append(row)
-            expect = np.array(kept, dtype=np.int64).reshape(-1, ncols)
-            assert np.array_equal(_split(a, b, fp), expect)
+            A = ClassicalCode(ncols, fp, a)
+            B = ClassicalCode(ncols, fp, linalg.matmul(mix, a, fp))
+            monkeypatch.setattr(linalg, "rref", counting)
+            rows = _split(A, B)
+            monkeypatch.setattr(linalg, "rref", rref)
+            assert not calls
+            assert np.array_equal(rows[:B.rank], B.mat)
+            rest = [next(i for i, g in enumerate(A.mat)
+                         if np.array_equal(g, row)) for row in rows[B.rank:]]
+            assert rest == sorted(set(rest))
+            assert not {A.pivots[i] for i in rest} & set(B.pivots)
+            assert len(rows) == A.rank == linalg.rank(rows, fp)
+            assert linalg.rank(np.concatenate([rows, A.mat]), fp) == A.rank
 
 
 def _brute_dual_swt(D):

@@ -135,11 +135,38 @@ def test_scalar_classes_match_full_scan(p):
         for kb in range(a.rank):
             sub = a.mat[rng.permutation(a.rank)[:kb]]
             b = codes.AdditiveCode(n, field, sub if kb else [])
-            gens = codes._split(codes._layout(a, a.mat),
-                                codes._layout(b, b.mat), field)
+            gens = codes._coset_rows(a, b)[0]
             weights = _naive_weights(gens, p, n, 2)
             full = weights[p**kb:].min()
             assert codes._min_scan(a, b if kb else None,
                                    codes.DEFAULT_THRESHOLD) == (
                 full, "exhaustive")
             assert codes._class_min(gens, p, n, kb) == full
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_interleaved_spans_never_share_a_wrong_low_table(p):
+    # class scans of one span share the kernel's low table; scans of other
+    # spans in between must each get their own: other rows, only other
+    # high rows, or the same rows cut into other groups
+    rng = np.random.default_rng(60 + p)
+    k, groups, gsize = {2: 6, 3: 4, 5: 3}[p], 3, 2
+    kl = _enum._low_rows(k)
+    a = _independent_gens(rng, p, k, groups, gsize)
+    b = _independent_gens(rng, p, k, groups, gsize)
+    while True:
+        high = np.concatenate([a[:kl], b[kl:]])
+        if linalg.rank(high, FieldSpec(p)) == k:
+            break
+        b = _independent_gens(rng, p, k, groups, gsize)
+    scans = [(a, groups, gsize), (b, groups, gsize), (high, groups, gsize),
+             (a, 2 * groups, gsize // 2)]
+    naive = [_naive_weights(g, p, n, size) for g, n, size in scans]
+    for i in range(k):
+        for (g, n, size), weights in zip(scans, naive):
+            assert _enum.min_weight_range(g, p, n, size, p**i, 2 * p**i) == (
+                weights[p**i:2 * p**i].min())
+    for (g, n, size), weights in zip(scans, naive):
+        assert np.array_equal(_enum.weight_distribution(g, p, n, size, 0,
+                                                        p**k),
+                              np.bincount(weights, minlength=n + 1))
