@@ -476,15 +476,6 @@ def _class_min(gens: np.ndarray, p: int, n: int, kb: int, t: int = 1) -> int:
     return best
 
 
-def _distribution_scan(code, threshold: int) -> np.ndarray:
-    """Histogram of group weights over the whole code (index = weight)."""
-    p, k = code.field.p, code.rank_p
-    _check_span(p, k, threshold)
-    gens = _layout(code, code.mat)
-    return _enum.weight_distribution(gens, p, code.n, gens.shape[1] // code.n,
-                                     0, p**k)
-
-
 def min_swt(code: AdditiveCode, threshold: int = DEFAULT_THRESHOLD) -> int:
     """Exact minimum symplectic weight by full span enumeration."""
     return _min_scan(code, None, threshold)[0]
@@ -546,7 +537,11 @@ def _witness_search(gens, p, n_groups, group_size, kb, ke, seed) -> int:
 def swt_distribution(code: AdditiveCode,
                      threshold: int = DEFAULT_THRESHOLD) -> np.ndarray:
     """Histogram of symplectic weights over the whole code (index = weight)."""
-    return _distribution_scan(code, threshold)
+    p, k = code.field.p, code.rank_p
+    _check_span(p, k, threshold)
+    gens = _layout(code, code.mat)
+    return _enum.weight_distribution(gens, p, code.n, gens.shape[1] // code.n,
+                                     0, p**k)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ for a prime field).  log(0) is a sentinel that lands every sum of logs with
 a zero operand in the zero tail of the exp table, so a product is one
 lookup with no zero test.  Powers of whole arrays (``pow_arr``), the
 generator-power order of the elements and a tower's subfield embedding
-are slices and lookups of the same tables.  Scalar ``add``, ``neg`` and
-``mul`` are the array operations applied to scalars.
+are slices and lookups of the same tables.  Scalar ``add``, ``neg``,
+``mul`` and ``pow`` are the array operations applied to scalars.
 
 A user-given modulus is checked for irreducibility by trial division: a
 monic polynomial of degree m is reducible iff it has a monic factor of
@@ -93,14 +93,7 @@ def _prime_factors(n: int) -> list:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _is_primitive(g: Sequence[int], f: Sequence[int], p: int) -> bool:
@@ -317,9 +310,7 @@ class FieldSpec:
         return int(self._inv_table[a])
 
     def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return int(e == 0)
-        return int(self._exp[int(self._log[a]) * e % (self.q - 1)])
+        return int(self.pow_arr(a, e))
 
     def trace(self, a: int) -> int:
         """Trace down to the prime field F_p (returned as an int < p)."""

@@ -7,12 +7,12 @@ canonical column order of :mod:`subsystem_codes.codes`.
 
 Completion has two steps, one elimination each.  The partner step
 solves for every isotropic vector's partner at once, then moves each by
-the kernel of the code's pairing rows to pair to 0 with the earlier
-ones.  The complement step takes the canonical (reduced echelon)
-complement of the span so far: its first row v and the first later row
-pairing non-trivially with v, scaled to <v|w> = 1, are the next fresh
-pair.  :func:`fresh_pair` runs each step once, which is all that
-adjoining one pair to a gauge code needs;
+the earlier isotropic vectors, in one matrix product, so that the
+partners pair to 0 with each other.  The complement step takes the
+canonical (reduced echelon) complement of the span so far: its first row
+v and the first later row pairing non-trivially with v, scaled to
+<v|w> = 1, are the next fresh pair.  :func:`fresh_pair` runs each step
+once, which is all that adjoining one pair to a gauge code needs;
 :func:`extend_to_full_symplectic_basis` repeats the complement step.
 """
 
@@ -132,39 +132,24 @@ def _partner_pairs(dec: HyperbolicDecomposition) -> List[Pair]:
     """(x_i, z_i) for every isotropic z_i of a decomposition.
 
     x_i pairs to 1 with z_i and to 0 with every other vector of ``dec``
-    and with the earlier partners, free variables zero.  One elimination
-    of [R | -I_s] (R x = <taken|x>) gives x0_i and ker R = K; reduced by
-    R, <x_j|.> is <x_j|K> on R's free columns, so x_i = x0_i + y K with y
-    the free-variables-zero solution of <x_j|K> y = -<x_j|x0_i>, j < i.
-    The rows [<x_j|K> | -<x_j|x0_l>] are kept reduced as they arrive (E):
-    they are independent, so each adds one pivot, and y[lead] = E[:, i].
+    and with the other partners.  One elimination of [R | -I_s]
+    (R x = <taken|x>) gives x0_i, free variables zero: <x0_j|z_m> is
+    delta_jm and <x0_j|.> vanishes on the pairs.  Then x_i = x0_i -
+    sum_{j<i} <x0_j|x0_i> z_j: the z_j lie in the radical, so no pairing
+    with ``dec`` moves, and <x_j|x_i> = <x0_j|x0_i> - <x0_j|x0_i> = 0.
     Callers validate the completed pairs; bad input raises AssertionError."""
     cf = dec.coeff_field()
+    V = dec.matrix()
     # row j holds the coefficients of x -> <taken_j|x> = -<x|taken_j>
-    rows = dec.pairings(dec.matrix(), None)
+    rows = dec.pairings(V, None)
     rhs = cf.neg(1) * np.eye(len(rows), dec.s, dtype=np.int64)
     solved = linalg.solve_many(rows, rhs, cf)
     if solved is None:
         raise AssertionError("no symplectic partner exists; invalid input")
-    base, K = solved
-    KB = np.concatenate([K, cf.neg_arr(base)])
-    E, lead = np.zeros((0, len(KB)), dtype=np.int64), []
-    pairs: List[Pair] = []
-    for i, z in enumerate(dec.isotropic):
-        y = np.zeros(len(K), dtype=np.int64)
-        y[lead] = E[:, len(K) + i]
-        x = cf.add_arr(base[i], linalg.matmul(y, K, cf)[0])
-        pairs.append((x, z))
-        a = dec.pairings(x, KB)[0]
-        a = cf.add_arr(a, cf.neg_arr(linalg.matmul(a[None, lead], E, cf)[0]))
-        free = np.flatnonzero(a[:len(K)])
-        if not free.size:
-            raise AssertionError("dependent partner pairings; invalid input")
-        lead.append(int(free[0]))
-        a = cf.mul_arr(a, cf.inv(int(a[lead[-1]])))
-        E = np.vstack([cf.add_arr(E, cf.neg_arr(
-            cf.mul_arr(E[:, lead[-1], None], a))), a])
-    return pairs
+    X0, Z = solved[0], V[:dec.s]
+    L = np.tril(dec.pairings(X0, X0).T, -1)        # L[i, j] = <x0_j|x0_i>
+    X = cf.add_arr(X0, cf.neg_arr(linalg.matmul(L, Z, cf)))
+    return list(zip(X, dec.isotropic))
 
 
 def _complement_pair(dec: HyperbolicDecomposition, pairs: List[Pair]) -> Pair:

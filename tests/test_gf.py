@@ -157,7 +157,10 @@ def _oracle_mul(f, a, b):
 
 
 def _oracle_pow(f, a, e):
-    """a^e by square-and-multiply on schoolbook products."""
+    """a^e by square-and-multiply on schoolbook products; a negative e
+    raises a^(q-2), the inverse of a nonzero a, to -e, and 0^e is 0."""
+    if e < 0:
+        return 0 if a == 0 else _oracle_pow(f, _oracle_pow(f, a, f.q - 2), -e)
     result = 1
     while e:
         if e & 1:
@@ -200,13 +203,14 @@ def test_tables_match_polynomial_products(p, m, modulus):
         assert f.trace(a) == acc
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
-    # pow_arr against scalar pow: 0^0 = 1, negative and int64-sized
+    # pow_arr against the oracle: 0^0 = 1, negative and int64-sized
     # exponents, broadcasting
     a = np.array([0, 1] + list(elems)[2:12])
     e = np.array([0, 1, 2, -1, -3, p, q - 2, q - 1, q, 2 * q + 3, 2**62 + 1])
     got = f.pow_arr(a[:, None], e)
     assert got.shape == (len(a), len(e))
-    assert got.tolist() == [[f.pow(int(x), int(y)) for y in e] for x in a]
+    assert got.tolist() == [[_oracle_pow(f, int(x), int(y)) for y in e]
+                            for x in a]
     assert f.pow_arr(a, 0).tolist() == [1] * len(a)
     assert f.pow_arr(0, e).tolist() == [int(y == 0) for y in e]
 

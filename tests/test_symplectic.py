@@ -128,8 +128,9 @@ def test_invalid_decomposition_fails_by_name(complete):
 
 # -- the partner and complement steps against the per-partner algorithm ----
 #
-# The reference solves the whole growing system [R; <x_0|.>; ..] once per
-# partner and reduces the complement's kernel basis a second time.
+# The reference solves for each partner on its own, then moves it by the
+# isotropic vectors of the earlier, already corrected partners, one at a
+# time; it reduces the complement's kernel basis a second time.
 
 def _reference_partners(dec):
     cf = dec.coeff_field()
@@ -138,10 +139,13 @@ def _reference_partners(dec):
     for i, z in enumerate(dec.isotropic):
         rhs = np.zeros(len(rows), dtype=np.int64)
         rhs[i] = cf.neg(1)
-        x = linalg.solve(rows, rhs, cf)
-        assert x is not None
+        x0 = linalg.solve(rows, rhs, cf)
+        assert x0 is not None
+        x = x0
+        for xj, zj in pairs:                # x -= <x_j|x0_i> z_j
+            c = int(dec.pairings(xj, x0)[0, 0])
+            x = cf.add_arr(x, cf.neg_arr(cf.mul_arr(c, zj)))
         pairs.append((x, z))
-        rows = np.vstack([rows, dec.pairings(x, None)])
     return pairs
 
 
@@ -177,12 +181,13 @@ def _isotropic_heavy_code(rng, field, n, t):
 
 
 @pytest.mark.parametrize("p,m,t", [(2, 1, 1), (3, 1, 1), (5, 1, 1),
-                                   (2, 2, 1), (2, 2, 2), (3, 2, 2)])
+                                   (2, 2, 1), (2, 2, 2), (3, 2, 2),
+                                   (7, 1, 1), (3, 2, 1), (5, 2, 2)])
 def test_partners_match_per_partner_solves(p, m, t):
     field = FieldSpec(p, m)
     rng = np.random.default_rng(30 + 7 * p + m + t)
     several = 0
-    for _ in range(40):
+    for _ in range(60):
         code = _isotropic_heavy_code(rng, field, int(rng.integers(1, 5)), t)
         if code.rank == 0:
             continue
@@ -192,6 +197,30 @@ def test_partners_match_per_partner_solves(p, m, t):
         if 2 * (dec.s + dec.r) < dec.dim:
             assert _same_pairs([fresh_pair(dec)], [_reference_fresh_pair(dec)])
     assert several >= 5
+
+
+@pytest.mark.parametrize("p,m,t", [(2, 1, 1), (3, 1, 1), (2, 2, 1),
+                                   (2, 2, 2), (3, 2, 2)])
+def test_basis_layout(p, m, t):
+    # partners first, each with its isotropic vector as z, then dec's own
+    # pairs unchanged, then fresh pairs that commute with the code
+    field = FieldSpec(p, m)
+    rng = np.random.default_rng(40 + 7 * p + m + t)
+    mixed = 0
+    for _ in range(15):
+        code = _isotropic_heavy_code(rng, field, int(rng.integers(1, 4)), t)
+        dec = hyperbolic_decompose(code)
+        basis = extend_to_full_symplectic_basis(dec)
+        s, r = dec.s, dec.r
+        mixed += s >= 1 and r >= 1
+        assert 2 * basis.r == dec.dim
+        for (_, z), iso in zip(basis.pairs[:s], dec.isotropic):
+            assert np.array_equal(z, iso)
+        assert _same_pairs(basis.pairs[s:s + r], dec.pairs)
+        fresh = replace(dec, isotropic=[], pairs=basis.pairs[s + r:]).matrix()
+        assert len(fresh) == dec.dim - 2 * (s + r)
+        assert not dec.pairings(fresh, code.mat).any()
+    assert mixed >= 2
 
 
 def _family_members():
