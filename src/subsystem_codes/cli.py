@@ -97,8 +97,8 @@ def _code_downgrades(code: SubsystemCode) -> List[str]:
 
 
 def _rule_report(cfg: argparse.Namespace, res: rules.RuleResult, head: str,
-                 checked: bool = True, emit: bool = True) -> int:
-    """Print a rule's result; if ``checked``, --strict refuses downgrades."""
+                 emit: bool = True) -> int:
+    """Print a rule's result; --strict refuses its downgrades."""
     out = res.output
     output = (analysis_report(out) if isinstance(out, SubsystemCode)
               else out.to_json())
@@ -107,9 +107,9 @@ def _rule_report(cfg: argparse.Namespace, res: rules.RuleResult, head: str,
           [head + output["bracket"]] + [f"  {c}: {res.verification[c]}"
                                         for c in res.claims], emit=emit)
     return _check_strict(cfg, (
-        (_code_downgrades(out) if isinstance(out, SubsystemCode) else [])
+        _code_downgrades(out) if isinstance(out, SubsystemCode) else [])
         + [f"{c} ({t})" for c, t in res.verification.items()
-           if t == rules.ASSERTED]) if checked else [])
+           if t == rules.ASSERTED])
 
 
 def analyze(cfg: argparse.Namespace) -> int:
@@ -200,11 +200,10 @@ def transform(cfg: argparse.Namespace) -> int:
             count = "one" if rule == "shorten-n" else "two"
             raise CliError(f"{rule} needs {count} --params")
         res = _PARAM_RULES[rule](*recs, cfg)
-    # the report goes to stdout only, and first, so a refused format writes
-    # no file; parameter-level rules are asserted by nature
+    # the report goes first, to stdout only: a refused format writes no file
     saves = bool(cfg.emit) and isinstance(res.output, SubsystemCode)
     status = _rule_report(cfg, res, f"rule: {res.rule}\noutput: ",
-                          rule in _CONSTRUCTIVE_RULES, emit=not saves)
+                          emit=not saves)
     if saves:
         _write(cfg.emit, res.output.C.save)
         print(f"wrote {cfg.emit}", file=sys.stderr)

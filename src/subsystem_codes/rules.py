@@ -15,9 +15,10 @@ together with how far each claim could actually be checked:
 * ``asserted`` -- the claim rests on the general argument alone (all
   parameter-level rules).
 
-``verified_exhaustive``, ``witness_consistent`` and ``asserted`` match
-one for one the methods of measured values: ``exhaustive``, ``witness``
-and ``asserted``.
+A claim about measured values gets its tag from one rule,
+:func:`_status` over :func:`subsystem_codes.subsystem.ge_verdict`:
+``asserted`` if a value is unknown, ``verified_exhaustive`` if proved,
+``witness_consistent`` if open; a refuted claim raises.
 
 The dimension-trading rules are constructive: a hyperbolic pair is
 adjoined to (or removed from) the gauge code, moving one unit of
@@ -45,7 +46,7 @@ from .codes import (AdditiveCode, ClassicalCode, _field, _pairings,
                     dual_swt_exceeds, dual_symp, min_swt)
 from .gf import FieldSpec, TowerSpec, prime_power
 from .subsystem import (DEFAULT_POLICY, ParamRecord, Policy, PurityError,
-                        SubsystemCode, _dual_fits, derive, is_exact)
+                        SubsystemCode, _dual_fits, derive, ge_verdict)
 from .symplectic import fresh_pair, hyperbolic_decompose
 
 __all__ = [
@@ -116,9 +117,7 @@ def _derive_checked(rule: str, C: AdditiveCode, k_exp: int, r_exp: int,
 
 def _working_code(code: SubsystemCode, t: Optional[int]) -> AdditiveCode:
     """The gauge code of ``code`` viewed over the coefficient field F_{p^t}."""
-    if t is None:
-        t = code.C.t
-    if t == code.C.t:
+    if t in (None, code.C.t):
         return code.C
     if t == 1:
         return code.C.as_additive()
@@ -126,33 +125,22 @@ def _working_code(code: SubsystemCode, t: Optional[int]) -> AdditiveCode:
         f"coefficient degree {t} requires an F_q-linear input code")
 
 
-def _ge_status(lhs: Optional[int], lhs_method: Optional[str],
-               rhs: Optional[int], rhs_method: Optional[str]) -> str:
-    """Verification status for the claim lhs >= rhs."""
+def _status(lhs: Optional[int], lhs_method: Optional[str], rhs: Optional[int],
+            rhs_method: Optional[str], equal: bool = False) -> str:
+    """The tag of the claim lhs >= rhs (lhs = rhs if ``equal``)."""
     if lhs is None or rhs is None:
         return ASSERTED
-    if is_exact(lhs_method) and is_exact(rhs_method):
-        if lhs < rhs:
-            raise AssertionError(f"claimed bound violated: {lhs} < {rhs}")
-        return VERIFIED
-    # a witness value on the left is an upper bound on the true lhs; a
-    # violation is only observable when even the bound undercuts rhs
-    if not is_exact(lhs_method) and is_exact(rhs_method) and lhs < rhs:
-        raise AssertionError(f"witness bound {lhs} contradicts claim >= {rhs}")
-    return WITNESS
+    verdicts = {ge_verdict(lhs, lhs_method, rhs, rhs_method)}
+    if equal:
+        verdicts.add(ge_verdict(rhs, rhs_method, lhs, lhs_method))
+    if False in verdicts:
+        raise AssertionError(f"claim refuted: {lhs} against {rhs}")
+    return WITNESS if None in verdicts else VERIFIED
 
 
-def _add_same_distance(res: RuleResult, out: SubsystemCode,
-                       code: SubsystemCode) -> None:
-    """The claim d' = d of a rule mapping ``code`` to ``out``."""
-    if out.d is None or code.d is None:
-        res.add("d' = d", ASSERTED)
-    elif is_exact(out.d_method) and is_exact(code.d_method):
-        if out.d != code.d:
-            raise AssertionError(f"distance changed: {out.d} != {code.d}")
-        res.add("d' = d", VERIFIED)
-    else:
-        res.add("d' = d", WITNESS)
+def _pure(code: SubsystemCode) -> str:
+    """The tag of the claim that ``code`` is pure, swt(C) >= d."""
+    return _status(code.swt_c, code.swt_c_method, code.d, code.d_method)
 
 
 def _add_pure_to(res: RuleResult, out: SubsystemCode,
@@ -161,15 +149,12 @@ def _add_pure_to(res: RuleResult, out: SubsystemCode,
     if code.d is None:
         res.add("pure to min(d, d')", ASSERTED)
         return
-    kind, level = code.purity
-    if kind == "pure":
-        target, method = code.d, code.d_method
-    elif kind == "impure":
-        target, method = level, code.swt_c_method
-    else:
-        target, method = 1, "exhaustive"     # every code is pure to 1
+    kind, level = code.purity           # a pure_to level is exact
+    target, method = ((code.d, code.d_method) if kind == "pure" else
+                      (level, code.swt_c_method) if kind == "impure" else
+                      (level, "exhaustive"))
     res.add(f"pure to {target}",
-            _ge_status(out.swt_c, out.swt_c_method, target, method))
+            _status(out.swt_c, out.swt_c_method, target, method))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +178,7 @@ def shrink_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
     Requires K > p^t, or K = p^t with the code pure.
     """
     C = _working_code(code, coeff_degree)
-    t = C.t
-    p = code.p
+    t, p = C.t, code.p
     if code.k_exp == 0:
         raise ValueError("the subsystem is already trivial (K = 1)")
     if code.k_exp < t:
@@ -207,7 +191,7 @@ def shrink_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
                           code.k_exp - t, code.r_exp + t,
                           (f"K' = K/{p**t}", f"R' = {p**t}*R"), policy)
     out = res.output
-    res.add("d' >= d", _ge_status(out.d, out.d_method, code.d, code.d_method))
+    res.add("d' >= d", _status(out.d, out.d_method, code.d, code.d_method))
     _add_pure_to(res, out, code)
     return res
 
@@ -223,8 +207,7 @@ def grow_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
     would otherwise beat the best known stabilizer parameters).
     """
     C = _working_code(code, coeff_degree)
-    t = C.t
-    p = code.p
+    t, p = C.t, code.p
     if code.r_exp < t:
         raise ValueError(f"R = {code.R} is smaller than p^t = {p**t}")
     _require_pure(code, "growing the subsystem requires a pure input code; "
@@ -235,9 +218,9 @@ def grow_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
                           code.k_exp + t, code.r_exp - t,
                           (f"K' = {p**t}*K", f"R' = R/{p**t}"), policy)
     out = res.output
-    _add_same_distance(res, out, code)
-    res.add("pure", VERIFIED if out.is_pure else
-            (WITNESS if out.swt_c_method == "witness" else ASSERTED))
+    res.add("d' = d", _status(out.d, out.d_method, code.d, code.d_method,
+                              equal=True))
+    res.add("pure", _pure(out))
     return res
 
 
@@ -269,7 +252,7 @@ def stabilizer_to_subsystem(code: SubsystemCode, r: int,
                           code.k_exp - steps_p, steps_p,
                           (f"k' = k - {r}", f"r' = {r}"), policy)
     out = res.output
-    res.add("d' >= d", _ge_status(out.d, out.d_method, code.d, code.d_method))
+    res.add("d' >= d", _status(out.d, out.d_method, code.d, code.d_method))
     _add_pure_to(res, out, code)
     return res
 
@@ -290,8 +273,9 @@ def subsystem_to_stabilizer(code: SubsystemCode,
                           code.k_exp + code.r_exp, 0,
                           ("k' = k + r", "r' = 0"), policy)
     out = res.output
-    _add_same_distance(res, out, code)
-    res.add("pure", VERIFIED if out.is_pure else ASSERTED)
+    res.add("d' = d", _status(out.d, out.d_method, code.d, code.d_method,
+                              equal=True))
+    res.add("pure", _pure(out))
     return res
 
 
@@ -334,9 +318,8 @@ def extend_length(code: SubsystemCode,
     if dual_symp(C_ext) != _extend_code(dual_symp(code.C)):
         raise AssertionError("dualization does not commute with extension")
     res.add("dual of extension = extension of dual", VERIFIED)
-    res.add("d' >= d", _ge_status(out.d, out.d_method, code.d, code.d_method))
-    res.add("pure to 1",
-            VERIFIED if out.swt_c == 1 else ASSERTED)
+    res.add("d' >= d", _status(out.d, out.d_method, code.d, code.d_method))
+    res.add("pure to 1", VERIFIED)      # every nonzero vector has swt >= 1
     return res
 
 
@@ -388,8 +371,7 @@ def combine_disjoint(p1: Union[SubsystemCode, ParamRecord],
     out = ParamRecord(
         n=a.n + b.n - int(b.k + b.r), q=2, k=a.k + a.r - r, r=r,
         d=max(d, 1), d_is_bound=True, pure=None,
-        provenance=list(a.provenance) + list(b.provenance)
-        + ["combine_disjoint"])
+        provenance=a.provenance + b.provenance + ["combine_disjoint"])
     res = RuleResult("combine_disjoint", out)
     res.add("n' = n1 + n2 - k2 - r2, k' = k1 + r1 - r, r' = r", ASSERTED)
     res.add(f"d' >= min(d1, d1 + d2 - k2 - r2) = {d}" if d >= 1 else
@@ -424,8 +406,7 @@ def combine_nested(p1: Union[SubsystemCode, ParamRecord],
     d = min(a.d, 2 * b.d)
     out = ParamRecord(
         n=2 * a.n, q=a.q, k=total - r, r=r, d=d, d_is_bound=True,
-        pure=True,
-        provenance=list(a.provenance) + list(b.provenance)
+        pure=True, provenance=a.provenance + b.provenance
         + ["combine_nested", "nesting assumed by caller"])
     res = RuleResult("combine_nested", out)
     res.add("n' = 2n, k' = k1 + k2 + r1 + r2 - r, r' = r", ASSERTED)
@@ -551,8 +532,8 @@ def _tower_for_q(q: int) -> TowerSpec:
     return TowerSpec(_field(*prime_power(q), None))
 
 
-def certify_mds(code: SubsystemCode, d: int, policy: Policy = DEFAULT_POLICY
-                ) -> Tuple[str, str]:
+def certify_mds(code: SubsystemCode, d: int,
+                policy: Policy = DEFAULT_POLICY) -> None:
     """Certify the derived code of an MDS construction at its design d.
 
     ``code`` comes from :func:`derive` in "skip" mode, and its gauge code
@@ -561,21 +542,24 @@ def certify_mds(code: SubsystemCode, d: int, policy: Policy = DEFAULT_POLICY
     the threshold a complete search over coordinate sets proves
     swt(D^perp_s) >= d (:func:`codes.dual_swt_exceeds`), and C lies in
     D^perp_s: d is exact, C pure, and swt(C) is enumerated.  Beyond it, d
-    has method ``witness``, swt(C) stays unset and purity asserted; "exact"
-    mode raises.  Sets d and swt(C) on ``code`` and returns the tags of its
-    d and purity claims.
+    has method ``witness`` and swt(C) stays unset; "exact" mode raises.
+    Sets d and swt(C) on ``code``; :func:`_mds_tags` reads the claims off.
     """
     code.d = d
     if not singleton_check(code).attained:          # F_q-linear, slack 0
         raise AssertionError(f"the Singleton bound does not give d <= {d}")
     if not _dual_fits(code, policy):
         code.d_method = "witness"
-        return WITNESS, ASSERTED
+        return
     code.swt_c = min_swt(code.C, policy.threshold)
     code.d_method = code.swt_c_method = "exhaustive"
     if not (dual_swt_exceeds(code.D, d - 1) and code.is_pure):
         raise AssertionError(f"D^perp_s has a vector of weight below {d}")
-    return VERIFIED, VERIFIED
+
+
+def _mds_tags(code: SubsystemCode, d: int) -> Tuple[str, str]:
+    """The tags of a certified code's claims d = design d and pure."""
+    return _status(code.d, code.d_method, d, "exhaustive"), _pure(code)
 
 
 def mds_family(spec: MdsFamilySpec,
@@ -616,7 +600,8 @@ def mds_family(spec: MdsFamilySpec,
     m = tower.base.m
     res = _derive_checked("mds_family", C, k * m, r * m,
                           (f"k = {k}, r = {r}",), Policy("skip"))
-    d_tag, pure_tag = certify_mds(res.output, d, policy)
+    certify_mds(res.output, d, policy)
+    d_tag, pure_tag = _mds_tags(res.output, d)
     res.add(f"MDS: k + r = n - 2d + 2 = {n - 2 * d + 2}", VERIFIED)
     res.add(f"d = {d}", d_tag)
     res.add("pure", pure_tag)

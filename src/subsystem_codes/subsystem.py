@@ -13,7 +13,8 @@ D^perp_s is built only to measure d.
 
 One frozen :class:`Policy` says how distances are measured.  A measured
 value carries the method backing it: ``exhaustive`` (proved, see
-:func:`is_exact`), ``witness`` (an upper bound) or ``asserted``.
+:func:`is_exact`) or ``witness`` (an upper bound).  One rule,
+:func:`ge_verdict`, decides every claim between such values, purity too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .gf import prime_power
 
 __all__ = ["PurityError", "Policy", "DEFAULT_POLICY", "SubsystemCode",
            "ParamRecord", "derive", "measure_distance", "is_exact",
-           "bracket_params", "analysis_report"]
+           "ge_verdict", "bracket_params", "analysis_report"]
 
 _DISTANCE_MODES = ("exact", "auto", "witness", "skip")
 
@@ -64,6 +65,21 @@ def is_exact(method: Optional[str]) -> bool:
     return method == "exhaustive"
 
 
+def ge_verdict(lhs: Optional[int], lhs_method: Optional[str],
+               rhs: Optional[int], rhs_method: Optional[str]
+               ) -> Optional[bool]:
+    """Whether lhs >= rhs is proved (True), refuted (False) or open (None).
+
+    A proved value is exact; a witness (a found vector's weight, or the
+    Singleton bound's design d) is an upper bound on the true value.  So
+    lhs >= rhs needs an exact lhs, lhs < rhs an exact rhs, and an unknown
+    value (None) leaves the claim open."""
+    if lhs is None or rhs is None or not is_exact(
+            lhs_method if lhs >= rhs else rhs_method):
+        return None
+    return lhs >= rhs
+
+
 class PurityError(ValueError):
     """A purity requirement is violated (e.g. an impure code with K = 1)."""
 
@@ -77,7 +93,7 @@ class SubsystemCode:
     k_exp: int                 # log_p K
     r_exp: int                 # log_p R
     d: Optional[int] = None
-    d_method: Optional[str] = None   # exhaustive | witness | asserted
+    d_method: Optional[str] = None   # exhaustive | witness
     case: str = "a"                  # (a): D^perp_s != C, (b): equal
     swt_c: Optional[int] = None
     swt_c_method: Optional[str] = None
@@ -108,13 +124,14 @@ class SubsystemCode:
 
     @property
     def purity(self) -> Tuple[str, Optional[int]]:
-        """One of ("pure", None), ("pure_to", d'), ("impure", swt_C)."""
-        if self.swt_c is None or self.d is None:
-            return ("pure_to", 1)
-        # a witness bound on swt(C) certifies impurity, never purity
-        if self.swt_c < self.d:
-            return ("impure", self.swt_c)
-        return ("pure", None) if is_exact(self.swt_c_method) else ("pure_to", 1)
+        """One of ("pure", None), ("pure_to", d'), ("impure", swt_C): swt(C)
+        >= d proved, refuted (only a proved d can refute it), or open, and
+        then pure to swt(C) if it is exact, else to 1, as every code is."""
+        verdict = ge_verdict(self.swt_c, self.swt_c_method, self.d,
+                             self.d_method)
+        if verdict is not None:
+            return ("pure", None) if verdict else ("impure", self.swt_c)
+        return ("pure_to", self.swt_c if is_exact(self.swt_c_method) else 1)
 
     @property
     def is_pure(self) -> bool:
@@ -160,11 +177,8 @@ class ParamRecord:
             raise ValueError("K*R exceeds q^n")
 
     def bracket(self) -> str:
-        def fmt(x: Fraction) -> str:
-            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
         d = "?" if self.d is None else (f">={self.d}" if self.d_is_bound else str(self.d))
-        return f"[[{self.n},{fmt(self.k)},{fmt(self.r)},{d}]]_{self.q}"
+        return f"[[{self.n},{self.k},{self.r},{d}]]_{self.q}"
 
     def to_json(self) -> dict:
         return {
@@ -255,9 +269,8 @@ def bracket_params(code: SubsystemCode) -> ParamRecord:
         k=Fraction(code.k_exp, m),
         r=Fraction(code.r_exp, m),
         d=code.d,
-        pure=(True if purity[0] == "pure"
-              else False if purity[0] == "impure" else None),
-        pure_to=(purity[1] if purity[0] in ("pure_to", "impure") else code.d),
+        pure={"pure": True, "impure": False}.get(purity[0]),
+        pure_to=code.d if purity[0] == "pure" else purity[1],
         linear=code.is_linear,
         provenance=["derive"],
     )

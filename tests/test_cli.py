@@ -286,12 +286,29 @@ def test_purity_refusal_names_its_cause(five_path, shor_path, pre, code,
     assert res.output == f"Error: {message}\n"
 
 
+_ASSERTED_WARNING = ("warning: some results rest on witness or asserted "
+                      "verification only\n")
+
+
 def test_transform_shorten_params():
     res = invoke(["transform", "--rule", "shorten-n",
                   "--params", "[[5,1,0,3]]_2 pure"])
     assert res.exit_code == 0, res.output
-    payload = json.loads(res.output)
+    payload = json.loads(res.stdout)
     assert payload["output"]["bracket"] == "[[4,2,0,2]]_2"
+    # every claim of a parameter-level rule is asserted, which is flagged
+    assert res.stderr == _ASSERTED_WARNING
+
+
+def test_strict_refuses_parameter_level_rules():
+    res = invoke(["--strict", "transform", "--rule", "shorten-n",
+                  "--params", "[[5,1,0,3]]_2 pure"])
+    assert res.exit_code == 3
+    assert json.loads(res.stdout)["output"]["bracket"] == "[[4,2,0,2]]_2"
+    assert res.stderr == (
+        "warning: some results rest on witness or asserted verification "
+        "only: n' = n - 1, k' = k + 1, r' = r, d' = d - 1 (asserted), "
+        "pure (asserted)\n")
 
 
 def test_transform_combine_params():
@@ -300,8 +317,9 @@ def test_transform_combine_params():
         "--subset-assumed",
         "--params", "[[5,1,0,3]]_2 pure", "--params", "[[5,1,0,3]]_2 pure"])
     assert res.exit_code == 0, res.output
-    payload = json.loads(res.output)
+    payload = json.loads(res.stdout)
     assert payload["output"]["bracket"] == "[[10,2,0,>=3]]_2"
+    assert res.stderr == _ASSERTED_WARNING
 
 
 @pytest.mark.parametrize("second,bracket,claim", [
@@ -316,9 +334,10 @@ def test_transform_combine_disjoint(second, bracket, claim):
     res = invoke(["transform", "--rule", "combine-disjoint",
                   "--params", first, "--params", second])
     assert res.exit_code == 0, res.output
-    payload = json.loads(res.output)
+    payload = json.loads(res.stdout)
     assert payload["output"]["bracket"] == bracket
     assert payload["claims"][-1] == claim
+    assert res.stderr == _ASSERTED_WARNING
 
 
 def test_transform_missing_params():
@@ -341,6 +360,33 @@ def test_table1_unknown_q():
     res = invoke(["table1", "--q", "11"])
     assert res.exit_code != 0
     assert "no catalog rows" in res.output
+
+
+@pytest.mark.parametrize("args,kind,value", [
+    # d is a witness upper bound, so swt(C) = 2 < d proves no impurity
+    (["--distance", "witness"], "pure_to", 2),
+    # swt(C) is a witness too: the code is pure to 1, which every code is
+    (["--threshold", "8"], "pure_to", 1),
+])
+def test_analyze_witness_distance_is_not_impure(args, kind, value):
+    res = invoke(args + ["analyze", str(_DATA / "bacon_shor.json")])
+    assert res.exit_code == 0, res.output
+    purity = json.loads(res.stdout)["purity"]
+    assert (purity["kind"], purity["value"]) == (kind, value)
+
+
+@pytest.mark.parametrize("mode,rule,claim", [
+    # the output's exact swt(C') >= 3 proves it, whatever the input's d
+    ("witness", "shrink-k", "pure to 3"),
+    # every nonzero vector has swt >= 1, measured or not
+    ("skip", "extend-n", "pure to 1"),
+])
+def test_transform_exact_value_proves_claim(mode, rule, claim):
+    res = invoke(["--distance", mode, "transform",
+                  str(_DATA / "five_qubit.json"), "--rule", rule])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["verification"][claim] == (
+        "verified_exhaustive")
 
 
 def test_table1_strict_downgrade_exits_3():

@@ -11,10 +11,10 @@ from subsystem_codes.codes import (AdditiveCode, ClassicalCode,
                                    min_swt, swt_distribution)
 from subsystem_codes.gf import FieldSpec, TowerSpec
 from subsystem_codes.known import bacon_shor_code, five_qubit_code
-from subsystem_codes.rules import (MdsFamilySpec, _extend_code, _tower_for_q,
-                                   certify_mds, combine_disjoint,
-                                   combine_nested, classical_modify,
-                                   extend_length, grow_k,
+from subsystem_codes.rules import (MdsFamilySpec, _extend_code, _mds_tags,
+                                   _tower_for_q, certify_mds,
+                                   combine_disjoint, combine_nested,
+                                   classical_modify, extend_length, grow_k,
                                    hermitian_to_symplectic, mds_family,
                                    shorten_length, shrink_k,
                                    stabilizer_to_subsystem,
@@ -60,12 +60,14 @@ def test_shrink_grow_roundtrip(five):
 
 
 def test_pure_to_claim_keeps_input_method(five):
-    # the target min(d, d') is only as exact as the input values it comes
-    # from: a witness distance cannot give a verified "pure to d" claim
+    # the target min(d, d') is an upper bound when the input's d is a
+    # witness; the output's exact swt(C') >= 3 still proves "pure to 3"
     assert shrink_k(five).verification["pure to 3"] == "verified_exhaustive"
     wit = derive(five_qubit_code(), Policy(distance_mode="witness"))
     assert wit.d_method == "witness" and wit.is_pure
-    assert shrink_k(wit).verification["pure to 3"] == "witness_consistent"
+    out = shrink_k(wit)
+    assert out.output.swt_c_method == "exhaustive" and out.output.swt_c >= 3
+    assert out.verification["pure to 3"] == "verified_exhaustive"
 
 
 def test_shrink_preconditions(five, shor):
@@ -347,9 +349,9 @@ def test_certify_mds_needs_the_singleton_bound():
         return derive(C, Policy("skip"))
 
     code = derived(C)
-    d_tag, pure_tag = certify_mds(code, 2, beyond)
+    assert certify_mds(code, 2, beyond) is None     # it sets values only
     assert (code.d, code.d_method) == (2, "witness")
-    assert (d_tag, pure_tag) == ("witness_consistent", "asserted")
+    assert _mds_tags(code, 2) == ("witness_consistent", "asserted")
     with pytest.raises(AssertionError):
         certify_mds(derived(C), 3, beyond)         # a planted design d + 1
     with pytest.raises(AssertionError):
@@ -358,8 +360,8 @@ def test_certify_mds_needs_the_singleton_bound():
     with pytest.raises(EnumerationLimitError):
         certify_mds(derived(C), 2, Policy("exact", threshold=1))
     code = derived(C)
-    assert certify_mds(code, 2) == ("verified_exhaustive",
-                                    "verified_exhaustive")
+    certify_mds(code, 2)
+    assert _mds_tags(code, 2) == ("verified_exhaustive", "verified_exhaustive")
     assert (code.d, code.d_method, code.swt_c_method) == (2, "exhaustive",
                                                           "exhaustive")
 

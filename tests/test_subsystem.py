@@ -1,16 +1,18 @@
 """Deriving subsystem codes and their parameter records."""
 
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subsystem_codes import linalg
+from subsystem_codes import codes, linalg, subsystem
 from subsystem_codes.codes import (DEFAULT_THRESHOLD, AdditiveCode, dual_symp,
                                    intersect)
 from subsystem_codes.gf import FieldSpec
 from subsystem_codes.known import bacon_shor_code, five_qubit_code
+from subsystem_codes.rules import shrink_k
 from subsystem_codes.subsystem import (ParamRecord, Policy, PurityError,
                                        analysis_report, bracket_params, derive)
 
@@ -99,6 +101,60 @@ def test_k1_codes_are_pure():
         if code.K == 1:
             assert code.is_pure
             seen += 1
+
+
+# lhs kind, rhs kind, verdict on 3 >= 2 (and 3 >= 3), verdict on 2 >= 3
+@pytest.mark.parametrize("lhs,rhs,ge,lt", [
+    ("exact", "exact", True, False),
+    ("exact", "witness", True, None),
+    ("exact", "unknown", None, None),
+    ("witness", "exact", None, False),
+    ("witness", "witness", None, None),
+    ("witness", "unknown", None, None),
+    ("unknown", "exact", None, None),
+    ("unknown", "witness", None, None),
+    ("unknown", "unknown", None, None),
+])
+def test_ge_verdict_table(lhs, rhs, ge, lt):
+    # a proved value is exact and a witness is an upper bound on the true
+    # value: only an exact lhs proves lhs >= rhs, only an exact rhs refutes
+    def value(kind, x):
+        return {"exact": (x, "exhaustive"), "witness": (x, "witness"),
+                "unknown": (None, None)}[kind]
+
+    verdict = subsystem.ge_verdict
+    assert verdict(*value(lhs, 3), *value(rhs, 2)) is ge
+    assert verdict(*value(lhs, 3), *value(rhs, 3)) is ge
+    assert verdict(*value(lhs, 2), *value(rhs, 3)) is lt
+
+
+def test_purity_impure_needs_a_proved_distance():
+    shor = derive(bacon_shor_code())          # swt(C) = 2 < d = 3, both exact
+    assert shor.purity == ("impure", 2)
+    # a witness d only bounds the true d from above: swt(C) = 2 proves
+    # purity to 2, and impurity is not shown
+    assert replace(shor, d_method="witness").purity == ("pure_to", 2)
+    assert replace(shor, d_method="witness",
+                   swt_c_method="witness").purity == ("pure_to", 1)
+    # a witness swt(C) below a proved d still shows impurity
+    assert replace(shor, swt_c_method="witness").purity == ("impure", 2)
+    five = derive(five_qubit_code())          # swt(C) = 4 >= d = 3
+    assert replace(five, d_method="witness").purity == ("pure", None)
+    assert replace(five, swt_c_method="witness").purity == ("pure_to", 1)
+
+
+def test_witness_overshoot_is_no_impurity(monkeypatch):
+    # a witness search that overshoots (here: always n) reads d = 5 for a
+    # K = 1 code with exact swt(C) = 3; that proves nothing about purity,
+    # so derive must not refuse the code
+    monkeypatch.setattr(codes, "WITNESS_RANDOM_SAMPLES", 8)
+    monkeypatch.setattr(codes, "_witness_search",
+                        lambda gens, p, n_groups, *rest: n_groups)
+    C = shrink_k(derive(five_qubit_code())).output.C
+    code = derive(C, Policy("witness"))
+    assert (code.K, code.d, code.d_method) == (1, 5, "witness")
+    assert (code.swt_c, code.swt_c_method) == (3, "exhaustive")
+    assert code.purity == ("pure_to", 3)
 
 
 def test_distance_modes():
