@@ -8,7 +8,9 @@ is judged by the standard quantum Hamming bound applied to the associated
 
     sum_{j=0}^{floor((d-1)/2)} C(n,j) (q^2-1)^j  <=  q^(n-k-r),
 
-evaluated in exact integer arithmetic.
+evaluated in exact integer arithmetic.  A bound violated under a proved d
+is an internal error; a witness d, an upper bound, only overshoots the
+true d, which the report notes.
 """
 
 from __future__ import annotations
@@ -56,6 +58,13 @@ def _integral(rec: ParamRecord) -> tuple:
     return int(rec.k), int(rec.r), rec.d
 
 
+def _violated(rec: ParamRecord, notes: List[str], message: str) -> None:
+    """Raise ``message`` for a proved d; note a witness d's overshoot."""
+    if not rec.d_witness:
+        raise AssertionError(message)
+    notes.append("the witness d exceeds the bound, so the true d is smaller")
+
+
 def singleton_check(p: Union[SubsystemCode, ParamRecord]) -> BoundReport:
     """slack = (n - 2d + 2) - (k + r); zero slack on a linear code is MDS."""
     rec = _params(p)
@@ -64,12 +73,11 @@ def singleton_check(p: Union[SubsystemCode, ParamRecord]) -> BoundReport:
     notes = []
     if rec.d_is_bound:
         notes.append("d is a lower bound; slack is an upper estimate")
-    if rec.linear:
-        if slack < 0:
-            raise AssertionError(
-                f"linear parameters {rec.bracket()} violate k+r <= n-2d+2")
-    else:
+    if not rec.linear:
         notes.append("bound is conjectural for non-linear codes")
+    elif slack < 0:
+        _violated(rec, notes, f"linear parameters {rec.bracket()} violate "
+                  "k+r <= n-2d+2")
     attained = slack == 0 and bool(rec.linear)
     if slack == 0 and not rec.linear:
         notes.append("attains the bound but MDS status needs linearity")
@@ -94,6 +102,6 @@ def hamming_check(p: Union[SubsystemCode, ParamRecord]) -> BoundReport:
     notes = ["standard quantum Hamming bound on the associated "
              f"[[{rec.n},{k + r},{d}]]_{q} stabilizer code"]
     if slack < 0:
-        raise AssertionError(
-            f"parameters {rec.bracket()} violate the Hamming bound")
+        _violated(rec, notes,
+                  f"parameters {rec.bracket()} violate the Hamming bound")
     return BoundReport("hamming", slack, slack == 0, notes)

@@ -332,12 +332,8 @@ def main(args: Optional[List[str]] = None, prog_name: Optional[str] = None,
                       "analyze and transform only")
             exact = {"--distance"} if cfg.distance == "exact" else set()
             _refuse_options(cfg.given - exact, reason, "--distance", "--seed")
-        # --distance exact downgrades automatically beyond the threshold;
-        # the downgrade is reported (and fatal under --strict)
         try:
-            cfg.policy = Policy(
-                "auto" if cfg.distance == "exact" else cfg.distance,
-                threshold=cfg.threshold, seed=cfg.seed)
+            cfg.policy = Policy(cfg.distance, cfg.threshold, cfg.seed)
         except ValueError as exc:
             # Policy names the value it refuses first: "seed must be >= 0"
             raise CliError(f"Invalid value: {exc} (--{str(exc).split()[0]})")

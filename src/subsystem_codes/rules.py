@@ -70,11 +70,13 @@ class RuleResult:
 
     rule: str
     output: Union[SubsystemCode, ParamRecord]
-    claims: List[str] = dc_field(default_factory=list)
     verification: Dict[str, str] = dc_field(default_factory=dict)
 
+    @property
+    def claims(self) -> List[str]:
+        return list(self.verification)
+
     def add(self, claim: str, status: str) -> None:
-        self.claims.append(claim)
         self.verification[claim] = status
 
     def __repr__(self):
@@ -532,34 +534,31 @@ def _tower_for_q(q: int) -> TowerSpec:
     return TowerSpec(_field(*prime_power(q), None))
 
 
-def certify_mds(code: SubsystemCode, d: int,
+def certify_mds(res: RuleResult, d: int, claim: str,
                 policy: Policy = DEFAULT_POLICY) -> None:
-    """Certify the derived code of an MDS construction at its design d.
+    """Certify the derived code of an MDS construction at its design d and
+    add its claims ``claim`` (d = design d) and "pure" to ``res``.
 
-    ``code`` comes from :func:`derive` in "skip" mode, and its gauge code
-    must be F_q-linear with zero slack at the design d, so the Singleton
-    bound k + r <= n - 2d + 2 of such codes gives d <= design d.  Within
-    the threshold a complete search over coordinate sets proves
-    swt(D^perp_s) >= d (:func:`codes.dual_swt_exceeds`), and C lies in
-    D^perp_s: d is exact, C pure, and swt(C) is enumerated.  Beyond it, d
-    has method ``witness`` and swt(C) stays unset; "exact" mode raises.
-    Sets d and swt(C) on ``code``; :func:`_mds_tags` reads the claims off.
+    ``res`` comes from :func:`_derive_checked` in "skip" mode, and its
+    gauge code must be F_q-linear with zero slack at the design d, so the
+    Singleton bound k + r <= n - 2d + 2 of such codes gives d <= design d:
+    d is a witness.  If D^perp_s fits the policy (asked before it is
+    built), a complete search over coordinate sets proves swt(D^perp_s)
+    >= d (:func:`codes.dual_swt_exceeds`), and C lies in D^perp_s: d is
+    exact, C pure, and swt(C) is enumerated; else swt(C) stays unset.
     """
+    code = res.output
     code.d = d
     if not singleton_check(code).attained:          # F_q-linear, slack 0
         raise AssertionError(f"the Singleton bound does not give d <= {d}")
-    if not _dual_fits(code, policy):
-        code.d_method = "witness"
-        return
-    code.swt_c = min_swt(code.C, policy.threshold)
-    code.d_method = code.swt_c_method = "exhaustive"
-    if not (dual_swt_exceeds(code.D, d - 1) and code.is_pure):
-        raise AssertionError(f"D^perp_s has a vector of weight below {d}")
-
-
-def _mds_tags(code: SubsystemCode, d: int) -> Tuple[str, str]:
-    """The tags of a certified code's claims d = design d and pure."""
-    return _status(code.d, code.d_method, d, "exhaustive"), _pure(code)
+    code.d_method = "witness"
+    if _dual_fits(code, policy):
+        code.swt_c = min_swt(code.C, policy.threshold)
+        code.d_method = code.swt_c_method = "exhaustive"
+        if not (dual_swt_exceeds(code.D, d - 1) and code.is_pure):
+            raise AssertionError(f"D^perp_s has a vector of weight below {d}")
+    res.add(claim, _status(d, code.d_method, d, "exhaustive"))
+    res.add("pure", _pure(code))
 
 
 def mds_family(spec: MdsFamilySpec,
@@ -600,11 +599,8 @@ def mds_family(spec: MdsFamilySpec,
     m = tower.base.m
     res = _derive_checked("mds_family", C, k * m, r * m,
                           (f"k = {k}, r = {r}",), Policy("skip"))
-    certify_mds(res.output, d, policy)
-    d_tag, pure_tag = _mds_tags(res.output, d)
     res.add(f"MDS: k + r = n - 2d + 2 = {n - 2 * d + 2}", VERIFIED)
-    res.add(f"d = {d}", d_tag)
-    res.add("pure", pure_tag)
+    certify_mds(res, d, f"d = {d}", policy)
     return res
 
 

@@ -11,8 +11,9 @@ D is read off the Gram matrix G = C M C^T of C's generators
 (:func:`subsystem_codes.codes.radical`), so C^perp_s is never built;
 D^perp_s is built only to measure d.
 
-One frozen :class:`Policy` says how distances are measured.  A measured
-value carries the method backing it: ``exhaustive`` (proved, see
+One frozen :class:`Policy`, in the CLI's words, says how distances are
+measured, and :meth:`Policy.fits` sizes every span.  A measured value
+carries the method backing it: ``exhaustive`` (proved, see
 :func:`is_exact`) or ``witness`` (an upper bound).  One rule,
 :func:`ge_verdict`, decides every claim between such values, purity too.
 """
@@ -23,28 +24,28 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .codes import (DEFAULT_THRESHOLD, AdditiveCode, EnumerationLimitError,
-                    _check_span, dual_symp, min_swt, min_swt_coset, radical)
+from .codes import (DEFAULT_THRESHOLD, AdditiveCode, dual_symp, min_swt,
+                    min_swt_coset, radical)
 from .gf import prime_power
 
 __all__ = ["PurityError", "Policy", "DEFAULT_POLICY", "SubsystemCode",
            "ParamRecord", "derive", "measure_distance", "is_exact",
            "ge_verdict", "bracket_params", "analysis_report"]
 
-_DISTANCE_MODES = ("exact", "auto", "witness", "skip")
+_DISTANCE_MODES = ("exact", "witness", "skip")
 
 
 @dataclass(frozen=True)
 class Policy:
     """How derived codes get their distances measured.
 
-    distance_mode: "exact" (raise beyond the enumeration threshold),
-    "auto" (downgrade to a witness bound, recorded in the method tag),
-    "witness", or "skip".  threshold: the largest span enumerated
-    exactly; seed: witness-search seed.
+    distance_mode, as the CLI's --distance: "exact" (enumerate each span
+    that :meth:`fits`, else a witness bound, recorded in the method),
+    "witness" or "skip"; :func:`is_exact` tells a proved value from a
+    bound.  threshold: the largest span enumerated; seed: witness seed.
     """
 
-    distance_mode: str = "auto"
+    distance_mode: str = "exact"
     threshold: int = DEFAULT_THRESHOLD
     seed: int = 0
 
@@ -55,6 +56,10 @@ class Policy:
             raise ValueError("threshold must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+    def fits(self, p: int, log_p_size: int) -> bool:
+        """True iff a span of p^log_p_size vectors is within the threshold."""
+        return p**log_p_size <= self.threshold
 
 
 DEFAULT_POLICY = Policy()
@@ -94,7 +99,6 @@ class SubsystemCode:
     r_exp: int                 # log_p R
     d: Optional[int] = None
     d_method: Optional[str] = None   # exhaustive | witness
-    case: str = "a"                  # (a): D^perp_s != C, (b): equal
     swt_c: Optional[int] = None
     swt_c_method: Optional[str] = None
 
@@ -117,6 +121,10 @@ class SubsystemCode:
     @property
     def R(self) -> int:
         return self.p**self.r_exp
+
+    @property
+    def case(self) -> str:             # (a): D^perp_s != C, (b): equal
+        return "b" if self.k_exp == 0 else "a"
 
     @property
     def is_linear(self) -> bool:
@@ -156,6 +164,7 @@ class ParamRecord:
     r: Fraction
     d: Optional[int] = None
     d_is_bound: bool = False         # True: d is a lower bound ">= d"
+    d_witness: bool = False          # True: d is a witness, an upper bound
     pure: Optional[bool] = None
     pure_to: Optional[int] = None
     linear: Optional[bool] = None
@@ -205,53 +214,45 @@ def derive(C: AdditiveCode, policy: Policy = DEFAULT_POLICY) -> SubsystemCode:
     if C.rank == 0:
         raise ValueError("C must be nonzero")
     D = radical(C)
-    nm = C.n * C.field.m
     rc, rd = C.rank_p, D.rank_p
     if (rc + rd) % 2 != 0:
         raise AssertionError("|C| |D| is not an even power of p")
-    k_exp = nm - (rc + rd) // 2
-    code = SubsystemCode(C=C, D=D, k_exp=k_exp, r_exp=(rc - rd) // 2,
-                         case="b" if k_exp == 0 else "a")
+    code = SubsystemCode(C=C, D=D, k_exp=C.n * C.field.m - (rc + rd) // 2,
+                         r_exp=(rc - rd) // 2)
     if policy.distance_mode != "skip":
         measure_distance(code, policy)
     return code
 
 
 def _dual_fits(code: SubsystemCode, policy: Policy) -> bool:
-    """True iff |D^perp_s| = p^(2nm) / |D| is within the threshold, known
-    before D^perp_s is built; "exact" mode raises beyond it."""
-    k = 2 * code.n * code.field.m - code.D.rank_p
-    if policy.distance_mode == "exact":
-        _check_span(code.p, k, policy.threshold)
-    return code.p**k <= policy.threshold
+    """Whether D^perp_s, of p^(2nm) / |D| vectors, fits before it is built."""
+    return policy.fits(code.p, 2 * code.n * code.field.m - code.D.rank_p)
 
 
 def measure_distance(code: SubsystemCode, policy: Policy) -> None:
     """Set d and swt(C) of a derived code, with the methods that back them.
 
     d is the minimum over D^perp_s minus C (minus 0 in case (b)), with D
-    from :func:`derive`'s Gram matrix.  "exact" enumerates d and raises
-    :class:`EnumerationLimitError` beyond the threshold; "auto" falls back
-    to a witness bound there; "witness" searches for one outright.  swt(C)
-    is enumerated when it fits under the threshold and is otherwise a
-    witness bound in every mode.
+    from :func:`derive`'s Gram matrix.  :meth:`Policy.fits` sizes D^perp_s
+    and C before either is scanned: "exact" enumerates d when D^perp_s
+    fits, else bounds it by a witness, as "witness" does outright; swt(C)
+    is enumerated when C fits, else a witness bound, in every mode.
     """
     C, mode = code.C, policy.distance_mode
-    if mode in ("exact", "auto"):
-        mode = "exact" if _dual_fits(code, policy) else "witness"
+    if mode == "exact" and not _dual_fits(code, policy):
+        mode = "witness"
     # case (b): D^perp_s = C, and d is the minimum over all of it
     sub = None if code.case == "b" else C
     opts = dict(threshold=policy.threshold, seed=policy.seed)
     code.d, code.d_method = min_swt_coset(dual_symp(code.D), sub, mode=mode,
                                           **opts)
 
-    try:
+    if policy.fits(code.p, C.rank_p):
         code.swt_c = min_swt(C, threshold=policy.threshold)
         code.swt_c_method = "exhaustive"
-    except EnumerationLimitError:
-        if C.rank_p < 2 * code.n * C.field.m:
-            code.swt_c, code.swt_c_method = min_swt_coset(
-                C, None, mode="witness", **opts)
+    elif C.rank_p < 2 * code.n * C.field.m:
+        code.swt_c, code.swt_c_method = min_swt_coset(
+            C, None, mode="witness", **opts)
 
     if code.K == 1 and code.purity[0] == "impure":
         raise PurityError(
@@ -269,6 +270,7 @@ def bracket_params(code: SubsystemCode) -> ParamRecord:
         k=Fraction(code.k_exp, m),
         r=Fraction(code.r_exp, m),
         d=code.d,
+        d_witness=code.d_method == "witness",
         pure={"pure": True, "impure": False}.get(purity[0]),
         pure_to=code.d if purity[0] == "pure" else purity[1],
         linear=code.is_linear,

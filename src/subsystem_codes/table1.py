@@ -41,8 +41,8 @@ from typing import Dict, List, Tuple
 from . import rs
 from .codes import ClassicalCode, _pairings
 from .gf import TowerSpec
-from .rules import (ALGEBRAIC, VERIFIED, _derive_checked, _mds_tags,
-                    _tower_for_q, certify_mds, hermitian_to_symplectic)
+from .rules import (ALGEBRAIC, VERIFIED, _derive_checked, _tower_for_q,
+                    certify_mds, hermitian_to_symplectic)
 from .subsystem import DEFAULT_POLICY, Policy, SubsystemCode
 
 __all__ = ["Table1Row", "generate_table", "rows_to_csv", "rows_to_json"]
@@ -133,13 +133,10 @@ def generate_table(q: int,
         D = res.output.D
         if _pairings(D.mat, D.mat, D.n, D.field, D.t).any():
             raise AssertionError("the radical is not self-orthogonal")
-        certify_mds(res.output, d, policy)
-        d_tag, pure_tag = _mds_tags(res.output, d)
+        certify_mds(res, d, "distance", policy)
         out.append(Table1Row(q, subsystem, parent, mark, res.output, {
             "parent_distance": ALGEBRAIC, "radical_self_orthogonal": VERIFIED,
-            **res.verification, "distance": d_tag, "pure": pure_tag,
-            # certify_mds refuses a code with Singleton slack
-            "mds_slack_zero": VERIFIED}))
+            **res.verification, "mds_slack_zero": VERIFIED}))
     return out
 
 

@@ -49,6 +49,17 @@ def test_singleton_linear_violation_raises():
         singleton_check(_rec(5, 2, 4, 1, 3, linear=True))
 
 
+def test_witness_distance_past_a_bound_is_noted():
+    # a witness d is an upper bound, so only a proved d can break a bound
+    note = "the witness d exceeds the bound, so the true d is smaller"
+    rep = singleton_check(_rec(5, 2, 4, 1, 3, linear=True, d_witness=True))
+    assert (rep.slack, rep.mds, rep.notes) == (-4, False, [note])
+    with pytest.raises(AssertionError):
+        hamming_check(_rec(3, 4, 2, 0, 3, pure=True))
+    rep = hamming_check(_rec(3, 4, 2, 0, 3, pure=True, d_witness=True))
+    assert (rep.slack, rep.perfect, rep.notes[-1]) == (-42, False, note)
+
+
 def test_hamming_requires_purity():
     with pytest.raises(PurityError):
         hamming_check(_rec(9, 2, 1, 4, 3, pure=False))

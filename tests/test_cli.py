@@ -13,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import invoke
+from subsystem_codes import codes
 from subsystem_codes.cli import _PARAM_RE, main, parse_params
 from subsystem_codes.codes import AdditiveCode
+from subsystem_codes.gf import FieldSpec
 from subsystem_codes.known import bacon_shor_code, five_qubit_code
 
 
@@ -373,6 +375,37 @@ def test_analyze_witness_distance_is_not_impure(args, kind, value):
     assert res.exit_code == 0, res.output
     purity = json.loads(res.stdout)["purity"]
     assert (purity["kind"], purity["value"]) == (kind, value)
+
+
+@pytest.mark.parametrize("t,gens,bound", [
+    # F_4-linear [[3,2,1,d]]_4: a witness d = 3 has Singleton slack -4
+    (2, [[1, 0, 0, 0, 1, 0], [0, 1, 2, 0, 0, 0]], "singleton"),
+    # t = 1, true d = 1: a witness d = 3 breaks the Hamming bound
+    (1, [[1, 1, 1, 0, 0, 0], [2, 2, 2, 0, 0, 0]], "hamming"),
+])
+@pytest.mark.parametrize("args,status", [
+    (["--distance", "witness"], 0),
+    (["--threshold", "8"], 0),
+    (["--strict", "--distance", "witness"], 3),
+])
+def test_witness_overshoot_is_no_bound_violation(monkeypatch, tmp_path, t,
+                                                 gens, bound, args, status):
+    # a witness d is an upper bound: past a bound it says the true d is
+    # smaller, where a proved d would be an internal error
+    monkeypatch.setattr(codes, "WITNESS_RANDOM_SAMPLES", 8)
+    monkeypatch.setattr(codes, "_witness_search",
+                        lambda gens, p, n_groups, *rest: n_groups)
+    path = tmp_path / "code.json"
+    AdditiveCode(3, FieldSpec(2, 2), gens, t).save(path)
+    res = invoke(args + ["analyze", str(path)])
+    assert res.exit_code == status, res.output
+    report = json.loads(res.stdout)
+    assert (report["distance"]["value"], report["distance"]["method"]) == (
+        3, "witness")
+    rep = report["bounds"][bound]
+    assert rep["slack"] < 0 and not rep["attained"]
+    assert rep["notes"][-1] == (
+        "the witness d exceeds the bound, so the true d is smaller")
 
 
 @pytest.mark.parametrize("mode,rule,claim", [

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from subsystem_codes import rules
-from subsystem_codes.codes import (AdditiveCode, ClassicalCode,
-                                   EnumerationLimitError, dual_symp,
+from subsystem_codes.codes import (AdditiveCode, ClassicalCode, dual_symp,
                                    min_swt, swt_distribution)
 from subsystem_codes.gf import FieldSpec, TowerSpec
 from subsystem_codes.known import bacon_shor_code, five_qubit_code
-from subsystem_codes.rules import (MdsFamilySpec, _extend_code, _mds_tags,
+from subsystem_codes.rules import (MdsFamilySpec, RuleResult, _extend_code,
                                    _tower_for_q, certify_mds,
                                    combine_disjoint, combine_nested,
                                    classical_modify, extend_length, grow_k,
@@ -346,22 +345,27 @@ def test_certify_mds_needs_the_singleton_bound():
     beyond = Policy(threshold=1)
 
     def derived(C):
-        return derive(C, Policy("skip"))
+        return RuleResult("certify", derive(C, Policy("skip")))
 
-    code = derived(C)
-    assert certify_mds(code, 2, beyond) is None     # it sets values only
-    assert (code.d, code.d_method) == (2, "witness")
-    assert _mds_tags(code, 2) == ("witness_consistent", "asserted")
+    res = derived(C)
+    assert certify_mds(res, 2, "d = 2", beyond) is None   # it adds claims
+    assert (res.output.d, res.output.d_method) == (2, "witness")
+    assert res.verification == {"d = 2": "witness_consistent",
+                                "pure": "asserted"}
     with pytest.raises(AssertionError):
-        certify_mds(derived(C), 3, beyond)         # a planted design d + 1
+        certify_mds(derived(C), 3, "d = 3", beyond)   # a planted design d + 1
     with pytest.raises(AssertionError):
         # t = 1: not F_q-linear
-        certify_mds(derived(C.as_additive()), 2, beyond)
-    with pytest.raises(EnumerationLimitError):
-        certify_mds(derived(C), 2, Policy("exact", threshold=1))
-    code = derived(C)
-    certify_mds(code, 2)
-    assert _mds_tags(code, 2) == ("verified_exhaustive", "verified_exhaustive")
+        certify_mds(derived(C.as_additive()), 2, "d = 2", beyond)
+    # "exact" beyond the threshold is the same witness bound; it never raises
+    res = derived(C)
+    certify_mds(res, 2, "d = 2", Policy("exact", threshold=1))
+    assert (res.output.d, res.output.d_method) == (2, "witness")
+    res = derived(C)
+    certify_mds(res, 2, "d = 2")
+    assert res.verification == {"d = 2": "verified_exhaustive",
+                                "pure": "verified_exhaustive"}
+    code = res.output
     assert (code.d, code.d_method, code.swt_c_method) == (2, "exhaustive",
                                                           "exhaustive")
 

@@ -108,6 +108,15 @@ def test_report_matches_golden(q):
     assert res.stdout_bytes == golden.read_bytes()
 
 
+@pytest.mark.parametrize("q", [3, 5])
+def test_csv_report_matches_golden(q):
+    # the JSON goldens sort keys; the CSV also pins each row's claim order
+    golden = Path(__file__).parent / "golden" / f"table1_q{q}.csv"
+    res = invoke(["--format", "csv", "table1", "--q", str(q)])
+    assert res.exit_code == 0, res.output
+    assert res.stdout_bytes == golden.read_bytes()
+
+
 def test_rows_and_members_derived_once(monkeypatch):
     # each row and member is derived once, so its radical is computed once;
     # beyond the threshold D^perp_s is never scanned, so certification must
