@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from math import comb
-from typing import List, Optional, Union
+from typing import List, Union
 
 from .subsystem import ParamRecord, PurityError, SubsystemCode, bracket_params
 

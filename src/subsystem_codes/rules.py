@@ -286,21 +286,16 @@ def subsystem_to_stabilizer(code: SubsystemCode,
 # ---------------------------------------------------------------------------
 
 def _extend_code(X: AdditiveCode) -> AdditiveCode:
-    """X' = {(a alpha | b 0) : (a|b) in X, alpha in F_q} of length n+1."""
-    n, f = X.n, X.field
-    gens = []
-    for g in map(X._contract_row, X.mat):
-        row = np.zeros(2 * (n + 1), dtype=np.int64)
-        row[:n] = g[:n]
-        row[n + 1: 2 * n + 1] = g[n:]
-        gens.append(row)
-    # x-part alpha: 1 spans F_q over itself; for t < m, the encoded basis
-    # elements alpha^j = p^j span it over F_{p^t}
-    for alpha in ([1] if X.t == f.m else [f.p**j for j in range(f.m)]):
-        row = np.zeros(2 * (n + 1), dtype=np.int64)
-        row[n] = alpha
-        gens.append(row)
-    return AdditiveCode(n + 1, f, gens, X.t)
+    """X' = {(a alpha | b 0) : (a|b) in X, alpha in F_q} of length n+1, on
+    X's coefficient rows: u = m/t zero columns after the x-block and u
+    after the y-block, then the u unit rows at x_n (the digits of
+    alpha = p^j, j < u, span F_q over F_{p^t})."""
+    n, u = X.n, X.u
+    mat = np.insert(X.mat, [n * u] * u + [2 * n * u] * u, 0, axis=1)
+    units = np.zeros((u, mat.shape[1]), dtype=np.int64)
+    units[:, n * u: (n + 1) * u] = np.eye(u, dtype=np.int64)
+    return AdditiveCode._from_coeff_matrix(n + 1, X.field, X.t,
+                                           np.concatenate([mat, units]))
 
 
 def extend_length(code: SubsystemCode,
@@ -432,30 +427,32 @@ def _tower_for(field: FieldSpec) -> TowerSpec:
     return tower
 
 
-def _expand_vector(tower: TowerSpec, row: np.ndarray) -> np.ndarray:
-    """(u|v) of length 2n with row = u + beta*v entrywise; a matrix is
-    expanded row by row."""
-    return np.concatenate([tower._ex_u[row], tower._ex_v[row]], axis=-1)
+def _expand(tower: TowerSpec, rows: np.ndarray) -> AdditiveCode:
+    """The F_q-linear code {(u|v) : u + beta*v in Y} in F_q^{2n}, Y the
+    F_{q^2}-span of the independent ``rows``: the rows and beta times
+    them, each entry split by the {1, beta} expansion tables."""
+    gens = np.concatenate([rows, tower.top.mul_arr(rows, tower.beta)])
+    C = AdditiveCode._from_coeff_matrix(
+        rows.shape[1], tower.base, tower.base.m,
+        np.concatenate([tower._ex_u[gens], tower._ex_v[gens]], axis=1))
+    if C.rank != 2 * len(rows):
+        raise AssertionError("expansion lost dimensions")
+    return C
 
 
-def hermitian_to_symplectic(X: ClassicalCode,
-                            require_self_orthogonal: bool = True) -> AdditiveCode:
+def hermitian_to_symplectic(X: ClassicalCode) -> AdditiveCode:
     """C = {(u|v) : u + beta*v in X}, an F_q-linear code in F_q^{2n}.
 
-    For Hermitian self-orthogonal X the result is symplectic
-    self-orthogonal with |C| = |X|, and expansion preserves weights:
-    swt of the image of x equals the Hamming weight of x.
+    X must be Hermitian self-orthogonal (ValueError otherwise); the
+    result is then symplectic self-orthogonal, which is checked, with
+    |C| = |X|, and expansion preserves weights: swt of the image of x
+    equals the Hamming weight of x.
     """
     tower = _tower_for(X.field)
-    if require_self_orthogonal and not X.is_hermitian_self_orthogonal():
+    if not X.is_hermitian_self_orthogonal():
         raise ValueError("X is not Hermitian self-orthogonal")
-    gens = np.concatenate([_expand_vector(tower, X.mat), _expand_vector(
-        tower, X.field.mul_arr(X.mat, tower.beta))])
-    C = AdditiveCode(X.n, tower.base, gens, coeff_degree=tower.base.m)
-    if C.rank != 2 * X.rank:
-        raise AssertionError("expansion lost dimensions")
-    if require_self_orthogonal and _pairings(C.mat, C.mat, C.n, C.field,
-                                             C.t).any():
+    C = _expand(tower, X.mat)
+    if _pairings(C.mat, C.mat, C.n, C.field, C.t).any():
         raise AssertionError("image is not symplectic self-orthogonal")
     return C
 
@@ -566,9 +563,10 @@ def mds_family(spec: MdsFamilySpec,
     """Instantiate a member of the MDS subsystem code families.
 
     Families iii-vi: build the Hermitian self-orthogonal evaluation code
-    over F_{q^2}, expand it to a symplectic self-orthogonal gauge code,
-    adjoin r fresh hyperbolic pairs, derive the result once and certify it
-    with :func:`certify_mds`.  Families i and ii return parameter records only.
+    over F_{q^2}, expand it to a gauge code, adjoin r fresh hyperbolic
+    pairs, derive the result once (an expansion that is not isotropic
+    misses the promised dimensions) and certify it with
+    :func:`certify_mds`.  Families i and ii return parameter records only.
     """
     n, k, r, d = spec.target_params()
     if not spec.constructive:
@@ -583,7 +581,7 @@ def mds_family(spec: MdsFamilySpec,
 
     tower = _tower_for_q(spec.q)
     X = rs.hermitian_self_orthogonal_rs(tower, n, spec.delta)
-    C = hermitian_to_symplectic(X)
+    C = _expand(tower, X.mat)
     for _ in range(r):
         C = _adjoin_fresh_pair(C)
 

@@ -9,18 +9,18 @@ coordinate (starred rows).  The gauge code is the symplectic expansion
 of the parent; with iota = dim(Y intersect Y^perp_h) the derived
 parameters are k = n - kappa - iota and r = kappa - iota, d = iota + 1.
 Every row evaluates the run x^0 .. x^(kappa-1) (reported as offset 0).
-The expansion of Y is derived once, in "skip" mode, and must have the
-row's (log_p K, log_p R); its radical D, read off the Gram matrix of the
-generators, is the expansion of Y intersect Y^perp_h.  That derived code
-is the row's code; no radical is computed twice.
+No Y is built: the gauge code is expanded from the kappa evaluation rows,
+its rank 2 kappa checks dim Y = kappa, and it is derived once, in "skip"
+mode, with the row's (log_p K, log_p R) required; its radical D, read off
+the Gram matrix of the generators, is the expansion of Y intersect
+Y^perp_h, and the derived code is the row's code.
 
 Verification per row:
-* parent distance: Y is built from the points and the exponent run that
+* parent distance: Y evaluates the exponent run on the points that
   :func:`subsystem_codes.rs.grs_distance` checks, so Y is a generalized
   Reed-Solomon code and its distance is n - kappa + 1 with no search
   (``verified_algebraic``, for every q and independent of the threshold).
-  A punctured row evaluates on the points minus the last one, which gives
-  the punctured code, since the reduced basis is unique.
+  A punctured row evaluates on all points but the last: the punctured code.
 * radical self-orthogonality: D pairs to zero with itself.
 * dimensions by the derivation, d and purity by
   :func:`subsystem_codes.rules.certify_mds`.
@@ -38,11 +38,13 @@ import io
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from . import rs
-from .codes import ClassicalCode, _pairings
+from .codes import AdditiveCode, _pairings
 from .gf import TowerSpec
-from .rules import (ALGEBRAIC, VERIFIED, _derive_checked, _tower_for_q,
-                    certify_mds, hermitian_to_symplectic)
+from .rules import (ALGEBRAIC, VERIFIED, _derive_checked, _expand,
+                    _tower_for_q, certify_mds)
 from .subsystem import DEFAULT_POLICY, Policy, SubsystemCode
 
 __all__ = ["Table1Row", "generate_table", "rows_to_csv", "rows_to_json"]
@@ -101,17 +103,17 @@ class Table1Row:
 
 
 def _parent_code(tower: TowerSpec, parent: Tuple[int, int, int],
-                 mark: str) -> ClassicalCode:
-    """The evaluation code of x^0 .. x^(kappa-1) for one row, checked to be
-    its [n, kappa, dist] parent with the proved :func:`rs.grs_distance`."""
+                 mark: str) -> AdditiveCode:
+    """The symplectic expansion of one row's parent Y, the evaluation code
+    of x^0 .. x^(kappa-1): :func:`rs.grs_distance` proves its distance and
+    the expansion's rank 2 kappa its dimension."""
     pts = rs._field_points(tower.top, mark == "extended")
     if mark == "punctured":
         pts = pts[:-1]
-    exps = range(parent[1])
-    Y = rs.evaluation_code(tower.top, pts, exps)
-    if (Y.n, Y.rank, rs.grs_distance(pts, exps)) != parent:
+    exps = np.arange(parent[1])
+    if (len(pts), parent[1], rs.grs_distance(pts, exps)) != parent:
         raise AssertionError(f"the parent is not the row's {parent}")
-    return Y
+    return _expand(tower, tower.top.pow_arr(pts, exps[:, None]))
 
 
 def generate_table(q: int,
@@ -126,9 +128,8 @@ def generate_table(q: int,
     for subsystem, parent, mark in _ROWS[q]:
         # _derive_checked checks k and r, certify_mds's zero slack checks d
         _, k, r, d = subsystem
-        C = hermitian_to_symplectic(_parent_code(tower, parent, mark),
-                                    require_self_orthogonal=False)
-        res = _derive_checked("generate_table", C, k * m, r * m,
+        res = _derive_checked("generate_table",
+                              _parent_code(tower, parent, mark), k * m, r * m,
                               ("dimensions",), Policy("skip"))
         D = res.output.D
         if _pairings(D.mat, D.mat, D.n, D.field, D.t).any():

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from subsystem_codes import rules
+from subsystem_codes import rs, rules
 from subsystem_codes.codes import (AdditiveCode, ClassicalCode, dual_symp,
                                    min_swt, swt_distribution)
 from subsystem_codes.gf import FieldSpec, TowerSpec
@@ -137,6 +137,36 @@ def test_extend_dual_identity_random():
             assert dual_symp(_extend_code(C)) == _extend_code(dual_symp(C))
 
 
+def _extend_by_entries(X):
+    """The F_q-entry extension oracle: contract each row, place it, append
+    the alpha = p^j rows, build a validated AdditiveCode."""
+    n, f = X.n, X.field
+    gens = []
+    for g in map(X._contract_row, X.mat):
+        row = np.zeros(2 * (n + 1), dtype=np.int64)
+        row[:n] = g[:n]
+        row[n + 1: 2 * n + 1] = g[n:]
+        gens.append(row)
+    for alpha in ([1] if X.t == f.m else [f.p**j for j in range(f.m)]):
+        row = np.zeros(2 * (n + 1), dtype=np.int64)
+        row[n] = alpha
+        gens.append(row)
+    return AdditiveCode(n + 1, f, gens, X.t)
+
+
+@pytest.mark.parametrize("p,m,t", [(2, 1, 1), (3, 1, 1), (5, 1, 1),
+                                   (2, 2, 1), (2, 2, 2), (3, 2, 1),
+                                   (3, 2, 2)])
+def test_extension_in_coefficient_space_matches_entry_oracle(p, m, t):
+    rng = np.random.default_rng([51, p, m, t])
+    f = FieldSpec(p, m)
+    for _ in range(20):
+        n = int(rng.integers(1, 5))
+        gens = rng.integers(0, f.q, size=(int(rng.integers(0, 4)), 2 * n))
+        C = AdditiveCode(n, f, gens, t)
+        assert _extend_code(C) == _extend_by_entries(C)
+
+
 def test_shorten_length(five):
     res = shorten_length(five)
     assert res.output.bracket() == "[[4,2,0,2]]_2"
@@ -221,6 +251,27 @@ def test_hermitian_zero_code():
     f4 = FieldSpec(2, 2)
     C = hermitian_to_symplectic(ClassicalCode(3, f4, []))
     assert C.rank == 0
+
+
+@pytest.mark.parametrize("family,q,delta,r", [("vi", 4, 1, 0), ("vi", 4, 1, 2),
+                                             ("v", 5, 2, 1)])
+def test_mds_family_refuses_a_planted_non_isotropic_x(monkeypatch, family, q,
+                                                       delta, r):
+    # mds_family expands X without checking it again: a planted X that is
+    # not Hermitian self-orthogonal must miss the promised dimensions
+    real = rs.hermitian_self_orthogonal_rs
+
+    def planted(tower, length, delta):
+        rows = real(tower, length, delta).mat.copy()
+        rows[-1] = 0
+        rows[-1, -1] = 1                 # e_{n-1}, Hermitian norm 1
+        X = ClassicalCode(length, tower.top, rows)
+        assert X.rank == len(rows) and not X.is_hermitian_self_orthogonal()
+        return X
+
+    monkeypatch.setattr(rs, "hermitian_self_orthogonal_rs", planted)
+    with pytest.raises(AssertionError, match="^mds_family: derived "):
+        mds_family(MdsFamilySpec(q=q, family=family, delta=delta, r=r))
 
 
 # -- evaluation codes --------------------------------------------------------

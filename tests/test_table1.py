@@ -5,18 +5,18 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import invoke
-from subsystem_codes import _enum, rules, subsystem
+from subsystem_codes import _enum, linalg, rules, subsystem
 from subsystem_codes.codes import (DEFAULT_THRESHOLD, AdditiveCode,
                                    ClassicalCode, dual_swt_exceeds, dual_symp,
                                    min_swt, min_swt_coset)
 from subsystem_codes.rs import (_field_points, evaluation_code, grs_distance,
                                 hermitian_self_orthogonal_rs,
                                 mds_min_weight_codeword)
-from subsystem_codes.rules import (MdsFamilySpec, _expand_vector,
-                                   _tower_for_q, grow_k,
+from subsystem_codes.rules import (MdsFamilySpec, _tower_for_q, grow_k,
                                    hermitian_to_symplectic, mds_family)
 from subsystem_codes.subsystem import PurityError, analysis_report
 from subsystem_codes.table1 import (Table1Row, _ROWS, _parent_code,
@@ -26,6 +26,25 @@ from subsystem_codes.table1 import (Table1Row, _ROWS, _parent_code,
 @pytest.fixture(scope="module")
 def rows_q3():
     return generate_table(3)
+
+
+def _expand_vector(tower, row):
+    """(u|v) of length 2n with row = u + beta*v entrywise; a matrix is
+    expanded row by row."""
+    return np.concatenate([tower._ex_u[row], tower._ex_v[row]], axis=-1)
+
+
+def _row_points(tower, row):
+    """The evaluation points of a catalog row's parent."""
+    pts = _field_points(tower.top, row.mark == "extended")
+    return pts[:-1] if row.mark == "punctured" else pts
+
+
+def _parent(tower, row):
+    """A row's parent Y as a reduced ClassicalCode, built apart from the
+    catalog by :func:`rs.evaluation_code`."""
+    return evaluation_code(tower.top, _row_points(tower, row),
+                           range(row.parent[1]))
 
 
 def test_q3_block_fully_verified(rows_q3):
@@ -173,7 +192,7 @@ def test_singleton_bound_agrees_with_witness_search(q, member):
     for row in generate_table(q):
         assert row.verification["distance"] == "witness_consistent"
         dist = row.parent[2]
-        Y = _parent_code(tower, row.parent, row.mark)
+        Y = _parent(tower, row)
         assert int((mds_min_weight_codeword(Y) != 0).sum()) == dist
         assert _coset_witness(tower, Y.hermitian_radical(),
                               row.code.C) == row.subsystem[3]
@@ -282,12 +301,38 @@ def _catalog():
     for q in sorted(_ROWS):
         tower = _tower_for_q(q)
         for row in generate_table(q):
-            Y = _parent_code(tower, row.parent, row.mark)
-            pts = _field_points(tower.top, row.mark == "extended")
-            if row.mark == "punctured":
-                pts = pts[:-1]
-            out.append((row, Y, grs_distance(pts, range(Y.rank))))
+            Y = _parent(tower, row)
+            out.append((row, Y, grs_distance(_row_points(tower, row),
+                                             range(Y.rank))))
     return out
+
+
+def test_parent_expansion_matches_the_validated_expansion():
+    # the catalog expands the evaluation rows themselves, with no Y built;
+    # the oracle expands Y's reduced basis into a validated AdditiveCode
+    catalog = _catalog()
+    assert len(catalog) == 17
+    for row, Y, _ in catalog:
+        tower = _tower_for_q(row.q)
+        gens = np.concatenate([Y.mat, tower.top.mul_arr(Y.mat, tower.beta)])
+        want = AdditiveCode(Y.n, tower.base, _expand_vector(tower, gens),
+                            tower.base.m)
+        assert want.rank == 2 * Y.rank == 2 * row.parent[1]
+        assert _parent_code(tower, row.parent, row.mark) == want
+
+
+def test_catalog_pass_eliminates_over_f_q_only(monkeypatch):
+    # each parent is expanded from its evaluation rows, so no elimination
+    # of a pass runs over F_{q^2}
+    fields = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda mat, field: fields.append(
+        field.q) or real(mat, field))
+    for q in (3, 4, 5, 7):
+        start = len(fields)
+        generate_table(q)
+        assert q * q not in fields[start:]
+    assert len(fields) == 34
 
 
 def test_parent_certificate_agrees_with_enumeration():
