@@ -147,6 +147,8 @@ def parse_params(text: str) -> ParamRecord:
             "'[[n,k,r,d]]_q [pure] [linear]'")
     n, k, r, ge, d, q, words = m.groups()
     flags = set(words.split())
+    if {"pure", "impure"} <= flags:
+        raise CliError(f"Invalid value: {text!r} is both pure and impure")
     pure = True if "pure" in flags else False if "impure" in flags else None
     try:
         return ParamRecord(

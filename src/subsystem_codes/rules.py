@@ -20,11 +20,12 @@ A claim about measured values gets its tag from one rule,
 ``asserted`` if a value is unknown, ``verified_exhaustive`` if proved,
 ``witness_consistent`` if open; a refuted claim raises.
 
-The dimension-trading rules are constructive: a hyperbolic pair is
-adjoined to (or removed from) the gauge code, moving one unit of
-dimension between subsystem and co-subsystem.  Length extension appends a
-coordinate whose x-part ranges over the field.  Shortening and the two
-combining rules operate on parameters only.
+The dimension-trading rules are constructive: hyperbolic pairs are
+adjoined to (:func:`_adjoin_fresh_pairs`) or removed from the gauge code,
+and one trade step, :func:`_trade`, derives the result and records the
+claims of the move between subsystem and co-subsystem.  Length
+extension appends a coordinate whose x-part ranges over the field.
+Shortening and the two combining rules operate on parameters only.
 Every constructed gauge code is derived and checked against the
 (log_p K, log_p R) its producer promised in one step,
 :func:`_derive_checked`; the MDS families and the catalog in
@@ -87,10 +88,14 @@ class RuleResult:
 # constructive building blocks
 # ---------------------------------------------------------------------------
 
-def _adjoin_fresh_pair(C: AdditiveCode) -> AdditiveCode:
-    """C + span{x, z} for the first fresh hyperbolic pair commuting with C."""
-    dec = hyperbolic_decompose(C)
-    return replace(dec, pairs=dec.pairs + [fresh_pair(dec)]).span()
+def _adjoin_fresh_pairs(C: AdditiveCode, count: int) -> AdditiveCode:
+    """C plus ``count`` fresh hyperbolic pairs, the one place a gauge code
+    gains pairs: each pair span{x, z} is the first fresh pair commuting
+    with the code built so far."""
+    for _ in range(count):
+        dec = hyperbolic_decompose(C)
+        C = replace(dec, pairs=dec.pairs + [fresh_pair(dec)]).span()
+    return C
 
 
 def _drop_last_pair(C: AdditiveCode) -> AdditiveCode:
@@ -145,20 +150,6 @@ def _pure(code: SubsystemCode) -> str:
     return _status(code.swt_c, code.swt_c_method, code.d, code.d_method)
 
 
-def _add_pure_to(res: RuleResult, out: SubsystemCode,
-                 code: SubsystemCode) -> None:
-    """The claim that ``out`` is pure to min(d, d'), d' the input's level."""
-    if code.d is None:
-        res.add("pure to min(d, d')", ASSERTED)
-        return
-    kind, level = code.purity           # a pure_to level is exact
-    target, method = ((code.d, code.d_method) if kind == "pure" else
-                      (level, code.swt_c_method) if kind == "impure" else
-                      (level, "exhaustive"))
-    res.add(f"pure to {target}",
-            _status(out.swt_c, out.swt_c_method, target, method))
-
-
 # ---------------------------------------------------------------------------
 # dimension trading
 # ---------------------------------------------------------------------------
@@ -169,6 +160,33 @@ def _require_pure(code: SubsystemCode, impure: str) -> None:
     if kind != "pure":
         raise PurityError(impure if kind == "impure" else
                           "purity of the input could not be established")
+
+
+def _trade(rule: str, code: SubsystemCode, C: AdditiveCode, steps: int,
+           claims: Tuple[str, ...], policy: Policy) -> RuleResult:
+    """The paper's trade step: derive the gauge code C that ``rule`` built
+    from ``code`` by moving ``steps`` units of log_p dimension from the
+    subsystem to the co-subsystem (a negative count moves them back), then
+    claim d' >= d and purity to min(d, d'), d' the input's level, if K
+    shrank, or d' = d and pure if it did not."""
+    res = _derive_checked(rule, C, code.k_exp - steps, code.r_exp + steps,
+                          claims, policy)
+    out = res.output
+    res.add("d' >= d" if steps > 0 else "d' = d",
+            _status(out.d, out.d_method, code.d, code.d_method,
+                    equal=steps <= 0))
+    if steps <= 0:
+        res.add("pure", _pure(out))
+    elif code.d is None:
+        res.add("pure to min(d, d')", ASSERTED)
+    else:
+        kind, level = code.purity           # a pure_to level is exact
+        target, method = ((code.d, code.d_method) if kind == "pure" else
+                          (level, code.swt_c_method) if kind == "impure" else
+                          (level, "exhaustive"))
+        res.add(f"pure to {target}",
+                _status(out.swt_c, out.swt_c_method, target, method))
+    return res
 
 
 def shrink_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
@@ -189,13 +207,8 @@ def shrink_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
         _require_pure(code, f"shrinking K = p^t = {p**t} to 1 requires a "
                       "pure input code")
 
-    res = _derive_checked("shrink_k", _adjoin_fresh_pair(C),
-                          code.k_exp - t, code.r_exp + t,
-                          (f"K' = K/{p**t}", f"R' = {p**t}*R"), policy)
-    out = res.output
-    res.add("d' >= d", _status(out.d, out.d_method, code.d, code.d_method))
-    _add_pure_to(res, out, code)
-    return res
+    return _trade("shrink_k", code, _adjoin_fresh_pairs(C, 1), t,
+                  (f"K' = K/{p**t}", f"R' = {p**t}*R"), policy)
 
 
 def grow_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
@@ -216,14 +229,8 @@ def grow_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
                   "the gauge group of an impure code can absorb low-weight "
                   "errors that become logical after the trade")
 
-    res = _derive_checked("grow_k", _drop_last_pair(C),
-                          code.k_exp + t, code.r_exp - t,
-                          (f"K' = {p**t}*K", f"R' = R/{p**t}"), policy)
-    out = res.output
-    res.add("d' = d", _status(out.d, out.d_method, code.d, code.d_method,
-                              equal=True))
-    res.add("pure", _pure(out))
-    return res
+    return _trade("grow_k", code, _drop_last_pair(C), -t,
+                  (f"K' = {p**t}*K", f"R' = R/{p**t}"), policy)
 
 
 def stabilizer_to_subsystem(code: SubsystemCode, r: int,
@@ -247,16 +254,9 @@ def stabilizer_to_subsystem(code: SubsystemCode, r: int,
         res = RuleResult("stabilizer_to_subsystem", code)
         res.add("identity (r = 0)", VERIFIED)
         return res
-    C = code.C
-    for _ in range(steps_p // t):
-        C = _adjoin_fresh_pair(C)
-    res = _derive_checked("stabilizer_to_subsystem", C,
-                          code.k_exp - steps_p, steps_p,
-                          (f"k' = k - {r}", f"r' = {r}"), policy)
-    out = res.output
-    res.add("d' >= d", _status(out.d, out.d_method, code.d, code.d_method))
-    _add_pure_to(res, out, code)
-    return res
+    return _trade("stabilizer_to_subsystem", code,
+                  _adjoin_fresh_pairs(code.C, steps_p // t), steps_p,
+                  (f"k' = k - {r}", f"r' = {r}"), policy)
 
 
 def subsystem_to_stabilizer(code: SubsystemCode,
@@ -271,14 +271,8 @@ def subsystem_to_stabilizer(code: SubsystemCode,
     if code.D.rank == 0:
         raise ValueError("the radical is trivial; the associated stabilizer "
                          "code is the full space")
-    res = _derive_checked("subsystem_to_stabilizer", code.D,
-                          code.k_exp + code.r_exp, 0,
-                          ("k' = k + r", "r' = 0"), policy)
-    out = res.output
-    res.add("d' = d", _status(out.d, out.d_method, code.d, code.d_method,
-                              equal=True))
-    res.add("pure", _pure(out))
-    return res
+    return _trade("subsystem_to_stabilizer", code, code.D, -code.r_exp,
+                  ("k' = k + r", "r' = 0"), policy)
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +575,7 @@ def mds_family(spec: MdsFamilySpec,
 
     tower = _tower_for_q(spec.q)
     X = rs.hermitian_self_orthogonal_rs(tower, n, spec.delta)
-    C = _expand(tower, X.mat)
-    for _ in range(r):
-        C = _adjoin_fresh_pair(C)
+    C = _adjoin_fresh_pairs(_expand(tower, X.mat), r)
 
     if C.rank == 0:
         # delta = 0 and r = 0 for the punctured lengths: the trivial code

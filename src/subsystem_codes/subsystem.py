@@ -175,6 +175,8 @@ class ParamRecord:
         self.r = Fraction(self.r)
         p, m = prime_power(self.q)
         for name, x in (("k", self.k), ("r", self.r)):
+            if x < 0:
+                raise ValueError(f"{name} = {x} must be >= 0")
             if (x * m).denominator != 1:        # log_q of a power of p
                 raise ValueError(f"{name} = {x} must be a multiple of 1/m "
                                  f"for q = p^m = {p}^{m}")

@@ -594,6 +594,18 @@ def test_parse_params():
         parse_params("[[9,1,4]]_2")
 
 
+@pytest.mark.parametrize("words", ["pure impure", "impure pure",
+                                   "impure linear pure"])
+def test_params_both_pure_and_impure_are_refused(words):
+    # one record cannot be both, and neither word may win silently
+    text = f"[[5,1,0,3]]_2 {words}"
+    res = invoke(["transform", "--rule", "shorten-n", "--params", text])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == (f"Error: Invalid value: {text!r} is both pure "
+                          "and impure\n")
+
+
 @pytest.mark.parametrize("text,refused", [
     ("[[5,1/2,0,3]]_4 pure", None), ("[[5,1,2/3,3]]_8 pure", None),
     ("[[5,1/3,0,3]]_2 pure", "k = 1/3"), ("[[5,1,1/2,3]]_8 pure", "r = 1/2"),

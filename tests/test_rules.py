@@ -7,7 +7,7 @@ import pytest
 
 from subsystem_codes import rs, rules
 from subsystem_codes.codes import (AdditiveCode, ClassicalCode, dual_symp,
-                                   min_swt, swt_distribution)
+                                   min_swt, radical, swt_distribution)
 from subsystem_codes.gf import FieldSpec, TowerSpec
 from subsystem_codes.known import bacon_shor_code, five_qubit_code
 from subsystem_codes.rules import (MdsFamilySpec, RuleResult, _extend_code,
@@ -106,6 +106,34 @@ def test_stabilizer_to_subsystem_range(five):
         stabilizer_to_subsystem(five, 1)   # r = k is out of range
     with pytest.raises(ValueError):
         stabilizer_to_subsystem(shrink_k(five).output, 0)  # R != 1
+
+
+@pytest.mark.parametrize("p,m,t", [(2, 1, 1), (3, 1, 1), (5, 1, 1),
+                                   (2, 2, 1), (2, 2, 2), (3, 2, 2)])
+def test_stabilizer_to_subsystem_is_successive_shrinks(p, m, t):
+    # trading r log_q units at once adjoins the pairs that r*m/t one-pair
+    # trades adjoin, in the same order
+    rng = np.random.default_rng([61, p, m, t])
+    f, skip = FieldSpec(p, m), Policy("skip")
+    cases = 0
+    for _ in range(8):
+        n = int(rng.integers(2, 5))
+        gens = rng.integers(0, f.q, size=(int(rng.integers(1, 4)), 2 * n))
+        D = radical(AdditiveCode(n, f, gens, t))      # isotropic
+        if D.rank == 0:
+            continue
+        code = derive(D, skip)
+        assert code.r_exp == 0 and code.C.t == t
+        chain = code
+        for r in range(1, -(-code.k_exp // m)):
+            for _ in range(m // t):
+                chain = shrink_k(chain, policy=skip).output
+            out = stabilizer_to_subsystem(code, r, skip).output
+            assert out.C == chain.C
+            assert (out.k_exp, out.r_exp) == (chain.k_exp, chain.r_exp)
+            assert (out.k_exp, out.r_exp) == (code.k_exp - r * m, r * m)
+            cases += 1
+    assert cases >= 2           # 36 cases over the six fields
 
 
 def test_to_stabilizer_roundtrip(five):
@@ -426,7 +454,7 @@ def test_planted_wrong_promise_names_its_producer(monkeypatch, five):
     # producer promised, and the one check after derive says whose they were
     stabilizer = mds_family(MdsFamilySpec(q=3, family="vi", delta=1)).output
     assert stabilizer.r_exp == 0 and stabilizer.k_exp > 1
-    monkeypatch.setattr(rules, "_adjoin_fresh_pair", lambda C: C)
+    monkeypatch.setattr(rules, "_adjoin_fresh_pairs", lambda C, count: C)
     for producer, call in [
             ("shrink_k", lambda: shrink_k(five)),
             ("stabilizer_to_subsystem",

@@ -199,6 +199,15 @@ def test_param_record_validation():
     assert rec.to_json()["k"] == "1/2"
 
 
+@pytest.mark.parametrize("k,r,name", [(-1, 0, "k = -1"), (1, -1, "r = -1"),
+                                      (Fraction(-1, 2), 0, "k = -1/2")])
+def test_param_record_refuses_negative_dimensions(k, r, name):
+    # k and r are log_q of dimensions: a negative one describes no code
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+        ParamRecord(n=5, q=4, k=k, r=r, d=3, pure=True)
+    assert ParamRecord(n=5, q=4, k=0, r=0, d=3).bracket() == "[[5,0,0,3]]_4"
+
+
 def test_analysis_report_shape():
     rep = analysis_report(derive(five_qubit_code()))
     assert rep["bracket"] == "[[5,1,0,3]]_2"

@@ -9,7 +9,7 @@ from subsystem_codes import linalg, rs
 from subsystem_codes.codes import (AdditiveCode, _coeff_field, _pairings,
                                    dual_symp, intersect)
 from subsystem_codes.gf import FieldSpec
-from subsystem_codes.rules import (MdsFamilySpec, _adjoin_fresh_pair,
+from subsystem_codes.rules import (MdsFamilySpec, _adjoin_fresh_pairs,
                                    _tower_for_q, hermitian_to_symplectic)
 from subsystem_codes.symplectic import (HyperbolicDecomposition,
                                         _partner_pairs,
@@ -250,13 +250,13 @@ def test_adjunction_chains_match_per_partner_solves():
             dec = hyperbolic_decompose(C)
             if 2 * (dec.s + dec.r) >= dec.dim:
                 with pytest.raises(ValueError, match="no room left"):
-                    _adjoin_fresh_pair(C)
+                    _adjoin_fresh_pairs(C, 1)
                 break
             assert _same_pairs(_partner_pairs(dec), _reference_partners(dec))
             pair = _reference_fresh_pair(dec)
             assert _same_pairs([fresh_pair(dec)], [pair])
             want = replace(dec, pairs=dec.pairs + [pair]).span()
-            C = _adjoin_fresh_pair(C)
+            C = _adjoin_fresh_pairs(C, 1)
             assert C == want
             steps += 1
     assert steps >= 50
@@ -278,5 +278,5 @@ def test_adjunction_eliminates_once_per_step(monkeypatch):
         return rref(mat, field)
 
     monkeypatch.setattr(linalg, "rref", counting)
-    _adjoin_fresh_pair(C)
+    _adjoin_fresh_pairs(C, 1)
     assert sum(rows >= C.rank for rows in sizes) <= 4
