@@ -201,6 +201,9 @@ def transform(cfg: argparse.Namespace) -> int:
         if len(recs) != (1 if rule == "shorten-n" else 2):
             count = "one" if rule == "shorten-n" else "two"
             raise CliError(f"{rule} needs {count} --params")
+        if rule == "combine-nested" and not cfg.subset_assumed:
+            raise CliError("combine-nested needs --subset-assumed to confirm "
+                           "that the second code is contained in the first")
         res = _PARAM_RULES[rule](*recs, cfg)
     # the report goes first, to stdout only: a refused format writes no file
     saves = bool(cfg.emit) and isinstance(res.output, SubsystemCode)
@@ -229,8 +232,12 @@ def family(cfg: argparse.Namespace) -> int:
     """Instantiate a member of the MDS subsystem code families."""
     if cfg.family == "i":
         _refuse_options(cfg.given, "does not apply to family i", "--delta")
+        if cfg.n is None or cfg.d is None:
+            raise CliError("family i needs --n and --d")
     else:
         _refuse_options(cfg.given, "applies only to family i", "--n", "--d")
+        if cfg.delta is None:
+            raise CliError(f"family {cfg.family} needs --delta")
     res = rules.mds_family(rules.MdsFamilySpec(
         q=cfg.q, family=cfg.family, delta=cfg.delta, r=cfg.target_r,
         n=cfg.n, d=cfg.d), cfg.policy)

@@ -548,6 +548,18 @@ def swt_distribution(code: AdditiveCode,
 # classical codes
 # ---------------------------------------------------------------------------
 
+def _conj(field: FieldSpec, a) -> np.ndarray:
+    """Frobenius x -> x^sqrt(q) on every entry, for a square field."""
+    if field.m % 2 != 0:
+        raise ValueError("Hermitian operations need a square field")
+    return field.pow_arr(a, field.p**(field.m // 2))
+
+
+def _hermitian_gram(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """conj(G) G^T: <g_i|g_j>_h = sum g_i^sqrt(q) g_j of the rows of G."""
+    return linalg.matmul(_conj(field, rows), rows.T, field)
+
+
 class ClassicalCode(_Code):
     """A linear code over F_q (or F_{q^2}) in canonical generator form."""
 
@@ -568,32 +580,22 @@ class ClassicalCode(_Code):
 
     # -- duals ---------------------------------------------------------------
 
-    def _conj(self, a) -> np.ndarray:
-        """Frobenius x -> x^sqrt(q) on every entry, for a square field."""
-        if self.field.m % 2 != 0:
-            raise ValueError("Hermitian operations need a square field")
-        return self.field.pow_arr(a, self.field.p**(self.field.m // 2))
-
     def dual(self, kind: str = "euclidean") -> "ClassicalCode":
         if kind == "euclidean":
             mat = self.mat
         elif kind == "hermitian":
-            mat = self._conj(self.mat)
+            mat = _conj(self.field, self.mat)
         else:
             raise ValueError(f"unknown dual kind {kind!r}")
         return self._spanned(*linalg.reduced_nullspace(mat, self.field))
 
-    def _hermitian_gram(self) -> np.ndarray:
-        """conj(G) G^T: <g_i|g_j>_h = sum g_i^sqrt(q) g_j of the generators."""
-        return linalg.matmul(self._conj(self.mat), self.mat.T, self.field)
-
     def is_hermitian_self_orthogonal(self) -> bool:
         """All Hermitian products of generators vanish: conj(G) G^T = 0."""
-        return not self._hermitian_gram().any()
+        return not _hermitian_gram(self.field, self.mat).any()
 
     def hermitian_radical(self) -> "ClassicalCode":
         """Y intersect Y^perp_h: a·G is in it iff conj(G) G^T a^T = 0."""
-        return _kernel_span(self, self._hermitian_gram())
+        return _kernel_span(self, _hermitian_gram(self.field, self.mat))
 
     def intersect(self, other: "ClassicalCode") -> "ClassicalCode":
         return intersect(self, other)

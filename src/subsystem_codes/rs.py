@@ -13,8 +13,9 @@ The Hermitian self-orthogonal members used by the MDS subsystem families
 evaluate x^1..x^delta on the nonzero elements of F_q or F_{q^2} (lengths
 q-1, q^2-1) or x^0..x^delta on the whole field (lengths q, q^2; these are
 the parity extensions of the corresponding punctured codes).  Points are
-taken in generator-power order from the exp table and every row comes
-from one array power (``FieldSpec.pow_arr``).
+taken in generator-power order from the exp table, every row comes from
+one array power (``FieldSpec.pow_arr``), and the families expand these
+rows as they are: no code over F_{q^2} is built.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .codes import ClassicalCode
+from .codes import ClassicalCode, _hermitian_gram
 from .gf import FieldSpec, TowerSpec
 
 __all__ = ["evaluation_code", "grs_distance", "hermitian_self_orthogonal_rs",
@@ -79,14 +80,14 @@ def _field_points(field: FieldSpec, include_zero: bool,
 
 
 def hermitian_self_orthogonal_rs(tower: TowerSpec, length: int,
-                                 delta: int) -> ClassicalCode:
-    """The self-orthogonal evaluation code behind a given family length.
+                                 delta: int) -> np.ndarray:
+    """The evaluation rows over F_{q^2} behind a given family length.
 
     length must be one of q-1, q, q^2-1, q^2 for q = tower.base.q.  The
     points are the nonzero elements of F_q (length <= q) or of F_{q^2},
-    with 0 added for lengths q and q^2.  The result has dimension delta
-    (exponents 1..delta) without 0 and delta+1 (exponents 0..delta) with
-    it.  For delta = 0 the zero code is returned for the shorter lengths.
+    with 0 added for lengths q and q^2, and the exponents 1..delta (none
+    for delta = 0) or, with 0, 0..delta.  :func:`grs_distance` proves the
+    rows independent; their Hermitian Gram matrix is zero.
     """
     q = tower.base.q
     if length not in (q - 1, q, q * q - 1, q * q):
@@ -94,12 +95,15 @@ def hermitian_self_orthogonal_rs(tower: TowerSpec, length: int,
     with_zero = length in (q, q * q)
     # F_q* in F_{q^2} is generated by g^(q+1)
     pts = _field_points(tower.top, with_zero, q + 1 if length <= q else 1)
-    code = evaluation_code(tower.top, pts, range(1 - with_zero, delta + 1))
-    if not code.is_hermitian_self_orthogonal():
+    exps = np.arange(1 - with_zero, delta + 1)
+    if len(exps):
+        grs_distance(pts, exps)
+    rows = tower.top.pow_arr(pts, exps[:, None])
+    if _hermitian_gram(tower.top, rows).any():
         raise AssertionError(
             f"constructed code of length {length}, delta {delta} is not "
             "Hermitian self-orthogonal")
-    return code
+    return rows
 
 
 def mds_min_weight_codeword(

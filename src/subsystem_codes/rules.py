@@ -556,10 +556,10 @@ def mds_family(spec: MdsFamilySpec,
                policy: Policy = DEFAULT_POLICY) -> RuleResult:
     """Instantiate a member of the MDS subsystem code families.
 
-    Families iii-vi: build the Hermitian self-orthogonal evaluation code
-    over F_{q^2}, expand it to a gauge code, adjoin r fresh hyperbolic
-    pairs, derive the result once (an expansion that is not isotropic
-    misses the promised dimensions) and certify it with
+    Families iii-vi: expand the F_{q^2} rows of the Hermitian
+    self-orthogonal evaluation code, as the catalog parents are, adjoin r
+    fresh hyperbolic pairs, derive the result once (an expansion that is
+    not isotropic misses the promised dimensions) and certify it with
     :func:`certify_mds`.  Families i and ii return parameter records only.
     """
     n, k, r, d = spec.target_params()
@@ -574,8 +574,8 @@ def mds_family(spec: MdsFamilySpec,
         return res
 
     tower = _tower_for_q(spec.q)
-    X = rs.hermitian_self_orthogonal_rs(tower, n, spec.delta)
-    C = _adjoin_fresh_pairs(_expand(tower, X.mat), r)
+    rows = rs.hermitian_self_orthogonal_rs(tower, n, spec.delta)
+    C = _adjoin_fresh_pairs(_expand(tower, rows), r)
 
     if C.rank == 0:
         # delta = 0 and r = 0 for the punctured lengths: the trivial code

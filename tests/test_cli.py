@@ -573,6 +573,50 @@ def test_options_that_apply_or_come_from_the_environment(five_path):
     assert res.exit_code == 0, res.output
 
 
+_PURE5 = "[[5,1,0,3]]_2 pure"
+
+
+@pytest.mark.parametrize("args,env,message", [
+    (["transform", "--rule", "combine-nested", "-r", "0", "--params", _PURE5,
+      "--params", _PURE5], {},
+     "combine-nested needs --subset-assumed to confirm"),
+    # a false value from the environment leaves the flag unset
+    (["transform", "--rule", "combine-nested", "-r", "0", "--params", _PURE5,
+      "--params", _PURE5], {"SUBSYS_TRANSFORM_SUBSET_ASSUMED": "0"},
+     "combine-nested needs --subset-assumed to confirm"),
+    (["family", "--family", "v", "--q", "4"], {}, "family v needs --delta"),
+    (["family", "--family", "ii", "--q", "3", "-r", "1"], {},
+     "family ii needs --delta"),
+    (["family", "--family", "i", "--q", "4", "--n", "4"], {},
+     "family i needs --n and --d"),
+    (["family", "--family", "i", "--q", "4", "--d", "2"], {},
+     "family i needs --n and --d"),
+    (["family", "--family", "i", "--q", "4"], {"SUBSYS_FAMILY_N": "4"},
+     "family i needs --n and --d"),
+])
+def test_missing_inputs_are_usage_errors_naming_the_flag(args, env, message):
+    # refused before the library runs, in the CLI's words, not its keywords
+    res = invoke(args, env=env)
+    assert res.exit_code == 2
+    assert res.stderr == f"Error: {message}" + (
+        " that the second code is contained in the first\n"
+        if "subset" in message else "\n")
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args,env", [
+    (["transform", "--rule", "combine-nested", "-r", "0", "--params", _PURE5,
+      "--params", _PURE5], {"SUBSYS_TRANSFORM_SUBSET_ASSUMED": "1"}),
+    (["family", "--family", "v", "--q", "4"], {"SUBSYS_FAMILY_DELTA": "1"}),
+    (["family", "--family", "i", "--q", "4", "--n", "4"],
+     {"SUBSYS_FAMILY_D": "2"}),
+])
+def test_missing_inputs_may_come_from_the_environment(args, env):
+    res = invoke(args, env=env)
+    assert res.exit_code == 0, res.output
+    json.loads(res.stdout)
+
+
 def test_family_bad_range():
     res = invoke(["family", "--family", "iii", "--q", "3",
                   "--delta", "1"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subsystem_codes import gf
-from subsystem_codes.codes import ClassicalCode
+from subsystem_codes.codes import ClassicalCode, _hermitian_gram
 from subsystem_codes.gf import FieldSpec, TowerSpec, conway_polynomial
 
 # classical table values for the standard (Conway) moduli, as coefficient
@@ -297,7 +297,7 @@ def test_hermitian_product_matches_schoolbook(p, m):
     for n in (0, 1, 2, 5, 9):
         for _ in range(6):
             code = ClassicalCode(n, f, rng.integers(0, f.q, size=(3, n)))
-            gram = code._hermitian_gram()
+            gram = _hermitian_gram(f, code.mat)
             assert gram.shape == (code.rank, code.rank)
             for i, x in enumerate(code.mat.tolist()):
                 for j, y in enumerate(code.mat.tolist()):

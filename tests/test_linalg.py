@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from subsystem_codes import linalg
-from subsystem_codes.codes import (AdditiveCode, ClassicalCode, _pairings,
-                                   dual_symp)
+from subsystem_codes.codes import (AdditiveCode, ClassicalCode, _conj,
+                                   _pairings, dual_symp)
 from subsystem_codes.gf import FieldSpec
 
 
@@ -243,7 +243,7 @@ def test_duals_match_reduced_nullspace_reference(p, m, t):
         cc = ClassicalCode(length, f, rng.integers(
             0, f.q, (int(rng.integers(0, length + 2)), length)))
         for kind in ("euclidean", "hermitian") if m % 2 == 0 else ("euclidean",):
-            mat = cc.mat if kind == "euclidean" else cc._conj(cc.mat)
+            mat = cc.mat if kind == "euclidean" else _conj(f, cc.mat)
             want = ClassicalCode(length, f, linalg.nullspace(mat, f))
             got = cc.dual(kind)
             assert got == want and got.pivots == want.pivots

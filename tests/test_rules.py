@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from subsystem_codes import rs, rules
+from subsystem_codes import linalg, rs, rules
 from subsystem_codes.codes import (AdditiveCode, ClassicalCode, dual_symp,
                                    min_swt, radical, swt_distribution)
 from subsystem_codes.gf import FieldSpec, TowerSpec
@@ -285,17 +285,18 @@ def test_hermitian_zero_code():
                                              ("v", 5, 2, 1)])
 def test_mds_family_refuses_a_planted_non_isotropic_x(monkeypatch, family, q,
                                                        delta, r):
-    # mds_family expands X without checking it again: a planted X that is
-    # not Hermitian self-orthogonal must miss the promised dimensions
+    # mds_family expands X's rows without checking them again: planted
+    # rows that are not Hermitian self-orthogonal must miss the promised
+    # dimensions
     real = rs.hermitian_self_orthogonal_rs
 
     def planted(tower, length, delta):
-        rows = real(tower, length, delta).mat.copy()
+        rows = real(tower, length, delta).copy()
         rows[-1] = 0
         rows[-1, -1] = 1                 # e_{n-1}, Hermitian norm 1
         X = ClassicalCode(length, tower.top, rows)
         assert X.rank == len(rows) and not X.is_hermitian_self_orthogonal()
-        return X
+        return rows
 
     monkeypatch.setattr(rs, "hermitian_self_orthogonal_rs", planted)
     with pytest.raises(AssertionError, match="^mds_family: derived "):
@@ -319,8 +320,80 @@ def test_self_orthogonal_family_codes():
         tw = TowerSpec(FieldSpec(p, m))
         for length in (q - 1, q, q * q - 1, q * q):
             delta = 1 if length > q else 0
-            X = hermitian_self_orthogonal_rs(tw, length, delta)
+            rows = hermitian_self_orthogonal_rs(tw, length, delta)
+            X = ClassicalCode(length, tw.top, rows)
             assert X.is_hermitian_self_orthogonal()
+
+
+def _admitted_deltas(q, family):
+    """The deltas MdsFamilySpec admits for ``family`` over q, with r = 0."""
+    out = []
+    for delta in range(q):
+        try:
+            MdsFamilySpec(q=q, family=family, delta=delta)
+        except ValueError:
+            continue
+        out.append(delta)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_family_rows_span_the_evaluation_code(q):
+    # the rows span the code the families built before, by
+    # rs.evaluation_code on the same points and exponents, and it is
+    # Hermitian self-orthogonal; the first delta past each range,
+    # (1 + subfield) delta >= q - 1, is refused
+    tower = _tower_for_q(q)
+    for family, (subfield, zero) in rules._CONSTRUCTIVE.items():
+        length = (q if subfield else q * q) - 1 + zero
+        points = rs._field_points(tower.top, zero, q + 1 if subfield else 1)
+        past = (q - 1 + subfield) // (1 + subfield)
+        deltas = _admitted_deltas(q, family)
+        # k >= 1 also leaves out the top of the range for some members
+        assert deltas == list(range(len(deltas))) and len(deltas) <= past
+        for delta in deltas:
+            rows = hermitian_self_orthogonal_rs(tower, length, delta)
+            exps = range(1 - zero, delta + 1)
+            assert rows.shape == (len(exps), length)
+            X = ClassicalCode(length, tower.top, rows)
+            assert X.rank == len(rows)
+            assert X == evaluation_code(tower.top, points, exps)
+            assert X.is_hermitian_self_orthogonal()
+        with pytest.raises(AssertionError,
+                           match="not Hermitian self-orthogonal"):
+            hermitian_self_orthogonal_rs(tower, length, past)
+
+
+def test_family_members_build_no_code_over_f_q2(monkeypatch):
+    # as for the catalog parents, the rows are expanded as they are: no
+    # member (every delta, r <= 2) builds a ClassicalCode or eliminates
+    # over F_{q^2}
+    built, fields = [], []
+    init, rref = ClassicalCode.__init__, linalg.rref
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ClassicalCode, "__init__", counting_init)
+    monkeypatch.setattr(linalg, "rref", lambda mat, field: fields.append(
+        field.q) or rref(mat, field))
+    members = 0
+    for q in (2, 3, 4, 5, 7):
+        for family in rules._CONSTRUCTIVE:
+            for delta in _admitted_deltas(q, family):
+                for r in range(3):
+                    try:
+                        spec = MdsFamilySpec(q=q, family=family, delta=delta,
+                                             r=r)
+                    except ValueError:
+                        continue
+                    start = len(fields)
+                    mds_family(spec, Policy(threshold=1))
+                    assert fields[start:] and q * q not in fields[start:]
+                    members += 1
+    assert not built
+    assert members == 134
 
 
 # -- MDS families ------------------------------------------------------------
@@ -419,7 +492,8 @@ def test_family_spec_matches_per_family_formulas():
 
 def test_certify_mds_needs_the_singleton_bound():
     # [[3,1,0,2]]_4 of family iii; threshold 1 takes every code beyond it
-    X = hermitian_self_orthogonal_rs(_tower_for_q(4), 3, 1)
+    tower = _tower_for_q(4)
+    X = ClassicalCode(3, tower.top, hermitian_self_orthogonal_rs(tower, 3, 1))
     C = hermitian_to_symplectic(X)
     beyond = Policy(threshold=1)
 
@@ -476,7 +550,7 @@ def test_family_k0_boundary():
 def test_weight_distribution_isometry():
     # expansion preserves the full weight distribution, not just minimums
     tw = TowerSpec(FieldSpec(3, 1))
-    X = hermitian_self_orthogonal_rs(tw, 8, 1)
+    X = ClassicalCode(8, tw.top, hermitian_self_orthogonal_rs(tw, 8, 1))
     C = hermitian_to_symplectic(X)
     assert np.array_equal(swt_distribution(C), _hamming_distribution(X))
 

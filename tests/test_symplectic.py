@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from subsystem_codes import linalg, rs
-from subsystem_codes.codes import (AdditiveCode, _coeff_field, _pairings,
-                                   dual_symp, intersect)
+from subsystem_codes.codes import (AdditiveCode, ClassicalCode,
+                                   _coeff_field, _pairings, dual_symp,
+                                   intersect)
 from subsystem_codes.gf import FieldSpec
 from subsystem_codes.rules import (MdsFamilySpec, _adjoin_fresh_pairs,
                                    _tower_for_q, hermitian_to_symplectic)
@@ -241,11 +242,17 @@ def _family_members():
                 break
 
 
+def _family_code(q, n, delta):
+    """The expansion of a family member's rows before any pair is added."""
+    tower = _tower_for_q(q)
+    rows = rs.hermitian_self_orthogonal_rs(tower, n, delta)
+    return hermitian_to_symplectic(ClassicalCode(n, tower.top, rows))
+
+
 def test_adjunction_chains_match_per_partner_solves():
     steps = 0
     for q, n, delta in _family_members():
-        C = hermitian_to_symplectic(
-            rs.hermitian_self_orthogonal_rs(_tower_for_q(q), n, delta))
+        C = _family_code(q, n, delta)
         for _ in range(3):
             dec = hyperbolic_decompose(C)
             if 2 * (dec.s + dec.r) >= dec.dim:
@@ -266,8 +273,7 @@ def test_adjunction_eliminates_once_per_step(monkeypatch):
     # family vi, q = 5, delta = 3 has 8 isotropic generators; adjoining a
     # pair reduces the span, the partner system, the complement and the
     # output span once each: no system as large as R is solved per partner
-    C = hermitian_to_symplectic(
-        rs.hermitian_self_orthogonal_rs(_tower_for_q(5), 25, 3))
+    C = _family_code(5, 25, 3)
     dec = hyperbolic_decompose(C)
     assert dec.s >= 4
     sizes = []

@@ -201,7 +201,9 @@ def test_singleton_bound_agrees_with_witness_search(q, member):
     res = mds_family(spec)
     d = spec.target_params()[3]
     assert res.verification[f"d = {d}"] == "witness_consistent"
-    X = hermitian_self_orthogonal_rs(tower, res.output.n, delta)
+    n = res.output.n
+    X = ClassicalCode(n, tower.top, hermitian_self_orthogonal_rs(tower, n,
+                                                                 delta))
     assert _coset_witness(tower, X, res.output.C) == d
 
 
