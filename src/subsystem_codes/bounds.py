@@ -8,9 +8,9 @@ is judged by the standard quantum Hamming bound applied to the associated
 
     sum_{j=0}^{floor((d-1)/2)} C(n,j) (q^2-1)^j  <=  q^(n-k-r),
 
-evaluated in exact integer arithmetic.  A bound violated under a proved d
-is an internal error; a witness d, an upper bound, only overshoots the
-true d, which the report notes.
+evaluated in exact integer arithmetic.  A bound violated under a d proved
+from below is an internal error; a witness d, an upper bound, only
+overshoots the true d, which the report notes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import List, Union
 
-from .subsystem import ParamRecord, PurityError, SubsystemCode, bracket_params
+from .subsystem import (ParamRecord, PurityError, SubsystemCode,
+                        bracket_params, interval)
 
 __all__ = ["BoundReport", "singleton_check", "hamming_check"]
 
@@ -59,8 +60,8 @@ def _integral(rec: ParamRecord) -> tuple:
 
 
 def _violated(rec: ParamRecord, notes: List[str], message: str) -> None:
-    """Raise ``message`` for a proved d; note a witness d's overshoot."""
-    if not rec.d_witness:
+    """Raise ``message`` if lo(d) = d; else note the witness d's overshoot."""
+    if interval(rec.d, rec.d_method)[0] == rec.d:
         raise AssertionError(message)
     notes.append("the witness d exceeds the bound, so the true d is smaller")
 
@@ -71,7 +72,7 @@ def singleton_check(p: Union[SubsystemCode, ParamRecord]) -> BoundReport:
     k, r, d = _integral(rec)
     slack = (rec.n - 2 * d + 2) - (k + r)
     notes = []
-    if rec.d_is_bound:
+    if rec.d_method == "lower":
         notes.append("d is a lower bound; slack is an upper estimate")
     if not rec.linear:
         notes.append("bound is conjectural for non-linear codes")

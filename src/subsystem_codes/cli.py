@@ -25,7 +25,7 @@ from typing import List, Optional
 from . import __version__, bounds, rules, table1 as table1_mod
 from .codes import DEFAULT_THRESHOLD, AdditiveCode
 from .subsystem import (ParamRecord, Policy, SubsystemCode, analysis_report,
-                        bracket_params, derive, is_exact)
+                        bracket_params, derive, interval)
 
 
 class CliError(Exception):
@@ -90,10 +90,11 @@ def _check_strict(cfg: argparse.Namespace, downgraded: List[str]) -> int:
 
 
 def _code_downgrades(code: SubsystemCode) -> List[str]:
-    """The code's values that rest on a witness or an unproved argument."""
-    return [f"{value} ({method})" for value, method in
-            (("distance", code.d_method), ("purity", code.swt_c_method))
-            if method is not None and not is_exact(method)]
+    """The code's measured values that are not proved from below."""
+    return [f"{name} ({method})" for name, value, method in
+            (("distance", code.d, code.d_method),
+             ("purity", code.swt_c, code.swt_c_method))
+            if value is not None and interval(value, method)[0] != value]
 
 
 def _rule_report(cfg: argparse.Namespace, res: rules.RuleResult, head: str,
@@ -153,7 +154,7 @@ def parse_params(text: str) -> ParamRecord:
     try:
         return ParamRecord(
             n=int(n), q=int(q), k=Fraction(k), r=Fraction(r), d=int(d),
-            d_is_bound=ge is not None, pure=pure,
+            d_method="lower" if ge else None, pure=pure,
             linear=True if "linear" in flags else None, provenance=["cli"])
     except ZeroDivisionError:
         raise CliError(f"Invalid value: {text!r} has a zero denominator")

@@ -17,8 +17,8 @@ together with how far each claim could actually be checked:
 
 A claim about measured values gets its tag from one rule,
 :func:`_status` over :func:`subsystem_codes.subsystem.ge_verdict`:
-``asserted`` if a value is unknown, ``verified_exhaustive`` if proved,
-``witness_consistent`` if open; a refuted claim raises.
+``verified_exhaustive`` if proved, ``asserted`` if open with a value
+unknown, else ``witness_consistent``; a refuted claim raises.
 
 The dimension-trading rules are constructive: hyperbolic pairs are
 adjoined to (:func:`_adjoin_fresh_pairs`) or removed from the gauge code,
@@ -122,27 +122,17 @@ def _derive_checked(rule: str, C: AdditiveCode, k_exp: int, r_exp: int,
     return res
 
 
-def _working_code(code: SubsystemCode, t: Optional[int]) -> AdditiveCode:
-    """The gauge code of ``code`` viewed over the coefficient field F_{p^t}."""
-    if t in (None, code.C.t):
-        return code.C
-    if t == 1:
-        return code.C.as_additive()
-    raise ValueError(
-        f"coefficient degree {t} requires an F_q-linear input code")
-
-
 def _status(lhs: Optional[int], lhs_method: Optional[str], rhs: Optional[int],
             rhs_method: Optional[str], equal: bool = False) -> str:
     """The tag of the claim lhs >= rhs (lhs = rhs if ``equal``)."""
-    if lhs is None or rhs is None:
-        return ASSERTED
     verdicts = {ge_verdict(lhs, lhs_method, rhs, rhs_method)}
     if equal:
         verdicts.add(ge_verdict(rhs, rhs_method, lhs, lhs_method))
     if False in verdicts:
         raise AssertionError(f"claim refuted: {lhs} against {rhs}")
-    return WITNESS if None in verdicts else VERIFIED
+    if None in verdicts:
+        return ASSERTED if lhs is None or rhs is None else WITNESS
+    return VERIFIED
 
 
 def _pure(code: SubsystemCode) -> str:
@@ -180,25 +170,25 @@ def _trade(rule: str, code: SubsystemCode, C: AdditiveCode, steps: int,
     elif code.d is None:
         res.add("pure to min(d, d')", ASSERTED)
     else:
-        kind, level = code.purity           # a pure_to level is exact
+        kind, level = code.purity           # a pure_to level is stated
         target, method = ((code.d, code.d_method) if kind == "pure" else
                           (level, code.swt_c_method) if kind == "impure" else
-                          (level, "exhaustive"))
+                          (level, None))
         res.add(f"pure to {target}",
                 _status(out.swt_c, out.swt_c_method, target, method))
     return res
 
 
-def shrink_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
+def shrink_k(code: SubsystemCode,
              policy: Policy = DEFAULT_POLICY) -> RuleResult:
     """Trade one unit of subsystem dimension for co-subsystem dimension.
 
     From ((n,K,R,d))_q pure to d', build ((n, K/p^t, p^t R, >= d))_q pure
-    to min{d, d'} by adjoining a fresh hyperbolic pair to the gauge code.
-    Requires K > p^t, or K = p^t with the code pure.
+    to min{d, d'} by adjoining a fresh hyperbolic pair to the gauge code,
+    p^t the size of its coefficient field (derive ``C.as_additive()`` for
+    steps of p).  Requires K > p^t, or K = p^t with the code pure.
     """
-    C = _working_code(code, coeff_degree)
-    t, p = C.t, code.p
+    C, t, p = code.C, code.C.t, code.p
     if code.k_exp == 0:
         raise ValueError("the subsystem is already trivial (K = 1)")
     if code.k_exp < t:
@@ -211,8 +201,7 @@ def shrink_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
                   (f"K' = K/{p**t}", f"R' = {p**t}*R"), policy)
 
 
-def grow_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
-           policy: Policy = DEFAULT_POLICY) -> RuleResult:
+def grow_k(code: SubsystemCode, policy: Policy = DEFAULT_POLICY) -> RuleResult:
     """Trade one unit of co-subsystem dimension back into the subsystem.
 
     From a pure ((n,K,R,d))_q code with R > 1, build a pure
@@ -221,13 +210,15 @@ def grow_k(code: SubsystemCode, coeff_degree: Optional[int] = None,
     the distance can drop (the 3x3 grid code with gauge pairs removed
     would otherwise beat the best known stabilizer parameters).
     """
-    C = _working_code(code, coeff_degree)
-    t, p = C.t, code.p
+    C, t, p = code.C, code.C.t, code.p
     if code.r_exp < t:
         raise ValueError(f"R = {code.R} is smaller than p^t = {p**t}")
     _require_pure(code, "growing the subsystem requires a pure input code; "
                   "the gauge group of an impure code can absorb low-weight "
                   "errors that become logical after the trade")
+    if code.D.rank == 0 and code.r_exp == t:
+        raise ValueError("the radical is trivial; the gauge code is one "
+                         "hyperbolic pair, and dropping it leaves no code")
 
     return _trade("grow_k", code, _drop_last_pair(C), -t,
                   (f"K' = {p**t}*K", f"R' = R/{p**t}"), policy)
@@ -310,7 +301,7 @@ def extend_length(code: SubsystemCode,
         raise AssertionError("dualization does not commute with extension")
     res.add("dual of extension = extension of dual", VERIFIED)
     res.add("d' >= d", _status(out.d, out.d_method, code.d, code.d_method))
-    res.add("pure to 1", VERIFIED)      # every nonzero vector has swt >= 1
+    res.add("pure to 1", _status(out.swt_c, out.swt_c_method, 1, None))
     return res
 
 
@@ -325,8 +316,8 @@ def shorten_length(params: Union[SubsystemCode, ParamRecord]) -> RuleResult:
         raise ValueError("shortening requires n >= 2")
     out = ParamRecord(
         n=rec.n - 1, q=rec.q, k=rec.k + 1, r=rec.r, d=rec.d - 1,
-        d_is_bound=rec.d_is_bound, pure=True, linear=rec.linear,
-        provenance=list(rec.provenance) + ["shorten_length"])
+        d_method="lower" if rec.d_method == "lower" else None, pure=True,
+        linear=rec.linear, provenance=rec.provenance + ["shorten_length"])
     res = RuleResult("shorten_length", out)
     res.add("n' = n - 1, k' = k + 1, r' = r, d' = d - 1", ASSERTED)
     res.add("pure", ASSERTED)
@@ -361,7 +352,7 @@ def combine_disjoint(p1: Union[SubsystemCode, ParamRecord],
     d = min(a.d, a.d + b.d - int(b.k + b.r))
     out = ParamRecord(
         n=a.n + b.n - int(b.k + b.r), q=2, k=a.k + a.r - r, r=r,
-        d=max(d, 1), d_is_bound=True, pure=None,
+        d=max(d, 1), d_method="lower", pure=None,
         provenance=a.provenance + b.provenance + ["combine_disjoint"])
     res = RuleResult("combine_disjoint", out)
     res.add("n' = n1 + n2 - k2 - r2, k' = k1 + r1 - r, r' = r", ASSERTED)
@@ -396,7 +387,7 @@ def combine_nested(p1: Union[SubsystemCode, ParamRecord],
         raise ValueError(f"r = {r} out of range [0, {total}]")
     d = min(a.d, 2 * b.d)
     out = ParamRecord(
-        n=2 * a.n, q=a.q, k=total - r, r=r, d=d, d_is_bound=True,
+        n=2 * a.n, q=a.q, k=total - r, r=r, d=d, d_method="lower",
         pure=True, provenance=a.provenance + b.provenance
         + ["combine_nested", "nesting assumed by caller"])
     res = RuleResult("combine_nested", out)
@@ -548,7 +539,7 @@ def certify_mds(res: RuleResult, d: int, claim: str,
         code.d_method = code.swt_c_method = "exhaustive"
         if not (dual_swt_exceeds(code.D, d - 1) and code.is_pure):
             raise AssertionError(f"D^perp_s has a vector of weight below {d}")
-    res.add(claim, _status(d, code.d_method, d, "exhaustive"))
+    res.add(claim, _status(d, code.d_method, d, None))
     res.add("pure", _pure(code))
 
 

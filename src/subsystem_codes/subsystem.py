@@ -12,10 +12,10 @@ D is read off the Gram matrix G = C M C^T of C's generators
 D^perp_s is built only to measure d.
 
 One frozen :class:`Policy`, in the CLI's words, says how distances are
-measured, and :meth:`Policy.fits` sizes every span.  A measured value
-carries the method backing it: ``exhaustive`` (proved, see
-:func:`is_exact`) or ``witness`` (an upper bound).  One rule,
-:func:`ge_verdict`, decides every claim between such values, purity too.
+measured, and :meth:`Policy.fits` sizes every span.  A value carries the
+method backing it, and :func:`interval` reads the bounds it proves
+(every swt is at least 1).  One rule, :func:`ge_verdict`, decides every
+claim between such values, purity too.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .codes import (DEFAULT_THRESHOLD, AdditiveCode, dual_symp, min_swt,
 from .gf import prime_power
 
 __all__ = ["PurityError", "Policy", "DEFAULT_POLICY", "SubsystemCode",
-           "ParamRecord", "derive", "measure_distance", "is_exact",
+           "ParamRecord", "derive", "measure_distance", "interval",
            "ge_verdict", "bracket_params", "analysis_report"]
 
 _DISTANCE_MODES = ("exact", "witness", "skip")
@@ -41,7 +41,7 @@ class Policy:
 
     distance_mode, as the CLI's --distance: "exact" (enumerate each span
     that :meth:`fits`, else a witness bound, recorded in the method),
-    "witness" or "skip"; :func:`is_exact` tells a proved value from a
+    "witness" or "skip"; :func:`interval` tells a proved value from a
     bound.  threshold: the largest span enumerated; seed: witness seed.
     """
 
@@ -65,24 +65,25 @@ class Policy:
 DEFAULT_POLICY = Policy()
 
 
-def is_exact(method: Optional[str]) -> bool:
-    """True iff a value with this method tag was proved."""
-    return method == "exhaustive"
+def interval(value: Optional[int], method: Optional[str]) -> tuple:
+    """Bounds (lo, hi) on a value: (v, v) if "exhaustive" or stated (None),
+    (1, v) if "witness", (v, None) if "lower", (1, None) if v is unknown."""
+    if method not in (None, "exhaustive", "witness", "lower"):
+        raise ValueError(f"unknown distance method {method!r}")
+    lo = 1 if value is None or method == "witness" else value
+    return lo, (None if value is None or method == "lower" else value)
 
 
 def ge_verdict(lhs: Optional[int], lhs_method: Optional[str],
                rhs: Optional[int], rhs_method: Optional[str]
                ) -> Optional[bool]:
-    """Whether lhs >= rhs is proved (True), refuted (False) or open (None).
-
-    A proved value is exact; a witness (a found vector's weight, or the
-    Singleton bound's design d) is an upper bound on the true value.  So
-    lhs >= rhs needs an exact lhs, lhs < rhs an exact rhs, and an unknown
-    value (None) leaves the claim open."""
-    if lhs is None or rhs is None or not is_exact(
-            lhs_method if lhs >= rhs else rhs_method):
-        return None
-    return lhs >= rhs
+    """Whether lhs >= rhs is proved (True), refuted (False) or open (None):
+    proved iff lo(lhs) >= hi(rhs), refuted iff hi(lhs) < lo(rhs)."""
+    lo, hi = interval(lhs, lhs_method)
+    rhs_lo, rhs_hi = interval(rhs, rhs_method)
+    if rhs_hi is not None and lo >= rhs_hi:
+        return True
+    return False if hi is not None and hi < rhs_lo else None
 
 
 class PurityError(ValueError):
@@ -133,13 +134,13 @@ class SubsystemCode:
     @property
     def purity(self) -> Tuple[str, Optional[int]]:
         """One of ("pure", None), ("pure_to", d'), ("impure", swt_C): swt(C)
-        >= d proved, refuted (only a proved d can refute it), or open, and
-        then pure to swt(C) if it is exact, else to 1, as every code is."""
+        >= d proved, refuted (only a lower bound on d can refute it), or
+        open, and then pure to the lower bound on swt(C), 1 at least."""
         verdict = ge_verdict(self.swt_c, self.swt_c_method, self.d,
                              self.d_method)
         if verdict is not None:
             return ("pure", None) if verdict else ("impure", self.swt_c)
-        return ("pure_to", self.swt_c if is_exact(self.swt_c_method) else 1)
+        return ("pure_to", interval(self.swt_c, self.swt_c_method)[0])
 
     @property
     def is_pure(self) -> bool:
@@ -163,8 +164,7 @@ class ParamRecord:
     k: Fraction
     r: Fraction
     d: Optional[int] = None
-    d_is_bound: bool = False         # True: d is a lower bound ">= d"
-    d_witness: bool = False          # True: d is a witness, an upper bound
+    d_method: Optional[str] = None   # what d proves, read by interval()
     pure: Optional[bool] = None
     pure_to: Optional[int] = None
     linear: Optional[bool] = None
@@ -184,11 +184,13 @@ class ParamRecord:
             raise ValueError("length must be >= 1")
         if self.d is not None and self.d < 1:
             raise ValueError("distance must be >= 1")
+        interval(self.d, self.d_method)         # refuses an unknown method
         if self.k + self.r > self.n:
             raise ValueError("K*R exceeds q^n")
 
     def bracket(self) -> str:
-        d = "?" if self.d is None else (f">={self.d}" if self.d_is_bound else str(self.d))
+        d = "?" if self.d is None else (
+            f">={self.d}" if self.d_method == "lower" else str(self.d))
         return f"[[{self.n},{self.k},{self.r},{d}]]_{self.q}"
 
     def to_json(self) -> dict:
@@ -198,7 +200,7 @@ class ParamRecord:
             "k": str(self.k),
             "r": str(self.r),
             "d": self.d,
-            "d_is_bound": self.d_is_bound,
+            "d_is_bound": self.d_method == "lower",
             "pure": self.pure,
             "pure_to": self.pure_to,
             "linear": self.linear,
@@ -272,7 +274,7 @@ def bracket_params(code: SubsystemCode) -> ParamRecord:
         k=Fraction(code.k_exp, m),
         r=Fraction(code.r_exp, m),
         d=code.d,
-        d_witness=code.d_method == "witness",
+        d_method=code.d_method,
         pure={"pure": True, "impure": False}.get(purity[0]),
         pure_to=code.d if purity[0] == "pure" else purity[1],
         linear=code.is_linear,

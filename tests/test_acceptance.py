@@ -168,7 +168,7 @@ def test_criterion_6_rule_claims_exhaustive(verdict):
                       for v in ext.verification.values())
             # dimension trade: K/p for p*R without losing distance
             if code.k_exp >= 1 and (code.k_exp > 1 or code.is_pure):
-                res = shrink_k(code, coeff_degree=1)
+                res = shrink_k(code)
                 sh = res.output
                 ok &= (sh.K, sh.R) == (code.K // p, code.R * p)
                 ok &= sh.K == 1 or sh.d >= code.d

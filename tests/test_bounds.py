@@ -52,11 +52,11 @@ def test_singleton_linear_violation_raises():
 def test_witness_distance_past_a_bound_is_noted():
     # a witness d is an upper bound, so only a proved d can break a bound
     note = "the witness d exceeds the bound, so the true d is smaller"
-    rep = singleton_check(_rec(5, 2, 4, 1, 3, linear=True, d_witness=True))
+    rep = singleton_check(_rec(5, 2, 4, 1, 3, linear=True, d_method="witness"))
     assert (rep.slack, rep.mds, rep.notes) == (-4, False, [note])
     with pytest.raises(AssertionError):
         hamming_check(_rec(3, 4, 2, 0, 3, pure=True))
-    rep = hamming_check(_rec(3, 4, 2, 0, 3, pure=True, d_witness=True))
+    rep = hamming_check(_rec(3, 4, 2, 0, 3, pure=True, d_method="witness"))
     assert (rep.slack, rep.perfect, rep.notes[-1]) == (-42, False, note)
 
 

@@ -266,6 +266,21 @@ def test_transform_grow_on_impure_fails(shor_path):
     assert "grid" in res.output or "absorb" in res.output.lower()
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_transform_grow_refuses_a_lone_hyperbolic_pair(tmp_path, p):
+    # [[1,0,1,1]]_p: the gauge code is one pair with a trivial radical, so
+    # dropping the pair would leave the zero code
+    path = tmp_path / "pair.json"
+    AdditiveCode(1, FieldSpec(p), [[1, 0], [0, 1]]).save(path)
+    assert json.loads(invoke(["analyze", str(path)]).stdout)["bracket"] == (
+        f"[[1,0,1,1]]_{p}")
+    res = invoke(["transform", str(path), "--rule", "grow-k"])
+    assert res.exit_code == 1
+    assert res.output == ("Error: the radical is trivial; the gauge code is "
+                          "one hyperbolic pair, and dropping it leaves no "
+                          "code\n")
+
+
 @pytest.mark.parametrize("pre, code, rule, message", [
     (["--threshold", "1"], "five", "shrink-k", "purity of the input could "
      "not be established"),
@@ -485,13 +500,26 @@ def test_family_command():
 
 
 def test_family_delta0_member_has_singleton_witness():
-    # d = 1 is an upper bound from the Singleton bound, as for delta > 0
+    # d = 1 is an upper bound from the Singleton bound, as for delta > 0;
+    # every distance is at least 1, so that witness proves d = 1
     res = invoke(["family", "--family", "v", "--q", "4",
                   "--delta", "0", "-r", "1"])
     assert res.exit_code == 0, res.output
     payload = json.loads(res.stdout)
     assert payload["output"]["distance"]["method"] == "witness"
-    assert payload["verification"]["d = 1"] == "witness_consistent"
+    assert payload["verification"]["d = 1"] == "verified_exhaustive"
+
+
+def test_family_distance_one_is_proved_and_strict_passes():
+    # d = 1 and swt(C) >= 1 hold for every code: no claim is left open
+    args = ["family", "--family", "v", "--q", "4", "--delta", "0", "-r", "1"]
+    payload = json.loads(invoke(args).stdout)
+    assert payload["output"]["params"]["d"] == 1
+    assert payload["output"]["purity"]["kind"] == "pure"
+    assert {payload["verification"][c] for c in ("d = 1", "pure")} == {
+        "verified_exhaustive"}
+    res = invoke(["--strict", *args])
+    assert res.exit_code == 0 and res.stderr == "", res.output
 
 
 def test_family_parameter_level():
@@ -633,7 +661,7 @@ def test_deterministic_output(five_path):
 def test_parse_params():
     rec = parse_params("[[9,1,4,>=3]]_2 impure linear")
     assert (rec.n, int(rec.k), int(rec.r), rec.d) == (9, 1, 4, 3)
-    assert rec.d_is_bound and rec.pure is False and rec.linear is True
+    assert rec.d_method == "lower" and rec.pure is False and rec.linear is True
     with pytest.raises(Exception):
         parse_params("[[9,1,4]]_2")
 

@@ -93,10 +93,9 @@ def test_linear_coeff_degree():
     res = shrink_k(code)                 # t defaults to m: one q-unit
     assert res.output.k_exp == code.k_exp - 2
     assert res.output.C.t == 2           # linearity is preserved
-    res1 = shrink_k(code, coeff_degree=1)
+    res1 = shrink_k(derive(C.as_additive()))   # finer trades: t = 1
     assert res1.output.k_exp == code.k_exp - 1
-    with pytest.raises(ValueError):
-        shrink_k(derive(C.as_additive()), coeff_degree=2)
+    assert res1.output.C.t == 1
 
 
 def test_stabilizer_to_subsystem_range(five):
@@ -229,7 +228,7 @@ def test_combine_disjoint_trivial_bound():
     b = ParamRecord(n=5, q=2, k=3, r=0, d=1, pure=True)
     res = combine_disjoint(a, b, 0)
     assert res.output.bracket() == "[[5,1,0,>=1]]_2"
-    assert res.output.d == 1 and res.output.d_is_bound
+    assert res.output.d == 1 and res.output.d_method == "lower"
     assert res.claims[-1] == ("d' >= 1 is the trivial bound "
                               "(min(d1, d1 + d2 - k2 - r2) = -1)")
 

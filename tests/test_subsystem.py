@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from subsystem_codes import codes, linalg, subsystem
 from subsystem_codes.codes import (DEFAULT_THRESHOLD, AdditiveCode, dual_symp,
@@ -107,25 +108,75 @@ def test_k1_codes_are_pure():
 @pytest.mark.parametrize("lhs,rhs,ge,lt", [
     ("exact", "exact", True, False),
     ("exact", "witness", True, None),
+    ("exact", "lower", None, False),
     ("exact", "unknown", None, None),
+    ("stated", "stated", True, False),
     ("witness", "exact", None, False),
     ("witness", "witness", None, None),
+    ("witness", "lower", None, False),
     ("witness", "unknown", None, None),
+    ("lower", "exact", True, None),
+    ("lower", "witness", True, None),
+    ("lower", "lower", None, None),
+    ("lower", "unknown", None, None),
     ("unknown", "exact", None, None),
     ("unknown", "witness", None, None),
+    ("unknown", "lower", None, None),
     ("unknown", "unknown", None, None),
 ])
 def test_ge_verdict_table(lhs, rhs, ge, lt):
-    # a proved value is exact and a witness is an upper bound on the true
-    # value: only an exact lhs proves lhs >= rhs, only an exact rhs refutes
-    def value(kind, x):
-        return {"exact": (x, "exhaustive"), "witness": (x, "witness"),
-                "unknown": (None, None)}[kind]
-
+    # each value is the interval its method proves: exact (a proof, or a
+    # stated number), [1, x] for a witness, [x, oo) for a lower bound and
+    # [1, oo) unknown; lhs >= rhs is proved iff lo(lhs) >= hi(rhs) and
+    # refuted iff hi(lhs) < lo(rhs)
     verdict = subsystem.ge_verdict
-    assert verdict(*value(lhs, 3), *value(rhs, 2)) is ge
-    assert verdict(*value(lhs, 3), *value(rhs, 3)) is ge
-    assert verdict(*value(lhs, 2), *value(rhs, 3)) is lt
+    assert verdict(*_value(lhs, 3), *_value(rhs, 2)) is ge
+    assert verdict(*_value(lhs, 3), *_value(rhs, 3)) is ge
+    assert verdict(*_value(lhs, 2), *_value(rhs, 3)) is lt
+
+
+def _value(kind, x):
+    return {"exact": (x, "exhaustive"), "stated": (x, None),
+            "witness": (x, "witness"), "lower": (x, "lower"),
+            "unknown": (None, None)}[kind]
+
+
+@pytest.mark.parametrize("lhs", ["exact", "stated", "witness", "lower",
+                                 "unknown"])
+@pytest.mark.parametrize("rhs,proved", [
+    ("exact", True), ("witness", True), ("lower", None), ("unknown", None)])
+def test_ge_verdict_against_one(lhs, rhs, proved):
+    # every value is at least 1, so lhs >= rhs is proved whatever backs lhs
+    # once rhs is at most 1: exactly 1, or a witness 1
+    for x in (1, 2):
+        assert subsystem.ge_verdict(*_value(lhs, x), *_value(rhs, 1)) is proved
+
+
+@given(lhs=st.one_of(st.none(), st.integers(1, 6)),
+       rhs=st.one_of(st.none(), st.integers(2, 6)),
+       lhs_method=st.sampled_from(["exhaustive", "witness"]),
+       rhs_method=st.sampled_from(["exhaustive", "witness"]))
+def test_ge_verdict_keeps_the_exactness_rule_above_one(lhs, rhs, lhs_method,
+                                                       rhs_method):
+    # with rhs > 1 the bounds give the rule they replaced: lhs >= rhs needs
+    # an exact lhs, lhs < rhs an exact rhs, and an unknown value is open
+    exact = lhs is not None and rhs is not None and (
+        lhs_method if lhs >= rhs else rhs_method) == "exhaustive"
+    assert subsystem.ge_verdict(lhs, lhs_method, rhs, rhs_method) is (
+        lhs >= rhs if exact else None)
+
+
+def test_interval_reads_each_method():
+    interval = subsystem.interval
+    assert interval(3, "exhaustive") == interval(3, None) == (3, 3)
+    assert interval(3, "witness") == (1, 3)
+    assert interval(3, "lower") == (3, None)
+    assert interval(None, None) == (1, None)
+    for word in ("exact", "analytic", "Witness", ""):
+        with pytest.raises(ValueError, match="unknown distance method"):
+            interval(3, word)
+        with pytest.raises(ValueError, match="unknown distance method"):
+            subsystem.ParamRecord(n=3, q=2, k=1, r=0, d=2, d_method=word)
 
 
 def test_purity_impure_needs_a_proved_distance():
