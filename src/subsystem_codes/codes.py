@@ -21,17 +21,21 @@ forms; :func:`_layout` writes each row g as its t prime-field digit rows
 alpha^j g with each coordinate's digits contiguous, for the
 :mod:`subsystem_codes._enum` kernel.  The minimum scan visits one vector
 per F_{p^t} scalar class of A minus B: the counter ranges [p^i, 2 p^i) of
-the whole layout for i = kb, kb + t, .. (:func:`_class_min`).  Beyond the
-enumeration threshold a randomized witness search gives an upper bound
-instead; witness mode scans a span of at most ``WITNESS_RANDOM_SAMPLES``
-elements outright.  :func:`dual_swt_exceeds` bounds swt(D^perp_s) from
-below by a search over coordinate sets, with no span.
+the whole layout for i = kb, kb + t, .. (:func:`_class_min`).  Every scan
+takes one frozen :class:`Policy`, whose :meth:`Policy.fits` is the one
+size test.  A scan that returns its method reads the mode as ``derive``
+does: beyond the threshold, or in "witness" mode, a randomized witness
+search gives an upper bound.  A scan that returns a bare number
+enumerates in every mode, and raises :class:`EnumerationLimitError`
+beyond the threshold.  :func:`dual_swt_exceeds` bounds swt(D^perp_s)
+from below by a search over coordinate sets, with no span.
 """
 
 from __future__ import annotations
 
 import json
 from copy import copy
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, islice, product
 from typing import List, Optional, Tuple
@@ -52,6 +56,8 @@ __all__ = [
     "min_swt_coset",
     "ClassicalCode",
     "DEFAULT_THRESHOLD",
+    "Policy",
+    "DEFAULT_POLICY",
     "WITNESS_RANDOM_SAMPLES",
 ]
 
@@ -60,8 +66,38 @@ WITNESS_RANDOM_SAMPLES = 10**6
 _WITNESS_COMBO_CAP = 10**6
 
 
+@dataclass(frozen=True)
+class Policy:
+    """How weights and distances are measured.
+
+    distance_mode, as the CLI's --distance: "exact" (enumerate each span
+    that :meth:`fits`, else a witness bound, recorded in the method),
+    "witness" or "skip"; threshold: the largest span enumerated; seed:
+    the witness seed.
+    """
+
+    distance_mode: str = "exact"
+    threshold: int = DEFAULT_THRESHOLD
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.distance_mode not in ("exact", "witness", "skip"):
+            raise ValueError(f"unknown distance mode {self.distance_mode!r}")
+        if self.threshold < 1:
+            raise ValueError("threshold must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+    def fits(self, p: int, log_p_size: int) -> bool:
+        """True iff a span of p^log_p_size vectors is within the threshold."""
+        return p**log_p_size <= self.threshold
+
+
+DEFAULT_POLICY = Policy()
+
+
 class EnumerationLimitError(RuntimeError):
-    """Raised when an exact enumeration would exceed the threshold."""
+    """Raised when a bare-number scan would enumerate beyond the threshold."""
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +453,6 @@ def _split(a, b) -> np.ndarray:
                                          if c not in taken]]])
 
 
-def _check_span(p: int, k: int, threshold: int) -> None:
-    if p**k > threshold:
-        raise EnumerationLimitError(
-            f"span size {p}^{k} exceeds threshold {threshold}")
-
-
 def _coset_rows(a, b) -> Tuple[np.ndarray, int, int]:
     """A's rows over its coefficient field F_{p^t} split by :func:`_split`
     and laid out, B's digit-row count, and t; B None is {0}."""
@@ -430,28 +460,35 @@ def _coset_rows(a, b) -> Tuple[np.ndarray, int, int]:
     return _layout(a, rows), 0 if b is None else b.rank_p, a.coeff_field.m
 
 
-def _min_scan(a, b, threshold: int, mode: str = "exact",
-              seed: int = 0) -> Tuple[int, str]:
-    """Minimum group weight over span(A) minus span(B) and its tag, for
-    codes of either kind; B a subcode of A, None is {0}.  See
-    :func:`min_swt_coset` for the modes."""
+def _exact(code, policy: Policy) -> Policy:
+    """``policy`` in "exact" mode, for a bare-number scan of ``code``."""
+    p, k = code.field.p, code.rank_p
+    if not policy.fits(p, k):
+        raise EnumerationLimitError(
+            f"span size {p}^{k} exceeds threshold {policy.threshold}")
+    return replace(policy, distance_mode="exact")
+
+
+def _min_scan(a, b, policy: Policy) -> Tuple[int, str]:
+    """Minimum group weight over span(A) minus span(B) and the method that
+    backs it, for codes of either kind; B a subcode of A, None is {0}.
+    See :func:`min_swt_coset` for the modes."""
     if b is not None and not a.contains_code(b):
         raise ValueError("B is not a subcode of A")
     if a.rank_p == (0 if b is None else b.rank_p):
         raise ValueError("A equals B: the difference set is empty")
+    if policy.distance_mode == "skip":
+        raise ValueError("distance mode 'skip' measures no weight")
     p = a.field.p
-    if mode == "exact":
-        _check_span(p, a.rank_p, threshold)
-    elif mode != "witness":
-        raise ValueError(f"unknown mode {mode!r}")
+    exact = policy.distance_mode == "exact" and policy.fits(p, a.rank_p)
     gens, kb, t = _coset_rows(a, b)
-    if mode == "witness" and p**len(gens) > WITNESS_RANDOM_SAMPLES:
+    if not exact and p**len(gens) > WITNESS_RANDOM_SAMPLES:
         return _witness_search(gens, p, a.n, gens.shape[1] // a.n, kb,
-                               len(gens) - kb, seed), mode
-    # in witness mode the span has no more vectors than the random search
-    # would draw, so the exact minimum is the tightest upper bound
+                               len(gens) - kb, policy.seed), "witness"
+    # a witness of a span no larger than the random search would draw is
+    # its exact minimum, the tightest upper bound
     return (_class_min(gens, p, a.n, kb, t),
-            "exhaustive" if mode == "exact" else mode)
+            "exhaustive" if exact else "witness")
 
 
 def _class_min(gens: np.ndarray, p: int, n: int, kb: int, t: int = 1) -> int:
@@ -476,23 +513,23 @@ def _class_min(gens: np.ndarray, p: int, n: int, kb: int, t: int = 1) -> int:
     return best
 
 
-def min_swt(code: AdditiveCode, threshold: int = DEFAULT_THRESHOLD) -> int:
-    """Exact minimum symplectic weight by full span enumeration."""
-    return _min_scan(code, None, threshold)[0]
+def min_swt(code: AdditiveCode, policy: Policy = DEFAULT_POLICY) -> int:
+    """Exact minimum symplectic weight by full span enumeration, in every
+    distance mode; EnumerationLimitError beyond ``policy.threshold``."""
+    return _min_scan(code, None, _exact(code, policy))[0]
 
 
 def min_swt_coset(a: AdditiveCode, b: Optional[AdditiveCode],
-                  mode: str = "exact", threshold: int = DEFAULT_THRESHOLD,
-                  seed: int = 0) -> Tuple[int, str]:
+                  policy: Policy = DEFAULT_POLICY) -> Tuple[int, str]:
     """Minimum symplectic weight over A \\ B (B a subcode of A; None is {0}).
 
-    ``exact`` enumerates the coset space fully and returns the tag
-    ``"exhaustive"``; ``witness`` returns an upper bound with tag
-    ``"witness"``: the exact minimum when span(A) has at most
-    ``WITNESS_RANDOM_SAMPLES`` elements, else the result of a bounded
-    search (generator combinations plus seeded random sampling).
+    "exact" enumerates span(A) if it fits the policy, tag "exhaustive",
+    else falls back to "witness": an upper bound, the exact minimum when
+    span(A) has at most ``WITNESS_RANDOM_SAMPLES`` elements, else the
+    result of a bounded search (generator combinations plus random
+    sampling from ``policy.seed``).  "skip" is refused.
     """
-    return _min_scan(a, b, threshold, mode, seed)
+    return _min_scan(a, b, policy)
 
 
 def _witness_search(gens, p, n_groups, group_size, kb, ke, seed) -> int:
@@ -535,10 +572,10 @@ def _witness_search(gens, p, n_groups, group_size, kb, ke, seed) -> int:
 
 
 def swt_distribution(code: AdditiveCode,
-                     threshold: int = DEFAULT_THRESHOLD) -> np.ndarray:
-    """Histogram of symplectic weights over the whole code (index = weight)."""
+                     policy: Policy = DEFAULT_POLICY) -> np.ndarray:
+    """Histogram of symplectic weights (index = weight), as :func:`min_swt`."""
+    _exact(code, policy)
     p, k = code.field.p, code.rank_p
-    _check_span(p, k, threshold)
     gens = _layout(code, code.mat)
     return _enum.weight_distribution(gens, p, code.n, gens.shape[1] // code.n,
                                      0, p**k)
@@ -602,14 +639,14 @@ class ClassicalCode(_Code):
 
     # -- weights -------------------------------------------------------------
 
-    def min_wt(self, threshold: int = DEFAULT_THRESHOLD) -> int:
-        """Exact minimum Hamming weight by enumeration."""
-        return _min_scan(self, None, threshold)[0]
+    def min_wt(self, policy: Policy = DEFAULT_POLICY) -> int:
+        """Exact minimum Hamming weight by enumeration, as :func:`min_swt`."""
+        return _min_scan(self, None, _exact(self, policy))[0]
 
     def min_wt_coset(self, sub: "ClassicalCode",
-                     threshold: int = DEFAULT_THRESHOLD) -> Tuple[int, str]:
-        """Minimum Hamming weight over self \\ sub, by enumeration."""
-        return _min_scan(self, sub, threshold)
+                     policy: Policy = DEFAULT_POLICY) -> Tuple[int, str]:
+        """Minimum Hamming weight over self \\ sub, as min_swt_coset."""
+        return _min_scan(self, sub, policy)
 
     # -- classical modifications --------------------------------------------
 

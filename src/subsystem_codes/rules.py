@@ -25,7 +25,8 @@ adjoined to (:func:`_adjoin_fresh_pairs`) or removed from the gauge code,
 and one trade step, :func:`_trade`, derives the result and records the
 claims of the move between subsystem and co-subsystem.  Length
 extension appends a coordinate whose x-part ranges over the field.
-Shortening and the two combining rules operate on parameters only.
+Shortening and the two combining rules operate on parameters only, and
+refuse an input d that is only a witness, an upper bound (:func:`_proved_d`).
 Every constructed gauge code is derived and checked against the
 (log_p K, log_p R) its producer promised in one step,
 :func:`_derive_checked`; the MDS families and the catalog in
@@ -47,7 +48,7 @@ from .codes import (AdditiveCode, ClassicalCode, _field, _pairings,
                     dual_swt_exceeds, dual_symp, min_swt)
 from .gf import FieldSpec, TowerSpec, prime_power
 from .subsystem import (DEFAULT_POLICY, ParamRecord, Policy, PurityError,
-                        SubsystemCode, _dual_fits, derive, ge_verdict)
+                        SubsystemCode, derive, ge_verdict, interval)
 from .symplectic import fresh_pair, hyperbolic_decompose
 
 __all__ = [
@@ -305,6 +306,13 @@ def extend_length(code: SubsystemCode,
     return res
 
 
+def _proved_d(*recs: ParamRecord) -> None:
+    """Refuse an input d that the parameter rules cannot bound d' from."""
+    if any(interval(rec.d, rec.d_method)[0] != rec.d for rec in recs):
+        raise ValueError("every input distance must be proved from below; "
+                         "a witness d is only an upper bound")
+
+
 def shorten_length(params: Union[SubsystemCode, ParamRecord]) -> RuleResult:
     """Pure ((n,K,R,d))_q -> pure ((n-1, qK, R, d-1))_q, parameter level."""
     rec = _params(params)
@@ -314,6 +322,7 @@ def shorten_length(params: Union[SubsystemCode, ParamRecord]) -> RuleResult:
         raise ValueError("shortening requires d >= 2")
     if rec.n < 2:
         raise ValueError("shortening requires n >= 2")
+    _proved_d(rec)
     out = ParamRecord(
         n=rec.n - 1, q=rec.q, k=rec.k + 1, r=rec.r, d=rec.d - 1,
         d_method="lower" if rec.d_method == "lower" else None, pure=True,
@@ -343,8 +352,7 @@ def combine_disjoint(p1: Union[SubsystemCode, ParamRecord],
         raise ValueError("this combination rule applies to q = 2 only")
     if a.pure is not True or b.pure is not True:
         raise PurityError("both input codes must be pure")
-    if a.d is None or b.d is None:
-        raise ValueError("both input distances must be known")
+    _proved_d(a, b)
     if b.k + b.r > a.n:
         raise ValueError(f"k2 + r2 = {b.k + b.r} exceeds n1 = {a.n}")
     if not 0 <= r < a.k + a.r:
@@ -380,8 +388,7 @@ def combine_nested(p1: Union[SubsystemCode, ParamRecord],
         raise ValueError("both codes must share length and field size")
     if a.pure is not True or b.pure is not True:
         raise PurityError("both input codes must be pure")
-    if a.d is None or b.d is None:
-        raise ValueError("both input distances must be known")
+    _proved_d(a, b)
     total = a.k + a.r + b.k + b.r
     if not 0 <= r <= total:
         raise ValueError(f"r = {r} out of range [0, {total}]")
@@ -534,8 +541,8 @@ def certify_mds(res: RuleResult, d: int, claim: str,
     if not singleton_check(code).attained:          # F_q-linear, slack 0
         raise AssertionError(f"the Singleton bound does not give d <= {d}")
     code.d_method = "witness"
-    if _dual_fits(code, policy):
-        code.swt_c = min_swt(code.C, policy.threshold)
+    if policy.fits(code.p, 2 * code.n * code.field.m - code.D.rank_p):
+        code.swt_c = min_swt(code.C, policy)
         code.d_method = code.swt_c_method = "exhaustive"
         if not (dual_swt_exceeds(code.D, d - 1) and code.is_pure):
             raise AssertionError(f"D^perp_s has a vector of weight below {d}")

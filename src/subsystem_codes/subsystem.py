@@ -11,58 +11,26 @@ D is read off the Gram matrix G = C M C^T of C's generators
 (:func:`subsystem_codes.codes.radical`), so C^perp_s is never built;
 D^perp_s is built only to measure d.
 
-One frozen :class:`Policy`, in the CLI's words, says how distances are
-measured, and :meth:`Policy.fits` sizes every span.  A value carries the
-method backing it, and :func:`interval` reads the bounds it proves
-(every swt is at least 1).  One rule, :func:`ge_verdict`, decides every
-claim between such values, purity too.
+One frozen :class:`Policy` (of :mod:`.codes`) says, in the CLI's words,
+how every weight scan measures; :meth:`Policy.fits` is the one size test.
+A value carries the method backing it, and :func:`interval` reads the
+bounds it proves (every swt is at least 1).  One rule, :func:`ge_verdict`,
+decides every claim between such values, purity too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .codes import (DEFAULT_THRESHOLD, AdditiveCode, dual_symp, min_swt,
+from .codes import (DEFAULT_POLICY, AdditiveCode, Policy, dual_symp,
                     min_swt_coset, radical)
 from .gf import prime_power
 
 __all__ = ["PurityError", "Policy", "DEFAULT_POLICY", "SubsystemCode",
            "ParamRecord", "derive", "measure_distance", "interval",
            "ge_verdict", "bracket_params", "analysis_report"]
-
-_DISTANCE_MODES = ("exact", "witness", "skip")
-
-
-@dataclass(frozen=True)
-class Policy:
-    """How derived codes get their distances measured.
-
-    distance_mode, as the CLI's --distance: "exact" (enumerate each span
-    that :meth:`fits`, else a witness bound, recorded in the method),
-    "witness" or "skip"; :func:`interval` tells a proved value from a
-    bound.  threshold: the largest span enumerated; seed: witness seed.
-    """
-
-    distance_mode: str = "exact"
-    threshold: int = DEFAULT_THRESHOLD
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.distance_mode not in _DISTANCE_MODES:
-            raise ValueError(f"unknown distance mode {self.distance_mode!r}")
-        if self.threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-
-    def fits(self, p: int, log_p_size: int) -> bool:
-        """True iff a span of p^log_p_size vectors is within the threshold."""
-        return p**log_p_size <= self.threshold
-
-
-DEFAULT_POLICY = Policy()
 
 
 def interval(value: Optional[int], method: Optional[str]) -> tuple:
@@ -228,35 +196,21 @@ def derive(C: AdditiveCode, policy: Policy = DEFAULT_POLICY) -> SubsystemCode:
     return code
 
 
-def _dual_fits(code: SubsystemCode, policy: Policy) -> bool:
-    """Whether D^perp_s, of p^(2nm) / |D| vectors, fits before it is built."""
-    return policy.fits(code.p, 2 * code.n * code.field.m - code.D.rank_p)
-
-
 def measure_distance(code: SubsystemCode, policy: Policy) -> None:
     """Set d and swt(C) of a derived code, with the methods that back them.
 
     d is the minimum over D^perp_s minus C (minus 0 in case (b)), with D
-    from :func:`derive`'s Gram matrix.  :meth:`Policy.fits` sizes D^perp_s
-    and C before either is scanned: "exact" enumerates d when D^perp_s
-    fits, else bounds it by a witness, as "witness" does outright; swt(C)
-    is enumerated when C fits, else a witness bound, in every mode.
+    from :func:`derive`'s Gram matrix, in the policy's mode (see
+    :func:`min_swt_coset`); swt(C) in "exact" mode in every mode, unset
+    for the whole space beyond the threshold.
     """
-    C, mode = code.C, policy.distance_mode
-    if mode == "exact" and not _dual_fits(code, policy):
-        mode = "witness"
+    C = code.C
     # case (b): D^perp_s = C, and d is the minimum over all of it
     sub = None if code.case == "b" else C
-    opts = dict(threshold=policy.threshold, seed=policy.seed)
-    code.d, code.d_method = min_swt_coset(dual_symp(code.D), sub, mode=mode,
-                                          **opts)
-
-    if policy.fits(code.p, C.rank_p):
-        code.swt_c = min_swt(C, threshold=policy.threshold)
-        code.swt_c_method = "exhaustive"
-    elif C.rank_p < 2 * code.n * C.field.m:
+    code.d, code.d_method = min_swt_coset(dual_symp(code.D), sub, policy)
+    if C.rank_p < 2 * code.n * C.field.m or policy.fits(code.p, C.rank_p):
         code.swt_c, code.swt_c_method = min_swt_coset(
-            C, None, mode="witness", **opts)
+            C, None, replace(policy, distance_mode="exact"))
 
     if code.K == 1 and code.purity[0] == "impure":
         raise PurityError(

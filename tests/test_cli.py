@@ -709,6 +709,10 @@ _GOLDEN = Path(__file__).parent / "golden"
      "transform_five_qubit_shrink_k"),
     (["analyze", str(_DATA / "five_qubit.json")], "analyze_five_qubit"),
     (["analyze", str(_DATA / "bacon_shor.json")], "analyze_bacon_shor"),
+    (["--distance", "witness", "analyze", str(_DATA / "bacon_shor.json")],
+     "analyze_bacon_shor_witness"),
+    (["--threshold", "8", "analyze", str(_DATA / "bacon_shor.json")],
+     "analyze_bacon_shor_threshold8"),
 ])
 def test_rule_report_matches_golden(args, name):
     # reports that adjoin hyperbolic pairs, and the analyze reports whose

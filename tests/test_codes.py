@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from subsystem_codes import _enum, codes, linalg
-from subsystem_codes.codes import (AdditiveCode, ClassicalCode,
-                                   EnumerationLimitError, dual_symp,
-                                   intersect, min_swt, min_swt_coset,
-                                   radical, swt_distribution, _split)
+from subsystem_codes.codes import (WITNESS_RANDOM_SAMPLES, AdditiveCode,
+                                   ClassicalCode, EnumerationLimitError,
+                                   dual_symp, intersect, min_swt,
+                                   min_swt_coset, radical, swt_distribution,
+                                   _split)
 from subsystem_codes.gf import FieldSpec
 from subsystem_codes.known import bacon_shor_code, five_qubit_code
 from subsystem_codes.rs import evaluation_code
-from subsystem_codes.subsystem import Policy, derive
+from subsystem_codes.subsystem import DEFAULT_POLICY, Policy, derive
 
 
 def _elements(code):
@@ -264,10 +265,15 @@ def test_shared_coset_checks_for_both_kinds():
             run()
     for run in (zero.min_wt, lambda: big.min_wt_coset(big),
                 lambda: min_swt(AdditiveCode.zero(2, f)),
-                lambda: min_swt_coset(additive, additive, "witness")):
+                lambda: min_swt_coset(additive, additive, Policy("witness"))):
         with pytest.raises(ValueError, match="the difference set is empty"):
             run()
     assert big.min_wt_coset(zero) == (big.min_wt(), "exhaustive")
+    # a scan that returns its method has no "skip" mode to return
+    for run in (lambda: big.min_wt_coset(zero, Policy("skip")),
+                lambda: min_swt_coset(additive, None, Policy("skip"))):
+        with pytest.raises(ValueError, match="'skip' measures no weight"):
+            run()
 
 
 def _radical_inputs(field, t, rng):
@@ -375,8 +381,8 @@ def test_min_swt_coset_none_is_the_zero_code(monkeypatch):
     for a in cases:
         zero = AdditiveCode.zero(a.n, a.field, a.t)
         for mode in ("exact", "witness"):
-            assert (min_swt_coset(a, None, mode)
-                    == min_swt_coset(a, zero, mode))
+            assert (min_swt_coset(a, None, Policy(mode))
+                    == min_swt_coset(a, zero, Policy(mode)))
         assert min_swt_coset(a, None)[0] == min_swt(a)
     empty = AdditiveCode.zero(3, FieldSpec(2))
     with pytest.raises(ValueError, match="difference set is empty"):
@@ -410,7 +416,7 @@ def test_witness_mode_upper_bounds():
             continue
         b = AdditiveCode._from_coeff_matrix(3, f, 1, a.mat[:1])
         exact, _ = min_swt_coset(a, b)
-        wit, method = min_swt_coset(a, b, mode="witness")
+        wit, method = min_swt_coset(a, b, Policy("witness"))
         assert method == "witness"
         assert wit >= exact  # witness can only overestimate
         # small spaces are fully covered by the combination stage
@@ -430,12 +436,12 @@ def test_witness_on_small_span_is_exhaustive_value(monkeypatch):
         raise AssertionError("random witness search on a small span")
 
     monkeypatch.setattr(codes, "_witness_search", no_search)
-    assert min_swt_coset(dual_symp(D), C, mode="witness") == (exact,
-                                                              "witness")
+    assert min_swt_coset(dual_symp(D), C, Policy("witness")) == (exact,
+                                                                 "witness")
     # beyond the sample count the random search still runs
     monkeypatch.setattr(codes, "WITNESS_RANDOM_SAMPLES", 2**13)
     with pytest.raises(AssertionError, match="random witness search"):
-        min_swt_coset(dual_symp(D), C, mode="witness")
+        min_swt_coset(dual_symp(D), C, Policy("witness"))
 
 
 @pytest.mark.parametrize("t,gen,entry", [
@@ -461,11 +467,45 @@ def test_rejects_bad_shapes_and_classical_entries():
         ClassicalCode(2, f, [[1, 1, 1]])
 
 
-def test_threshold_enforced():
+def test_threshold_enforced(monkeypatch):
+    # beyond the threshold a scan that returns its method falls back to a
+    # witness bound, as derive does; a scan that returns a bare number
+    # enumerates in every mode, so it refuses the span
     f = FieldSpec(2)
     code = AdditiveCode(3, f, np.eye(6, dtype=np.int64))
-    with pytest.raises(EnumerationLimitError):
-        min_swt(code, threshold=4)
+    small = Policy(threshold=4)
+    for policy in (small, Policy("witness", 4), Policy("skip", 4)):
+        for scan in (lambda: min_swt(code, policy),
+                     lambda: swt_distribution(code, policy),
+                     lambda: ClassicalCode(6, f, np.eye(6, dtype=np.int64))
+                     .min_wt(policy)):
+            with pytest.raises(EnumerationLimitError):
+                scan()
+    assert min_swt(code, Policy("skip")) == 1
+    rng = np.random.default_rng(21)
+    a = AdditiveCode(4, f, rng.integers(0, 2, size=(6, 8)))
+    b = AdditiveCode._from_coeff_matrix(4, f, 1, a.mat[:2])
+    X = ClassicalCode(8, f, rng.integers(0, 2, size=(5, 8)))
+    sub = ClassicalCode(8, f, X.mat[:1])
+    assert 2**max(a.rank_p, X.rank_p) <= WITNESS_RANDOM_SAMPLES
+
+    def words(Y):           # a binary classical code's words, by span
+        return {tuple(np.array(c) @ Y.mat % 2)
+                for c in product(range(2), repeat=Y.rank)}
+
+    want = {"swt": min(_swt(v) for v in _elements(a) - _elements(b)),
+            "wt": min(sum(map(bool, v)) for v in words(X) - words(sub))}
+    scans = {"swt": lambda policy: min_swt_coset(a, b, policy),
+             "wt": lambda policy: X.min_wt_coset(sub, policy)}
+    for kind, scan in scans.items():
+        assert scan(DEFAULT_POLICY) == (want[kind], "exhaustive")
+        # at most WITNESS_RANDOM_SAMPLES vectors: the span is scanned whole
+        assert scan(small) == (want[kind], "witness")
+    # beyond the sample count the random search gives an upper bound
+    monkeypatch.setattr(codes, "WITNESS_RANDOM_SAMPLES", 4)
+    for kind, scan in scans.items():
+        got, method = scan(small)
+        assert method == "witness" and got >= want[kind]
 
 
 def test_refused_scan_builds_no_layout(monkeypatch):
@@ -477,17 +517,15 @@ def test_refused_scan_builds_no_layout(monkeypatch):
         code) or real_layout(code, rows))
     shor = bacon_shor_code()
     classical = ClassicalCode(4, FieldSpec(2, 2), np.eye(4, dtype=np.int64))
-    for scan in (lambda: min_swt(shor, threshold=8),
-                 lambda: swt_distribution(shor, threshold=8),
-                 lambda: min_swt_coset(shor, AdditiveCode.zero(9, shor.field),
-                                       threshold=8),
-                 lambda: min_swt_coset(shor, None, threshold=8),
-                 lambda: classical.min_wt(threshold=4**3)):
+    for scan in (lambda: min_swt(shor, Policy(threshold=8)),
+                 lambda: min_swt(shor, Policy("witness", 8)),
+                 lambda: swt_distribution(shor, Policy(threshold=8)),
+                 lambda: classical.min_wt(Policy(threshold=4**3))):
         with pytest.raises(EnumerationLimitError):
             scan()
     assert laid_out == []
-    assert min_swt(shor, threshold=2**shor.rank_p) == 2
-    assert classical.min_wt(threshold=4**4) == 1
+    assert min_swt(shor, Policy(threshold=2**shor.rank_p)) == 2
+    assert classical.min_wt(Policy(threshold=4**4)) == 1
     assert len(laid_out) == 2
 
 
@@ -712,12 +750,13 @@ def test_scalar_class_scan_matches_prime_field_classes(p, m, shapes):
             checked += 1
     for A in additive:
         assert min_swt(A) == _fp_class_min(A, None)
-        assert min_swt_coset(A, None, "witness")[0] == min_swt(A)
+        assert min_swt_coset(A, None, Policy("witness"))[0] == min_swt(A)
         for kb in range(A.rank):
             rows = A.mat[rng.permutation(A.rank)[:kb]]
             sub = AdditiveCode(A.n, f, rows, m)
             want = _fp_class_min(A, sub)
             assert min_swt_coset(A, sub) == (want, "exhaustive")
-            assert min_swt_coset(A, sub, "witness") == (want, "witness")
+            assert min_swt_coset(A, sub, Policy("witness")) == (
+                want, "witness")
             checked += 1
     assert checked >= 20

@@ -139,7 +139,7 @@ def test_scalar_classes_match_full_scan(p):
             weights = _naive_weights(gens, p, n, 2)
             full = weights[p**kb:].min()
             assert codes._min_scan(a, b if kb else None,
-                                   codes.DEFAULT_THRESHOLD) == (
+                                   codes.DEFAULT_POLICY) == (
                 full, "exhaustive")
             assert codes._class_min(gens, p, n, kb) == full
 

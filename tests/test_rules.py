@@ -1,5 +1,6 @@
 """Propagation rules: constructive trades, length changes, combining."""
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -251,6 +252,23 @@ def test_combine_nested(five):
         combine_nested(five, five, 0)    # subset not asserted
     with pytest.raises(ValueError):
         combine_nested(five, five, 3, subset_assumed=True)
+
+
+@pytest.mark.parametrize("rule", [
+    lambda a, b: [shorten_length(a), shorten_length(b)][1],     # each one
+    lambda a, b: combine_disjoint(a, b, 0),
+    lambda a, b: combine_nested(a, b, 0, subset_assumed=True),
+], ids=["shorten", "combine-disjoint", "combine-nested"])
+def test_parameter_rules_refuse_a_witness_d(five, rule):
+    # a witness d is only an upper bound, so it bounds no d' from below;
+    # the rules read d' off the inputs' d and turned it into a proved one
+    witness = replace(five, d_method="witness")
+    assert witness.is_pure                  # swt(C) >= hi(d) still holds
+    for a, b in ((five, witness), (witness, five)):
+        with pytest.raises(ValueError,
+                           match="a witness d is only an upper bound"):
+            rule(a, b)
+    assert rule(five, five).output.d is not None
 
 
 # -- Hermitian construction --------------------------------------------------
