@@ -21,7 +21,11 @@ forms; :func:`_layout` writes each row g as its t prime-field digit rows
 alpha^j g with each coordinate's digits contiguous, for the
 :mod:`subsystem_codes._enum` kernel.  The minimum scan visits one vector
 per F_{p^t} scalar class of A minus B: the counter ranges [p^i, 2 p^i) of
-the whole layout for i = kb, kb + t, .. (:func:`_class_min`).  Every scan
+the whole layout for i = kb, kb + t, .. (:func:`_class_ranges`).  The
+same ranges, each class counted p^t - 1 times, give the weight
+distributions of a code and of a subcode in one scan
+(:func:`_distributions`), and :func:`_krawtchouk` moves a distribution
+across to the dual by the MacWilliams identity.  Every scan
 takes one frozen :class:`Policy`, whose :meth:`Policy.fits` is the one
 size test.  A scan that returns its method reads the mode as ``derive``
 does: beyond the threshold, or in "witness" mode, a randomized witness
@@ -38,6 +42,7 @@ from copy import copy
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, islice, product
+from math import comb
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -269,11 +274,14 @@ class AdditiveCode(_Code):
         return cls(n, field, [], coeff_degree)
 
     @classmethod
-    def _from_coeff_matrix(cls, n, field, coeff_degree, mat) -> "AdditiveCode":
+    def _from_coeff_matrix(cls, n, field, coeff_degree, mat,
+                           pivots=None) -> "AdditiveCode":
+        """The code spanned by coefficient rows ``mat``, taken as they are
+        when given with their ``pivots`` (see :meth:`_Code._reduce`)."""
         code = cls.__new__(cls)
         code.n, code.field, code.t = n, field, coeff_degree
         code.coeff_field = _coeff_field(field, coeff_degree)
-        code._reduce(mat)
+        code._reduce(mat, pivots)
         return code
 
     def as_additive(self) -> "AdditiveCode":
@@ -491,26 +499,57 @@ def _min_scan(a, b, policy: Policy) -> Tuple[int, str]:
             "exhaustive" if exact else "witness")
 
 
-def _class_min(gens: np.ndarray, p: int, n: int, kb: int, t: int = 1) -> int:
-    """Minimum group weight over span(gens) minus the span of its first kb.
-
-    ``gens`` holds the t digit rows alpha^j g (alpha^0 g first) of each row
-    g over F_{p^t}; kb is a multiple of t.  A vector outside span(gens[:kb])
-    divided by its top nonzero F_{p^t} coefficient keeps its weight, stays
-    outside and has coefficient 1 on alpha^0 g and 0 after it.  So one
-    vector per F_{p^t} scalar class suffices: counters [p^i, 2 p^i) of all
-    gens (zero on rows above i, so all share one low table), i = kb,
-    kb + t, ..; for p^t = 2 they join into [2^kb, 2^k)."""
-    k, size = len(gens), gens.shape[1] // n
+def _class_ranges(p: int, t: int, lo: int, hi: int) -> List[Tuple[int, int]]:
+    """Counter ranges holding one vector per F_{p^t} scalar class of
+    span(gens[:hi]) minus span(gens[:lo]), for the t digit rows alpha^j g
+    (alpha^0 g first) of each row g over F_{p^t}; lo and hi are multiples
+    of t.  Such a vector divided by its top nonzero F_{p^t} coefficient
+    keeps its weight, stays in the difference and has coefficient 1 on
+    alpha^0 g and 0 after it: counters [p^i, 2 p^i) of all gens (zero on
+    rows above i, so all share one low table), i = lo, lo + t, ..; for
+    p^t = 2 they join into [2^lo, 2^hi)."""
     if p**t == 2:
-        return _enum.min_weight_range(gens, p, n, size, 1 << kb, 1 << k)
-    best = n + 1
-    for i in range(kb, k, t):
-        best = min(best, _enum.min_weight_range(
-            gens, p, n, size, p**i, 2 * p**i))
+        return [(1 << lo, 1 << hi)] if lo < hi else []
+    return [(p**i, 2 * p**i) for i in range(lo, hi, t)]
+
+
+def _class_min(gens: np.ndarray, p: int, n: int, kb: int, t: int = 1) -> int:
+    """Minimum group weight over span(gens) minus the span of its first kb,
+    one vector per scalar class (:func:`_class_ranges`)."""
+    best, size = n + 1, gens.shape[1] // n
+    for lo, hi in _class_ranges(p, t, kb, len(gens)):
+        best = min(best, _enum.min_weight_range(gens, p, n, size, lo, hi))
         if best <= 1:
             break
     return best
+
+
+def _distributions(a, b) -> Tuple[np.ndarray, np.ndarray]:
+    """Group weight distributions (index = weight) of span(B) and span(A),
+    B a subcode of A (None is {0}), from one scan of the
+    :func:`_coset_rows` layout, B's rows first: one vector per F_{p^t}
+    scalar class (:func:`_class_ranges`), each counted p^t - 1 times."""
+    gens, kb, t = _coset_rows(a, b)
+    p, n = a.field.p, a.n
+    dist = np.zeros(n + 1, dtype=np.int64)
+    dist[0] = 1
+    out = []
+    for lo, hi in ((0, kb), (kb, len(gens))):
+        for start, stop in _class_ranges(p, t, lo, hi):
+            dist += (p**t - 1) * _enum.weight_distribution(
+                gens, p, n, gens.shape[1] // n, start, stop)
+        out.append(dist.copy())
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _krawtchouk(n: int, Q: int) -> Tuple[Tuple[int, ...], ...]:
+    """K[w][j] = sum_s (-1)^s (Q-1)^(w-s) C(j, s) C(n-j, w-s) in exact
+    integers: the MacWilliams transform of weight distributions of length
+    n over an alphabet of Q letters, K K = Q^n I."""
+    return tuple(tuple(sum((-1)**s * (Q - 1)**(w - s) * comb(j, s)
+                           * comb(n - j, w - s) for s in range(w + 1))
+                       for j in range(n + 1)) for w in range(n + 1))
 
 
 def min_swt(code: AdditiveCode, policy: Policy = DEFAULT_POLICY) -> int:
@@ -575,10 +614,7 @@ def swt_distribution(code: AdditiveCode,
                      policy: Policy = DEFAULT_POLICY) -> np.ndarray:
     """Histogram of symplectic weights (index = weight), as :func:`min_swt`."""
     _exact(code, policy)
-    p, k = code.field.p, code.rank_p
-    gens = _layout(code, code.mat)
-    return _enum.weight_distribution(gens, p, code.n, gens.shape[1] // code.n,
-                                     0, p**k)
+    return _distributions(code, None)[1]
 
 
 # ---------------------------------------------------------------------------

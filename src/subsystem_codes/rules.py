@@ -275,13 +275,19 @@ def _extend_code(X: AdditiveCode) -> AdditiveCode:
     """X' = {(a alpha | b 0) : (a|b) in X, alpha in F_q} of length n+1, on
     X's coefficient rows: u = m/t zero columns after the x-block and u
     after the y-block, then the u unit rows at x_n (the digits of
-    alpha = p^j, j < u, span F_q over F_{p^t})."""
+    alpha = p^j, j < u, span F_q over F_{p^t}).  The new columns are zero
+    in X's rows, so the rows sorted by pivot are already reduced: a pivot
+    c < n u stays at c, any other moves to c + u, and the unit rows take
+    n u .. n u + u - 1."""
     n, u = X.n, X.u
     mat = np.insert(X.mat, [n * u] * u + [2 * n * u] * u, 0, axis=1)
     units = np.zeros((u, mat.shape[1]), dtype=np.int64)
     units[:, n * u: (n + 1) * u] = np.eye(u, dtype=np.int64)
-    return AdditiveCode._from_coeff_matrix(n + 1, X.field, X.t,
-                                           np.concatenate([mat, units]))
+    pivots = [c if c < n * u else c + u for c in X.pivots] + list(
+        range(n * u, (n + 1) * u))
+    return AdditiveCode._from_coeff_matrix(
+        n + 1, X.field, X.t, np.concatenate([mat, units])[np.argsort(pivots)],
+        sorted(pivots))
 
 
 def extend_length(code: SubsystemCode,
@@ -289,8 +295,9 @@ def extend_length(code: SubsystemCode,
     """Append a coordinate: ((n,K,R,d))_q -> ((n+1,K,R,>=d))_q pure to 1.
 
     The new x-coordinate ranges over the whole field and the new
-    y-coordinate is zero, so dualization commutes with the extension
-    (checked explicitly below).
+    y-coordinate is zero, so dualization commutes with the extension,
+    checked below: the extended dual pairs to zero with C_ext, so lies in
+    its dual, and the two ranks fill the space, so it is all of it.
     """
     if code.k_exp == 0:
         raise ValueError("extension requires K > 1")
@@ -298,7 +305,10 @@ def extend_length(code: SubsystemCode,
     res = _derive_checked("extend_length", C_ext, code.k_exp, code.r_exp,
                           ("n' = n + 1", "K' = K", "R' = R"), policy)
     out = res.output
-    if dual_symp(C_ext) != _extend_code(dual_symp(code.C)):
+    dual_ext = _extend_code(dual_symp(code.C))
+    if (_pairings(dual_ext.mat, C_ext.mat, C_ext.n, C_ext.field,
+                  C_ext.t).any()
+            or dual_ext.rank + C_ext.rank != C_ext.ncols):
         raise AssertionError("dualization does not commute with extension")
     res.add("dual of extension = extension of dual", VERIFIED)
     res.add("d' >= d", _status(out.d, out.d_method, code.d, code.d_method))

@@ -8,8 +8,10 @@ weight over D^perp_s minus C (or over D^perp_s minus 0 when the two agree,
 which happens exactly when K = 1).
 
 D is read off the Gram matrix G = C M C^T of C's generators
-(:func:`subsystem_codes.codes.radical`), so C^perp_s is never built;
-D^perp_s is built only to measure d.
+(:func:`subsystem_codes.codes.radical`), so C^perp_s is never built.
+Within the threshold, d comes from the weight distribution of D by the
+MacWilliams identity, read off the same scan of C that gives swt(C);
+D^perp_s is built only for a witness bound on d.
 
 One frozen :class:`Policy` (of :mod:`.codes`) says, in the CLI's words,
 how every weight scan measures; :meth:`Policy.fits` is the one size test.
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .codes import (DEFAULT_POLICY, AdditiveCode, Policy, dual_symp,
-                    min_swt_coset, radical)
+from .codes import (DEFAULT_POLICY, AdditiveCode, Policy, _distributions,
+                    _krawtchouk, dual_symp, min_swt_coset, radical)
 from .gf import prime_power
 
 __all__ = ["PurityError", "Policy", "DEFAULT_POLICY", "SubsystemCode",
@@ -200,22 +202,60 @@ def measure_distance(code: SubsystemCode, policy: Policy) -> None:
     """Set d and swt(C) of a derived code, with the methods that back them.
 
     d is the minimum over D^perp_s minus C (minus 0 in case (b)), with D
-    from :func:`derive`'s Gram matrix, in the policy's mode (see
-    :func:`min_swt_coset`); swt(C) in "exact" mode in every mode, unset
-    for the whole space beyond the threshold.
+    from :func:`derive`'s Gram matrix.  In "exact" mode with D^perp_s
+    within the threshold, one scan of C gives the weight distributions of
+    D and C, and :func:`_dual_distance` moves D's across to D^perp_s, so
+    both d and swt(C) are "exhaustive".  Otherwise d is a scan of
+    D^perp_s in the policy's mode (see :func:`min_swt_coset`), and swt(C)
+    a scan of C in "exact" mode, unset for the whole space beyond the
+    threshold.
     """
-    C = code.C
-    # case (b): D^perp_s = C, and d is the minimum over all of it
-    sub = None if code.case == "b" else C
-    code.d, code.d_method = min_swt_coset(dual_symp(code.D), sub, policy)
-    if C.rank_p < 2 * code.n * C.field.m or policy.fits(code.p, C.rank_p):
-        code.swt_c, code.swt_c_method = min_swt_coset(
-            C, None, replace(policy, distance_mode="exact"))
+    C, nm = code.C, code.n * code.field.m
+    if policy.distance_mode == "exact" and policy.fits(
+            code.p, 2 * nm - code.D.rank_p):
+        dist_d, dist_c = _distributions(C, code.D)
+        code.d = _dual_distance(code, dist_d, dist_c)
+        code.swt_c = next(w for w, a in enumerate(dist_c) if w and a)
+        code.d_method = code.swt_c_method = "exhaustive"
+    else:
+        # case (b): D^perp_s = C, and d is the minimum over all of it
+        sub = None if code.case == "b" else C
+        code.d, code.d_method = min_swt_coset(dual_symp(code.D), sub, policy)
+        if C.rank_p < 2 * nm or policy.fits(code.p, C.rank_p):
+            code.swt_c, code.swt_c_method = min_swt_coset(
+                C, None, replace(policy, distance_mode="exact"))
 
     if code.K == 1 and code.purity[0] == "impure":
         raise PurityError(
             f"an ((n,1,R,d))_q subsystem code must be pure; "
             f"swt(C) = {code.swt_c} < d = {code.d}")
+
+
+def _dual_distance(code: SubsystemCode, dist_d, dist_c) -> int:
+    """d from the weight distributions (index = weight) of D and C.
+
+    The quantum MacWilliams identity (Ketkar, Klappenecker, Kumar &
+    Sarvepalli, "Nonbinary stabilizer codes over finite fields", IEEE TIT
+    2006) gives A(D^perp_s) = K A(D) / |D|, K the Krawtchouk matrix of
+    length n over q^2 letters, in exact integers.  d is the least w >= 1
+    with A_w(D^perp_s) > A_w(C), or A_w(D^perp_s) > 0 in case (b), where
+    D^perp_s = C.
+    """
+    size_d = code.p**code.D.rank_p
+    sums = [sum(k * int(a) for k, a in zip(row, dist_d))
+            for row in _krawtchouk(code.n, code.field.q**2)]
+    if any(s % size_d for s in sums):
+        raise AssertionError("MacWilliams transform of A(D) is not "
+                             "divisible by |D|")
+    dual, dist_c = [s // size_d for s in sums], [int(a) for a in dist_c]
+    if any(b < c for b, c in zip(dual, dist_c)):
+        raise AssertionError("A(D^perp_s) is below A(C) at some weight")
+    if sum(dual) != code.p**(2 * code.n * code.field.m - code.D.rank_p):
+        raise AssertionError("A(D^perp_s) does not total |D^perp_s|")
+    if code.case == "b" and dual != dist_c:
+        raise AssertionError("case (b), but A(D^perp_s) != A(C)")
+    floor = [0] * len(dual) if code.case == "b" else dist_c
+    return next(w for w in range(1, len(dual)) if dual[w] > floor[w])
 
 
 def bracket_params(code: SubsystemCode) -> ParamRecord:

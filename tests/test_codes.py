@@ -1,6 +1,7 @@
 """Additive and classical codes: canonical form, duals, weights."""
 
 import json
+import math
 from copy import copy
 from itertools import product
 
@@ -553,13 +554,31 @@ def test_hermitian_self_orthogonal_matches_pairwise_products(p, m):
             code.is_hermitian_self_orthogonal()
 
 
+@pytest.mark.parametrize("Q", [4, 9, 16, 25, 81])
+def test_krawtchouk_matrix_is_its_own_inverse_up_to_q_to_the_n(Q):
+    for n in range(7):
+        K = np.array(codes._krawtchouk(n, Q), dtype=object)
+        assert (K.dot(K) == Q**n * np.eye(n + 1, dtype=object)).all()
+        # column 0 counts the vectors of each weight
+        assert [row[0] for row in K] == [
+            math.comb(n, w) * (Q - 1)**w for w in range(n + 1)]
+
+
 def test_swt_distribution_counts():
-    f = FieldSpec(2)
-    code = AdditiveCode(2, f, [[1, 0, 1, 0], [0, 1, 0, 1]])
-    dist = swt_distribution(code)
-    assert dist.sum() == 4
-    weights = sorted(_swt(v) for v in _elements(code))
-    assert list(np.repeat(np.arange(dist.size), dist)) == weights
+    # one vector per F_{p^t} scalar class, counted p^t - 1 times
+    rng = np.random.default_rng(70)
+    codes_in = []
+    for p, m, t in [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2)]:
+        f = FieldSpec(p, m)
+        codes_in.append(AdditiveCode(2, f, [[1, 0, 1, 0], [0, 1, 0, 1]], t))
+        codes_in += [AdditiveCode(2, f, rng.integers(0, f.q, size=(3, 4)), t)
+                     for _ in range(4)]
+    for code in codes_in:
+        p = code.field.p
+        dist = swt_distribution(code)
+        assert dist.sum() == p**code.rank_p
+        weights = sorted(_swt(v) for v in _elements(code))
+        assert list(np.repeat(np.arange(dist.size), dist)) == weights
 
 
 def test_json_roundtrip(tmp_path):

@@ -192,7 +192,30 @@ def test_extension_in_coefficient_space_matches_entry_oracle(p, m, t):
         n = int(rng.integers(1, 5))
         gens = rng.integers(0, f.q, size=(int(rng.integers(0, 4)), 2 * n))
         C = AdditiveCode(n, f, gens, t)
-        assert _extend_code(C) == _extend_by_entries(C)
+        ext = _extend_code(C)
+        assert ext == _extend_by_entries(C)
+        # the pivot-built form is the reduced form of its own rows
+        again = AdditiveCode._from_coeff_matrix(n + 1, f, t, ext.mat)
+        assert np.array_equal(again.mat, ext.mat)
+        assert (again.pivots, again.rank) == (ext.pivots, ext.rank)
+
+
+@pytest.mark.parametrize("last,short", [
+    # a weight-1 vector lies outside C^perp_s for the five-qubit code
+    # (d = 3): the rank is right, but the pairing with C_ext is not zero
+    (np.eye(1, 10, dtype=np.int64), 0),
+    (np.zeros((0, 10), dtype=np.int64), 1),          # one row short
+])
+def test_extend_length_refuses_a_non_commuting_extension(monkeypatch, five,
+                                                         last, short):
+    # C^perp_s with its last row replaced by ``last``
+    dual = dual_symp(five.C)
+    planted = AdditiveCode._from_coeff_matrix(
+        5, five.field, 1, np.concatenate([dual.mat[:-1], last]))
+    assert planted.rank == dual.rank - short
+    monkeypatch.setattr(rules, "dual_symp", lambda C: planted)
+    with pytest.raises(AssertionError, match="does not commute"):
+        extend_length(five)
 
 
 def test_shorten_length(five):

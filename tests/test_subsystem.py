@@ -2,15 +2,16 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subsystem_codes import codes, linalg, subsystem
 from subsystem_codes.codes import (DEFAULT_THRESHOLD, AdditiveCode, dual_symp,
-                                   intersect)
+                                   intersect, min_swt_coset)
 from subsystem_codes.gf import FieldSpec
 from subsystem_codes.known import bacon_shor_code, five_qubit_code
 from subsystem_codes.rules import shrink_k
@@ -40,14 +41,21 @@ def _bacon_shor_file():
 @pytest.mark.parametrize("make", [five_qubit_code, bacon_shor_code,
                                   _five_qubit_file, _bacon_shor_file])
 def test_derive_reduces_no_empty_matrix(monkeypatch, make):
-    # D is read off the reduced kernel of C's Gram matrix and the coset's
-    # rows off the pivots of C and D^perp_s, so a derive reduces two
-    # matrices, C's Gram matrix and the pairings of D giving D^perp_s
+    # D is read off the reduced kernel of C's Gram matrix, and an exact d
+    # off D's weight distribution, so an exact derive reduces one matrix,
+    # C's Gram matrix, and neither builds nor scans D^perp_s
     C, shapes, real = make(), [], linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda mat, field: shapes.append(
         np.shape(mat)) or real(mat, field))
-    derive(C)
-    assert len(shapes) == 2
+
+    def refuse(*args):
+        raise AssertionError("an exact derive built or scanned D^perp_s")
+
+    for mod in (codes, subsystem):
+        for name in ("dual_symp", "min_swt_coset"):
+            monkeypatch.setattr(mod, name, refuse)
+    assert derive(C).d_method == "exhaustive"
+    assert len(shapes) == 1
     assert all(0 not in shape for shape in shapes)
 
 
@@ -102,6 +110,152 @@ def test_k1_codes_are_pure():
         if code.K == 1:
             assert code.is_pure
             seen += 1
+
+
+def _brute_distances(C):
+    """Independent oracle over all of F_q^{2n}: membership masks of C (its
+    F_p-span listed), of C^perp_s and D = C intersect C^perp_s (the trace
+    form against an F_p-basis), of D^perp_s (against a basis of D picked
+    from its elements); returns (case, d, swt(C))."""
+    f, n = C.field, C.n
+    xs = np.array(list(product(range(f.q), repeat=2 * n)), dtype=np.int64)
+    place = f.q ** np.arange(2 * n - 1, -1, -1)     # xs[i] @ place == i
+    swt = ((xs[:, :n] != 0) | (xs[:, n:] != 0)).sum(axis=1)
+
+    def fp_basis(rows):
+        return [f.mul_arr(g, f.p**j) for g in rows for j in range(C.t)]
+
+    def perp(basis):
+        ok = np.ones(len(xs), dtype=bool)
+        for h in basis:
+            form = np.zeros(len(xs), dtype=np.int64)
+            for i in range(n):
+                form = f.add_arr(form, f.add_arr(
+                    f.mul_arr(xs[:, n + i], h[i]),
+                    f.neg_arr(f.mul_arr(xs[:, i], h[n + i]))))
+            ok &= f._trace_table[form] == 0
+        return ok
+
+    def span(basis):
+        vecs = np.zeros((1, 2 * n), dtype=np.int64)
+        for h in basis:
+            vecs = np.concatenate([f.add_arr(vecs, f.mul_arr(h, c))
+                                   for c in range(f.p)])
+        mask = np.zeros(len(xs), dtype=bool)
+        mask[vecs @ place] = True
+        return mask
+
+    basis = fp_basis(map(C._contract_row, C.mat))
+    in_c = span(basis)
+    in_d = in_c & perp(basis)
+    d_basis, in_span = [], span([])
+    for i in np.flatnonzero(in_d):
+        if not in_span[i]:
+            d_basis.append(xs[i])
+            in_span = span(d_basis)
+    in_dual = perp(d_basis)
+    case = "b" if np.array_equal(in_dual, in_c) else "a"
+    rest = in_dual & (swt > 0) & (~in_c if case == "a" else True)
+    return case, int(swt[rest].min()), int(swt[in_c & (swt > 0)].min())
+
+
+# (p, m, t) and the largest n the brute-force oracle lists F_q^{2n} for
+_ORACLE_FIELDS = [(2, 1, 1, 4), (3, 1, 1, 4), (2, 2, 1, 4), (2, 2, 2, 4),
+                  (5, 1, 1, 3), (3, 2, 1, 2), (3, 2, 2, 2)]
+
+
+@st.composite
+def _random_codes(draw):
+    p, m, t, top = draw(st.sampled_from(_ORACLE_FIELDS))
+    f, n = FieldSpec(p, m), draw(st.integers(1, top))
+    rows = draw(st.integers(1, 2 * n * m // t))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gens = rng.integers(0, f.q, size=(rows, 2 * n))
+    if draw(st.booleans()):            # sparse rows: low weights, impurity
+        gens *= rng.random(gens.shape) < 0.3
+    return AdditiveCode(n, f, gens, t)
+
+
+def _gauge_qudit(p):
+    """An impure code over GF(p): X and Z on each of the first n - 1
+    coordinates (n - 1 = 4 for p = 2, else p, so the two commute) span the
+    stabilizer, and the last coordinate's X and Z are gauge, so
+    swt(C) = 1 < d = 2."""
+    n = 5 if p == 2 else p + 1
+    x = [1] * (n - 1) + [0]
+    unit = [0] * (n - 1) + [1]
+    zero = [0] * n
+    return AdditiveCode(n, FieldSpec(p), [x + zero, zero + x, unit + zero,
+                                          zero + unit])
+
+
+# impure inputs, with one found by search over GF(4) with t = 2
+_IMPURE = [_gauge_qudit(2), _gauge_qudit(3),
+           AdditiveCode(4, FieldSpec(2, 2), [[1, 0, 0, 3, 0, 0, 1, 0],
+                                             [0, 1, 0, 3, 1, 0, 0, 3],
+                                             [0, 0, 1, 3, 3, 0, 0, 3],
+                                             [0, 0, 0, 0, 0, 1, 0, 0]], 2)]
+# case (b) inputs: a hyperplane contains its 1-dimensional dual
+_CASE_B = [AdditiveCode(1, FieldSpec(2), [[1, 0], [0, 1]]),
+           AdditiveCode(2, FieldSpec(3), [[1, 0, 0, 0], [0, 1, 0, 0],
+                                          [0, 0, 1, 0]]),
+           AdditiveCode(2, FieldSpec(3, 2), [[1, 0, 0, 0], [0, 1, 0, 0],
+                                             [0, 0, 1, 0]], 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(C=_random_codes())
+@example(C=_IMPURE[0])
+@example(C=_IMPURE[1])
+@example(C=_IMPURE[2])
+@example(C=_CASE_B[0])
+@example(C=_CASE_B[1])
+@example(C=_CASE_B[2])
+def test_macwilliams_distance_matches_span_and_brute_force(C):
+    # d and swt(C) from A(D) moved across by the MacWilliams identity agree
+    # with enumerating D^perp_s and with listing all of F_q^{2n}
+    if C.rank == 0:
+        return
+    code = derive(C)
+    assert code.d_method == code.swt_c_method == "exhaustive"
+    sub = None if code.case == "b" else C
+    assert min_swt_coset(dual_symp(code.D), sub, Policy()) == (
+        code.d, "exhaustive")
+    assert min_swt_coset(C, None, Policy()) == (code.swt_c, "exhaustive")
+    assert _brute_distances(C) == (code.case, code.d, code.swt_c)
+
+
+def test_macwilliams_examples_are_impure_or_case_b():
+    for C in _IMPURE:
+        code = derive(C)
+        assert (code.case, code.purity[0]) == ("a", "impure")
+        assert code.swt_c < code.d
+    assert all(derive(C).case == "b" for C in _CASE_B)
+
+
+@pytest.mark.parametrize("plant,check", [
+    # one more weight-1 vector in D: the transform's weight-0 entry is
+    # |D| + 1
+    (lambda d, c: ([d[0], d[1] + 1, *d[2:]], c), "not divisible by |D|"),
+    (lambda d, c: (d, [c[0] + 1, *c[1:]]), "below A\\(C\\)"),
+    # twice A(D) keeps the division exact and A(D^perp_s) above A(C)
+    (lambda d, c: ([2 * a for a in d], c), "does not total"),
+])
+def test_macwilliams_checks_refuse_planted_distributions(plant, check):
+    code = derive(five_qubit_code(), Policy("skip"))
+    dist_d, dist_c = plant(*codes._distributions(code.C, code.D))
+    with pytest.raises(AssertionError, match=check):
+        subsystem._dual_distance(code, dist_d, dist_c)
+
+
+def test_macwilliams_case_b_refuses_unequal_distributions():
+    code = derive(dual_symp(five_qubit_code()), Policy("skip"))
+    assert code.case == "b"
+    dist_d, dist_c = codes._distributions(code.C, code.D)
+    assert subsystem._dual_distance(code, dist_d, dist_c) == 3
+    dist_c[3] -= 1
+    with pytest.raises(AssertionError, match="case \\(b\\)"):
+        subsystem._dual_distance(code, dist_d, dist_c)
 
 
 # lhs kind, rhs kind, verdict on 3 >= 2 (and 3 >= 3), verdict on 2 >= 3
