@@ -28,6 +28,8 @@ __all__ = ["min_weight_range", "weight_distribution"]
 
 # counters per batch: the comparison and weight arrays stay near 256 kB
 _BATCH = 1 << 18
+# weights per bincount, which widens its input to intp: 256 kB, not 2 MB
+_SLICE = 1 << 15
 _last_low = [None, None]        # [key, low table] of the last span only
 
 
@@ -113,5 +115,6 @@ def weight_distribution(gens: np.ndarray, p: int, n_groups: int,
     if lo >= hi:
         return dist
     for w in _weights(gens, p, n_groups, group_size, lo, hi):
-        dist += np.bincount(w, minlength=n_groups + 1)
+        for a in range(0, len(w), _SLICE):
+            dist += np.bincount(w[a:a + _SLICE], minlength=n_groups + 1)
     return dist

@@ -25,14 +25,14 @@ the whole layout for i = kb, kb + t, .. (:func:`_class_ranges`).  The
 same ranges, each class counted p^t - 1 times, give the weight
 distributions of a code and of a subcode in one scan
 (:func:`_distributions`), and :func:`_krawtchouk` moves a distribution
-across to the dual by the MacWilliams identity.  Every scan
+across to the dual by the MacWilliams identity: the one exact distance
+of :mod:`subsystem_codes.subsystem`.  Every scan
 takes one frozen :class:`Policy`, whose :meth:`Policy.fits` is the one
 size test.  A scan that returns its method reads the mode as ``derive``
 does: beyond the threshold, or in "witness" mode, a randomized witness
 search gives an upper bound.  A scan that returns a bare number
 enumerates in every mode, and raises :class:`EnumerationLimitError`
-beyond the threshold.  :func:`dual_swt_exceeds` bounds swt(D^perp_s)
-from below by a search over coordinate sets, with no span.
+beyond the threshold.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "dual_symp",
     "intersect",
     "radical",
-    "dual_swt_exceeds",
     "min_swt",
     "min_swt_coset",
     "ClassicalCode",
@@ -396,37 +395,6 @@ def intersect(c1, c2):
     rows are independent, so a != 0 and holds its vector's pivot."""
     c1._check_compatible(c2)
     return _kernel_span(c1, np.concatenate([c1.mat, c2.mat]).T)
-
-
-def dual_swt_exceeds(D: AdditiveCode, w: int) -> bool:
-    """True iff every nonzero vector of D^perp_s has symplectic weight > w.
-
-    x lies in D^perp_s iff P x = 0, P = :func:`_pairings` (D, None), so one
-    supported on a coordinate set S exists iff P's 2u columns per
-    coordinate of S are dependent (MacWilliams & Sloane, ch. 1, Thm. 10).
-    Every smaller set lies in a w-set: the search is complete when each of
-    the C(n, w) w-sets gives full column rank, all reduced in one forward
-    elimination.  w >= n asks whether D^perp_s = {0}."""
-    n, k, f = D.n, D.rank, D.coeff_field
-    w, cols = min(w, n), 2 * D.u * min(w, n)
-    if k < cols:
-        return False
-    P = _pairings(D.mat, None, n, D.field, D.t).reshape(k, 2, n, D.u)
-    sets = np.array(list(combinations(range(n), w)), dtype=np.int64)
-    a = P.transpose(0, 2, 1, 3)[:, sets].reshape(k, len(sets), cols)
-    a, each = a.transpose(1, 0, 2).copy(), np.arange(len(sets))
-    for j in range(cols):
-        # entries are >= 0, so the largest is nonzero if any is
-        piv = j + a[:, j:, j].argmax(axis=1)
-        top = a[each, piv, j:]
-        if not top[:, 0].all():
-            return False
-        a[each, piv, j:] = a[:, j, j:]
-        top = f.mul_arr(top, f._inv_table[top[:, :1]])
-        below = a[:, j + 1:, j:]
-        below[:] = f.add_arr(below, f.mul_arr(f.neg_arr(below[:, :, :1]),
-                                              top[:, None]))
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ new one, and returns a :class:`RuleResult` listing the guaranteed claims
 together with how far each claim could actually be checked:
 
 * ``verified_exhaustive`` -- the claim was confirmed by exact computation
-  (dimension arithmetic, weight enumeration or a coordinate-set search);
+  (dimension arithmetic, or weight enumeration and the MacWilliams
+  identity);
 * ``verified_algebraic`` -- the claim follows by a theorem from checked
   construction data, with no search (the distance of a catalog parent,
   :func:`subsystem_codes.rs.grs_distance`);
@@ -30,7 +31,8 @@ refuse an input d that is only a witness, an upper bound (:func:`_proved_d`).
 Every constructed gauge code is derived and checked against the
 (log_p K, log_p R) its producer promised in one step,
 :func:`_derive_checked`; the MDS families and the catalog in
-:mod:`subsystem_codes.table1` share one certifier, :func:`certify_mds`.
+:mod:`subsystem_codes.table1` share one certifier, :func:`certify_mds`,
+on the exact distance engine of :func:`derive`.
 """
 
 from __future__ import annotations
@@ -45,10 +47,11 @@ import numpy as np
 from . import rs
 from .bounds import _params, singleton_check
 from .codes import (AdditiveCode, ClassicalCode, _field, _pairings,
-                    dual_swt_exceeds, dual_symp, min_swt)
+                    dual_symp)
 from .gf import FieldSpec, TowerSpec, prime_power
 from .subsystem import (DEFAULT_POLICY, ParamRecord, Policy, PurityError,
-                        SubsystemCode, derive, ge_verdict, interval)
+                        SubsystemCode, _exact_distance, derive, ge_verdict,
+                        interval)
 from .symplectic import fresh_pair, hyperbolic_decompose
 
 __all__ = [
@@ -158,15 +161,16 @@ def _trade(rule: str, code: SubsystemCode, C: AdditiveCode, steps: int,
     """The paper's trade step: derive the gauge code C that ``rule`` built
     from ``code`` by moving ``steps`` units of log_p dimension from the
     subsystem to the co-subsystem (a negative count moves them back), then
-    claim d' >= d and purity to min(d, d'), d' the input's level, if K
-    shrank, or d' = d and pure if it did not."""
+    claim d' = d and pure if K grew from K > 1, else d' >= d and purity to
+    min(d, d'), d' the input's level: from K = 1 (case (b)) d is a minimum
+    over D^perp_s minus 0, and D^perp_s = C holds C'."""
     res = _derive_checked(rule, C, code.k_exp - steps, code.r_exp + steps,
                           claims, policy)
     out = res.output
-    res.add("d' >= d" if steps > 0 else "d' = d",
-            _status(out.d, out.d_method, code.d, code.d_method,
-                    equal=steps <= 0))
-    if steps <= 0:
+    same = steps <= 0 and code.case == "a"
+    res.add("d' = d" if same else "d' >= d",
+            _status(out.d, out.d_method, code.d, code.d_method, equal=same))
+    if same:
         res.add("pure", _pure(out))
     elif code.d is None:
         res.add("pure to min(d, d')", ASSERTED)
@@ -207,9 +211,10 @@ def grow_k(code: SubsystemCode, policy: Policy = DEFAULT_POLICY) -> RuleResult:
 
     From a pure ((n,K,R,d))_q code with R > 1, build a pure
     ((n, p^t K, R/p^t, d))_q code by dropping the last hyperbolic pair of
-    the gauge code.  Purity of the input is essential: for an impure code
-    the distance can drop (the 3x3 grid code with gauge pairs removed
-    would otherwise beat the best known stabilizer parameters).
+    the gauge code; from K = 1, a code of distance >= d pure to d.  Purity
+    of the input is essential: for an impure code the distance can drop
+    (the 3x3 grid code with gauge pairs removed would otherwise beat the
+    best known stabilizer parameters).
     """
     C, t, p = code.C, code.C.t, code.p
     if code.r_exp < t:
@@ -256,7 +261,8 @@ def subsystem_to_stabilizer(code: SubsystemCode,
     """Collapse a pure subsystem code to its [[n, k+r, d]]_q stabilizer code.
 
     Dropping every hyperbolic pair of the gauge code leaves exactly its
-    radical D, which generates the stabilizer.
+    radical D, which generates the stabilizer.  From K = 1 the stabilizer
+    code has distance >= d and is pure to d.
     """
     _require_pure(code, "only pure subsystem codes collapse to a "
                   "stabilizer code of the same distance")
@@ -541,21 +547,23 @@ def certify_mds(res: RuleResult, d: int, claim: str,
     ``res`` comes from :func:`_derive_checked` in "skip" mode, and its
     gauge code must be F_q-linear with zero slack at the design d, so the
     Singleton bound k + r <= n - 2d + 2 of such codes gives d <= design d:
-    d is a witness.  If D^perp_s fits the policy (asked before it is
-    built), a complete search over coordinate sets proves swt(D^perp_s)
-    >= d (:func:`codes.dual_swt_exceeds`), and C lies in D^perp_s: d is
-    exact, C pure, and swt(C) is enumerated; else swt(C) stays unset.
+    d is a witness.  If D^perp_s fits the policy, the exact engine of
+    :func:`derive`, :func:`subsystem_codes.subsystem._exact_distance`,
+    measures d and swt(C), and a code whose d is not the design d, or
+    that is not pure, is refused; else swt(C) stays unset.
     """
     code = res.output
     code.d = d
     if not singleton_check(code).attained:          # F_q-linear, slack 0
         raise AssertionError(f"the Singleton bound does not give d <= {d}")
-    code.d_method = "witness"
-    if policy.fits(code.p, 2 * code.n * code.field.m - code.D.rank_p):
-        code.swt_c = min_swt(code.C, policy)
-        code.d_method = code.swt_c_method = "exhaustive"
-        if not (dual_swt_exceeds(code.D, d - 1) and code.is_pure):
-            raise AssertionError(f"D^perp_s has a vector of weight below {d}")
+    if not _exact_distance(code, policy):
+        code.d_method = "witness"
+    elif code.d != d:
+        raise AssertionError(f"the exact d = {code.d} is not the design "
+                             f"d = {d}")
+    elif not code.is_pure:
+        raise AssertionError(f"swt(C) = {code.swt_c} < d = {d}: the code "
+                             "is not pure")
     res.add(claim, _status(d, code.d_method, d, None))
     res.add("pure", _pure(code))
 

@@ -69,7 +69,7 @@ class SubsystemCode:
     k_exp: int                 # log_p K
     r_exp: int                 # log_p R
     d: Optional[int] = None
-    d_method: Optional[str] = None   # exhaustive | witness
+    d_method: Optional[str] = None   # exhaustive | witness | lower
     swt_c: Optional[int] = None
     swt_c_method: Optional[str] = None
 
@@ -202,22 +202,14 @@ def measure_distance(code: SubsystemCode, policy: Policy) -> None:
     """Set d and swt(C) of a derived code, with the methods that back them.
 
     d is the minimum over D^perp_s minus C (minus 0 in case (b)), with D
-    from :func:`derive`'s Gram matrix.  In "exact" mode with D^perp_s
-    within the threshold, one scan of C gives the weight distributions of
-    D and C, and :func:`_dual_distance` moves D's across to D^perp_s, so
-    both d and swt(C) are "exhaustive".  Otherwise d is a scan of
-    D^perp_s in the policy's mode (see :func:`min_swt_coset`), and swt(C)
-    a scan of C in "exact" mode, unset for the whole space beyond the
-    threshold.
+    from :func:`derive`'s Gram matrix.  In "exact" mode both come from
+    :func:`_exact_distance` when D^perp_s is within the threshold.
+    Otherwise d is a scan of D^perp_s in the policy's mode (see
+    :func:`min_swt_coset`), and swt(C) a scan of C in "exact" mode, unset
+    for the whole space beyond the threshold.
     """
-    C, nm = code.C, code.n * code.field.m
-    if policy.distance_mode == "exact" and policy.fits(
-            code.p, 2 * nm - code.D.rank_p):
-        dist_d, dist_c = _distributions(C, code.D)
-        code.d = _dual_distance(code, dist_d, dist_c)
-        code.swt_c = next(w for w, a in enumerate(dist_c) if w and a)
-        code.d_method = code.swt_c_method = "exhaustive"
-    else:
+    if policy.distance_mode != "exact" or not _exact_distance(code, policy):
+        C, nm = code.C, code.n * code.field.m
         # case (b): D^perp_s = C, and d is the minimum over all of it
         sub = None if code.case == "b" else C
         code.d, code.d_method = min_swt_coset(dual_symp(code.D), sub, policy)
@@ -229,6 +221,19 @@ def measure_distance(code: SubsystemCode, policy: Policy) -> None:
         raise PurityError(
             f"an ((n,1,R,d))_q subsystem code must be pure; "
             f"swt(C) = {code.swt_c} < d = {code.d}")
+
+
+def _exact_distance(code: SubsystemCode, policy: Policy) -> bool:
+    """The one exact engine, shared with :func:`rules.certify_mds`: if
+    D^perp_s fits the policy, set d and swt(C) "exhaustive" from one scan
+    of C, D's rows first (:func:`_dual_distance`), and return True."""
+    if not policy.fits(code.p, 2 * code.n * code.field.m - code.D.rank_p):
+        return False
+    dist_d, dist_c = _distributions(code.C, code.D)
+    code.d = _dual_distance(code, dist_d, dist_c)
+    code.swt_c = next(w for w, a in enumerate(dist_c) if w and a)
+    code.d_method = code.swt_c_method = "exhaustive"
+    return True
 
 
 def _dual_distance(code: SubsystemCode, dist_d, dist_c) -> int:

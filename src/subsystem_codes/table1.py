@@ -24,10 +24,10 @@ Verification per row:
 * radical self-orthogonality: D pairs to zero with itself.
 * dimensions by the derivation, d and purity by
   :func:`subsystem_codes.rules.certify_mds`.
-  For q = 3, swt(C) by enumeration, and d and purity by a complete search
-  of the radical's C(n, d-1) coordinate sets and zero Singleton slack (no
-  scan of D^perp_s, 3^14 elements).  For q in {4, 5, 7} D^perp_s is beyond
-  the threshold (e.g. 4^26 elements), so the Singleton bound gives
+  For q = 3, d and swt(C) by the exact engine of ``derive``: one scan of
+  C, D's rows first, and the MacWilliams transform of A(D) (no scan of
+  D^perp_s, 3^14 elements).  For q in {4, 5, 7} D^perp_s is beyond the
+  threshold (e.g. 4^26 elements), so the Singleton bound gives
   d <= iota + 1 (method ``witness``) and purity is asserted.
 """
 

@@ -660,57 +660,6 @@ def test_split_matches_row_by_row(monkeypatch):
             assert linalg.rank(np.concatenate([rows, A.mat]), fp) == A.rank
 
 
-def _brute_dual_swt(D):
-    """Independent oracle: min swt over the nonzero x of F_q^{2n} with
-    tr<h|x> = 0 for every h of an F_p-basis of D, by listing all of
-    F_q^{2n}; None when only x = 0 is left."""
-    f, n = D.field, D.n
-    xs = np.array(list(product(range(f.q), repeat=2 * n)), dtype=np.int64)
-    ok = np.ones(len(xs), dtype=bool)
-    for g in map(D._contract_row, D.mat):
-        for j in range(D.t):               # alpha^j g spans D over F_p
-            h = f.mul_arr(g, f.p**j)
-            form = np.zeros(len(xs), dtype=np.int64)
-            for i in range(n):
-                form = f.add_arr(form, f.add_arr(
-                    f.mul_arr(xs[:, n + i], h[i]),
-                    f.neg_arr(f.mul_arr(xs[:, i], h[n + i]))))
-            ok &= f._trace_table[form] == 0
-    weights = ((xs[:, :n] != 0) | (xs[:, n:] != 0)).sum(axis=1)[ok]
-    weights = weights[weights > 0]
-    return int(weights.min()) if weights.size else None
-
-
-@pytest.mark.parametrize("p,m,t,lengths", [
-    (2, 1, 1, (1, 2, 3, 4, 5)), (3, 1, 1, (1, 2, 3, 4)),
-    (2, 2, 1, (1, 2, 3)), (2, 2, 2, (1, 2, 3)), (5, 1, 1, (1, 2, 3))])
-def test_dual_swt_exceeds_matches_brute_force(p, m, t, lengths):
-    # "every w-set of coordinates gives full column rank" holds iff every
-    # nonzero vector of D^perp_s has weight > w, in both directions; the
-    # zero code and the whole space are among the inputs
-    f = FieldSpec(p, m)
-    rng = np.random.default_rng(60 + 10 * p + m + t)
-    outcomes, weights = set(), set()
-    for n in lengths:
-        dim = 2 * n * m // t
-        # alpha^j e_i for every coordinate entry i: the whole space
-        whole = np.eye(2 * n, dtype=np.int64)[:, None, :] * f._pw[:, None]
-        inputs = [AdditiveCode.zero(n, f, t),
-                  AdditiveCode(n, f, whole.reshape(-1, 2 * n), t)]
-        inputs += [AdditiveCode(n, f, rng.integers(0, f.q, size=(
-            int(rng.integers(1, dim + 1)), 2 * n)), t) for _ in range(8)]
-        for D in inputs:
-            oracle = _brute_dual_swt(D)
-            weights.add(oracle)
-            for w in range(n + 2):
-                expect = oracle is None or oracle > w
-                assert codes.dual_swt_exceeds(D, w) == expect, (n, w, D.mat)
-                outcomes.add(expect)
-    # both answers, D^perp_s = {0}, and minima above 1 all occur
-    assert outcomes == {True, False}
-    assert None in weights and {1, 2} <= weights
-
-
 def _fp_class_min(a, b):
     """Reference: the F_p scalar-class scan.  Prime-field rows alpha^j g of
     every row g (B's, then those of A outside the span so far, one at a

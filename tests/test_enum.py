@@ -79,11 +79,13 @@ def test_uneven_halves(p, k):
 @pytest.mark.parametrize("batch", [None, 2])
 def test_bounds_inside_rows_and_batches(monkeypatch, batch):
     # lo and hi fall inside a high-half row (3^3 counters wide here) and,
-    # with batches of two rows, inside a batch
+    # with batches of two rows, inside a batch; every batch is counted in
+    # several slices of 7 weights, the last one short
     rng = np.random.default_rng(48)
     p, k, groups, gsize = 3, 6, 4, 2
     if batch:
         monkeypatch.setattr(_enum, "_BATCH", batch * p**_enum._low_rows(k))
+    monkeypatch.setattr(_enum, "_SLICE", 7)
     gens = _independent_gens(rng, p, k, groups, gsize)
     weights = _naive_weights(gens, p, groups, gsize)
     bounds = [(1, 2), (5, 9), (26, 28), (40, 200), (100, 101), (1, 700),

@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from subsystem_codes import linalg, rs, rules
 from subsystem_codes.codes import (AdditiveCode, ClassicalCode, dual_symp,
@@ -84,6 +85,67 @@ def test_grow_preconditions(five, shor):
         grow_k(shor)                     # impure
     with pytest.raises(ValueError):
         grow_k(five)                     # R = 1
+
+
+# ((6,1,16,1))_2: K = 1, and dropping a pair leaves an impure code
+_GROWS_D = AdditiveCode(6, FieldSpec(2), [
+    [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1],
+    [0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1],
+    [0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1], [0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1],
+    [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1]])
+
+
+def test_grow_k_from_k1_claims_d_at_least_d():
+    # for K = 1 the input's d is a minimum over all of D^perp_s minus 0,
+    # so the grown code's d' can exceed it and the output can be impure:
+    # the trade claims d' >= d and purity to d, which C' in C proves
+    code = derive(_GROWS_D)
+    assert (code.params(), code.case, code.is_pure) == ((6, 1, 16, 1), "b",
+                                                        True)
+    res = grow_k(code)
+    assert res.output.params() == (6, 2, 8, 2)
+    assert res.output.purity == ("impure", 1)
+    assert res.verification == {"K' = 2*K": "verified_exhaustive",
+                                "R' = R/2": "verified_exhaustive",
+                                "d' >= d": "verified_exhaustive",
+                                "pure to 1": "verified_exhaustive"}
+    res = subsystem_to_stabilizer(code)
+    assert res.output.params() == (6, 16, 1, 1)
+    assert res.verification["d' >= d"] == "verified_exhaustive"
+
+
+@st.composite
+def _case_b_codes(draw):
+    """C = X + X^perp_s for a random X: C contains its dual X ^ X^perp_s,
+    so its derived code has K = 1."""
+    p, m, t, top = draw(st.sampled_from([(2, 1, 1, 4), (3, 1, 1, 3),
+                                         (2, 2, 1, 3), (2, 2, 2, 3)]))
+    f, n = FieldSpec(p, m), draw(st.integers(1, top))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = AdditiveCode(n, f, rng.integers(0, f.q, size=(
+        draw(st.integers(0, 2 * n * m // t)), 2 * n)), t)
+    rows = [X._contract_row(g) for g in np.concatenate(
+        [X.mat, dual_symp(X).mat])]
+    return AdditiveCode(n, f, rows, t)
+
+
+@settings(max_examples=120, deadline=None)
+@given(C=_case_b_codes())
+@example(C=_GROWS_D)
+def test_trades_on_case_b_codes_prove_or_refuse(C):
+    # every trading rule on a K = 1 input proves each claim it makes, or
+    # refuses the input by name (ValueError; PurityError is one)
+    code = derive(C)
+    assert code.case == "b"
+    trades = [shrink_k, grow_k, subsystem_to_stabilizer,
+              lambda c: stabilizer_to_subsystem(c, 1)]
+    for trade in trades:
+        try:
+            res = trade(code)
+        except ValueError:
+            continue
+        assert set(res.verification.values()) == {"verified_exhaustive"}
 
 
 def test_linear_coeff_degree():
@@ -585,6 +647,24 @@ def test_family_k0_boundary():
     res = mds_family(MdsFamilySpec(q=3, family="iii", delta=0, r=2))
     got = bracket_params(res.output)
     assert (got.n, int(got.k), int(got.r), got.d) == (2, 0, 2, 1)
+
+
+@pytest.mark.parametrize("rows,d,message", [
+    # zero Singleton slack at a design d of 2 above the exact d = 1
+    ([[1, 0, 0, 0, 2, 2, 2, 1], [0, 1, 0, 0, 2, 2, 1, 2],
+      [0, 0, 1, 0, 0, 1, 0, 1], [0, 0, 0, 1, 1, 2, 0, 1]], 2,
+     "the exact d = 1 is not the design d = 2"),
+    # X and Z on each of three qutrits span the stabilizer and the fourth
+    # is one gauge pair: zero slack at the exact d = 2, but swt(C) = 1
+    ([[1, 1, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 0],
+      [0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1]], 2,
+     "swt\\(C\\) = 1 < d = 2: the code is not pure")])
+def test_certify_mds_refuses_a_wrong_d_or_an_impure_code(rows, d, message):
+    # F_q-linear GF(3) codes of length 4 that the Singleton check passes
+    res = RuleResult("certify", derive(AdditiveCode(4, FieldSpec(3), rows),
+                                       Policy("skip")))
+    with pytest.raises(AssertionError, match=message):
+        certify_mds(res, d, f"d = {d}")
 
 
 def test_weight_distribution_isometry():

@@ -11,8 +11,8 @@ import pytest
 from conftest import invoke
 from subsystem_codes import _enum, linalg, rules, subsystem
 from subsystem_codes.codes import (DEFAULT_THRESHOLD, AdditiveCode,
-                                   ClassicalCode, dual_swt_exceeds, dual_symp,
-                                   min_swt, min_swt_coset)
+                                   ClassicalCode, Policy, dual_symp, min_swt,
+                                   min_swt_coset)
 from subsystem_codes.rs import (_field_points, evaluation_code, grs_distance,
                                 hermitian_self_orthogonal_rs,
                                 mds_min_weight_codeword)
@@ -230,9 +230,9 @@ def _members_within_threshold():
 
 
 def test_certificate_agrees_with_span_enumeration(rows_q3):
-    # the coordinate-set search and a scan of D^perp_s give the same
-    # swt(D^perp_s), which is the design d, on every q = 3 row and every
-    # family member within the threshold
+    # the certificate's MacWilliams transform and a scan of D^perp_s give
+    # the same swt(D^perp_s), which is the design d, on every q = 3 row
+    # and every family member within the threshold
     cases = [(r.subsystem[3], r.code) for r in rows_q3]
     members = _members_within_threshold()
     cases += [(spec.target_params()[3], code) for spec, code in members]
@@ -241,8 +241,6 @@ def test_certificate_agrees_with_span_enumeration(rows_q3):
     for d, code in cases:
         dual = dual_symp(code.D)
         assert min_swt(dual) == d
-        assert dual_swt_exceeds(code.D, d - 1)
-        assert not dual_swt_exceeds(code.D, d)
         assert (code.d, code.d_method, code.swt_c_method) == (
             d, "exhaustive", "exhaustive")
         assert code.swt_c == min_swt(code.C) >= d
@@ -253,35 +251,50 @@ def test_certificate_agrees_with_span_enumeration(rows_q3):
             d, "exhaustive")
 
 
+def test_certificate_is_the_exact_derive(rows_q3):
+    # certify_mds and derive share one exact engine: on every q = 3 row
+    # and every family member within the threshold, the certificate's
+    # values and methods are those of an exact derive of the gauge code
+    codes = [r.code for r in rows_q3]
+    codes += [code for _, code in _members_within_threshold()]
+    for code in codes:
+        again = subsystem.derive(code.C, Policy("exact"))
+        assert (code.d, code.d_method, code.swt_c, code.swt_c_method) == (
+            again.d, again.d_method, again.swt_c, again.swt_c_method)
+
+
 @pytest.mark.parametrize("q,family,delta", [(3, "vi", 1), (5, "iv", 1),
                                             (7, "iv", 2), (8, "iii", 3)])
 def test_certificate_refuses_two_dependent_columns(q, family, delta):
-    # make x_1 a multiple of x_0 in every row of the radical: then D^perp_s
-    # holds a vector on y_0 and y_1 alone, and a certificate for d >= 3
-    # must refuse, as span enumeration confirms
+    # plant a stabilizer with the member's n, k and r whose last
+    # coordinate's two columns are dependent (both zero): it has zero
+    # Singleton slack at the design d, but X on that coordinate is a
+    # logical of weight 1, and the certificate must refuse it by name
     code = mds_family(MdsFamilySpec(q=q, family=family, delta=delta)).output
-    D, f, d = code.D, code.field, code.d
-    assert d >= 3 and dual_swt_exceeds(D, d - 1)
-    rows = D.mat.copy()
-    rows[:, 1] = f.mul_arr(rows[:, 0], f.generator)
-    planted = AdditiveCode(D.n, f, rows, D.t)
-    assert not dual_swt_exceeds(planted, 2)
-    assert not dual_swt_exceeds(planted, d - 1)
-    assert min_swt(dual_symp(planted)) <= 2
+    n, f, d = code.n, code.field, code.d
+    assert d >= 3 and code.d_method == "exhaustive"
+    planted = AdditiveCode(n, f, np.eye(2 * n, dtype=np.int64)[:2 * d - 2],
+                           f.m)
+    assert subsystem.derive(planted).params() == (n, code.K, code.R, 1)
+    res = rules.RuleResult("certify", subsystem.derive(planted,
+                                                       Policy("skip")))
+    with pytest.raises(AssertionError,
+                       match=f"exact d = 1 is not the design d = {d}"):
+        rules.certify_mds(res, d, f"d = {d}")
 
 
 def test_catalog_scans_no_dual_and_few_vectors(monkeypatch):
-    # the q = 3 rows get d from the coordinate-set search, so no scan of
-    # D^perp_s is made, and the parents' distances come from their
-    # construction, so no parent is scanned either: a catalog pass
-    # requests only the swt(C) scans of the q = 3 rows (the F_p-class scans
-    # with D^perp_s minus C requested 17.5 M, the parent scans 0.97 M)
+    # the q = 3 rows get d and swt(C) from one weight distribution scan of
+    # C and the MacWilliams transform, so no scan of D^perp_s is made, and
+    # the parents' distances come from their construction, so no parent
+    # is scanned either (the F_p-class scans with D^perp_s minus C
+    # requested 17.5 M vectors, the parent scans 0.97 M)
     calls, parent_calls = [], []
-    real = _enum.min_weight_range
-    monkeypatch.setattr(
-        _enum, "min_weight_range",
-        lambda gens, p, groups, size, lo, hi, **kw: calls.append(
-            (len(gens), hi - lo)) or real(gens, p, groups, size, lo, hi, **kw))
+    for name in ("min_weight_range", "weight_distribution"):
+        def counted(gens, p, groups, size, lo, hi, real=getattr(_enum, name)):
+            calls.append((len(gens), hi - lo))
+            return real(gens, p, groups, size, lo, hi)
+        monkeypatch.setattr(_enum, name, counted)
     # neither a parent's distance nor its radical Y ^ Y^perp_h is computed
     for name in ("min_wt", "hermitian_radical"):
         monkeypatch.setattr(ClassicalCode, name,
